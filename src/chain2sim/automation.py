@@ -4,7 +4,7 @@ Four independent pieces, composable per scenario:
 
     Battery + peak_shave_step   storage dispatch that caps grid draw
     load_shift_schedule         appliance start-time optimization
-    DrCommand + dr_apply        externally commanded power limitation
+    DrCommand + dr_site_step    externally commanded power limitation
     MevuCluster + mevu_settle   aggregated flexibility settlement
 
 Everything here is a pure per-tick policy over explicit state; nothing
@@ -18,7 +18,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -466,21 +466,6 @@ def dr_site_step(
         discharge = site.battery.discharge(total - cmd.p_limit_w, dt_s)
     curtailed = tuple(l.id for l in site.loads if l.curtailed)
     return DrStepResult(total - discharge, curtailed, discharge, True)
-
-
-def dr_apply(
-    sites: Iterable[Site],
-    cmd: DrCommand | None,
-    t: float,
-    dt_s: float,
-    meters: Mapping[str, object] | None = None,
-) -> dict[str, DrStepResult]:
-    """Apply one command tick to many sites; returns results keyed by site id."""
-    results: dict[str, DrStepResult] = {}
-    for site in sorted(sites, key=lambda s: s.site_id):
-        meter = meters.get(site.site_id) if meters else None
-        results[site.site_id] = dr_site_step(site, cmd, t, dt_s, meter)
-    return results
 
 
 def load_dr_commands(path: str) -> list[DrCommand]:

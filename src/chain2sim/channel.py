@@ -87,8 +87,6 @@ class Channel:
         self._rng = random.Random(seed)
         self._bad_state = False
         self._busy_until = 0.0
-        self.sent = 0
-        self.lost = 0
 
     def _draw_loss(self) -> bool:
         loss = self.config.loss
@@ -108,16 +106,7 @@ class Channel:
         start = max(float(t_send), self._busy_until)
         finish = start + frame_bits(frame_type) / self.config.rate_bps
         self._busy_until = finish
-        self.sent += 1
         if self._draw_loss():
-            self.lost += 1
             return TransmitVerdict(False, None, finish)
         return TransmitVerdict(True, finish + self.config.proc_delay_s, finish)
 
-
-def replay(
-    config: ChannelConfig, seed: int, transcript: list[tuple[FrameType, float]]
-) -> list[TransmitVerdict]:
-    """Re-run a send transcript on a fresh link; handy for determinism checks."""
-    link = Channel(config, seed)
-    return [link.transmit(frame_type, t_send) for frame_type, t_send in transcript]

@@ -23,9 +23,7 @@ sequence number to close that tail for end-of-run reconciliation.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -33,7 +31,6 @@ from chain2sim.frames import (
     CompactFrame,
     EnergyDirection,
     ExceedanceCause,
-    FrameType,
     SupplyEventKind,
     T1Payload,
     T2Payload,
@@ -201,7 +198,6 @@ class Device:
             "unpaired": 0,
             "implausible_t1": 0,
         }
-        self.by_type: dict[FrameType, int] = {t: 0 for t in FrameType}
         self._high_water = 0
         self._recent: set[int] = set()
         self._alarm_active = False  # user-limit excursion in progress
@@ -233,7 +229,6 @@ class Device:
             return Disposition.TOO_OLD
 
         self.stats["processed"] += 1
-        self.by_type[FrameType(frame.frame_type)] += 1
         self.processed_log.append((t_arrive, seq))
         payload = frame.payload
         if isinstance(payload, T1Payload):
@@ -440,45 +435,6 @@ class Device:
         return QualityReport(
             tuple(interruptions), total, voltage, open_start is not None
         )
-
-    # -- exports -----------------------------------------------------------
-
-    def quarters_to_csv(self, path: str, start_s: int, end_s: int) -> None:
-        """Write the quarter series with `ok`/`missing` flags, gaps blank."""
-        _check_quarter_window(start_s, end_s)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["quarter_start_s", "energy_Wh", "flag"])
-            for q in range(start_s, end_s, QUARTER_S):
-                record = self.quarters.get(q)
-                if record is None:
-                    writer.writerow([q, "", "missing"])
-                else:
-                    writer.writerow([q, record.energy_wh, "ok"])
-
-    def events_to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_s", "event", "duration_s"])
-            for event in self.event_log:
-                writer.writerow(
-                    [
-                        event.t,
-                        event.kind.name.lower(),
-                        "" if event.duration_s is None else event.duration_s,
-                    ]
-                )
-
-    def notifications_to_jsonl(self, path: str) -> None:
-        with open(path, "w") as fh:
-            for note in self.notifications:
-                fh.write(
-                    json.dumps(
-                        {"t": note.t, "kind": note.kind, "message": note.message},
-                        sort_keys=True,
-                    )
-                )
-                fh.write("\n")
 
 
 def _check_quarter_window(start_s: int, end_s: int) -> None:

@@ -35,6 +35,7 @@ byte streams are fully reproducible.  All functions here are pure.
 
 from __future__ import annotations
 
+import binascii
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -178,15 +179,16 @@ class CompactFrame:
 _HEADER = struct.Struct(">BB14sII")
 _CRC = struct.Struct(">H")
 
-_PAYLOAD_BYTES = {
-    FrameType.T1: 4,
-    FrameType.T2: 6,
-    FrameType.T3: 5,
-    FrameType.T4: 5,
+# Payload layout per frame type, shared by encode and decode.
+_PAYLOAD: dict[FrameType, struct.Struct] = {
+    FrameType.T1: struct.Struct(">BBH"),  # quarter, direction, energy Wh
+    FrameType.T2: struct.Struct(">BBI"),  # band, direction, power W
+    FrameType.T3: struct.Struct(">BI"),  # cause, value
+    FrameType.T4: struct.Struct(">BI"),  # event, duration s
 }
 
 _FRAME_BYTES = {
-    t: _HEADER.size + n + _CRC.size for t, n in _PAYLOAD_BYTES.items()
+    t: _HEADER.size + layout.size + _CRC.size for t, layout in _PAYLOAD.items()
 }
 
 
@@ -202,32 +204,13 @@ def frame_bits(frame_type: FrameType) -> int:
 
 # -- CRC-16/CCITT-FALSE -------------------------------------------------------
 # Polynomial 0x1021, init 0xFFFF, no reflection, no final XOR.
-# Check value: crc16("123456789") == 0x29B1.
-
-
-def _build_crc_table() -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC_TABLE = _build_crc_table()
+# Check value: crc16("123456789") == 0x29B1.  `binascii.crc_hqx` computes
+# exactly this CRC when seeded with 0xFFFF.
 
 
 def crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE over a byte sequence."""
-    crc = 0xFFFF
-    table = _CRC_TABLE
-    for b in data:
-        crc = ((crc << 8) & 0xFFFF) ^ table[(crc >> 8) ^ b]
-    return crc
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 # -- Encoding -----------------------------------------------------------------
@@ -251,6 +234,13 @@ def _check_pod_id(pod_id: str) -> bytes:
     return pod_id.encode("ascii")
 
 
+def _check_enum(field: str, enum_cls, value):
+    try:
+        return enum_cls(value)
+    except ValueError:
+        raise FrameEncodeError(f"{field} out of range: {value!r}") from None
+
+
 def _encode_payload(frame_type: FrameType, payload: Payload) -> bytes:
     expected = _PAYLOAD_TYPE[frame_type]
     if type(payload) is not expected:
@@ -258,29 +248,27 @@ def _encode_payload(frame_type: FrameType, payload: Payload) -> bytes:
             f"payload for {frame_type.name} must be {expected.__name__}, "
             f"got {type(payload).__name__}"
         )
+    layout = _PAYLOAD[frame_type]
     if frame_type is FrameType.T1:
-        return struct.pack(
-            ">BBH",
+        return layout.pack(
             _check_range("quarter_index", payload.quarter_index, 0, 95),
-            EnergyDirection(payload.direction),
+            _check_enum("direction", EnergyDirection, payload.direction),
             _check_range("energy_wh", payload.energy_wh, 0, _U16),
         )
     if frame_type is FrameType.T2:
-        return struct.pack(
-            ">BBI",
+        return layout.pack(
             _check_range("band_index", payload.band_index, 0, 10),
-            CrossingDirection(payload.direction),
+            _check_enum("direction", CrossingDirection, payload.direction),
             _check_range("power_w", payload.power_w, 0, _U32),
         )
     if frame_type is FrameType.T3:
-        return struct.pack(
-            ">BI",
-            ExceedanceCause(payload.cause),
+        return layout.pack(
+            _check_enum("cause", ExceedanceCause, payload.cause),
             _check_range("value", payload.value, 0, _U32),
         )
     # T4: the duration field is meaningful only on an interruption end and
     # must be absent (None) otherwise, so the wire image is unambiguous.
-    event = SupplyEventKind(payload.event)
+    event = _check_enum("event", SupplyEventKind, payload.event)
     if event is SupplyEventKind.INTERRUPTION_END:
         if payload.duration_s is None:
             raise FrameEncodeError("duration_s required for interruption_end")
@@ -291,7 +279,7 @@ def _encode_payload(frame_type: FrameType, payload: Payload) -> bytes:
                 f"duration_s only valid for interruption_end, got {payload.duration_s}"
             )
         duration = 0
-    return struct.pack(">BI", event, duration)
+    return layout.pack(event, duration)
 
 
 def encode_frame(frame: CompactFrame) -> bytes:
@@ -327,20 +315,21 @@ def _decode_enum(field: str, enum_cls, raw: int):
 
 
 def _decode_payload(frame_type: FrameType, data: bytes) -> Payload:
+    fields = _PAYLOAD[frame_type].unpack(data)
     if frame_type is FrameType.T1:
-        quarter, direction, energy = struct.unpack(">BBH", data)
+        quarter, direction, energy = fields
         if quarter > 95:
             raise FieldValueError(f"quarter_index out of range: {quarter}")
         return T1Payload(quarter, energy, _decode_enum("direction", EnergyDirection, direction))
     if frame_type is FrameType.T2:
-        band, direction, power = struct.unpack(">BBI", data)
+        band, direction, power = fields
         if band > 10:
             raise FieldValueError(f"band_index out of range: {band}")
         return T2Payload(band, power, _decode_enum("direction", CrossingDirection, direction))
     if frame_type is FrameType.T3:
-        cause, value = struct.unpack(">BI", data)
+        cause, value = fields
         return T3Payload(_decode_enum("cause", ExceedanceCause, cause), value)
-    event_raw, duration = struct.unpack(">BI", data)
+    event_raw, duration = fields
     event = _decode_enum("event", SupplyEventKind, event_raw)
     if event is SupplyEventKind.INTERRUPTION_END:
         return T4Payload(event, duration)

@@ -385,8 +385,8 @@ def validate_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
                 csv_path = os.path.join(base_dir, csv_path)
                 users[idx] = replace(spec, profile_csv=csv_path)
             try:
-                _, csv_tick = profile_from_csv(csv_path)
-                power_len = sum(1 for _ in open(csv_path)) - 1
+                power, csv_tick = profile_from_csv(csv_path)
+                power_len = len(power)
                 if csv_tick != tick_s:
                     errors.append(
                         f"users[{idx}].profile_csv: tick {csv_tick} s != scenario tick {tick_s} s"
@@ -544,11 +544,10 @@ class UserResult:
     gated: int
     device_stats: dict[str, int]
     seq_gaps: int
-    quarters_csv: str
-    events_csv: str | None
-    notifications_jsonl: str | None
+    files: dict[str, str]  # file name under users/<pod>/ -> text
     processed_log: list[tuple[float, int]]
-    actual_w: np.ndarray | None  # metered grid series, for settlement
+    profile_w: np.ndarray | None  # settlement baseline, MEVU members only
+    actual_w: np.ndarray | None  # metered grid series, MEVU members only
 
 
 @dataclass
@@ -701,7 +700,10 @@ def _run_user(
 ) -> UserResult:
     tick = config.tick_s
     n = config.duration_s // tick
-    power = _build_profile(spec, config).tolist()
+    profile = _build_profile(spec, config)
+    baseline = profile if keep_actual else None
+    power = profile.tolist()
+    del profile  # only MEVU members keep the array, as their settlement baseline
 
     meter = Meter(
         spec.pod_id,
@@ -823,17 +825,6 @@ def _run_user(
             f"{spec.pod_id}: seq gaps {gaps} != lost {n_lost} + gated {gated}"
         )
 
-    quarters_buf = io.StringIO()
-    _write_quarters(quarters_buf, device, config.duration_s)
-    events_text = None
-    if device.event_log:
-        events_buf = io.StringIO()
-        _write_events(events_buf, device)
-        events_text = events_buf.getvalue()
-    notif_text = None
-    if device.notifications:
-        notif_text = _notifications_text(device)
-
     return UserResult(
         pod_id=spec.pod_id,
         final_seq=meter.last_seq,
@@ -843,42 +834,42 @@ def _run_user(
         gated=gated,
         device_stats=dict(stats),
         seq_gaps=gaps,
-        quarters_csv=quarters_buf.getvalue(),
-        events_csv=events_text,
-        notifications_jsonl=notif_text,
+        files=_user_files(device, config.duration_s),
         processed_log=device.processed_log,
+        profile_w=baseline,
         actual_w=actual,
     )
 
 
-def _write_quarters(buf, device: Device, duration_s: int) -> None:
+def _user_files(device: Device, duration_s: int) -> dict[str, str]:
+    """The per-user output files: the quarter series always, the supply
+    events and notifications only when there are any."""
+    files = {}
+    buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["quarter_start_s", "energy_Wh", "flag"])
-    end = duration_s - duration_s % QUARTER_S
-    for q in range(0, end, QUARTER_S):
+    for q in range(0, duration_s - duration_s % QUARTER_S, QUARTER_S):
         record = device.quarters.get(q)
         if record is None:
             writer.writerow([q, "", "missing"])
         else:
             writer.writerow([q, record.energy_wh, "ok"])
-
-
-def _write_events(buf, device: Device) -> None:
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t_s", "event", "duration_s"])
-    for event in device.event_log:
-        writer.writerow(
-            [event.t, event.kind.name.lower(), "" if event.duration_s is None else event.duration_s]
+    files["quarters.csv"] = buf.getvalue()
+    if device.event_log:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["t_s", "event", "duration_s"])
+        for event in device.event_log:
+            duration = "" if event.duration_s is None else event.duration_s
+            writer.writerow([event.t, event.kind.name.lower(), duration])
+        files["events.csv"] = buf.getvalue()
+    if device.notifications:
+        files["notifications.jsonl"] = "".join(
+            json.dumps({"t": n.t, "kind": n.kind, "message": n.message}, sort_keys=True)
+            + "\n"
+            for n in device.notifications
         )
-
-
-def _notifications_text(device: Device) -> str:
-    lines = []
-    for note in device.notifications:
-        lines.append(
-            json.dumps({"t": note.t, "kind": note.kind, "message": note.message}, sort_keys=True)
-        )
-    return "\n".join(lines) + "\n"
+    return files
 
 
 # -- Campaign runner --------------------------------------------------------------
@@ -1012,16 +1003,9 @@ def _write_outputs(
     for result in results:
         user_dir = os.path.join(out_dir, "users", result.pod_id)
         os.makedirs(user_dir, exist_ok=True)
-        with open(os.path.join(user_dir, "quarters.csv"), "w", newline="") as fh:
-            fh.write(result.quarters_csv)
-        if result.events_csv is not None:
-            with open(os.path.join(user_dir, "events.csv"), "w", newline="") as fh:
-                fh.write(result.events_csv)
-        if result.notifications_jsonl is not None:
-            with open(
-                os.path.join(user_dir, "notifications.jsonl"), "w", newline=""
-            ) as fh:
-                fh.write(result.notifications_jsonl)
+        for name, text in result.files.items():
+            with open(os.path.join(user_dir, name), "w", newline="") as fh:
+                fh.write(text)
     if config.mevu is not None:
         _write_settlement(out_dir, config, results)
 
@@ -1037,11 +1021,10 @@ def _write_settlement(
     baselines: dict[str, np.ndarray] = {}
     actuals: dict[str, np.ndarray] = {}
     by_pod = {r.pod_id: r for r in results}
-    user_specs = {u.pod_id: u for u in config.users}
     for pod in spec.members:
         result = by_pod[pod]
-        assert result.actual_w is not None
-        baselines[pod] = _build_profile(user_specs[pod], config)[i0:i1]
+        assert result.profile_w is not None and result.actual_w is not None
+        baselines[pod] = result.profile_w[i0:i1]
         actuals[pod] = result.actual_w[i0:i1]
     cluster = MevuCluster(
         cluster_id="cluster-0",

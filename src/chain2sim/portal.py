@@ -19,7 +19,7 @@ import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable
+from typing import IO
 
 
 class MeterGeneration(Enum):
@@ -208,9 +208,6 @@ class Portal:
 
     def pairing(self, pod_id: str, device_id: str) -> Pairing | None:
         return self._pairings.get((pod_id, device_id))
-
-    def pairings(self) -> Iterable[Pairing]:
-        return list(self._pairings.values())
 
     def admits(self, pod_id: str, device_id: str, t: float) -> bool:
         """Whether a frame arriving at `t` may be processed by the device."""

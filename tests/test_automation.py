@@ -16,7 +16,6 @@ from chain2sim.automation import (
     MevuCluster,
     Site,
     SiteLoad,
-    dr_apply,
     dr_site_step,
     load_dr_commands,
     load_shift_schedule,
@@ -335,18 +334,6 @@ def test_dr_aggregator_never_touches_meter():
     cmd = DrCommand(2000.0, 0.0, 300.0, issuer=DrIssuer.AGGREGATOR)
     dr_site_step(site, cmd, 0.0, 60.0, meter=meter)
     assert meter.calls == []
-
-
-def test_dr_apply_covers_all_sites():
-    sites = [
-        Site("b", loads=[SiteLoad("l", 4000.0, interruptible=True)]),
-        Site("a", loads=[SiteLoad("l", 100.0)]),
-    ]
-    cmd = DrCommand(1000.0, 0.0, 100.0)
-    results = dr_apply(sites, cmd, 0.0, 60.0)
-    assert set(results) == {"a", "b"}
-    assert results["b"].curtailed_ids == ("l",)
-    assert results["a"].curtailed_ids == ()
 
 
 def test_load_dr_commands_csv(tmp_path):

@@ -1,7 +1,5 @@
 """Device-side ingest: dedup, plausibility, alarms, reconstruction, reports."""
 
-import json
-
 import pytest
 
 from chain2sim.device import (
@@ -76,7 +74,7 @@ def test_duplicate_does_not_reapply_payload():
     dev.on_frame(frame, 1.0)
     dev.quarters[0] = dev.quarters[0]  # sanity: record exists
     dev.on_frame(frame, 2.0)
-    assert dev.by_type[FrameType.T1] == 1
+    assert dev.stats["processed"] == 1
     assert len(dev.processed_log) == 1
 
 
@@ -271,38 +269,6 @@ def test_quality_report_ignores_events_outside_window():
     dev.on_frame(t4(2, 5000, SupplyEventKind.VOLTAGE_EVENT), 5000.1)
     report = dev.quality_report(1000, 6000)
     assert report.voltage_events == 1
-
-
-# -- exports ----------------------------------------------------------------------------
-
-
-def test_quarters_csv_flags_gaps(tmp_path):
-    dev = make_device()
-    dev.on_frame(t1(1, 900, 250), 901.0)
-    path = tmp_path / "quarters.csv"
-    dev.quarters_to_csv(path, 0, 1800)
-    assert path.read_text().splitlines() == [
-        "quarter_start_s,energy_Wh,flag",
-        "0,250,ok",
-        "900,,missing",
-    ]
-
-
-def test_events_csv_and_notifications_jsonl(tmp_path):
-    dev = make_device()
-    dev.on_frame(t4(1, 50, SupplyEventKind.INTERRUPTION_START), 50.1)
-    dev.on_frame(t4(2, 110, SupplyEventKind.INTERRUPTION_END, 60), 110.1)
-    events = tmp_path / "events.csv"
-    dev.events_to_csv(events)
-    lines = events.read_text().splitlines()
-    assert lines[0] == "t_s,event,duration_s"
-    assert lines[1] == "50,interruption_start,"
-    assert lines[2] == "110,interruption_end,60"
-
-    notes = tmp_path / "notes.jsonl"
-    dev.notifications_to_jsonl(notes)
-    parsed = [json.loads(line) for line in notes.read_text().splitlines()]
-    assert [n["kind"] for n in parsed] == ["supply_interrupted", "supply_restored"]
 
 
 def test_dedup_window_must_be_positive():

@@ -132,7 +132,7 @@ def test_crc_check_value():
 
 
 def test_crc_against_bitwise_reference():
-    """Table-driven CRC equals a naive bit-by-bit computation."""
+    """The CRC equals a naive bit-by-bit computation."""
 
     def reference(data: bytes) -> int:
         crc = 0xFFFF
@@ -183,6 +183,10 @@ def test_encode_rejects_bad_pod_ids():
         (T2Payload(11, 0, CrossingDirection.UP), FrameType.T2, "band_index"),
         (T2Payload(0, -5, CrossingDirection.UP), FrameType.T2, "power_w"),
         (T3Payload(ExceedanceCause.RESTORED, -1), FrameType.T3, "value"),
+        (T1Payload(0, 0, direction=5), FrameType.T1, "direction"),
+        (T2Payload(0, 0, direction=7), FrameType.T2, "direction"),
+        (T3Payload(cause=9, value=0), FrameType.T3, "cause"),
+        (T4Payload(event=9), FrameType.T4, "event"),
     ],
 )
 def test_encode_rejects_out_of_range_fields(payload, frame_type, field):

@@ -1,13 +1,17 @@
 """Scenario config parsing and the end-to-end campaign runner."""
 
+import json
+
 import numpy as np
 import pytest
 
 from chain2sim.channel import BernoulliLoss, ChannelConfig
 from chain2sim.frames import SupplyEventKind
+from chain2sim import harness
 from chain2sim.harness import (
     CampaignReport,
     ConfigError,
+    MevuSpec,
     ScenarioConfig,
     UserSpec,
     default_campaign,
@@ -130,6 +134,15 @@ def test_profile_csv_mismatches_are_config_errors(tmp_path):
     raw["duration_s"] = 1800
     raw["tick_s"] = 60
     with pytest.raises(ConfigError, match="tick 900 s != scenario tick 60"):
+        validate_config(raw, base_dir=str(tmp_path))
+    # Blank lines are not ticks: 119 of them plus two trailing blank lines
+    # still fall one tick short of 7200 s.
+    prof = household_profile(np.random.default_rng(3), 3000.0, 119 * 60, tick_s=60)
+    path = tmp_path / "blank_tail.csv"
+    profile_to_csv(path, prof, 60)
+    path.write_text(path.read_text() + "\n\n")
+    raw.update(duration_s=7200, users=[{"pod_id": POD1, "pn_w": 3000, "profile_csv": path.name}])
+    with pytest.raises(ConfigError, match=r"users\[0\]\.profile_csv: covers 7140 s"):
         validate_config(raw, base_dir=str(tmp_path))
 
 
@@ -260,18 +273,62 @@ def test_outputs_written(tmp_path):
             UserSpec(
                 pod_id=POD1,
                 pn_w=3000.0,
-                supply_events=((3600, SupplyEventKind.VOLTAGE_EVENT),),
+                supply_events=(
+                    (1800, SupplyEventKind.INTERRUPTION_START),
+                    (2400, SupplyEventKind.INTERRUPTION_END),
+                    (3000, SupplyEventKind.VOLTAGE_EVENT),
+                ),
+                # Frames arriving from here on are gated, so the quarters
+                # they report are missing on the device.
+                revoke_at_s=3600.0,
             ),
         ),
     )
     report = run(config, out_dir=str(out), parallel=False)
     assert (out / "report.csv").read_text() == report.to_csv_text()
     assert (out / "report.txt").read_text() == report.to_table_text()
-    quarters = (out / "users" / POD1 / "quarters.csv").read_text().splitlines()
+    user_dir = out / "users" / POD1
+    quarters = (user_dir / "quarters.csv").read_bytes().decode().splitlines()
     assert quarters[0] == "quarter_start_s,energy_Wh,flag"
     assert len(quarters) == 1 + 7200 // 900
-    assert (out / "users" / POD1 / "events.csv").exists()
-    assert (out / "users" / POD1 / "notifications.jsonl").exists()
+    assert quarters[1].startswith("0,") and quarters[1].endswith(",ok")
+    assert quarters[-1] == "6300,,missing"
+    assert (user_dir / "events.csv").read_bytes() == (
+        b"t_s,event,duration_s\n"
+        b"1800,interruption_start,\n"
+        b"2400,interruption_end,600\n"
+        b"3000,voltage_event,\n"
+    )
+    notes_text = (user_dir / "notifications.jsonl").read_bytes().decode()
+    assert notes_text.endswith("}\n") and "\r" not in notes_text
+    kinds = [json.loads(line)["kind"] for line in notes_text.splitlines()]
+    supply = {"supply_interrupted", "supply_restored", "voltage_event"}
+    assert [k for k in kinds if k in supply] == [
+        "supply_interrupted",
+        "supply_restored",
+        "voltage_event",
+    ]
+
+
+def test_settlement_reuses_the_profiles_the_users_ran_on(tmp_path, monkeypatch):
+    calls = []
+    real = harness.household_profile
+    monkeypatch.setattr(
+        harness, "household_profile", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    )
+    config = small_config(
+        mevu=MevuSpec(
+            members=(POD1, POD2),
+            capacity_offer_w=500.0,
+            energy_price_eur_per_wh=0.0002,
+            capacity_price_eur_per_w_h=0.0001,
+            window=(0.0, 7200.0),
+        )
+    )
+    run(config, out_dir=str(tmp_path), parallel=False)
+    assert len(calls) == len(config.users)
+    lines = (tmp_path / "settlement.csv").read_text().splitlines()
+    assert any(POD1 in line for line in lines) and any(POD2 in line for line in lines)
 
 
 def test_report_csv_shape():
