@@ -30,6 +30,9 @@ from dataclasses import dataclass, field
 
 from chain2sim.frames import FrameType, frame_bits
 
+# Frame type (member or equal value) -> encoded length in bits.
+_FRAME_BITS = {t: frame_bits(t) for t in FrameType}
+
 
 @dataclass(frozen=True)
 class BernoulliLoss:
@@ -103,8 +106,12 @@ class Channel:
 
     def transmit(self, frame_type: FrameType, t_send: float) -> TransmitVerdict:
         """Put one frame on the link; returns delivery verdict and timing."""
+        try:
+            bits = _FRAME_BITS[frame_type]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown frame type {frame_type!r}") from None
         start = max(float(t_send), self._busy_until)
-        finish = start + frame_bits(frame_type) / self.config.rate_bps
+        finish = start + bits / self.config.rate_bps
         self._busy_until = finish
         if self._draw_loss():
             return TransmitVerdict(False, None, finish)

@@ -33,7 +33,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 2
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    report = harness.run(config, out_dir=args.out, parallel=not args.single_thread)
+    report = harness.run(config, out_dir=args.out)
     print(report.to_table_text(), end="")
     print(f"\nreport written to {os.path.join(args.out, 'report.csv')}")
     return 0
@@ -43,7 +43,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     config = harness.default_campaign(
         args.users, args.days, args.loss, tick_s=args.tick, seed=args.seed
     )
-    report = harness.run(config, out_dir=args.out, parallel=not args.single_thread)
+    report = harness.run(config, out_dir=args.out)
     print(report.to_table_text(), end="")
     print(f"\nreport written to {os.path.join(args.out, 'report.csv')}")
     return 0
@@ -149,7 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument(
-        "--single-thread", action="store_true", help="disable the per-user thread pool"
+        "--single-thread",
+        action="store_true",
+        help="accepted for compatibility; users always run one after another on one thread",
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -160,7 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--tick", type=int, default=60, help="sampling tick in seconds")
     p_camp.add_argument("--seed", type=int, default=42)
     p_camp.add_argument("--out", default="campaign-out", help="output directory")
-    p_camp.add_argument("--single-thread", action="store_true")
+    p_camp.add_argument(
+        "--single-thread",
+        action="store_true",
+        help="accepted for compatibility; users always run one after another on one thread",
+    )
     p_camp.set_defaults(func=_cmd_campaign)
 
     p_tax = sub.add_parser("taxonomy", help="browse the use-case catalogue")

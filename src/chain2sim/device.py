@@ -111,6 +111,9 @@ class Disposition(Enum):
     UNPAIRED = "unpaired"
 
 
+_PROCESSED, _DUPLICATE, _TOO_OLD, _UNPAIRED = Disposition
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     paired_pod: str
@@ -190,7 +193,6 @@ class Device:
         self.last_power_t: float | None = None
         self.event_log: list[SupplyEvent] = []
         self.notifications: list[Notification] = []
-        self.processed_log: list[tuple[float, int]] = []  # (arrival t, seq)
         self.stats: dict[str, int] = {
             "processed": 0,
             "duplicates": 0,
@@ -210,26 +212,32 @@ class Device:
         """Ingest one decoded frame; returns how it was treated."""
         if frame.pod_id != self.config.paired_pod:
             self.stats["unpaired"] += 1
-            return Disposition.UNPAIRED
+            return _UNPAIRED
         seq = frame.seq
         window = self.config.dedup_window
-        if seq > self._high_water:
-            self._high_water = seq
-            self._recent.add(seq)
+        high_water = self._high_water
+        recent = self._recent
+        if seq > high_water:
+            # The window is (high_water - window, high_water]; advancing the
+            # mark drops exactly the seqs that fall out of it.
             floor = seq - window
-            if len(self._recent) > window:
-                self._recent = {s for s in self._recent if s > floor}
-        elif seq > self._high_water - window:
-            if seq in self._recent:
+            if floor >= high_water:
+                recent.clear()
+            else:
+                for old in range(high_water - window + 1, floor + 1):
+                    recent.discard(old)
+            recent.add(seq)
+            self._high_water = seq
+        elif seq > high_water - window:
+            if seq in recent:
                 self.stats["duplicates"] += 1
-                return Disposition.DUPLICATE
-            self._recent.add(seq)
+                return _DUPLICATE
+            recent.add(seq)
         else:
             self.stats["too_old"] += 1
-            return Disposition.TOO_OLD
+            return _TOO_OLD
 
         self.stats["processed"] += 1
-        self.processed_log.append((t_arrive, seq))
         payload = frame.payload
         if isinstance(payload, T1Payload):
             self._on_t1(frame, payload)
@@ -240,7 +248,7 @@ class Device:
         else:
             assert isinstance(payload, T4Payload)
             self._on_t4(frame, payload)
-        return Disposition.PROCESSED
+        return _PROCESSED
 
     def _notify(self, t: float, kind: str, message: str) -> None:
         self.notifications.append(Notification(t, kind, message))
@@ -259,7 +267,7 @@ class Device:
             return
         quarter_start = frame.timestamp - QUARTER_S
         self.quarters[quarter_start] = QuarterRecord(
-            payload.energy_wh, EnergyDirection(payload.direction), frame.seq
+            payload.energy_wh, payload.direction, frame.seq
         )
 
     def _on_power_sample(self, t: int, power_w: float) -> None:
@@ -295,14 +303,14 @@ class Device:
 
     def _on_t3(self, frame: CompactFrame, payload: T3Payload) -> None:
         t = frame.timestamp
-        cause = ExceedanceCause(payload.cause)
-        if cause is ExceedanceCause.POWER_EXCEEDED:
+        cause = payload.cause
+        if cause == ExceedanceCause.POWER_EXCEEDED:
             self._exceed_active = True
             self._notify(
                 t, "contract_power_exceeded", f"drawing {payload.value} W over contract"
             )
             self._on_power_sample(t, float(payload.value))
-        elif cause is ExceedanceCause.RESTORED:
+        elif cause == ExceedanceCause.RESTORED:
             self._exceed_active = False
             self._notify(t, "power_restored", f"back to {payload.value} W")
             self._on_power_sample(t, float(payload.value))
@@ -313,11 +321,11 @@ class Device:
 
     def _on_t4(self, frame: CompactFrame, payload: T4Payload) -> None:
         t = frame.timestamp
-        kind = SupplyEventKind(payload.event)
+        kind = payload.event
         self.event_log.append(SupplyEvent(t, kind, payload.duration_s))
-        if kind is SupplyEventKind.INTERRUPTION_START:
+        if kind == SupplyEventKind.INTERRUPTION_START:
             self._notify(t, "supply_interrupted", "supply interrupted")
-        elif kind is SupplyEventKind.INTERRUPTION_END:
+        elif kind == SupplyEventKind.INTERRUPTION_END:
             self._notify(
                 t, "supply_restored", f"supply restored after {payload.duration_s} s"
             )
@@ -394,7 +402,7 @@ class Device:
                 continue
             observed += 1
             kwh = record.energy_wh / 1000.0
-            if record.direction is EnergyDirection.WITHDRAWN:
+            if record.direction == EnergyDirection.WITHDRAWN:
                 cost += kwh * tariff.price_at(q)
             else:
                 feed_in = tariff.feed_in_price_eur_per_kwh or 0.0
@@ -415,11 +423,11 @@ class Device:
         for event in self.event_log:
             if event.t < start_s or event.t >= end_s:
                 continue
-            if event.kind is SupplyEventKind.VOLTAGE_EVENT:
+            if event.kind == SupplyEventKind.VOLTAGE_EVENT:
                 voltage += 1
-            elif event.kind is SupplyEventKind.INTERRUPTION_START:
+            elif event.kind == SupplyEventKind.INTERRUPTION_START:
                 open_start = event.t
-            elif event.kind is SupplyEventKind.INTERRUPTION_END:
+            elif event.kind == SupplyEventKind.INTERRUPTION_END:
                 if open_start is not None:
                     interruptions.append(
                         Interruption(open_start, event.t, event.t - open_start)

@@ -176,20 +176,45 @@ class CompactFrame:
     payload: Payload
 
 
-_HEADER = struct.Struct(">BB14sII")
-_CRC = struct.Struct(">H")
+_HEADER = ">BB14sII"  # version, type, pod id, seq, timestamp
+_CRC_BYTES = 2
 
-# Payload layout per frame type, shared by encode and decode.
-_PAYLOAD: dict[FrameType, struct.Struct] = {
-    FrameType.T1: struct.Struct(">BBH"),  # quarter, direction, energy Wh
-    FrameType.T2: struct.Struct(">BBI"),  # band, direction, power W
-    FrameType.T3: struct.Struct(">BI"),  # cause, value
-    FrameType.T4: struct.Struct(">BI"),  # event, duration s
+# Whole-body layout (header plus payload, no CRC) per frame type, shared by
+# encode and decode.
+_BODY: dict[FrameType, struct.Struct] = {
+    FrameType.T1: struct.Struct(_HEADER + "BBH"),  # quarter, direction, energy Wh
+    FrameType.T2: struct.Struct(_HEADER + "BBI"),  # band, direction, power W
+    FrameType.T3: struct.Struct(_HEADER + "BI"),  # cause, value
+    FrameType.T4: struct.Struct(_HEADER + "BI"),  # event, duration s
 }
 
-_FRAME_BYTES = {
-    t: _HEADER.size + layout.size + _CRC.size for t, layout in _PAYLOAD.items()
-}
+_FRAME_BYTES = {t: layout.size + _CRC_BYTES for t, layout in _BODY.items()}
+
+# Frame type (member or equal value) -> (member, body layout, payload class).
+_ENCODING = {t: (t, _BODY[t], _PAYLOAD_TYPE[t]) for t in FrameType}
+# The same entries indexed by the type byte; None where no type is defined.
+_DECODING = tuple(_ENCODING.get(b) for b in range(max(FrameType) + 1))
+
+# Valid enum values mapped to their wire byte.  A dict lookup accepts exactly
+# what the enum constructor accepts (members, plain ints, equal numbers) and
+# rejects everything else with KeyError or, for unhashable values, TypeError.
+_ENERGY_DIRECTION_BYTE = {m: m.value for m in EnergyDirection}
+_CROSSING_DIRECTION_BYTE = {m: m.value for m in CrossingDirection}
+_EXCEEDANCE_CAUSE_BYTE = {m: m.value for m in ExceedanceCause}
+_SUPPLY_EVENT_BYTE = {m: m.value for m in SupplyEventKind}
+
+
+def _members_by_value(enum_cls) -> tuple:
+    """Members indexed by their value; the values must be 0, 1, 2, ..."""
+    members = tuple(enum_cls)
+    assert [m.value for m in members] == list(range(len(members)))
+    return members
+
+
+_ENERGY_DIRECTIONS = _members_by_value(EnergyDirection)
+_CROSSING_DIRECTIONS = _members_by_value(CrossingDirection)
+_EXCEEDANCE_CAUSES = _members_by_value(ExceedanceCause)
+_SUPPLY_EVENTS = _members_by_value(SupplyEventKind)
 
 
 def frame_bytes(frame_type: FrameType) -> int:
@@ -213,15 +238,19 @@ def crc16(data: bytes) -> int:
     return binascii.crc_hqx(data, 0xFFFF)
 
 
-# -- Encoding -----------------------------------------------------------------
+# -- Pod ids ------------------------------------------------------------------
+# A run sends thousands of frames per pod, so each pod id is validated once
+# and its wire image (and the reverse) remembered.
+
+_POD_CACHE_MAX = 4096
+_POD_BYTES: dict[str, bytes] = {}
+_POD_IDS: dict[bytes, str] = {}
 
 
-def _check_range(field: str, value: int, lo: int, hi: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FrameEncodeError(f"{field} must be an integer, got {value!r}")
-    if value < lo or value > hi:
-        raise FrameEncodeError(f"{field} out of range: {value} (allowed {lo}..{hi})")
-    return value
+def _remember_pod(pod_id: str, raw: bytes) -> None:
+    if len(_POD_BYTES) < _POD_CACHE_MAX:
+        _POD_BYTES[pod_id] = raw
+        _POD_IDS[raw] = pod_id
 
 
 def _check_pod_id(pod_id: str) -> bytes:
@@ -231,55 +260,39 @@ def _check_pod_id(pod_id: str) -> bytes:
         )
     if not (pod_id.isascii() and pod_id.isalnum()):
         raise FrameEncodeError(f"pod_id must be ASCII alphanumeric, got {pod_id!r}")
-    return pod_id.encode("ascii")
+    raw = pod_id.encode("ascii")
+    _remember_pod(pod_id, raw)
+    return raw
 
 
-def _check_enum(field: str, enum_cls, value):
+def _decode_pod_id(raw: bytes) -> str:
     try:
-        return enum_cls(value)
-    except ValueError:
-        raise FrameEncodeError(f"{field} out of range: {value!r}") from None
+        pod_id = raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise FieldValueError(f"pod_id is not ASCII: {raw!r}") from None
+    if not pod_id.isalnum():
+        raise FieldValueError(f"pod_id is not alphanumeric: {pod_id!r}")
+    _remember_pod(pod_id, raw)
+    return pod_id
 
 
-def _encode_payload(frame_type: FrameType, payload: Payload) -> bytes:
-    expected = _PAYLOAD_TYPE[frame_type]
-    if type(payload) is not expected:
-        raise FrameEncodeError(
-            f"payload for {frame_type.name} must be {expected.__name__}, "
-            f"got {type(payload).__name__}"
-        )
-    layout = _PAYLOAD[frame_type]
-    if frame_type is FrameType.T1:
-        return layout.pack(
-            _check_range("quarter_index", payload.quarter_index, 0, 95),
-            _check_enum("direction", EnergyDirection, payload.direction),
-            _check_range("energy_wh", payload.energy_wh, 0, _U16),
-        )
-    if frame_type is FrameType.T2:
-        return layout.pack(
-            _check_range("band_index", payload.band_index, 0, 10),
-            _check_enum("direction", CrossingDirection, payload.direction),
-            _check_range("power_w", payload.power_w, 0, _U32),
-        )
-    if frame_type is FrameType.T3:
-        return layout.pack(
-            _check_enum("cause", ExceedanceCause, payload.cause),
-            _check_range("value", payload.value, 0, _U32),
-        )
-    # T4: the duration field is meaningful only on an interruption end and
-    # must be absent (None) otherwise, so the wire image is unambiguous.
-    event = _check_enum("event", SupplyEventKind, payload.event)
-    if event is SupplyEventKind.INTERRUPTION_END:
-        if payload.duration_s is None:
-            raise FrameEncodeError("duration_s required for interruption_end")
-        duration = _check_range("duration_s", payload.duration_s, 0, _U32)
-    else:
-        if payload.duration_s is not None:
-            raise FrameEncodeError(
-                f"duration_s only valid for interruption_end, got {payload.duration_s}"
-            )
-        duration = 0
-    return layout.pack(event, duration)
+# -- Encoding -----------------------------------------------------------------
+# Each field is checked inline with `type(v) is int and lo <= v <= hi`, which
+# rejects bools.  Only a value that fails it reaches `_check_int`, which
+# raises naming the field, or returns the value if it is a non-bool int
+# subclass in range.
+
+
+def _check_int(field: str, value: int, lo: int, hi: int) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FrameEncodeError(f"{field} must be an integer, got {value!r}")
+    if value < lo or value > hi:
+        raise FrameEncodeError(f"{field} out of range: {value} (allowed {lo}..{hi})")
+    return value
+
+
+def _enum_error(field: str, value) -> FrameEncodeError:
+    return FrameEncodeError(f"{field} out of range: {value!r}")
 
 
 def encode_frame(frame: CompactFrame) -> bytes:
@@ -290,52 +303,84 @@ def encode_frame(frame: CompactFrame) -> bytes:
             message names the offending field.
     """
     try:
-        frame_type = FrameType(frame.frame_type)
-    except ValueError:
+        frame_type, layout, expected = _ENCODING[frame.frame_type]
+    except (KeyError, TypeError):
         raise FrameEncodeError(f"unknown frame type {frame.frame_type!r}") from None
-    header = _HEADER.pack(
-        VERSION,
-        frame_type,
-        _check_pod_id(frame.pod_id),
-        _check_range("seq", frame.seq, 0, _U32),
-        _check_range("timestamp", frame.timestamp, 0, _U32),
-    )
-    body = header + _encode_payload(frame_type, frame.payload)
-    return body + _CRC.pack(crc16(body))
+    pod_id = frame.pod_id
+    try:
+        pod = _POD_BYTES[pod_id]
+    except (KeyError, TypeError):
+        pod = _check_pod_id(pod_id)
+    seq = frame.seq
+    if type(seq) is not int or not 0 <= seq <= _U32:
+        seq = _check_int("seq", seq, 0, _U32)
+    ts = frame.timestamp
+    if type(ts) is not int or not 0 <= ts <= _U32:
+        ts = _check_int("timestamp", ts, 0, _U32)
+
+    payload = frame.payload
+    if type(payload) is not expected:
+        raise FrameEncodeError(
+            f"payload for {frame_type.name} must be {expected.__name__}, "
+            f"got {type(payload).__name__}"
+        )
+    if expected is T1Payload:
+        quarter = payload.quarter_index
+        if type(quarter) is not int or not 0 <= quarter <= 95:
+            quarter = _check_int("quarter_index", quarter, 0, 95)
+        try:
+            direction = _ENERGY_DIRECTION_BYTE[payload.direction]
+        except (KeyError, TypeError):
+            raise _enum_error("direction", payload.direction) from None
+        energy = payload.energy_wh
+        if type(energy) is not int or not 0 <= energy <= _U16:
+            energy = _check_int("energy_wh", energy, 0, _U16)
+        body = layout.pack(VERSION, frame_type, pod, seq, ts, quarter, direction, energy)
+    elif expected is T2Payload:
+        band = payload.band_index
+        if type(band) is not int or not 0 <= band <= 10:
+            band = _check_int("band_index", band, 0, 10)
+        try:
+            direction = _CROSSING_DIRECTION_BYTE[payload.direction]
+        except (KeyError, TypeError):
+            raise _enum_error("direction", payload.direction) from None
+        power = payload.power_w
+        if type(power) is not int or not 0 <= power <= _U32:
+            power = _check_int("power_w", power, 0, _U32)
+        body = layout.pack(VERSION, frame_type, pod, seq, ts, band, direction, power)
+    elif expected is T3Payload:
+        try:
+            cause = _EXCEEDANCE_CAUSE_BYTE[payload.cause]
+        except (KeyError, TypeError):
+            raise _enum_error("cause", payload.cause) from None
+        value = payload.value
+        if type(value) is not int or not 0 <= value <= _U32:
+            value = _check_int("value", value, 0, _U32)
+        body = layout.pack(VERSION, frame_type, pod, seq, ts, cause, value)
+    else:
+        try:
+            event = _SUPPLY_EVENT_BYTE[payload.event]
+        except (KeyError, TypeError):
+            raise _enum_error("event", payload.event) from None
+        # The duration field is meaningful only on an interruption end and
+        # must be absent (None) otherwise, so the wire image is unambiguous.
+        duration = payload.duration_s
+        if event == SupplyEventKind.INTERRUPTION_END:
+            if duration is None:
+                raise FrameEncodeError("duration_s required for interruption_end")
+            if type(duration) is not int or not 0 <= duration <= _U32:
+                duration = _check_int("duration_s", duration, 0, _U32)
+        elif duration is not None:
+            raise FrameEncodeError(
+                f"duration_s only valid for interruption_end, got {duration}"
+            )
+        else:
+            duration = 0
+        body = layout.pack(VERSION, frame_type, pod, seq, ts, event, duration)
+    return body + crc16(body).to_bytes(2, "big")
 
 
 # -- Decoding -----------------------------------------------------------------
-
-
-def _decode_enum(field: str, enum_cls, raw: int):
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        raise FieldValueError(f"{field} byte invalid: {raw}") from None
-
-
-def _decode_payload(frame_type: FrameType, data: bytes) -> Payload:
-    fields = _PAYLOAD[frame_type].unpack(data)
-    if frame_type is FrameType.T1:
-        quarter, direction, energy = fields
-        if quarter > 95:
-            raise FieldValueError(f"quarter_index out of range: {quarter}")
-        return T1Payload(quarter, energy, _decode_enum("direction", EnergyDirection, direction))
-    if frame_type is FrameType.T2:
-        band, direction, power = fields
-        if band > 10:
-            raise FieldValueError(f"band_index out of range: {band}")
-        return T2Payload(band, power, _decode_enum("direction", CrossingDirection, direction))
-    if frame_type is FrameType.T3:
-        cause, value = fields
-        return T3Payload(_decode_enum("cause", ExceedanceCause, cause), value)
-    event_raw, duration = fields
-    event = _decode_enum("event", SupplyEventKind, event_raw)
-    if event is SupplyEventKind.INTERRUPTION_END:
-        return T4Payload(event, duration)
-    if duration != 0:
-        raise FieldValueError(f"duration_s must be zero for {event.name.lower()}")
-    return T4Payload(event, None)
 
 
 def decode_frame(data: bytes) -> CompactFrame:
@@ -343,6 +388,7 @@ def decode_frame(data: bytes) -> CompactFrame:
 
     Exact inverse of encode_frame on valid input.  Never raises anything
     other than a FrameDecodeError subclass, whatever the input bytes.
+    Enum fields always come back as enum members.
 
     Raises:
         TruncatedFrameError: input shorter/longer than the type's fixed length.
@@ -351,34 +397,63 @@ def decode_frame(data: bytes) -> CompactFrame:
         CrcMismatchError: checksum check failed.
         FieldValueError: checksum valid but a field is out of range.
     """
-    if len(data) < 2:
-        raise TruncatedFrameError(f"need at least 2 bytes, got {len(data)}")
+    size = len(data)
+    if size < 2:
+        raise TruncatedFrameError(f"need at least 2 bytes, got {size}")
     if data[0] != VERSION:
         raise UnsupportedVersionError(f"unsupported version byte 0x{data[0]:02X}")
-    try:
-        frame_type = FrameType(data[1])
-    except ValueError:
-        raise UnknownFrameTypeError(f"unknown frame type byte 0x{data[1]:02X}") from None
-    expected = _FRAME_BYTES[frame_type]
-    if len(data) != expected:
+    type_byte = data[1]
+    entry = _DECODING[type_byte] if type_byte < len(_DECODING) else None
+    if entry is None:
+        raise UnknownFrameTypeError(f"unknown frame type byte 0x{type_byte:02X}")
+    frame_type, layout, payload_type = entry
+    body_size = layout.size
+    if size != body_size + _CRC_BYTES:
         raise TruncatedFrameError(
-            f"{frame_type.name} frame must be {expected} bytes, got {len(data)}"
+            f"{frame_type.name} frame must be {body_size + _CRC_BYTES} bytes, got {size}"
         )
-    (received_crc,) = _CRC.unpack_from(data, expected - _CRC.size)
-    computed_crc = crc16(data[: expected - _CRC.size])
+    received_crc = data[body_size] << 8 | data[body_size + 1]
+    computed_crc = crc16(data[:body_size])
     if received_crc != computed_crc:
         raise CrcMismatchError(
             f"CRC mismatch: received 0x{received_crc:04X}, computed 0x{computed_crc:04X}"
         )
-    _, _, pod_raw, seq, timestamp = _HEADER.unpack_from(data, 0)
-    try:
-        pod_id = pod_raw.decode("ascii")
-    except UnicodeDecodeError:
-        raise FieldValueError(f"pod_id is not ASCII: {pod_raw!r}") from None
-    if not pod_id.isalnum():
-        raise FieldValueError(f"pod_id is not alphanumeric: {pod_id!r}")
-    payload = _decode_payload(frame_type, data[_HEADER.size : expected - _CRC.size])
-    return CompactFrame(frame_type, pod_id, seq, timestamp, payload)
+    if payload_type is T1Payload:
+        _, _, pod_raw, seq, ts, quarter, direction, energy = layout.unpack_from(data)
+        if quarter > 95:
+            raise FieldValueError(f"quarter_index out of range: {quarter}")
+        try:
+            payload = T1Payload(quarter, energy, _ENERGY_DIRECTIONS[direction])
+        except IndexError:
+            raise FieldValueError(f"direction byte invalid: {direction}") from None
+    elif payload_type is T2Payload:
+        _, _, pod_raw, seq, ts, band, direction, power = layout.unpack_from(data)
+        if band > 10:
+            raise FieldValueError(f"band_index out of range: {band}")
+        try:
+            payload = T2Payload(band, power, _CROSSING_DIRECTIONS[direction])
+        except IndexError:
+            raise FieldValueError(f"direction byte invalid: {direction}") from None
+    elif payload_type is T3Payload:
+        _, _, pod_raw, seq, ts, cause, value = layout.unpack_from(data)
+        try:
+            payload = T3Payload(_EXCEEDANCE_CAUSES[cause], value)
+        except IndexError:
+            raise FieldValueError(f"cause byte invalid: {cause}") from None
+    else:
+        _, _, pod_raw, seq, ts, event_byte, duration = layout.unpack_from(data)
+        try:
+            event = _SUPPLY_EVENTS[event_byte]
+        except IndexError:
+            raise FieldValueError(f"event byte invalid: {event_byte}") from None
+        if event is SupplyEventKind.INTERRUPTION_END:
+            payload = T4Payload(event, duration)
+        elif duration != 0:
+            raise FieldValueError(f"duration_s must be zero for {event.name.lower()}")
+        else:
+            payload = T4Payload(event, None)
+    pod_id = _POD_IDS.get(pod_raw) or _decode_pod_id(pod_raw)
+    return CompactFrame(frame_type, pod_id, seq, ts, payload)
 
 
 # -- Canonical text form ------------------------------------------------------

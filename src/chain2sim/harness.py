@@ -7,10 +7,10 @@ tick grid:
             -> encode -> channel -> decode -> portal gate -> device
 
 Users never interact (demand-response commands are broadcast but applied
-per site), so the runner simulates each link start to finish on its own;
-with per-user seeds derived from (master seed, pod) the result is
-identical whether users run sequentially or on a thread pool, and whatever
-the order of the user list.
+per site), so the runner simulates each link start to finish on its own,
+one user after another on the calling thread.  Per-user seeds derive from
+(master seed, pod), so the result does not depend on the order of the user
+list.
 
 Statistics follow one frame end to end.  Every frame a meter emits is
 counted as sent under its frame type and the day of the observation it
@@ -34,7 +34,6 @@ import json
 import os
 import random
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
@@ -73,7 +72,10 @@ from chain2sim.seeds import derive
 
 DAY_S = 86400
 
-FRAME_TYPE_NAMES = tuple(t.name for t in FrameType)
+FRAME_TYPE_NAMES = tuple(t.name for t in FrameType)  # indexed by type - 1
+
+_T1 = FrameType.T1
+_PROCESSED = Disposition.PROCESSED
 
 
 class ConfigError(Exception):
@@ -184,7 +186,9 @@ def _parse_channel(raw: Any, errors: list[str]) -> ChannelConfig:
         return ChannelConfig()
     loss_raw = raw.get("loss")
     loss = None
-    if loss_raw:
+    if loss_raw and not isinstance(loss_raw, dict):
+        errors.append(f"channel.loss: expected a mapping, got {loss_raw!r}")
+    elif loss_raw:
         model = loss_raw.get("model", "bernoulli")
         try:
             if model == "bernoulli":
@@ -246,6 +250,8 @@ def _parse_user(
     battery = None
     if raw.get("battery") is not None:
         try:
+            if not isinstance(raw["battery"], dict):
+                raise TypeError(f"expected a mapping, got {raw['battery']!r}")
             battery = BatterySpec(**{k: float(v) for k, v in raw["battery"].items()})
             battery.build()  # validate eagerly
         except (TypeError, ValueError) as exc:
@@ -306,6 +312,43 @@ def _parse_user(
     return spec
 
 
+def _is_int(value: Any) -> bool:
+    """An integer that is not a bool (YAML `true` must not pass as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _mapping(raw: Any, path: str, errors: list[str]) -> dict:
+    """`raw` if it is a mapping, else {} with an error at `path`."""
+    if isinstance(raw, dict):
+        return raw
+    errors.append(f"{path}: expected a mapping, got {raw!r}")
+    return {}
+
+
+def _check_profile_csv(
+    spec: UserSpec, path: str, base_dir: str, tick_s: int, duration_s: int, errors: list[str]
+) -> UserSpec:
+    """Resolve a user's profile CSV against `base_dir` and check that it
+    matches the scenario tick and covers the run."""
+    csv_path = spec.profile_csv
+    assert csv_path is not None
+    if not os.path.isabs(csv_path):
+        csv_path = os.path.join(base_dir, csv_path)
+        spec = replace(spec, profile_csv=csv_path)
+    try:
+        power, csv_tick = profile_from_csv(csv_path)
+    except (OSError, ValueError) as exc:
+        errors.append(f"{path}.profile_csv: {exc}")
+        return spec
+    if csv_tick != tick_s:
+        errors.append(f"{path}.profile_csv: tick {csv_tick} s != scenario tick {tick_s} s")
+    elif len(power) * tick_s < duration_s:
+        errors.append(
+            f"{path}.profile_csv: covers {len(power) * tick_s} s, need {duration_s} s"
+        )
+    return spec
+
+
 def validate_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     """Turn a parsed YAML mapping into a ScenarioConfig.
 
@@ -314,29 +357,29 @@ def validate_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
     """
     errors: list[str] = []
     tick_s = raw.get("tick_s", 60)
-    if not isinstance(tick_s, int) or tick_s < 1 or QUARTER_S % tick_s:
-        errors.append(f"tick_s: must be a positive integer divisor of 900, got {tick_s}")
+    if not _is_int(tick_s) or tick_s < 1 or QUARTER_S % tick_s:
+        errors.append(f"tick_s: must be a positive integer divisor of 900, got {tick_s!r}")
         tick_s = 60
     if "duration_s" in raw:
         duration_s = raw["duration_s"]
     elif "days" in raw:
-        duration_s = raw["days"] * DAY_S if isinstance(raw["days"], int) else -1
+        duration_s = raw["days"] * DAY_S if _is_int(raw["days"]) else -1
     else:
         errors.append("duration_s: required (or give days)")
         duration_s = DAY_S
-    if not isinstance(duration_s, int) or duration_s <= 0 or duration_s % tick_s:
+    if not _is_int(duration_s) or duration_s <= 0 or duration_s % tick_s:
         errors.append(
-            f"duration_s: must be a positive multiple of tick_s, got {duration_s}"
+            f"duration_s: must be a positive multiple of tick_s, got {duration_s!r}"
         )
         duration_s = DAY_S
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         errors.append(f"seed: must be an integer, got {seed!r}")
         seed = 0
 
     channel = _parse_channel(raw.get("channel"), errors)
 
-    pairing_raw = raw.get("pairing") or {}
+    pairing_raw = _mapping(raw.get("pairing") or {}, "pairing", errors)
     mode = pairing_raw.get("mode", "pre_active")
     if mode not in ("pre_active", "portal"):
         errors.append(f"pairing.mode: must be pre_active or portal, got {mode!r}")
@@ -352,52 +395,57 @@ def validate_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
 
     users: list[UserSpec] = []
     fleet = raw.get("fleet")
-    if fleet is not None:
+    if fleet is not None and not isinstance(fleet, dict):
+        errors.append(f"fleet: expected a mapping, got {fleet!r}")
+    elif fleet is not None:
         count = fleet.get("count", 0)
-        if not isinstance(count, int) or count < 1:
+        if not _is_int(count) or count < 1:
             errors.append(f"fleet.count: must be a positive integer, got {count!r}")
             count = 0
-        pn_choices = fleet.get("pn_choices_w", [3000.0, 4500.0, 6000.0])
+        try:
+            pn_choices = [float(p) for p in fleet.get("pn_choices_w", [3000.0, 4500.0, 6000.0])]
+            if not pn_choices or not all(p > 0 for p in pn_choices):
+                raise ValueError("need one or more positive contract sizes")
+        except (ValueError, TypeError) as exc:
+            errors.append(f"fleet.pn_choices_w: {exc}")
+            pn_choices = [3000.0]
         classes = fleet.get("building_classes", list(PRESETS))
-        bad_classes = [c for c in classes if c not in PRESETS]
+        if not isinstance(classes, (list, tuple)) or not classes:
+            errors.append(f"fleet.building_classes: expected a non-empty list, got {classes!r}")
+            classes = ["B"]
+        bad_classes = [c for c in classes if not isinstance(c, str) or c not in PRESETS]
         if bad_classes:
             errors.append(f"fleet.building_classes: unknown classes {bad_classes}")
             classes = ["B"]
-        threshold_fraction = float(fleet.get("energy_threshold_fraction", 0.0))
-        alarm_fraction = float(fleet.get("alarm_limit_fraction", 0.0))
-        users.extend(
-            _fleet_users(count, pn_choices, classes, threshold_fraction, alarm_fraction)
-        )
-    for i, raw_user in enumerate(raw.get("users") or []):
-        spec = _parse_user(raw_user, f"users[{i}]", tick_s, duration_s, errors)
+        fractions = []
+        for key in ("energy_threshold_fraction", "alarm_limit_fraction"):
+            try:
+                fraction = float(fleet.get(key, 0.0))
+                if not 0.0 <= fraction <= 1.0:
+                    raise ValueError(f"must be in [0, 1], got {fraction}")
+            except (ValueError, TypeError) as exc:
+                errors.append(f"fleet.{key}: {exc}")
+                fraction = 0.0
+            fractions.append(fraction)
+        users.extend(_fleet_users(count, pn_choices, classes, *fractions))
+    users_raw = raw.get("users") or []
+    if not isinstance(users_raw, list):
+        errors.append(f"users: expected a list, got {users_raw!r}")
+        users_raw = []
+    for i, raw_user in enumerate(users_raw):
+        path = f"users[{i}]"
+        spec = _parse_user(raw_user, path, tick_s, duration_s, errors)
         if spec is not None:
+            if spec.profile_csv is not None:
+                spec = _check_profile_csv(spec, path, base_dir, tick_s, duration_s, errors)
             users.append(spec)
     if not users and not errors:
         errors.append("users: need at least one user (or a fleet section)")
     seen_pods: set[str] = set()
-    for idx, spec in enumerate(users):
+    for spec in users:
         if spec.pod_id in seen_pods:
             errors.append(f"users: duplicate pod_id {spec.pod_id}")
         seen_pods.add(spec.pod_id)
-        if spec.profile_csv is not None:
-            csv_path = spec.profile_csv
-            if not os.path.isabs(csv_path):
-                csv_path = os.path.join(base_dir, csv_path)
-                users[idx] = replace(spec, profile_csv=csv_path)
-            try:
-                power, csv_tick = profile_from_csv(csv_path)
-                power_len = len(power)
-                if csv_tick != tick_s:
-                    errors.append(
-                        f"users[{idx}].profile_csv: tick {csv_tick} s != scenario tick {tick_s} s"
-                    )
-                elif power_len * tick_s < duration_s:
-                    errors.append(
-                        f"users[{idx}].profile_csv: covers {power_len * tick_s} s, "
-                        f"need {duration_s} s"
-                    )
-            except (OSError, ValueError) as exc:
-                errors.append(f"users[{idx}].profile_csv: {exc}")
 
     dr_commands: list[DrCommand] = []
     if raw.get("dr_feed"):
@@ -423,7 +471,7 @@ def validate_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
 
     mevu = None
     if raw.get("mevu") is not None:
-        m = raw["mevu"]
+        m = _mapping(raw["mevu"], "mevu", errors)
         try:
             members = tuple(m.get("members") or sorted(seen_pods))
             window_raw = m.get("window", [0, duration_s])
@@ -545,7 +593,7 @@ class UserResult:
     device_stats: dict[str, int]
     seq_gaps: int
     files: dict[str, str]  # file name under users/<pod>/ -> text
-    processed_log: list[tuple[float, int]]
+    processed_log: list[tuple[float, int]] | None  # (arrival t, seq), with_details only
     profile_w: np.ndarray | None  # settlement baseline, MEVU members only
     actual_w: np.ndarray | None  # metered grid series, MEVU members only
 
@@ -640,14 +688,6 @@ def summarize_daily(report: CampaignReport) -> list[tuple[int, TypeStats]]:
 # -- Per-user pipeline -------------------------------------------------------------
 
 
-def _observation_day(frame: CompactFrame) -> int:
-    # T1 reports the quarter that ENDS at its timestamp; attribute it to the
-    # day containing that quarter, not the day the boundary tick falls in.
-    if frame.frame_type is FrameType.T1:
-        return (frame.timestamp - 1) // DAY_S
-    return frame.timestamp // DAY_S
-
-
 def _build_profile(spec: UserSpec, config: ScenarioConfig) -> np.ndarray:
     if spec.profile_csv is not None:
         power, tick = profile_from_csv(spec.profile_csv)
@@ -697,6 +737,7 @@ def _run_user(
     portal: Portal,
     device_id: str,
     keep_actual: bool,
+    keep_log: bool,
 ) -> UserResult:
     tick = config.tick_s
     n = config.duration_s // tick
@@ -742,13 +783,19 @@ def _run_user(
     gated = 0
     pending: deque = deque()  # (t_arrive, raw bytes, type name, day)
     actual = np.empty(n, dtype=np.float64) if keep_actual else None
+    processed_log: list[tuple[float, int]] | None = [] if keep_log else None
 
     def send(frame: CompactFrame) -> None:
         raw = encode_frame(frame)
-        name = FrameType(frame.frame_type).name
-        day = _observation_day(frame)
+        frame_type = frame.frame_type
+        name = FRAME_TYPE_NAMES[frame_type - 1]
+        ts = frame.timestamp
+        # T1 reports the quarter that ENDS at its timestamp; attribute it to
+        # the day containing that quarter, not the day the boundary tick
+        # falls in.
+        day = (ts - 1) // DAY_S if frame_type is _T1 else ts // DAY_S
         sent[(name, day)] += 1
-        verdict = link.transmit(frame.frame_type, frame.timestamp)
+        verdict = link.transmit(frame_type, ts)
         if verdict.delivered:
             pending.append((verdict.t_arrive, raw, name, day))
         else:
@@ -762,9 +809,12 @@ def _run_user(
             if not portal.admits(spec.pod_id, device_id, t_arrive):
                 gated += 1
                 continue
-            if device.on_frame(frame, t_arrive) is Disposition.PROCESSED:
+            if device.on_frame(frame, t_arrive) is _PROCESSED:
                 received[(name, day)] += 1
+                if processed_log is not None:
+                    processed_log.append((t_arrive, frame.seq))
 
+    step = meter.step
     for i in range(n):
         t = i * tick
         while events and events[0][0] == t:
@@ -799,13 +849,15 @@ def _run_user(
                 p_house, spec.peak_shave_limit_w, battery, tick
             ).p_grid_w
 
-        for frame in meter.step(p_house, t):
+        for frame in step(p_house, t):
             send(frame)
         if actual is not None:
             # What the grid actually supplied: zero for any tick with the
             # breaker open, the policy output otherwise.
             actual[i] = p_house if meter.supply_on else 0.0
-        drain(t + tick)
+        t_next = t + tick
+        if pending and pending[0][0] <= t_next:
+            drain(t_next)
     drain(float("inf"))
 
     # Per-link reconciliation; a failure here is a pipeline bug.
@@ -835,7 +887,7 @@ def _run_user(
         device_stats=dict(stats),
         seq_gaps=gaps,
         files=_user_files(device, config.duration_s),
-        processed_log=device.processed_log,
+        processed_log=processed_log,
         profile_w=baseline,
         actual_w=actual,
     )
@@ -913,31 +965,26 @@ def run(
 ) -> CampaignReport | tuple[CampaignReport, RunDetails]:
     """Run a scenario and reduce the per-user results into a report.
 
-    With `out_dir`, writes `report.csv`, `report.txt`, per-user series under
+    Users run one after another, in pod order, on the calling thread.  With
+    `out_dir`, writes `report.csv`, `report.txt`, per-user series under
     `users/<pod>/`, and `settlement.csv` when a flexibility cluster is
-    configured.  `parallel=False` forces the plain sequential loop; both
-    modes produce byte-identical outputs.  `with_details=True` additionally
-    returns the raw per-user results for cross-checks.
+    configured.  `parallel` is accepted for compatibility and has no effect.
+    `with_details=True` additionally returns the raw per-user results,
+    including each user's processed-frame log, for cross-checks.
     """
     portal, device_ids = _build_portal(config)
-    keep_actual = config.mevu is not None
     mevu_members = set(config.mevu.members) if config.mevu else set()
-
-    def job(spec: UserSpec) -> UserResult:
-        return _run_user(
+    results = [
+        _run_user(
             spec,
             config,
             portal,
             device_ids[spec.pod_id],
-            keep_actual and spec.pod_id in mevu_members,
+            spec.pod_id in mevu_members,
+            with_details,
         )
-
-    if parallel and len(config.users) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(config.users))) as pool:
-            results = list(pool.map(job, config.users))
-    else:
-        results = [job(spec) for spec in config.users]
-    results.sort(key=lambda r: r.pod_id)
+        for spec in sorted(config.users, key=lambda s: s.pod_id)
+    ]
 
     per_type: dict[str, TypeStats] = {}
     per_day: dict[int, dict[str, TypeStats]] = {}

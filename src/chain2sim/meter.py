@@ -53,6 +53,13 @@ from chain2sim.frames import (
 QUARTER_S = 900
 QUARTERS_PER_DAY = 96
 
+# Enum members used per tick, bound once: looking a member up on its enum
+# class is a slow attribute access on CPython 3.11.
+_T1, _T2, _T3, _T4 = FrameType
+_UP, _DOWN = CrossingDirection
+_POWER_EXCEEDED, _ENERGY_THRESHOLD_EXCEEDED, _RESTORED = ExceedanceCause
+_INTERRUPTION_START = SupplyEventKind.INTERRUPTION_START
+
 
 def band_index(power_w: float, pn_w: float) -> int:
     """Band of a power sample: floor(10 * P / Pn), clamped to [0, 10].
@@ -234,13 +241,15 @@ class Meter:
         """
         cfg = self.config
         tick = cfg.tick_s
+        pn = cfg.pn_w
         if power_w < 0:
             raise ValueError(f"power_w must be non-negative, got {power_w}")
-        if self._next_t is None:
+        next_t = self._next_t
+        if next_t is None:
             if t % tick != 0:
                 raise ValueError(f"t={t} is not aligned to tick_s={tick}")
-        elif t != self._next_t:
-            raise ValueError(f"expected step at t={self._next_t}, got t={t}")
+        elif t != next_t:
+            raise ValueError(f"expected step at t={next_t}, got t={t}")
         self._next_t = t + tick
 
         frames: list[CompactFrame] = []
@@ -250,59 +259,43 @@ class Meter:
             self.clear_emergency_limit()
 
         # A cut armed earlier falls due: open the breaker before sampling.
-        if (
-            self._cut_deadline is not None
-            and t >= self._cut_deadline
-            and self.supply_on
-        ):
+        deadline = self._cut_deadline
+        if deadline is not None and t >= deadline and self.supply_on:
             self.supply_on = False
             self._interruption_started_at = t
             self._cut_deadline = None
-            frames.append(
-                self._emit(
-                    FrameType.T4, t, T4Payload(SupplyEventKind.INTERRUPTION_START)
-                )
-            )
+            frames.append(self._emit(_T4, t, T4Payload(_INTERRUPTION_START)))
 
         p_eff = power_w if self.supply_on else 0.0
 
         # Band crossings.  One frame per threshold passed, in crossing order.
-        new_band = band_index(p_eff, cfg.pn_w)
+        # Same rule as band_index(); p_eff >= 0, so int() is the floor.
+        new_band = int((10.0 * p_eff) / pn)
+        if new_band > 10:
+            new_band = 10
         old_band = self._band
         if new_band != old_band:
             power_int = round(p_eff)
             if new_band > old_band:
-                for k in range(old_band + 1, new_band + 1):
-                    frames.append(
-                        self._emit(
-                            FrameType.T2,
-                            t,
-                            T2Payload(k, power_int, CrossingDirection.UP),
-                        )
-                    )
+                crossed, direction = range(old_band + 1, new_band + 1), _UP
             else:
-                for k in range(old_band, new_band, -1):
-                    frames.append(
-                        self._emit(
-                            FrameType.T2,
-                            t,
-                            T2Payload(k, power_int, CrossingDirection.DOWN),
-                        )
-                    )
+                crossed, direction = range(old_band, new_band, -1), _DOWN
+            for k in crossed:
+                frames.append(self._emit(_T2, t, T2Payload(k, power_int, direction)))
             self._band = new_band
 
-        # Overrun countdown against the active reference.
+        # Overrun countdown against the active reference.  The default
+        # reference is switchoff_remaining() inlined with the config's factor.
         if self._em_limit_w is not None:
             remaining = switchoff_remaining(
                 p_eff, self._em_limit_w, overrun_factor=1.0, tau_s=cfg.switchoff_tau_s
             )
         else:
-            remaining = switchoff_remaining(
-                p_eff,
-                cfg.pn_w,
-                overrun_factor=cfg.overrun_factor,
-                tau_s=cfg.switchoff_tau_s,
-            )
+            reference = cfg.overrun_factor * pn
+            if p_eff <= reference:
+                remaining = None
+            else:
+                remaining = cfg.switchoff_tau_s * pn / (p_eff - reference)
         if remaining is None:
             self._cut_deadline = None
         else:
@@ -311,44 +304,33 @@ class Meter:
                 self._cut_deadline = candidate
 
         # Contractual-power exceedance is edge triggered on Pn itself.
-        if p_eff > cfg.pn_w:
+        if p_eff > pn:
             if not self._over_pn:
                 self._over_pn = True
                 frames.append(
-                    self._emit(
-                        FrameType.T3,
-                        t,
-                        T3Payload(ExceedanceCause.POWER_EXCEEDED, round(p_eff)),
-                    )
+                    self._emit(_T3, t, T3Payload(_POWER_EXCEEDED, round(p_eff)))
                 )
         elif self._over_pn:
             self._over_pn = False
-            frames.append(
-                self._emit(
-                    FrameType.T3,
-                    t,
-                    T3Payload(ExceedanceCause.RESTORED, round(p_eff)),
-                )
-            )
+            frames.append(self._emit(_T3, t, T3Payload(_RESTORED, round(p_eff))))
 
         # Energy accounting.
         ws = p_eff * tick
         self._quarter_acc_ws += ws
-        self._total_acc_ws += ws
+        total_ws = self._total_acc_ws + ws
+        self._total_acc_ws = total_ws
+        threshold = cfg.energy_threshold_wh
         if (
-            cfg.energy_threshold_wh is not None
+            threshold is not None
             and not self._energy_alarm_sent
-            and self._total_acc_ws / 3600.0 >= cfg.energy_threshold_wh
+            and total_ws / 3600.0 >= threshold
         ):
             self._energy_alarm_sent = True
             frames.append(
                 self._emit(
-                    FrameType.T3,
+                    _T3,
                     t,
-                    T3Payload(
-                        ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED,
-                        round(self._total_acc_ws / 3600.0),
-                    ),
+                    T3Payload(_ENERGY_THRESHOLD_EXCEEDED, round(total_ws / 3600.0)),
                 )
             )
 
@@ -359,10 +341,6 @@ class Meter:
             self.total_reported_wh += energy_wh
             quarter = (t_close // QUARTER_S - 1) % QUARTERS_PER_DAY
             frames.append(
-                self._emit(
-                    FrameType.T1,
-                    t_close,
-                    T1Payload(quarter, energy_wh, cfg.direction),
-                )
+                self._emit(_T1, t_close, T1Payload(quarter, energy_wh, cfg.direction))
             )
         return frames

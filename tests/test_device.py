@@ -1,6 +1,8 @@
 """Device-side ingest: dedup, plausibility, alarms, reconstruction, reports."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chain2sim.device import (
     Device,
@@ -68,6 +70,60 @@ def test_duplicate_and_reordered_frames():
     }
 
 
+class _SetRebuildDedup:
+    """Reference dedup rule: a high-water mark plus the set of seqs seen in
+    the window, rebuilt from scratch whenever it outgrows the window."""
+
+    def __init__(self, window: int) -> None:
+        self.window = window
+        self.high_water = 0
+        self.recent: set[int] = set()
+        self.stats = {"processed": 0, "duplicates": 0, "too_old": 0, "unpaired": 0}
+
+    def feed(self, seq: int, paired: bool) -> Disposition:
+        if not paired:
+            self.stats["unpaired"] += 1
+            return Disposition.UNPAIRED
+        if seq > self.high_water:
+            self.high_water = seq
+            self.recent.add(seq)
+            floor = seq - self.window
+            if len(self.recent) > self.window:
+                self.recent = {s for s in self.recent if s > floor}
+        elif seq > self.high_water - self.window:
+            if seq in self.recent:
+                self.stats["duplicates"] += 1
+                return Disposition.DUPLICATE
+            self.recent.add(seq)
+        else:
+            self.stats["too_old"] += 1
+            return Disposition.TOO_OLD
+        self.stats["processed"] += 1
+        return Disposition.PROCESSED
+
+
+@given(window=st.integers(1, 20), data=st.data())
+def test_dedup_matches_the_set_rebuild_rule(window, data):
+    """Duplicates, reorders, stale frames, jumps and unpaired pods: the
+    incrementally trimmed window decides exactly as a full rebuild would."""
+    # Each frame's seq is the high-water mark plus a step.  A positive step
+    # advances the mark, a step in (-window, 0] repeats or reorders a seq
+    # inside the window, a lower one falls behind it.  The edges of the
+    # window are drawn on purpose: they are where a trim goes wrong.
+    edges = [-window, 1 - window, 0, 1, window - 1, window, window + 1]
+    step = st.one_of(st.sampled_from(edges), st.integers(-window - 2, 2))
+    steps = data.draw(st.lists(st.tuples(step, st.booleans()), min_size=30, max_size=150))
+    dev = make_device(dedup_window=window)
+    ref = _SetRebuildDedup(window)
+    for i, (step, paired) in enumerate(steps):
+        seq = max(0, ref.high_water + step)
+        frame = t2(seq, 0, 500, pod=POD if paired else "IT001E99999999")
+        assert dev.on_frame(frame, float(i)) is ref.feed(seq, paired)
+        assert len(dev._recent) <= window  # the window never outgrows itself
+    assert dev.stats == {**ref.stats, "implausible_t1": 0}
+    assert dev.high_water_seq == ref.high_water
+
+
 def test_duplicate_does_not_reapply_payload():
     dev = make_device()
     frame = t1(1, 900, 300)
@@ -75,7 +131,7 @@ def test_duplicate_does_not_reapply_payload():
     dev.quarters[0] = dev.quarters[0]  # sanity: record exists
     dev.on_frame(frame, 2.0)
     assert dev.stats["processed"] == 1
-    assert len(dev.processed_log) == 1
+    assert dev.stats["duplicates"] == 1
 
 
 def test_unpaired_pod_is_rejected():

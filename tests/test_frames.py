@@ -2,6 +2,7 @@
 
 import random
 import string
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -187,11 +188,53 @@ def test_encode_rejects_bad_pod_ids():
         (T2Payload(0, 0, direction=7), FrameType.T2, "direction"),
         (T3Payload(cause=9, value=0), FrameType.T3, "cause"),
         (T4Payload(event=9), FrameType.T4, "event"),
+        # Bools are not integers, whatever their value.
+        pytest.param(T1Payload(True, 0), FrameType.T1, "quarter_index", id="quarter_bool"),
+        pytest.param(T1Payload(0, 0, [1]), FrameType.T1, "direction", id="direction_unhashable"),
+        # A dict instead of a payload overrides the header of a valid frame.
+        pytest.param({"seq": True}, FrameType.T1, "seq", id="seq_bool"),
+        pytest.param({"ts": -1}, FrameType.T1, "timestamp", id="timestamp_negative"),
     ],
 )
 def test_encode_rejects_out_of_range_fields(payload, frame_type, field):
+    if isinstance(payload, dict):
+        frame = _frame(T1Payload(0, 0), frame_type, **payload)
+    else:
+        frame = _frame(payload, frame_type)
     with pytest.raises(FrameEncodeError, match=field):
-        encode_frame(_frame(payload, frame_type))
+        encode_frame(frame)
+
+
+_ENUM_FIELD = {
+    T1Payload: "direction",
+    T2Payload: "direction",
+    T3Payload: "cause",
+    T4Payload: "event",
+}
+
+
+def _with_plain_ints(frame):
+    """The same frame with its frame type and enum field as plain ints."""
+    name = _ENUM_FIELD[type(frame.payload)]
+    payload = replace(frame.payload, **{name: int(getattr(frame.payload, name))})
+    return replace(frame, frame_type=int(frame.frame_type), payload=payload)
+
+
+@given(frames)
+def test_plain_int_enum_fields_encode_identically(frame):
+    plain = _with_plain_ints(frame)
+    assert type(plain.frame_type) is int
+    assert encode_frame(plain) == encode_frame(frame)
+
+
+@given(frames)
+def test_decode_returns_enum_members(frame):
+    decoded = decode_frame(encode_frame(_with_plain_ints(frame)))
+    assert type(decoded.frame_type) is FrameType
+    name = _ENUM_FIELD[type(decoded.payload)]
+    value = getattr(decoded.payload, name)
+    assert type(value) is type(getattr(frame.payload, name))
+    assert decoded == frame
 
 
 def test_encode_rejects_mismatched_payload():

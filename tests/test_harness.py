@@ -1,6 +1,11 @@
 """Scenario config parsing and the end-to-end campaign runner."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +151,50 @@ def test_profile_csv_mismatches_are_config_errors(tmp_path):
         validate_config(raw, base_dir=str(tmp_path))
 
 
+def test_profile_csv_error_names_the_listed_users_own_index(tmp_path):
+    raw = {
+        "duration_s": 3600,
+        "fleet": {"count": 2},
+        "users": [{"pod_id": "IT001E00000099", "pn_w": 3000, "profile_csv": "missing.csv"}],
+    }
+    with pytest.raises(ConfigError) as exc_info:
+        validate_config(raw, base_dir=str(tmp_path))
+    (error,) = exc_info.value.errors
+    assert error.startswith("users[0].profile_csv:")
+
+
+_BASE = {"duration_s": 3600, "fleet": {"count": 2}}
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "overrides,field",
+    [
+        ({"tick_s": True}, "tick_s"),
+        ({"seed": True}, "seed"),
+        ({"duration_s": True, "tick_s": 1}, "duration_s"),
+        ({"duration_s": _DROP, "days": True}, "duration_s"),
+        ({"fleet": 5}, "fleet"),
+        ({"fleet": {"count": True}}, "fleet.count"),
+        ({"fleet": {"count": 2, "energy_threshold_fraction": "x"}}, "fleet.energy_threshold_fraction"),
+        ({"fleet": {"count": 2, "alarm_limit_fraction": 2.0}}, "fleet.alarm_limit_fraction"),
+        ({"fleet": {"count": 2, "pn_choices_w": ["x"]}}, "fleet.pn_choices_w"),
+        ({"fleet": {"count": 2, "pn_choices_w": []}}, "fleet.pn_choices_w"),
+        ({"fleet": {"count": 2, "building_classes": 5}}, "fleet.building_classes"),
+        ({"users": 5}, "users"),
+        ({"pairing": "x"}, "pairing"),
+        ({"channel": {"loss": 0.1}}, "channel.loss"),
+        ({"users": [{"pod_id": POD1, "pn_w": 3000, "battery": 3}]}, "users[0].battery"),
+        ({"mevu": []}, "mevu"),
+    ],
+)
+def test_malformed_fields_are_config_errors(overrides, field):
+    raw = {k: v for k, v in {**_BASE, **overrides}.items() if v is not _DROP}
+    with pytest.raises(ConfigError) as exc_info:
+        validate_config(raw)
+    assert [e.split(":")[0] for e in exc_info.value.errors] == [field]
+
+
 def test_load_config_reads_yaml(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text(
@@ -191,6 +240,28 @@ def test_lossless_run_delivers_every_frame():
     assert report.lost_total == 0
     # 4 hours of T1 quarters per user.
     assert report.per_type["T1"].sent == 16 * len(config.users)
+
+
+def test_default_run_stays_on_the_calling_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("harness.run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    report = run(small_config())
+    assert report.totals.sent > 0
+
+
+def test_harness_does_not_import_concurrent_futures():
+    src = Path(harness.__file__).resolve().parents[1]
+    probe = "import sys, chain2sim.harness; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_parallel_and_sequential_agree():
