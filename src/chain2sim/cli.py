@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    chain2sim simulate --config scenario.yaml --out out/ [--seed N] [--single-thread]
+    chain2sim simulate --config scenario.yaml --out out/ [--seed N]
     chain2sim campaign --users 100 --days 7 --loss 0.01 [--out DIR] [--tick S] [--seed N]
     chain2sim taxonomy list [--level L] [--maturity M] [--provider P] [--enabler E]
     chain2sim taxonomy show A.3
@@ -148,11 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="scenario YAML file")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sim.add_argument(
-        "--single-thread",
-        action="store_true",
-        help="accepted for compatibility; users always run one after another on one thread",
-    )
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_camp = sub.add_parser("campaign", help="run the stock multi-user campaign")
@@ -162,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--tick", type=int, default=60, help="sampling tick in seconds")
     p_camp.add_argument("--seed", type=int, default=42)
     p_camp.add_argument("--out", default="campaign-out", help="output directory")
-    p_camp.add_argument(
-        "--single-thread",
-        action="store_true",
-        help="accepted for compatibility; users always run one after another on one thread",
-    )
     p_camp.set_defaults(func=_cmd_campaign)
 
     p_tax = sub.add_parser("taxonomy", help="browse the use-case catalogue")

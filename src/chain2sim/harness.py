@@ -12,6 +12,11 @@ one user after another on the calling thread.  Per-user seeds derive from
 (master seed, pod), so the result does not depend on the order of the user
 list.
 
+A user with no demand-response site, no supply events and no battery peak
+shaving is open loop: nothing it runs reads the meter back, so its power
+series is built up front and `Meter.step_series` steps only the ticks where
+a frame can be emitted.  Every other user is stepped tick by tick.
+
 Statistics follow one frame end to end.  Every frame a meter emits is
 counted as sent under its frame type and the day of the observation it
 reports; it is counted as received only if the channel delivered it, the
@@ -31,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import random
 from collections import Counter, deque
@@ -240,8 +246,8 @@ def _parse_user(
             f"{path}.pod_id: must be 14 ASCII alphanumeric characters, got {pod!r}"
         )
     pn = need("pn_w", float, required=True)
-    if pn is not None and pn <= 0:
-        sub_errors.append(f"{path}.pn_w: must be > 0, got {pn}")
+    if pn is not None and not 0 < pn < math.inf:
+        sub_errors.append(f"{path}.pn_w: must be finite and > 0, got {pn}")
     building = need("building_class", str, default="B")
     if building not in PRESETS:
         sub_errors.append(
@@ -346,6 +352,13 @@ def _check_profile_csv(
         errors.append(
             f"{path}.profile_csv: covers {len(power) * tick_s} s, need {duration_s} s"
         )
+    bad = np.flatnonzero(~(power >= 0.0) | (power == np.inf))
+    if bad.size:
+        row = int(bad[0])
+        errors.append(
+            f"{path}.profile_csv: row {row} (t_s={row * csv_tick}): power_W must be "
+            f"finite and >= 0, got {power[row]}"
+        )
     return spec
 
 
@@ -404,8 +417,8 @@ def validate_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
             count = 0
         try:
             pn_choices = [float(p) for p in fleet.get("pn_choices_w", [3000.0, 4500.0, 6000.0])]
-            if not pn_choices or not all(p > 0 for p in pn_choices):
-                raise ValueError("need one or more positive contract sizes")
+            if not pn_choices or not all(0 < p < math.inf for p in pn_choices):
+                raise ValueError("need one or more finite positive contract sizes")
         except (ValueError, TypeError) as exc:
             errors.append(f"fleet.pn_choices_w: {exc}")
             pn_choices = [3000.0]
@@ -448,15 +461,21 @@ def validate_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
         seen_pods.add(spec.pod_id)
 
     dr_commands: list[DrCommand] = []
-    if raw.get("dr_feed"):
-        feed_path = raw["dr_feed"]
+    feed_path = raw.get("dr_feed")
+    if feed_path and not isinstance(feed_path, str):
+        errors.append(f"dr_feed: expected a file path, got {feed_path!r}")
+    elif feed_path:
         if not os.path.isabs(feed_path):
             feed_path = os.path.join(base_dir, feed_path)
         try:
             dr_commands.extend(load_dr_commands(feed_path))
         except (OSError, ValueError) as exc:
             errors.append(f"dr_feed: {exc}")
-    for i, c in enumerate(raw.get("dr_commands") or []):
+    commands_raw = raw.get("dr_commands") or []
+    if not isinstance(commands_raw, list):
+        errors.append(f"dr_commands: expected a list, got {commands_raw!r}")
+        commands_raw = []
+    for i, c in enumerate(commands_raw):
         try:
             dr_commands.append(
                 DrCommand(
@@ -592,7 +611,6 @@ class UserResult:
     gated: int
     device_stats: dict[str, int]
     seq_gaps: int
-    files: dict[str, str]  # file name under users/<pod>/ -> text
     processed_log: list[tuple[float, int]] | None  # (arrival t, seq), with_details only
     profile_w: np.ndarray | None  # settlement baseline, MEVU members only
     actual_w: np.ndarray | None  # metered grid series, MEVU members only
@@ -731,6 +749,21 @@ def _appliance_power(scheduled, slot: int) -> list[tuple[Appliance, float]]:
     return powers
 
 
+def _open_loop_power(profile: np.ndarray, scheduled, tick: int) -> np.ndarray:
+    """Household plus appliance power per tick, for a user whose automation
+    never reads the meter back: the appliance sum of each slot, in appliance
+    order, added to every tick of the slot."""
+    if not scheduled:
+        return profile
+    per_slot = QUARTER_S // tick
+    n_slots = -(-len(profile) // per_slot)
+    slot_w = np.array(
+        [sum(p for _, p in _appliance_power(scheduled, slot)) for slot in range(n_slots)],
+        dtype=np.float64,
+    )
+    return profile + np.repeat(slot_w, per_slot)[: len(profile)]
+
+
 def _run_user(
     spec: UserSpec,
     config: ScenarioConfig,
@@ -738,13 +771,14 @@ def _run_user(
     device_id: str,
     keep_actual: bool,
     keep_log: bool,
+    user_dir: str | None,
 ) -> UserResult:
+    """Simulate one user's link start to finish; with `user_dir`, write the
+    user's output files there before returning."""
     tick = config.tick_s
     n = config.duration_s // tick
     profile = _build_profile(spec, config)
-    baseline = profile if keep_actual else None
-    power = profile.tolist()
-    del profile  # only MEVU members keep the array, as their settlement baseline
+    baseline = profile if keep_actual else None  # the MEVU settlement baseline
 
     meter = Meter(
         spec.pod_id,
@@ -814,50 +848,74 @@ def _run_user(
                 if processed_log is not None:
                     processed_log.append((t_arrive, frame.seq))
 
-    step = meter.step
-    for i in range(n):
-        t = i * tick
-        while events and events[0][0] == t:
-            _, kind = events.popleft()
-            for frame in meter.apply_supply_event(t, kind):
-                send(frame)
-
-        p_house = power[i]
-        if scheduled:
-            slot = t // QUARTER_S
-            app_powers = _appliance_power(scheduled, slot)
-            if site is not None:
-                for load, (_, p) in zip(site.loads, app_powers):
-                    load.power_w = p
-            else:
-                p_house += sum(p for _, p in app_powers)
-
-        dr_active = False
-        if site is not None:
-            cmd = next(
-                (c for c in dr_commands if c.t_start <= t < c.t_end), None
-            )
-            site.base_load_w = p_house
-            result = dr_site_step(site, cmd, t, tick, meter)
-            p_house = result.p_grid_w
-            # While a command window is open the battery belongs to the DR
-            # policy; opportunistic recharging must not breach the limit.
-            dr_active = result.in_window
-
-        if battery is not None and spec.peak_shave_limit_w is not None and not dr_active:
-            p_house = peak_shave_step(
-                p_house, spec.peak_shave_limit_w, battery, tick
-            ).p_grid_w
-
-        for frame in step(p_house, t):
-            send(frame)
+    # Open loop: nothing the user runs reads the meter back, so the whole
+    # power series is known up front and the meter steps only its breakpoints.
+    open_loop = (
+        site is None
+        and not events
+        and (battery is None or spec.peak_shave_limit_w is None)
+    )
+    if open_loop:
+        power = _open_loop_power(profile, scheduled, tick)
+        del profile
         if actual is not None:
-            # What the grid actually supplied: zero for any tick with the
-            # breaker open, the policy output otherwise.
-            actual[i] = p_house if meter.supply_on else 0.0
-        t_next = t + tick
-        if pending and pending[0][0] <= t_next:
-            drain(t_next)
+            # Quiet ticks keep the supply on; a yielded tick may have it off.
+            actual[:] = power
+        for t, frames in meter.step_series(power, 0):
+            for frame in frames:
+                send(frame)
+            if actual is not None and not meter.supply_on:
+                actual[t // tick] = 0.0
+            t_next = t + tick
+            if pending and pending[0][0] <= t_next:
+                drain(t_next)
+    else:
+        power = profile.tolist()
+        del profile
+        step = meter.step
+        for i in range(n):
+            t = i * tick
+            while events and events[0][0] == t:
+                _, kind = events.popleft()
+                for frame in meter.apply_supply_event(t, kind):
+                    send(frame)
+
+            p_house = power[i]
+            if scheduled:
+                slot = t // QUARTER_S
+                app_powers = _appliance_power(scheduled, slot)
+                if site is not None:
+                    for load, (_, p) in zip(site.loads, app_powers):
+                        load.power_w = p
+                else:
+                    p_house += sum(p for _, p in app_powers)
+
+            dr_active = False
+            if site is not None:
+                cmd = next(
+                    (c for c in dr_commands if c.t_start <= t < c.t_end), None
+                )
+                site.base_load_w = p_house
+                result = dr_site_step(site, cmd, t, tick, meter)
+                p_house = result.p_grid_w
+                # While a command window is open the battery belongs to the DR
+                # policy; opportunistic recharging must not breach the limit.
+                dr_active = result.in_window
+
+            if battery is not None and spec.peak_shave_limit_w is not None and not dr_active:
+                p_house = peak_shave_step(
+                    p_house, spec.peak_shave_limit_w, battery, tick
+                ).p_grid_w
+
+            for frame in step(p_house, t):
+                send(frame)
+            if actual is not None:
+                # What the grid actually supplied: zero for any tick with the
+                # breaker open, the policy output otherwise.
+                actual[i] = p_house if meter.supply_on else 0.0
+            t_next = t + tick
+            if pending and pending[0][0] <= t_next:
+                drain(t_next)
     drain(float("inf"))
 
     # Per-link reconciliation; a failure here is a pipeline bug.
@@ -877,6 +935,8 @@ def _run_user(
             f"{spec.pod_id}: seq gaps {gaps} != lost {n_lost} + gated {gated}"
         )
 
+    if user_dir is not None:
+        _write_user_files(user_dir, device, config.duration_s)
     return UserResult(
         pod_id=spec.pod_id,
         final_seq=meter.last_seq,
@@ -886,42 +946,39 @@ def _run_user(
         gated=gated,
         device_stats=dict(stats),
         seq_gaps=gaps,
-        files=_user_files(device, config.duration_s),
         processed_log=processed_log,
         profile_w=baseline,
         actual_w=actual,
     )
 
 
-def _user_files(device: Device, duration_s: int) -> dict[str, str]:
-    """The per-user output files: the quarter series always, the supply
-    events and notifications only when there are any."""
-    files = {}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["quarter_start_s", "energy_Wh", "flag"])
-    for q in range(0, duration_s - duration_s % QUARTER_S, QUARTER_S):
-        record = device.quarters.get(q)
-        if record is None:
-            writer.writerow([q, "", "missing"])
-        else:
-            writer.writerow([q, record.energy_wh, "ok"])
-    files["quarters.csv"] = buf.getvalue()
+def _write_user_files(user_dir: str, device: Device, duration_s: int) -> None:
+    """Write the per-user output files: the quarter series always, the
+    supply events and notifications only when there are any."""
+    os.makedirs(user_dir, exist_ok=True)
+    with open(os.path.join(user_dir, "quarters.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["quarter_start_s", "energy_Wh", "flag"])
+        for q in range(0, duration_s - duration_s % QUARTER_S, QUARTER_S):
+            record = device.quarters.get(q)
+            if record is None:
+                writer.writerow([q, "", "missing"])
+            else:
+                writer.writerow([q, record.energy_wh, "ok"])
     if device.event_log:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t_s", "event", "duration_s"])
-        for event in device.event_log:
-            duration = "" if event.duration_s is None else event.duration_s
-            writer.writerow([event.t, event.kind.name.lower(), duration])
-        files["events.csv"] = buf.getvalue()
+        with open(os.path.join(user_dir, "events.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["t_s", "event", "duration_s"])
+            for event in device.event_log:
+                duration = "" if event.duration_s is None else event.duration_s
+                writer.writerow([event.t, event.kind.name.lower(), duration])
     if device.notifications:
-        files["notifications.jsonl"] = "".join(
-            json.dumps({"t": n.t, "kind": n.kind, "message": n.message}, sort_keys=True)
-            + "\n"
-            for n in device.notifications
-        )
-    return files
+        with open(os.path.join(user_dir, "notifications.jsonl"), "w", newline="") as fh:
+            for n in device.notifications:
+                fh.write(
+                    json.dumps({"t": n.t, "kind": n.kind, "message": n.message}, sort_keys=True)
+                    + "\n"
+                )
 
 
 # -- Campaign runner --------------------------------------------------------------
@@ -966,9 +1023,10 @@ def run(
     """Run a scenario and reduce the per-user results into a report.
 
     Users run one after another, in pod order, on the calling thread.  With
-    `out_dir`, writes `report.csv`, `report.txt`, per-user series under
-    `users/<pod>/`, and `settlement.csv` when a flexibility cluster is
-    configured.  `parallel` is accepted for compatibility and has no effect.
+    `out_dir`, writes per-user series under `users/<pod>/` as each user
+    finishes, then `report.csv`, `report.txt`, and `settlement.csv` when a
+    flexibility cluster is configured.  `parallel` is accepted for
+    compatibility and has no effect.
     `with_details=True` additionally returns the raw per-user results,
     including each user's processed-frame log, for cross-checks.
     """
@@ -982,6 +1040,7 @@ def run(
             device_ids[spec.pod_id],
             spec.pod_id in mevu_members,
             with_details,
+            None if out_dir is None else os.path.join(out_dir, "users", spec.pod_id),
         )
         for spec in sorted(config.users, key=lambda s: s.pod_id)
     ]
@@ -1047,12 +1106,6 @@ def _write_outputs(
         fh.write(report.to_csv_text())
     with open(os.path.join(out_dir, "report.txt"), "w", newline="") as fh:
         fh.write(report.to_table_text())
-    for result in results:
-        user_dir = os.path.join(out_dir, "users", result.pod_id)
-        os.makedirs(user_dir, exist_ok=True)
-        for name, text in result.files.items():
-            with open(os.path.join(user_dir, name), "w", newline="") as fh:
-                fh.write(text)
     if config.mevu is not None:
         _write_settlement(out_dir, config, results)
 

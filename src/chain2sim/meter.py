@@ -30,12 +30,32 @@ with no tolerance factor on the limit itself.
 
 All frames share one gapless sequence counter starting at 1, so a receiver
 can detect channel losses as sequence gaps regardless of frame type.
+
+`step_series(power, t0)` drives the meter over a whole power series and
+gives exactly what `step` gives when called for every tick: the same frames,
+the same exceptions and the same final state.  It runs `step` only at
+breakpoint ticks, where a frame can be emitted or the countdown can change:
+
+    the first tick;
+    a band change;
+    a sample above overrun_factor * pn_w, and the tick after one;
+    an edge of power > pn_w;
+    a tick that closes a quarter;
+    the first tick whose cumulative energy reaches energy_threshold_wh;
+    a negative, NaN or infinite sample (`step` raises on it).
+
+Between breakpoints the quarter and total energy advance by `np.cumsum`,
+which adds in sequence and so matches `step`'s `+=` bit for bit.  While the
+supply is off or an emergency limit is armed, every tick is stepped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
+
+import numpy as np
 
 from chain2sim.frames import (
     CompactFrame,
@@ -344,3 +364,112 @@ class Meter:
                 self._emit(_T1, t_close, T1Payload(quarter, energy_wh, cfg.direction))
             )
         return frames
+
+    def step_series(
+        self, power: np.ndarray, t0: int
+    ) -> Iterator[tuple[int, list[CompactFrame]]]:
+        """Advance over `power[i]` at ticks `t0 + i * tick_s`.
+
+        Yields `(t, frames)` for each breakpoint tick (see the module
+        docstring); every other tick emits nothing.  The result equals calling
+        `step(power[i], t0 + i * tick_s)` for every i.  The caller may inject
+        supply events or arm an emergency limit between yields, but must not
+        step the meter itself until the series is exhausted.
+        """
+        p = np.asarray(power, dtype=np.float64)
+        tick = self.config.tick_s
+        # Through the class, so a wrapper installed on Meter.step sees every call.
+        step = Meter.step
+        ticks, m, quarter_last, total_last = self._breakpoints(p, t0)
+        start = 0
+        for i, p_i, quarter_ws, total_ws in ticks:
+            t = t0 + i * tick
+            if i > start:  # quiet ticks since the last step
+                self._quarter_acc_ws = quarter_ws
+                self._total_acc_ws = total_ws
+                self._next_t = t
+            yield t, step(self, p_i, t)
+            start = i + 1
+            # The breakpoints assume the supply on and the default reference.
+            if not self.supply_on or self._em_limit_w is not None:
+                break
+        else:
+            if start < m:
+                self._quarter_acc_ws = quarter_last
+                self._total_acc_ws = total_last
+                self._next_t = t0 + m * tick
+            start = m
+        for i, p_i in enumerate(p[start:].tolist(), start):
+            t = t0 + i * tick
+            yield t, step(self, p_i, t)
+
+    def _breakpoints(
+        self, p: np.ndarray, t0: int
+    ) -> tuple[list[tuple[int, float, float, float]], int, float, float]:
+        """Breakpoint ticks of `p` from the meter's current state, for as long
+        as the supply stays on and no emergency limit is armed.
+
+        Returns `(ticks, m, quarter_last, total_last)`.  `ticks` holds
+        `(i, p[i], quarter_ws, total_ws)` per breakpoint, where the two
+        accumulators are their values just before tick i when tick i - 1 is
+        quiet.  Only the first `m` ticks are analysed: the series, or up to
+        its first sample `step` rejects.  `quarter_last` and `total_last` are
+        the accumulators after tick m - 1.
+        """
+        cfg = self.config
+        tick = cfg.tick_s
+        pn = cfg.pn_w
+        bad = np.flatnonzero(~(p >= 0.0) | (p == np.inf))
+        m = int(bad[0]) + 1 if bad.size else len(p)
+        if m == 0:
+            return [], 0, self._quarter_acc_ws, self._total_acc_ws
+        x = p[:m]
+        with np.errstate(over="ignore", invalid="ignore"):
+            band = np.floor((10.0 * x) / pn)
+            np.minimum(band, 10.0, out=band)
+            over_pn = x > pn
+            over_ref = x > cfg.overrun_factor * pn
+            mask = over_ref.copy()
+            # The tick after an overrun clears its deadline or opens the breaker.
+            mask[1:] |= over_ref[:-1]
+            mask[1:] |= band[1:] != band[:-1]
+            mask[1:] |= over_pn[1:] != over_pn[:-1]
+            mask[0] = True
+            mask[m - 1] |= bad.size > 0
+            del band, over_pn, over_ref
+            ticks_per_quarter = QUARTER_S // tick
+            offset = (t0 % QUARTER_S) // tick
+            mask[ticks_per_quarter - 1 - offset :: ticks_per_quarter] = True
+
+            # Seed both running sums through their first element, which is
+            # the first `+=` the scalar step would make.
+            ws = x * tick
+            first = float(ws[0])
+            ws[0] = self._total_acc_ws + first
+            total = np.cumsum(ws)
+            ws[0] = self._quarter_acc_ws + first
+            rows = np.zeros(-(-(offset + m) // ticks_per_quarter) * ticks_per_quarter)
+            rows[offset : offset + m] = ws
+            del ws
+            by_quarter = rows.reshape(-1, ticks_per_quarter)  # a view of rows
+            np.cumsum(by_quarter, axis=1, out=by_quarter)
+            quarter = rows[offset : offset + m]
+
+            threshold = cfg.energy_threshold_wh
+            if threshold is not None and not self._energy_alarm_sent:
+                reached = total / 3600.0 >= threshold
+                k = int(np.argmax(reached))
+                if reached[k]:
+                    mask[k] = True
+
+        idx = np.flatnonzero(mask)
+        before = idx - 1  # wraps to -1 for tick 0, which is never set
+        ticks = list(
+            zip(
+                idx.tolist(),
+                x[idx].tolist(),
+                quarter[before].tolist(),
+                total[before].tolist(),
+            )
+        )
+        return ticks, m, float(quarter[-1]), float(total[-1])

@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chain2sim.automation import DrCommand
 from chain2sim.channel import BernoulliLoss, ChannelConfig
 from chain2sim.frames import SupplyEventKind
 from chain2sim import harness
@@ -149,6 +151,16 @@ def test_profile_csv_mismatches_are_config_errors(tmp_path):
     raw.update(duration_s=7200, users=[{"pod_id": POD1, "pn_w": 3000, "profile_csv": path.name}])
     with pytest.raises(ConfigError, match=r"users\[0\]\.profile_csv: covers 7140 s"):
         validate_config(raw, base_dir=str(tmp_path))
+    # Samples the meter would reject mid-run are rejected here, by row.
+    for bad in ("nan", "inf", "-250.0"):
+        path = tmp_path / f"bad_{bad}.csv"
+        rows = [f"{k * 60},{bad if k == 37 else 500.0}" for k in range(120)]
+        path.write_text("t_s,power_W\n" + "\n".join(rows) + "\n")
+        raw.update(users=[{"pod_id": POD1, "pn_w": 3000, "profile_csv": path.name}])
+        with pytest.raises(ConfigError) as exc_info:
+            validate_config(raw, base_dir=str(tmp_path))
+        (error,) = exc_info.value.errors
+        assert error.startswith("users[0].profile_csv: row 37 (t_s=2220)")
 
 
 def test_profile_csv_error_names_the_listed_users_own_index(tmp_path):
@@ -186,6 +198,11 @@ _DROP = object()
         ({"channel": {"loss": 0.1}}, "channel.loss"),
         ({"users": [{"pod_id": POD1, "pn_w": 3000, "battery": 3}]}, "users[0].battery"),
         ({"mevu": []}, "mevu"),
+        ({"users": [{"pod_id": POD1, "pn_w": float("nan")}]}, "users[0].pn_w"),
+        ({"users": [{"pod_id": POD1, "pn_w": float("inf")}]}, "users[0].pn_w"),
+        ({"fleet": {"count": 2, "pn_choices_w": [float("inf")]}}, "fleet.pn_choices_w"),
+        ({"dr_commands": 5}, "dr_commands"),
+        ({"dr_feed": 5}, "dr_feed"),
     ],
 )
 def test_malformed_fields_are_config_errors(overrides, field):
@@ -412,3 +429,72 @@ def test_report_csv_shape():
     sent, received, rate = agg_all.split(",")[3:]
     assert int(sent) == report.totals.sent
     assert float(rate) == pytest.approx(report.totals.success_rate, abs=1e-6)
+
+
+def test_open_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
+    """Breakpoint stepping gives the same output tree as stepping every tick,
+    for plain users with appliances, a CSV profile (one that trips the
+    breaker) and an energy threshold, settled as a flexibility cluster.  A
+    third run takes the harness's own per-tick loop, which also checks how
+    the open-loop path builds the power series and the metered series."""
+    tick = 60
+    duration = 2 * 86400
+    profile = household_profile(np.random.default_rng(11), 3000.0, duration, tick_s=tick)
+    profile[600:660] = 7500.0  # a one-hour overrun opens the breaker
+    profile_to_csv(tmp_path / "prof.csv", profile, tick)
+    pods = ["IT001E00000011", "IT001E00000012", "IT001E00000013"]
+    raw = {
+        "duration_s": duration,
+        "tick_s": tick,
+        "seed": 4,
+        "channel": {"loss": {"model": "bernoulli", "p_loss": 0.02}},
+        "users": [
+            {
+                "pod_id": pods[0],
+                "pn_w": 3000,
+                "tariff": {"windows": [[0, 25200, 0.1], [25200, 86400, 0.3]]},
+                "appliances": [
+                    {"id": "wash", "profile_w": [1800, 2200, 300]},
+                    {"id": "dry", "profile_w": [2500, 2500], "earliest_start_s": 36000},
+                ],
+            },
+            {"pod_id": pods[1], "pn_w": 3000, "profile_csv": "prof.csv", "alarm_limit_w": 2800},
+            {"pod_id": pods[2], "pn_w": 4500, "energy_threshold_wh": 9000},
+        ],
+        "mevu": {
+            "members": pods,
+            "capacity_offer_w": 500,
+            "energy_price_eur_per_wh": 0.0002,
+            "capacity_price_eur_per_w_h": 0.0001,
+            "window": [0, duration],
+        },
+    }
+    config = validate_config(raw, base_dir=str(tmp_path))
+    run(config, out_dir=str(tmp_path / "series"))
+
+    calls = []
+
+    def per_tick(meter, power, t0):
+        calls.append(meter.pod_id)
+        tick_s = meter.config.tick_s
+        for i, p in enumerate(np.asarray(power).tolist()):
+            yield t0 + i * tick_s, meter.step(p, t0 + i * tick_s)
+
+    monkeypatch.setattr(harness.Meter, "step_series", per_tick)
+    run(config, out_dir=str(tmp_path / "per_tick"))
+    assert sorted(calls) == pods
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    series = tree(tmp_path / "series")
+    assert series == tree(tmp_path / "per_tick")
+    # A DR command that opens after the run makes every user a DR site, which
+    # the harness steps tick by tick, without changing any power it meters.
+    late = replace(config, dr_commands=(DrCommand(1000.0, duration, duration + 900),))
+    calls.clear()
+    run(late, out_dir=str(tmp_path / "closed_loop"))
+    assert calls == []
+    assert series == tree(tmp_path / "closed_loop")
+    events = series[Path("users", pods[1], "events.csv")].decode()
+    assert "interruption_start" in events

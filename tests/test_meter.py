@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chain2sim.frames import (
@@ -13,6 +13,7 @@ from chain2sim.frames import (
     ExceedanceCause,
     FrameType,
     SupplyEventKind,
+    describe_frame,
 )
 from chain2sim.meter import (
     QUARTER_S,
@@ -362,3 +363,97 @@ def test_first_step_must_be_tick_aligned():
 def test_config_validation(kw):
     with pytest.raises(ValueError):
         MeterConfig(**kw)
+
+
+# -- step_series against the per-tick loop -------------------------------------------
+
+TICK_DIVISORS = [d for d in range(1, 61) if QUARTER_S % d == 0]
+
+
+@st.composite
+def series_cases(draw):
+    """A meter set-up and a piecewise-constant series to drive it with."""
+    tick = draw(st.sampled_from(TICK_DIVISORS))
+    per_quarter = QUARTER_S // tick
+    pn = draw(st.sampled_from([3000.0, 4500.0, 6000.0]))
+    threshold = draw(st.none() | st.floats(0.5, 3000.0))
+    # Ticks stepped one by one before the series, so it may start mid-quarter
+    # with non-zero accumulators.
+    warm_level = draw(st.floats(0.0, 1.5 * pn))
+    warmup = [warm_level] * draw(st.integers(0, 2 * per_quarter))
+    t0 = draw(st.integers(0, 3 * per_quarter)) * tick
+    first_tick = t0 // tick + len(warmup)
+    levels = st.one_of(
+        st.floats(0.0, 3.0 * pn),
+        # Exact thresholds: a band edge, Pn itself, the overrun reference.
+        st.integers(0, 10).map(lambda k: k * pn / 10),
+        st.sampled_from([1.1 * pn, -0.0]),
+    )
+    segments = draw(
+        st.lists(st.tuples(levels, st.integers(1, 300 // tick + 2)), min_size=1, max_size=12)
+    )
+    powers = [level for level, length in segments for _ in range(length)]
+    if draw(st.booleans()):
+        # An overrun that either opens the breaker or is dropped, possibly
+        # to a level still above Pn; often starting right at a quarter
+        # boundary, where the quarter accumulator restarts.
+        level = draw(st.floats(1.3 * pn, 4.0 * pn))
+        cut_ticks = math.ceil(180.0 * pn / (level - 1.1 * pn) / tick) + 2
+        hold = draw(st.integers(cut_ticks, cut_ticks + 5) | st.integers(1, cut_ticks))
+        after = draw(st.sampled_from([1.1 * pn, 1.05 * pn, 0.5 * pn]))
+        at = draw(st.integers(0, len(powers)))
+        if draw(st.booleans()):
+            at = max(0, at - (first_tick + at) % per_quarter)
+        powers[at:at] = [level] * hold + [after] * draw(st.integers(0, per_quarter))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(powers) - 1))
+        powers[at] = draw(st.sampled_from([math.nan, -1.0, -5e-324, math.inf]))
+    emergency = draw(st.none() | st.tuples(st.floats(0.3 * pn, pn), st.integers(0, 400)))
+    return tick, pn, threshold, powers, warmup, t0, emergency
+
+
+def _drive_meter(case, use_series):
+    tick, pn, threshold, powers, warmup, t0, emergency = case
+    meter = make_meter(pn_w=pn, tick_s=tick, energy_threshold_wh=threshold)
+    for i, p in enumerate(warmup):
+        meter.step(p, t0 + i * tick)
+    start = t0 + len(warmup) * tick
+    if emergency is not None:
+        meter.arm_emergency_limit(emergency[0], until_s=start + emergency[1] * tick)
+    described = []
+    error = None
+    try:
+        if use_series:
+            for t, frames in meter.step_series(np.array(powers), start):
+                described.extend(describe_frame(f) for f in frames)
+                assert all(f.timestamp in (t, t + tick) for f in frames)
+        else:
+            for i, p in enumerate(powers):
+                described.extend(describe_frame(f) for f in meter.step(p, start + i * tick))
+    except (ValueError, OverflowError) as exc:
+        error = (type(exc), str(exc))
+    state = (
+        meter.last_seq,
+        meter._quarter_acc_ws,
+        meter._total_acc_ws,
+        meter.total_reported_wh,
+        meter._band,
+        meter._next_t,
+        meter.cut_deadline,
+        meter.supply_on,
+        meter._over_pn,
+        meter._energy_alarm_sent,
+        meter.emergency_limit_w,
+    )
+    return described, error, state
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_cases())
+# An overrun from the first tick of a quarter to the end of the series: the
+# accumulator must restart at the quarter close just before it.
+@example((50, 3000.0, None, [0.0] * 10 + [3301.0] * 8, [], 50, None))
+# A negative sample so small that its band computes as -0.0, equal to band 0.
+@example((60, 3000.0, None, [0.0, 0.0, -5e-324, 0.0], [], 0, None))
+def test_step_series_matches_the_per_tick_loop(case):
+    assert _drive_meter(case, use_series=True) == _drive_meter(case, use_series=False)
