@@ -335,7 +335,8 @@ def _check_profile_csv(
     spec: UserSpec, path: str, base_dir: str, tick_s: int, duration_s: int, errors: list[str]
 ) -> UserSpec:
     """Resolve a user's profile CSV against `base_dir` and check that it
-    matches the scenario tick and covers the run."""
+    matches the scenario tick, covers the run, and holds no sample the
+    meter would reject within the run (rows past the run are never read)."""
     csv_path = spec.profile_csv
     assert csv_path is not None
     if not os.path.isabs(csv_path):
@@ -348,11 +349,13 @@ def _check_profile_csv(
         return spec
     if csv_tick != tick_s:
         errors.append(f"{path}.profile_csv: tick {csv_tick} s != scenario tick {tick_s} s")
-    elif len(power) * tick_s < duration_s:
+        return spec
+    if len(power) * tick_s < duration_s:
         errors.append(
             f"{path}.profile_csv: covers {len(power) * tick_s} s, need {duration_s} s"
         )
-    bad = np.flatnonzero(~(power >= 0.0) | (power == np.inf))
+    used = power[: duration_s // tick_s]
+    bad = np.flatnonzero(~(used >= 0.0) | (used == np.inf))
     if bad.size:
         row = int(bad[0])
         errors.append(
@@ -1025,8 +1028,9 @@ def run(
     Users run one after another, in pod order, on the calling thread.  With
     `out_dir`, writes per-user series under `users/<pod>/` as each user
     finishes, then `report.csv`, `report.txt`, and `settlement.csv` when a
-    flexibility cluster is configured.  `parallel` is accepted for
-    compatibility and has no effect.
+    flexibility cluster is configured.  A run that raises part-way leaves
+    the `users/<pod>/` series of the users that finished before it and no
+    report.  `parallel` is accepted for compatibility and has no effect.
     `with_details=True` additionally returns the raw per-user results,
     including each user's processed-frame log, for cross-checks.
     """

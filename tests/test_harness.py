@@ -161,6 +161,12 @@ def test_profile_csv_mismatches_are_config_errors(tmp_path):
             validate_config(raw, base_dir=str(tmp_path))
         (error,) = exc_info.value.errors
         assert error.startswith("users[0].profile_csv: row 37 (t_s=2220)")
+    # A bad sample past the end of the run is never read, so it passes.
+    path = tmp_path / "bad_tail.csv"
+    rows = [f"{k * 60},{'nan' if k == 120 else 500.0}" for k in range(121)]
+    path.write_text("t_s,power_W\n" + "\n".join(rows) + "\n")
+    raw.update(users=[{"pod_id": POD1, "pn_w": 3000, "profile_csv": path.name}])
+    assert validate_config(raw, base_dir=str(tmp_path)).users[0].profile_csv == str(path)
 
 
 def test_profile_csv_error_names_the_listed_users_own_index(tmp_path):
