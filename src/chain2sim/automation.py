@@ -382,9 +382,9 @@ class DrCommand:
     issuer: DrIssuer = DrIssuer.AGGREGATOR
 
     def __post_init__(self) -> None:
-        if self.p_limit_w <= 0:
+        if not self.p_limit_w > 0:  # written so that NaN fails too
             raise ValueError(f"p_limit_w must be positive, got {self.p_limit_w}")
-        if self.t_end <= self.t_start:
+        if not self.t_start < self.t_end:
             raise ValueError(
                 f"need t_start < t_end, got [{self.t_start}, {self.t_end}]"
             )
@@ -472,7 +472,7 @@ def load_dr_commands(path: str) -> list[DrCommand]:
     """Read a `t_start,t_end,p_limit_W,issuer` command feed."""
     commands: list[DrCommand] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row reads as empty fields
         required = {"t_start", "t_end", "p_limit_W", "issuer"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(

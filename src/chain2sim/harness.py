@@ -33,15 +33,17 @@ bug, not a statistic, and raises.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import io
 import json
 import math
 import os
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 import yaml
@@ -159,366 +161,364 @@ def load_config(path: str) -> ScenarioConfig:
     """Read and validate a YAML scenario file."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ConfigError(["top level: expected a mapping"])
     return validate_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _parse_tariff(raw: Any, path: str, errors: list[str]) -> TariffSchedule | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
-        errors.append(f"{path}: expected a mapping")
-        return None
-    feed_in = raw.get("feed_in")
-    try:
-        if "flat" in raw:
-            return TariffSchedule.flat(float(raw["flat"]), feed_in)
-        windows = [
-            TariffWindow(int(w[0]), int(w[1]), float(w[2]))
-            for w in raw.get("windows", [])
-        ]
-        return TariffSchedule(windows, feed_in)
-    except (ValueError, TypeError, IndexError) as exc:
-        errors.append(f"{path}: {exc}")
-        return None
+_REQUIRED = object()
+_FLAGS = {True: True, False: False}
+_LOSS_MODELS = {"bernoulli": BernoulliLoss, "gilbert_elliott": GilbertElliottLoss}
 
 
-def _parse_channel(raw: Any, errors: list[str]) -> ChannelConfig:
-    if raw is None:
-        return ChannelConfig()
-    if not isinstance(raw, dict):
-        errors.append("channel: expected a mapping")
-        return ChannelConfig()
-    loss_raw = raw.get("loss")
-    loss = None
-    if loss_raw and not isinstance(loss_raw, dict):
-        errors.append(f"channel.loss: expected a mapping, got {loss_raw!r}")
-    elif loss_raw:
-        model = loss_raw.get("model", "bernoulli")
+def _reader(read_value: Any) -> Any:
+    """Make `read_value(self, value, path, ...)` a reader of `value` at
+    `path`, or of `raw[key]` at `path.key` when given a mapping and a key.
+    A missing or null value gives `default`, or a `required` error."""
+
+    @functools.wraps(read_value)
+    def read(self, raw, path, key=None, default=_REQUIRED, **kwargs):
+        if key is not None:
+            raw, path = raw.get(key), f"{path}.{key}" if path else key
+        if raw is None:
+            return self.fail(path, "required") if default is _REQUIRED else default
+        return read_value(self, raw, path, **kwargs)
+
+    return read
+
+
+class _Reader:
+    """Reads every scenario value, each checked once.
+
+    A reader checks a value's type (a bool is never a number), that a number
+    is finite, and the range given to it.  A failed read records
+    `<path>: <reason>` in `errors` and returns None.  A range rule that a
+    domain constructor enforces belongs to it alone: `build` calls it.
+    """
+
+    def __init__(self) -> None:
+        self.errors: list[str] = []
+
+    def fail(self, path: str, reason: object) -> None:
+        self.errors.append(f"{path}: {reason}")
+
+    @_reader
+    def number(self, value, path, *, integer=False, gt=None, ge=None, le=None):
+        """A finite float, or with `integer` an int; a numeric string such as
+        "3000" parses, and an integral float counts as an integer."""
+        x = math.nan
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            with contextlib.suppress(ValueError, OverflowError):
+                x = float(value)
+        if integer and type(value) is int:
+            x = value  # exact, however large
+        elif not math.isfinite(x) or (integer and not x.is_integer()):
+            kind = "an integer" if integer else "a finite number"
+            return self.fail(path, f"expected {kind}, got {value!r}")
+        elif integer:
+            x = int(x)
+        if not ((gt is None or x > gt) and (ge is None or x >= ge) and (le is None or x <= le)):
+            bounds = ((">", gt), (">=", ge), ("<=", le))
+            rule = " and ".join(f"{op} {b}" for op, b in bounds if b is not None)
+            return self.fail(path, f"must be {rule}, got {value!r}")
+        return x
+
+    @_reader
+    def string(self, value, path):
+        """Text; an unquoted YAML number stands for its digits."""
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            return self.fail(path, f"expected a string, got {value!r}")
+        return str(value)
+
+    @_reader
+    def choice(self, value, path, options):
+        """The option keyed by the value, case-insensitively: a value of the
+        mapping `options`, or one of a list of names or enum members."""
+        if not isinstance(options, dict):
+            options = {getattr(o, "name", o).lower(): o for o in options}
+        name = value.lower() if isinstance(value, str) else value
+        if type(name) in (str, bool) and name in options:
+            return options[name]
+        return self.fail(path, f"expected one of {sorted(map(str, options))}, got {value!r}")
+
+    @_reader
+    def mapping(self, value, path):
+        if not isinstance(value, dict):
+            return self.fail(path, f"expected a mapping, got {value!r}")
+        return value
+
+    @_reader
+    def items(self, value, path, size=None):
+        """A list, of exactly `size` items when given."""
+        if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+            kind = "a list" if size is None else f"a list of {size}"
+            return self.fail(path, f"expected {kind}, got {value!r}")
+        return value
+
+    @_reader
+    def numbers(self, value, path, size=None, **bounds):
+        """A list of numbers as a tuple; an item's error names the list."""
+        if self.items(value, path, size=size) is None:
+            return None
+        out = tuple(self.number(x, path, **bounds) for x in value)
+        return None if None in out else out
+
+    def floats(self, raw: dict, path: str, cls: Any) -> dict[str, float] | None:
+        """Each float field of dataclass `cls`, read under its own name with
+        the field's default."""
+        out = {}
+        for f in fields(cls):
+            if f.type in (float, "float"):
+                default = _REQUIRED if f.default is MISSING else f.default
+                out[f.name] = self.number(raw, path, f.name, default)
+        return None if None in out.values() else out
+
+    def build(self, path: str, make: Any, *args: Any, **kwargs: Any) -> Any:
+        """`make(*args, **kwargs)`, a constructor that owns the range rules of
+        the values passed.  Its ValueError is recorded at `path.<name>` when
+        the message starts with a keyword's name, else at `path`."""
         try:
-            if model == "bernoulli":
-                loss = BernoulliLoss(float(loss_raw["p_loss"]))
-            elif model == "gilbert_elliott":
-                loss = GilbertElliottLoss(
-                    float(loss_raw["p_good_to_bad"]),
-                    float(loss_raw["p_bad_to_good"]),
-                    float(loss_raw.get("loss_good", 0.0)),
-                    float(loss_raw.get("loss_bad", 0.5)),
-                )
-            else:
-                errors.append(f"channel.loss.model: unknown model {model!r}")
-        except (KeyError, ValueError, TypeError) as exc:
-            errors.append(f"channel.loss: {exc}")
-    try:
-        return ChannelConfig(
-            rate_bps=float(raw.get("rate_bps", 4800.0)),
-            proc_delay_s=float(raw.get("proc_delay_s", 0.05)),
-            loss=loss,
-        )
-    except (ValueError, TypeError) as exc:
-        errors.append(f"channel: {exc}")
-        return ChannelConfig()
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            name, _, rest = str(exc).partition(" ")
+            return self.fail(f"{path}.{name}", rest) if name in kwargs else self.fail(path, exc)
+
+
+def _parse_tariff(read: _Reader, raw: dict, path: str) -> TariffSchedule | None:
+    tariff = read.mapping(raw, path, "tariff", None)
+    if tariff is None:
+        return None
+    path = f"{path}.tariff"
+    feed_in = read.number(tariff, path, "feed_in", None)
+    if tariff.get("flat") is not None:
+        price = read.number(tariff, path, "flat")
+        return None if price is None else read.build(path, TariffSchedule.flat, price, feed_in)
+    mark = len(read.errors)
+    windows = []
+    for k, w in enumerate(read.items(tariff, path, "windows", ()) or ()):
+        w_path = f"{path}.windows[{k}]"
+        if read.items(w, w_path, size=3) is not None:
+            start, end = (read.number(v, w_path, integer=True) for v in w[:2])
+            windows.append(TariffWindow(start, end, read.number(w[2], w_path)))
+    if len(read.errors) > mark:
+        return None
+    return read.build(path, TariffSchedule, windows, feed_in)
+
+
+def _parse_channel(read: _Reader, raw: dict) -> ChannelConfig | None:
+    channel = read.mapping(raw, "", "channel", {}) or {}
+    loss = None
+    loss_raw = read.mapping(channel, "channel", "loss", None)
+    if loss_raw:  # an empty mapping, like none at all, means a lossless link
+        model = read.choice(loss_raw, "channel.loss", "model", BernoulliLoss, options=_LOSS_MODELS)
+        params = model and read.floats(loss_raw, "channel.loss", model)
+        if params is not None:
+            loss = read.build("channel.loss", model, **params)
+    params = read.floats(channel, "channel", ChannelConfig)
+    return None if params is None else read.build("channel", ChannelConfig, loss=loss, **params)
 
 
 def _parse_user(
-    raw: Any, path: str, tick_s: int, duration_s: int, errors: list[str]
+    read: _Reader, raw: Any, path: str, base_dir: str, tick_s: int, duration_s: int
 ) -> UserSpec | None:
-    if not isinstance(raw, dict):
-        errors.append(f"{path}: expected a mapping")
+    user = read.mapping(raw, path)
+    if user is None:
         return None
-    sub_errors: list[str] = []
-
-    def need(key: str, caster, default=None, required=False):
-        if key not in raw or raw[key] is None:
-            if required:
-                sub_errors.append(f"{path}.{key}: required")
-            return default
-        try:
-            return caster(raw[key])
-        except (ValueError, TypeError) as exc:
-            sub_errors.append(f"{path}.{key}: {exc}")
-            return default
-
-    pod = need("pod_id", str, required=True)
+    mark = len(read.errors)
+    pod = read.string(user, path, "pod_id")
     if pod is not None and not (len(pod) == 14 and pod.isascii() and pod.isalnum()):
-        sub_errors.append(
-            f"{path}.pod_id: must be 14 ASCII alphanumeric characters, got {pod!r}"
-        )
-    pn = need("pn_w", float, required=True)
-    if pn is not None and not 0 < pn < math.inf:
-        sub_errors.append(f"{path}.pn_w: must be finite and > 0, got {pn}")
-    building = need("building_class", str, default="B")
-    if building not in PRESETS:
-        sub_errors.append(
-            f"{path}.building_class: unknown class {building!r}, expected one of {sorted(PRESETS)}"
-        )
-    battery = None
-    if raw.get("battery") is not None:
-        try:
-            if not isinstance(raw["battery"], dict):
-                raise TypeError(f"expected a mapping, got {raw['battery']!r}")
-            battery = BatterySpec(**{k: float(v) for k, v in raw["battery"].items()})
-            battery.build()  # validate eagerly
-        except (TypeError, ValueError) as exc:
-            sub_errors.append(f"{path}.battery: {exc}")
-    appliances: list[Appliance] = []
-    for j, a in enumerate(raw.get("appliances") or []):
-        try:
-            appliances.append(
-                Appliance(
-                    id=str(a["id"]),
-                    profile_w=tuple(float(p) for p in a["profile_w"]),
-                    earliest_start_s=int(a.get("earliest_start_s", 0)),
-                    deadline_s=int(a.get("deadline_s", duration_s)),
-                    interruptible=bool(a.get("interruptible", False)),
-                    controllable=bool(a.get("controllable", True)),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            sub_errors.append(f"{path}.appliances[{j}]: {exc}")
-    events: list[tuple[int, SupplyEventKind]] = []
-    for j, pair in enumerate(raw.get("supply_events") or []):
-        try:
-            t_ev = int(pair[0])
-            kind = SupplyEventKind[str(pair[1]).upper()]
-        except (KeyError, ValueError, TypeError, IndexError):
-            sub_errors.append(f"{path}.supply_events[{j}]: expected [t, kind]")
+        read.fail(f"{path}.pod_id", f"must be 14 ASCII alphanumeric characters, got {pod!r}")
+    pn = read.number(user, path, "pn_w")
+    threshold = read.number(user, path, "energy_threshold_wh", None)
+    if pn is not None:  # the meter owns the pn_w and energy_threshold_wh rules
+        read.build(path, MeterConfig, pn_w=pn, energy_threshold_wh=threshold, tick_s=tick_s)
+    battery = read.mapping(user, path, "battery", None)
+    params = None if battery is None else read.floats(battery, f"{path}.battery", BatterySpec)
+    if params is not None and read.build(f"{path}.battery", Battery, **params):
+        battery = BatterySpec(**params)
+    appliances = []
+    for j, a in enumerate(read.items(user, path, "appliances", ()) or ()):
+        a_path = f"{path}.appliances[{j}]"
+        if read.mapping(a, a_path) is None:
             continue
-        if t_ev % tick_s != 0 or not 0 <= t_ev < duration_s:
-            sub_errors.append(
-                f"{path}.supply_events[{j}]: t={t_ev} must be tick-aligned inside the run"
-            )
-        else:
-            events.append((t_ev, kind))
-    direction_raw = need("direction", str, default="withdrawn")
-    try:
-        direction = EnergyDirection[direction_raw.upper()]
-    except KeyError:
-        sub_errors.append(f"{path}.direction: unknown direction {direction_raw!r}")
-        direction = EnergyDirection.WITHDRAWN
-    spec = None
-    if not sub_errors and pod is not None and pn is not None:
-        spec = UserSpec(
-            pod_id=pod,
-            pn_w=pn,
-            building_class=building,
-            profile_csv=need("profile_csv", str),
-            energy_threshold_wh=need("energy_threshold_wh", float),
-            alarm_limit_w=need("alarm_limit_w", float),
-            tariff=_parse_tariff(raw.get("tariff"), f"{path}.tariff", sub_errors),
-            battery=battery,
-            peak_shave_limit_w=need("peak_shave_limit_w", float),
-            appliances=tuple(appliances),
-            supply_events=tuple(sorted(events)),
-            revoke_at_s=need("revoke_at_s", float),
-            direction=direction,
+        app = dict(
+            id=read.string(a, a_path, "id"),
+            profile_w=read.numbers(a, a_path, "profile_w"),
+            earliest_start_s=read.number(a, a_path, "earliest_start_s", 0, integer=True),
+            deadline_s=read.number(a, a_path, "deadline_s", duration_s, integer=True),
+            interruptible=read.choice(a, a_path, "interruptible", False, options=_FLAGS),
+            controllable=read.choice(a, a_path, "controllable", True, options=_FLAGS),
         )
-    errors.extend(sub_errors)
-    return spec
-
-
-def _is_int(value: Any) -> bool:
-    """An integer that is not a bool (YAML `true` must not pass as 1)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _mapping(raw: Any, path: str, errors: list[str]) -> dict:
-    """`raw` if it is a mapping, else {} with an error at `path`."""
-    if isinstance(raw, dict):
-        return raw
-    errors.append(f"{path}: expected a mapping, got {raw!r}")
-    return {}
+        if None not in app.values():
+            appliances.append(read.build(a_path, Appliance, **app))
+    events: list[tuple[int, SupplyEventKind]] = []
+    for j, pair in enumerate(read.items(user, path, "supply_events", ()) or ()):
+        e_path = f"{path}.supply_events[{j}]"
+        if read.items(pair, e_path, size=2) is None:
+            continue
+        t_ev = read.number(pair[0], e_path, integer=True)
+        kind = read.choice(pair[1], e_path, options=SupplyEventKind)
+        if t_ev is not None and (t_ev % tick_s != 0 or not 0 <= t_ev < duration_s):
+            read.fail(e_path, f"t={t_ev} must be tick-aligned inside the run")
+        events.append((t_ev, kind))
+    spec = dict(
+        pod_id=pod,
+        pn_w=pn,
+        building_class=read.choice(user, path, "building_class", "B", options=tuple(PRESETS)),
+        profile_csv=read.string(user, path, "profile_csv", None),
+        energy_threshold_wh=threshold,
+        alarm_limit_w=read.number(user, path, "alarm_limit_w", None, gt=0),
+        tariff=_parse_tariff(read, user, path),
+        battery=battery,
+        peak_shave_limit_w=read.number(user, path, "peak_shave_limit_w", None, gt=0),
+        revoke_at_s=read.number(user, path, "revoke_at_s", None),
+        direction=read.choice(
+            user, path, "direction", EnergyDirection.WITHDRAWN, options=EnergyDirection
+        ),
+    )
+    if len(read.errors) > mark:
+        return None
+    spec = UserSpec(appliances=tuple(appliances), supply_events=tuple(sorted(events)), **spec)
+    if spec.profile_csv is None:
+        return spec
+    return _check_profile_csv(read, spec, path, base_dir, tick_s, duration_s)
 
 
 def _check_profile_csv(
-    spec: UserSpec, path: str, base_dir: str, tick_s: int, duration_s: int, errors: list[str]
+    read: _Reader, spec: UserSpec, path: str, base_dir: str, tick_s: int, duration_s: int
 ) -> UserSpec:
     """Resolve a user's profile CSV against `base_dir` and check that it
     matches the scenario tick, covers the run, and holds no sample the
     meter would reject within the run (rows past the run are never read)."""
-    csv_path = spec.profile_csv
-    assert csv_path is not None
-    if not os.path.isabs(csv_path):
-        csv_path = os.path.join(base_dir, csv_path)
-        spec = replace(spec, profile_csv=csv_path)
+    csv_path = os.path.join(base_dir, spec.profile_csv)  # an absolute path stays as it is
+    spec, path = replace(spec, profile_csv=csv_path), f"{path}.profile_csv"
     try:
         power, csv_tick = profile_from_csv(csv_path)
     except (OSError, ValueError) as exc:
-        errors.append(f"{path}.profile_csv: {exc}")
+        read.fail(path, exc)
         return spec
     if csv_tick != tick_s:
-        errors.append(f"{path}.profile_csv: tick {csv_tick} s != scenario tick {tick_s} s")
+        read.fail(path, f"tick {csv_tick} s != scenario tick {tick_s} s")
         return spec
     if len(power) * tick_s < duration_s:
-        errors.append(
-            f"{path}.profile_csv: covers {len(power) * tick_s} s, need {duration_s} s"
-        )
+        read.fail(path, f"covers {len(power) * tick_s} s, need {duration_s} s")
     used = power[: duration_s // tick_s]
     bad = np.flatnonzero(~(used >= 0.0) | (used == np.inf))
     if bad.size:
         row = int(bad[0])
-        errors.append(
-            f"{path}.profile_csv: row {row} (t_s={row * csv_tick}): power_W must be "
-            f"finite and >= 0, got {power[row]}"
-        )
+        sample = f"row {row} (t_s={row * csv_tick})"
+        read.fail(path, f"{sample}: power_W must be finite and >= 0, got {power[row]}")
     return spec
 
 
-def validate_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
-    """Turn a parsed YAML mapping into a ScenarioConfig.
+def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
+    """Turn a parsed YAML document into a ScenarioConfig.
 
     Raises:
-        ConfigError: listing every problem found, one per field path.
+        ConfigError: for any other input, listing every problem at its path.
     """
-    errors: list[str] = []
-    tick_s = raw.get("tick_s", 60)
-    if not _is_int(tick_s) or tick_s < 1 or QUARTER_S % tick_s:
-        errors.append(f"tick_s: must be a positive integer divisor of 900, got {tick_s!r}")
-        tick_s = 60
-    if "duration_s" in raw:
-        duration_s = raw["duration_s"]
-    elif "days" in raw:
-        duration_s = raw["days"] * DAY_S if _is_int(raw["days"]) else -1
-    else:
-        errors.append("duration_s: required (or give days)")
-        duration_s = DAY_S
-    if not _is_int(duration_s) or duration_s <= 0 or duration_s % tick_s:
-        errors.append(
-            f"duration_s: must be a positive multiple of tick_s, got {duration_s!r}"
-        )
-        duration_s = DAY_S
-    seed = raw.get("seed", 0)
-    if not _is_int(seed):
-        errors.append(f"seed: must be an integer, got {seed!r}")
-        seed = 0
+    read = _Reader()
+    raw = read.mapping(raw, "top level")
+    if raw is None:
+        raise ConfigError(read.errors)
+    tick_s = read.number(raw, "", "tick_s", 60, integer=True, ge=1)
+    if tick_s and QUARTER_S % tick_s:
+        read.fail("tick_s", f"must divide {QUARTER_S}, got {tick_s}")
+    tick_s = 60 if not tick_s or QUARTER_S % tick_s else tick_s  # go on checking with 60 s
+    # `days: N` stands for `duration_s: N * 86400` and is reported as it.
+    days = read.number(raw.get("days"), "duration_s", default=None, integer=True)
+    duration_s = read.number(
+        raw.get("duration_s", days and days * DAY_S),
+        "duration_s",
+        default=_REQUIRED if raw.get("days") is None else None,
+        integer=True,
+        ge=1,
+        le=2**32 - 1,  # frame timestamps are u32 seconds
+    )
+    if duration_s and duration_s % tick_s:
+        read.fail("duration_s", f"must be a multiple of tick_s, got {duration_s}")
+    duration_s = DAY_S if not duration_s or duration_s % tick_s else duration_s
+    seed = read.number(raw, "", "seed", 0, integer=True)
+    channel = _parse_channel(read, raw)
 
-    channel = _parse_channel(raw.get("channel"), errors)
-
-    pairing_raw = _mapping(raw.get("pairing") or {}, "pairing", errors)
-    mode = pairing_raw.get("mode", "pre_active")
-    if mode not in ("pre_active", "portal"):
-        errors.append(f"pairing.mode: must be pre_active or portal, got {mode!r}")
-        mode = "pre_active"
-    delay_raw = pairing_raw.get("activation_delay_h", [1.0, 4.0])
-    try:
-        delay = (float(delay_raw[0]), float(delay_raw[1]))
-        if delay[0] < 0 or delay[1] < delay[0]:
-            raise ValueError(f"bad window {delay}")
-    except (ValueError, TypeError, IndexError) as exc:
-        errors.append(f"pairing.activation_delay_h: {exc}")
-        delay = (1.0, 4.0)
+    pairing = read.mapping(raw, "", "pairing", {}) or {}
+    mode = read.choice(pairing, "pairing", "mode", "pre_active", options=("pre_active", "portal"))
+    delay = read.numbers(pairing, "pairing", "activation_delay_h", (1.0, 4.0), size=2)
+    if delay is not None:  # the portal owns the activation window rule
+        read.build("pairing.activation_delay_h", Portal, {}, activation_delay_h=delay)
 
     users: list[UserSpec] = []
-    fleet = raw.get("fleet")
-    if fleet is not None and not isinstance(fleet, dict):
-        errors.append(f"fleet: expected a mapping, got {fleet!r}")
-    elif fleet is not None:
-        count = fleet.get("count", 0)
-        if not _is_int(count) or count < 1:
-            errors.append(f"fleet.count: must be a positive integer, got {count!r}")
-            count = 0
-        try:
-            pn_choices = [float(p) for p in fleet.get("pn_choices_w", [3000.0, 4500.0, 6000.0])]
-            if not pn_choices or not all(0 < p < math.inf for p in pn_choices):
-                raise ValueError("need one or more finite positive contract sizes")
-        except (ValueError, TypeError) as exc:
-            errors.append(f"fleet.pn_choices_w: {exc}")
-            pn_choices = [3000.0]
-        classes = fleet.get("building_classes", list(PRESETS))
-        if not isinstance(classes, (list, tuple)) or not classes:
-            errors.append(f"fleet.building_classes: expected a non-empty list, got {classes!r}")
-            classes = ["B"]
-        bad_classes = [c for c in classes if not isinstance(c, str) or c not in PRESETS]
-        if bad_classes:
-            errors.append(f"fleet.building_classes: unknown classes {bad_classes}")
-            classes = ["B"]
-        fractions = []
-        for key in ("energy_threshold_fraction", "alarm_limit_fraction"):
-            try:
-                fraction = float(fleet.get(key, 0.0))
-                if not 0.0 <= fraction <= 1.0:
-                    raise ValueError(f"must be in [0, 1], got {fraction}")
-            except (ValueError, TypeError) as exc:
-                errors.append(f"fleet.{key}: {exc}")
-                fraction = 0.0
-            fractions.append(fraction)
-        users.extend(_fleet_users(count, pn_choices, classes, *fractions))
-    users_raw = raw.get("users") or []
-    if not isinstance(users_raw, list):
-        errors.append(f"users: expected a list, got {users_raw!r}")
-        users_raw = []
-    for i, raw_user in enumerate(users_raw):
-        path = f"users[{i}]"
-        spec = _parse_user(raw_user, path, tick_s, duration_s, errors)
+    fleet = read.mapping(raw, "", "fleet", None)
+    if fleet is not None:
+        # Fleet pod ids carry the user's index in 8 digits.
+        count = read.number(fleet, "fleet", "count", integer=True, ge=1, le=10**8)
+        pn_choices = read.numbers(fleet, "fleet", "pn_choices_w", (3000.0, 4500.0, 6000.0), gt=0)
+        classes = read.items(fleet, "fleet", "building_classes", tuple(PRESETS))
+        path, names = "fleet.building_classes", PRESETS.keys()
+        classes = classes and [read.choice(c, path, options=names) for c in classes]
+        for key, value in (("pn_choices_w", pn_choices), ("building_classes", classes)):
+            if value is not None and not value:
+                read.fail(f"fleet.{key}", "must not be empty")
+        fractions = [
+            read.number(fleet, "fleet", key, 0.0, ge=0, le=1)
+            for key in ("energy_threshold_fraction", "alarm_limit_fraction")
+        ]
+        if count and pn_choices and classes and None not in (*classes, *fractions):
+            users.extend(_fleet_users(count, pn_choices, classes, *fractions))
+    for i, raw_user in enumerate(read.items(raw, "", "users", ()) or ()):
+        spec = _parse_user(read, raw_user, f"users[{i}]", base_dir, tick_s, duration_s)
         if spec is not None:
-            if spec.profile_csv is not None:
-                spec = _check_profile_csv(spec, path, base_dir, tick_s, duration_s, errors)
             users.append(spec)
-    if not users and not errors:
-        errors.append("users: need at least one user (or a fleet section)")
-    seen_pods: set[str] = set()
-    for spec in users:
-        if spec.pod_id in seen_pods:
-            errors.append(f"users: duplicate pod_id {spec.pod_id}")
-        seen_pods.add(spec.pod_id)
+    if not users and not read.errors:
+        read.fail("users", "need at least one user (or a fleet section)")
+    seen_pods = Counter(spec.pod_id for spec in users)
+    for pod in (pod for pod, n in seen_pods.items() if n > 1):
+        read.fail("users", f"duplicate pod_id {pod}")
 
-    dr_commands: list[DrCommand] = []
-    feed_path = raw.get("dr_feed")
-    if feed_path and not isinstance(feed_path, str):
-        errors.append(f"dr_feed: expected a file path, got {feed_path!r}")
-    elif feed_path:
-        if not os.path.isabs(feed_path):
-            feed_path = os.path.join(base_dir, feed_path)
+    dr: list[tuple[str, DrCommand | None]] = []  # (path, command)
+    feed_path = read.string(raw, "", "dr_feed", None)
+    if feed_path:
         try:
-            dr_commands.extend(load_dr_commands(feed_path))
+            feed = load_dr_commands(os.path.join(base_dir, feed_path))
+            dr.extend((f"dr_feed[{i}]", command) for i, command in enumerate(feed))
         except (OSError, ValueError) as exc:
-            errors.append(f"dr_feed: {exc}")
-    commands_raw = raw.get("dr_commands") or []
-    if not isinstance(commands_raw, list):
-        errors.append(f"dr_commands: expected a list, got {commands_raw!r}")
-        commands_raw = []
-    for i, c in enumerate(commands_raw):
-        try:
-            dr_commands.append(
-                DrCommand(
-                    float(c["p_limit_w"]),
-                    float(c["t_start"]),
-                    float(c["t_end"]),
-                    DrIssuer(c.get("issuer", "aggregator")),
-                )
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            errors.append(f"dr_commands[{i}]: {exc}")
+            read.fail("dr_feed", exc)
+    for i, c in enumerate(read.items(raw, "", "dr_commands", ()) or ()):
+        path = f"dr_commands[{i}]"
+        if read.mapping(c, path) is None:
+            continue
+        limits = read.floats(c, path, DrCommand)
+        issuer = read.choice(c, path, "issuer", DrIssuer.AGGREGATOR, options=DrIssuer)
+        if limits is not None and issuer is not None:
+            dr.append((path, read.build(path, DrCommand, issuer=issuer, **limits)))
+    # A site obeys one command at a time, so windows may not overlap (in start
+    # order, any overlap shows between neighbours).
+    ordered = sorted((e for e in dr if e[1] is not None), key=lambda e: e[1].t_start)
+    for (a_path, a), (b_path, b) in zip(ordered, ordered[1:]):
+        if b.t_start < a.t_end:
+            window = f"[{b.t_start}, {b.t_end}) overlaps {a_path} [{a.t_start}, {a.t_end})"
+            read.fail(b_path, f"window {window}")
 
     mevu = None
-    if raw.get("mevu") is not None:
-        m = _mapping(raw["mevu"], "mevu", errors)
-        try:
-            members = tuple(m.get("members") or sorted(seen_pods))
-            window_raw = m.get("window", [0, duration_s])
-            mevu = MevuSpec(
-                members=members,
-                capacity_offer_w=float(m.get("capacity_offer_w", 0.0)),
-                energy_price_eur_per_wh=float(m.get("energy_price_eur_per_wh", 0.0)),
-                capacity_price_eur_per_w_h=float(
-                    m.get("capacity_price_eur_per_w_h", 0.0)
-                ),
-                window=(float(window_raw[0]), float(window_raw[1])),
-            )
-            unknown = [p for p in members if p not in seen_pods]
-            if unknown:
-                errors.append(f"mevu.members: unknown pods {unknown}")
-            w0, w1 = mevu.window
-            if not (0 <= w0 < w1 <= duration_s) or w0 % tick_s or w1 % tick_s:
-                errors.append(
-                    f"mevu.window: must be tick-aligned inside [0, {duration_s}], got {mevu.window}"
-                )
-        except (ValueError, TypeError, IndexError) as exc:
-            errors.append(f"mevu: {exc}")
+    m = read.mapping(raw, "", "mevu", None)
+    if m is not None:
+        members = read.items(m, "mevu", "members", ()) or ()
+        members = tuple(read.string(p, "mevu.members") for p in members) or tuple(sorted(seen_pods))
+        prices = {
+            key: read.number(m, "mevu", key, 0.0)
+            for key in ("capacity_offer_w", "energy_price_eur_per_wh", "capacity_price_eur_per_w_h")
+        }
+        window = read.numbers(m, "mevu", "window", (0, duration_s), size=2, integer=True)
+        if unknown := [p for p in members if p not in seen_pods]:
+            read.fail("mevu.members", f"unknown pods {unknown}")
+        if window is not None and (
+            not 0 <= window[0] < window[1] <= duration_s or window[0] % tick_s or window[1] % tick_s
+        ):
+            read.fail("mevu.window", f"must be tick-aligned inside [0, {duration_s}], got {window}")
+        if None not in prices.values():  # the cluster owns the member and capacity rules
+            read.build("mevu", MevuCluster, "cluster-0", members, dict.fromkeys(members), **prices)
+        mevu = MevuSpec(members=members, window=window, **prices)
 
-    if errors:
-        raise ConfigError(errors)
+    if read.errors:
+        raise ConfigError(read.errors)
     return ScenarioConfig(
         duration_s=duration_s,
         tick_s=tick_s,
@@ -527,23 +527,21 @@ def validate_config(raw: dict, base_dir: str = ".") -> ScenarioConfig:
         channel=channel,
         pairing_mode=mode,
         activation_delay_h=delay,
-        dr_commands=tuple(dr_commands),
+        dr_commands=tuple(command for _, command in dr),
         mevu=mevu,
     )
 
 
 def _fleet_users(
     count: int,
-    pn_choices: Iterable[float],
-    classes: Iterable[str],
+    pn_choices: Sequence[float],
+    classes: Sequence[str],
     threshold_fraction: float,
     alarm_fraction: float,
 ) -> list[UserSpec]:
-    pn_list = [float(p) for p in pn_choices]
-    class_list = list(classes)
     users = []
     for i in range(count):
-        pn = pn_list[i % len(pn_list)]
+        pn = pn_choices[i % len(pn_choices)]
         threshold = None
         if threshold_fraction > 0 and (i % max(1, round(1 / threshold_fraction))) == 0:
             threshold = pn * 3.0  # crosses within the first day for most homes
@@ -554,7 +552,7 @@ def _fleet_users(
             UserSpec(
                 pod_id=f"IT001E{i:08d}",
                 pn_w=pn,
-                building_class=class_list[i % len(class_list)],
+                building_class=classes[i % len(classes)],
                 energy_threshold_wh=threshold,
                 alarm_limit_w=alarm,
             )

@@ -356,6 +356,14 @@ def test_load_dr_commands_csv(tmp_path):
     headerless.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="header"):
         load_dr_commands(headerless)
+    short = tmp_path / "short.csv"
+    short.write_text("t_start,t_end,p_limit_W,issuer\n3600,7200\n")
+    with pytest.raises(ValueError, match="row 0"):
+        load_dr_commands(short)
+    nan = tmp_path / "nan.csv"
+    nan.write_text("t_start,t_end,p_limit_W,issuer\nnan,7200,2500,aggregator\n")
+    with pytest.raises(ValueError, match="t_start < t_end"):
+        load_dr_commands(nan)
 
 
 def test_dr_command_validation():
@@ -363,6 +371,10 @@ def test_dr_command_validation():
         DrCommand(0.0, 0.0, 10.0)
     with pytest.raises(ValueError, match="t_start"):
         DrCommand(100.0, 10.0, 10.0)
+    with pytest.raises(ValueError, match="p_limit_w"):
+        DrCommand(math.nan, 0.0, 10.0)
+    with pytest.raises(ValueError, match="t_start"):
+        DrCommand(100.0, 0.0, math.nan)
 
 
 # -- flexibility settlement -------------------------------------------------------------

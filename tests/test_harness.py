@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chain2sim.automation import DrCommand
 from chain2sim.channel import BernoulliLoss, ChannelConfig
@@ -183,6 +185,11 @@ def test_profile_csv_error_names_the_listed_users_own_index(tmp_path):
 
 _BASE = {"duration_s": 3600, "fleet": {"count": 2}}
 _DROP = object()
+_BATTERY = {"capacity_wh": 2000, "p_charge_max_w": 1500, "p_discharge_max_w": 1500}
+
+
+def _user(**fields):
+    return {"users": [{"pod_id": POD1, "pn_w": 3000, **fields}]}
 
 
 @pytest.mark.parametrize(
@@ -209,6 +216,20 @@ _DROP = object()
         ({"fleet": {"count": 2, "pn_choices_w": [float("inf")]}}, "fleet.pn_choices_w"),
         ({"dr_commands": 5}, "dr_commands"),
         ({"dr_feed": 5}, "dr_feed"),
+        (_user(energy_threshold_wh=-5), "users[0].energy_threshold_wh"),
+        (_user(energy_threshold_wh=float("nan")), "users[0].energy_threshold_wh"),
+        (_user(alarm_limit_w=-1), "users[0].alarm_limit_w"),
+        (_user(peak_shave_limit_w=-3, battery=_BATTERY), "users[0].peak_shave_limit_w"),
+        (_user(revoke_at_s=float("nan")), "users[0].revoke_at_s"),
+        (_user(pn_w=True), "users[0].pn_w"),
+        (_user(appliances=5), "users[0].appliances"),
+        (_user(supply_events=5), "users[0].supply_events"),
+        (
+            _user(appliances=[{"id": "wash", "profile_w": [float("nan")]}]),
+            "users[0].appliances[0].profile_w",
+        ),
+        ({"channel": {"rate_bps": float("nan")}}, "channel.rate_bps"),
+        ({"duration_s": _DROP, "days": 1_000_000_000}, "duration_s"),
     ],
 )
 def test_malformed_fields_are_config_errors(overrides, field):
@@ -216,6 +237,100 @@ def test_malformed_fields_are_config_errors(overrides, field):
     with pytest.raises(ConfigError) as exc_info:
         validate_config(raw)
     assert [e.split(":")[0] for e in exc_info.value.errors] == [field]
+
+
+def test_a_missing_dr_field_is_reported_at_its_own_path():
+    raw = {**_BASE, "dr_commands": [{"t_start": 0, "issuer": "emergency"}]}
+    with pytest.raises(ConfigError) as exc_info:
+        validate_config(raw)
+    assert exc_info.value.errors == [
+        "dr_commands[0].p_limit_w: required",
+        "dr_commands[0].t_end: required",
+    ]
+
+
+def test_overlapping_dr_windows_name_both_entries(tmp_path):
+    (tmp_path / "dr.csv").write_text(
+        "t_start,t_end,p_limit_W,issuer\n61200,64800,2500,aggregator\n72000,73800,2500,aggregator\n"
+    )
+    later = {"p_limit_w": 2000, "t_start": 63000, "t_end": 66600, "issuer": "emergency"}
+    raw = {**_BASE, "duration_s": 86400, "dr_feed": "dr.csv", "dr_commands": [later]}
+    with pytest.raises(ConfigError) as exc_info:
+        validate_config(raw, base_dir=str(tmp_path))
+    (error,) = exc_info.value.errors
+    assert error.startswith("dr_commands[0]: window [63000.0, 66600.0) overlaps dr_feed[0] ")
+    # Windows are half-open, so one may start where another ends.
+    later.update(t_start=64800, t_end=72000)
+    config = validate_config(raw, base_dir=str(tmp_path))
+    assert [c.t_start for c in config.dr_commands] == [61200.0, 72000.0, 64800.0]
+
+
+def test_top_level_must_be_a_mapping():
+    for raw in ([], None, "users"):
+        with pytest.raises(ConfigError) as exc_info:
+            validate_config(raw)
+        assert [e.split(":")[0] for e in exc_info.value.errors] == ["top level"]
+
+
+def test_quoted_numbers_parse():
+    user = {"pod_id": POD1, "pn_w": "3000", "alarm_limit_w": "2.4e3"}
+    raw = {"duration_s": "3600", "users": [user]}
+    config = validate_config(raw)
+    assert config.duration_s == 3600
+    assert (config.users[0].pn_w, config.users[0].alarm_limit_w) == (3000.0, 2400.0)
+
+
+# Real keys reach the readers behind them; `profile_csv` and `dr_feed` are left
+# out because they read files.  Integers stay small or far out of range: a
+# valid fleet of millions of users is legal, only slow to build.
+_TOP_KEYS = "duration_s days tick_s seed channel pairing fleet users dr_commands mevu".split()
+_USER_KEYS = (
+    "pod_id pn_w building_class direction energy_threshold_wh alarm_limit_w tariff battery "
+    "peak_shave_limit_w appliances supply_events revoke_at_s"
+).split()
+_INNER_KEYS = (
+    "loss model p_loss rate_bps mode activation_delay_h count pn_choices_w building_classes "
+    "flat windows capacity_wh id profile_w p_limit_w t_start t_end issuer members window"
+).split()
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-1000, 1000)
+    | st.sampled_from([2**32, 10**9, -(2**63), 10**400])
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["3000", "nan", "-inf", "portal", "gilbert_elliott", "emergency", POD1])
+)
+_KEYS = st.sampled_from(_TOP_KEYS + _USER_KEYS + _INNER_KEYS) | st.text(max_size=8).filter(
+    lambda k: k not in ("profile_csv", "dr_feed")
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+_USERS = st.lists(st.dictionaries(st.sampled_from(_USER_KEYS), _VALUES, max_size=8), max_size=3)
+_NEAR_VALID = st.builds(
+    lambda top, user: {"duration_s": 3600, **top, "users": [{"pod_id": POD1, "pn_w": 3, **user}]},
+    st.dictionaries(st.sampled_from(_TOP_KEYS), _VALUES, max_size=2),
+    st.dictionaries(st.sampled_from(_USER_KEYS), _VALUES, max_size=2),
+)
+_SCENARIOS = (
+    st.dictionaries(st.sampled_from(_TOP_KEYS), _VALUES | _USERS, max_size=8)
+    | _NEAR_VALID
+    | _VALUES
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_SCENARIOS)
+def test_validate_config_returns_a_config_or_raises_config_error(raw):
+    try:
+        config = validate_config(raw)
+    except ConfigError as exc:
+        assert exc.errors and all(isinstance(e, str) for e in exc.errors)
+    else:
+        assert isinstance(config, ScenarioConfig)
 
 
 def test_load_config_reads_yaml(tmp_path):
