@@ -12,10 +12,10 @@ one user after another on the calling thread.  Per-user seeds derive from
 (master seed, pod), so the result does not depend on the order of the user
 list.
 
-A user with no demand-response site, no supply events and no battery peak
-shaving is open loop: nothing it runs reads the meter back, so its power
-series is built up front and `Meter.step_series` steps only the ticks where
-a frame can be emitted.  Every other user is stepped tick by tick.
+The meter never feeds back into power: demand response reaches it only by
+arming an emergency limit, and supply events are injected.  So each user's
+grid power series is built up front, and `Meter.step_series` steps only the
+ticks where a frame can be emitted, over pieces split at those injections.
 
 Statistics follow one frame end to end.  Every frame a meter emits is
 counted as sent under its frame type and the day of the observation it
@@ -41,6 +41,8 @@ import json
 import math
 import os
 import random
+import sys
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Iterable, Sequence
@@ -160,13 +162,27 @@ class ScenarioConfig:
 def load_config(path: str) -> ScenarioConfig:
     """Read and validate a YAML scenario file."""
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: say, an int too long to parse
+            raise ConfigError([f"{path}: {exc}"]) from None
     return validate_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 _REQUIRED = object()
 _FLAGS = {True: True, False: False}
 _LOSS_MODELS = {"bernoulli": BernoulliLoss, "gilbert_elliott": GilbertElliottLoss}
+
+
+def _show(value: Any) -> str:
+    """repr(value); an int with more digits than Python prints (see
+    sys.get_int_max_str_digits) is shown by its digit count."""
+    with contextlib.suppress(ValueError):
+        return repr(value)
+    if type(value) is int:
+        import decimal  # here, not at the top: rarely needed, and 0.3 MB resident
+        return f"an integer of {decimal.Decimal(value).adjusted() + 1} digits"
+    return f"a {type(value).__name__} holding an integer too long to print"
 
 
 def _reader(read_value: Any) -> Any:
@@ -212,21 +228,22 @@ class _Reader:
             x = value  # exact, however large
         elif not math.isfinite(x) or (integer and not x.is_integer()):
             kind = "an integer" if integer else "a finite number"
-            return self.fail(path, f"expected {kind}, got {value!r}")
+            return self.fail(path, f"expected {kind}, got {_show(value)}")
         elif integer:
             x = int(x)
         if not ((gt is None or x > gt) and (ge is None or x >= ge) and (le is None or x <= le)):
             bounds = ((">", gt), (">=", ge), ("<=", le))
             rule = " and ".join(f"{op} {b}" for op, b in bounds if b is not None)
-            return self.fail(path, f"must be {rule}, got {value!r}")
+            return self.fail(path, f"must be {rule}, got {_show(value)}")
         return x
 
     @_reader
     def string(self, value, path):
         """Text; an unquoted YAML number stands for its digits."""
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            return self.fail(path, f"expected a string, got {value!r}")
-        return str(value)
+        with contextlib.suppress(ValueError):  # an int too long to print
+            if not isinstance(value, bool) and isinstance(value, (str, int, float)):
+                return str(value)
+        return self.fail(path, f"expected a string, got {_show(value)}")
 
     @_reader
     def choice(self, value, path, options):
@@ -237,12 +254,12 @@ class _Reader:
         name = value.lower() if isinstance(value, str) else value
         if type(name) in (str, bool) and name in options:
             return options[name]
-        return self.fail(path, f"expected one of {sorted(map(str, options))}, got {value!r}")
+        return self.fail(path, f"expected one of {sorted(map(str, options))}, got {_show(value)}")
 
     @_reader
     def mapping(self, value, path):
         if not isinstance(value, dict):
-            return self.fail(path, f"expected a mapping, got {value!r}")
+            return self.fail(path, f"expected a mapping, got {_show(value)}")
         return value
 
     @_reader
@@ -250,7 +267,7 @@ class _Reader:
         """A list, of exactly `size` items when given."""
         if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
             kind = "a list" if size is None else f"a list of {size}"
-            return self.fail(path, f"expected {kind}, got {value!r}")
+            return self.fail(path, f"expected {kind}, got {_show(value)}")
         return value
 
     @_reader
@@ -437,6 +454,10 @@ def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
         read.fail("duration_s", f"must be a multiple of tick_s, got {duration_s}")
     duration_s = DAY_S if not duration_s or duration_s % tick_s else duration_s
     seed = read.number(raw, "", "seed", 0, integer=True)
+    # seeds.derive hashes the seed's digits; Pythons before 3.10.7 print any int.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if seed is not None and limit and abs(seed) >= 10**limit:
+        read.fail("seed", f"must have at most {limit} digits, got {_show(seed)}")
     channel = _parse_channel(read, raw)
 
     pairing = read.mapping(raw, "", "pairing", {}) or {}
@@ -721,48 +742,91 @@ def _build_profile(spec: UserSpec, config: ScenarioConfig) -> np.ndarray:
             )
         return power[:n]
     rng = np.random.default_rng(derive(config.seed, "profile", spec.pod_id))
-    return household_profile(
-        rng, spec.pn_w, config.duration_s, config.tick_s, spec.building_class
-    )
+    return household_profile(rng, spec.pn_w, config.duration_s, config.tick_s, spec.building_class)
 
 
-def _schedule_appliances(
-    spec: UserSpec, config: ScenarioConfig
-) -> list[tuple[Appliance, int]]:
+def _schedule_appliances(spec: UserSpec, config: ScenarioConfig) -> list[tuple[Appliance, int]]:
     """Pick start slots for the user's appliances (cheapest under the tariff,
     earliest on a flat one); returns (appliance, start slot) pairs."""
     if not spec.appliances:
         return []
     n_slots = config.duration_s // QUARTER_S
-    if spec.tariff is not None:
-        prices = spec.tariff.slot_prices(n_slots)
-    else:
-        prices = [0.0] * n_slots
+    prices = [0.0] * n_slots if spec.tariff is None else spec.tariff.slot_prices(n_slots)
     result = load_shift_schedule(spec.appliances, prices, slot_s=QUARTER_S)
     return [(app, result.starts[app.id]) for app in spec.appliances]
 
 
-def _appliance_power(scheduled, slot: int) -> list[tuple[Appliance, float]]:
-    powers = []
-    for app, start in scheduled:
-        k = slot - start
-        powers.append((app, app.profile_w[k] if 0 <= k < len(app.profile_w) else 0.0))
-    return powers
+def _appliance_power(scheduled, slot: int) -> list[float]:
+    """The power of each scheduled appliance in quarter-hour `slot`."""
+    return [
+        app.profile_w[slot - start] if 0 <= slot - start < len(app.profile_w) else 0.0
+        for app, start in scheduled
+    ]
 
 
-def _open_loop_power(profile: np.ndarray, scheduled, tick: int) -> np.ndarray:
-    """Household plus appliance power per tick, for a user whose automation
-    never reads the meter back: the appliance sum of each slot, in appliance
-    order, added to every tick of the slot."""
+def _load_power(profile: np.ndarray, scheduled, tick: int) -> np.ndarray:
+    """Household plus appliance power per tick: the appliance sum of each
+    slot, in appliance order, added to every tick of the slot."""
     if not scheduled:
         return profile
     per_slot = QUARTER_S // tick
     n_slots = -(-len(profile) // per_slot)
-    slot_w = np.array(
-        [sum(p for _, p in _appliance_power(scheduled, slot)) for slot in range(n_slots)],
-        dtype=np.float64,
-    )
+    slot_w = np.array([sum(_appliance_power(scheduled, s)) for s in range(n_slots)], dtype=float)
     return profile + np.repeat(slot_w, per_slot)[: len(profile)]
+
+
+class _ArmRecorder(dict):
+    """Stands in for the meter in `dr_site_step`: records each emergency
+    limit armed at tick index `i` as {i: (limit_w, until_s)}."""
+
+    i = 0
+
+    def arm_emergency_limit(self, limit_w: float, until_s: float) -> None:
+        self[self.i] = (limit_w, until_s)
+
+
+def _grid_power(
+    spec: UserSpec, config: ScenarioConfig, profile: np.ndarray, scheduled
+) -> tuple[np.ndarray, _ArmRecorder]:
+    """The power the grid supplies at each tick, and the emergency limits
+    demand response arms.  Outside a DR window the grid takes household plus
+    appliance power, peak-shaved for a user with a limit and a battery;
+    inside one, what `dr_site_step` leaves (the battery then belongs to the
+    DR policy: recharging could breach the limit).  The battery state flows
+    through both in tick order.  Nothing here reads the meter back."""
+    tick = config.tick_s
+    power = _load_power(profile, scheduled, tick)
+    battery = spec.battery.build() if spec.battery else None
+    loads = [SiteLoad(app.id, 0.0, app.interruptible, app.controllable) for app, _ in scheduled]
+    site = Site(spec.pod_id, loads, battery)  # demand-response state, shared battery
+    shave_w = spec.peak_shave_limit_w if battery is not None else None
+    ticks = range(0, len(power) * tick, tick)
+    window: dict[int, DrCommand] = {}  # tick index -> the command open at it
+    for cmd in config.dr_commands:
+        for i in range(bisect_left(ticks, cmd.t_start), bisect_left(ticks, cmd.t_end)):
+            window.setdefault(i, cmd)
+    arms = _ArmRecorder()
+    if not window and shave_w is None:
+        return power, arms
+    if power is profile:  # the profile stays the settlement baseline
+        power = profile.copy()
+    # Without shaving, only window ticks and the tick after a window change.
+    after = {i + 1 for i in window if i + 1 < len(power)}
+    for i in range(len(power)) if shave_w is not None else sorted({*window, *after}):
+        t = i * tick
+        cmd = window.get(i)
+        if cmd is not None:
+            for load, p in zip(site.loads, _appliance_power(scheduled, t // QUARTER_S)):
+                load.power_w = p
+            site.base_load_w = float(profile[i])
+            arms.i = i
+            power[i] = dr_site_step(site, cmd, t, tick, arms).p_grid_w
+            continue
+        if i - 1 in window:  # restores the loads the window curtailed
+            dr_site_step(site, None, t, tick)
+        if shave_w is not None:
+            power[i] = peak_shave_step(float(power[i]), shave_w, battery, tick).p_grid_w
+    return power, arms
 
 
 def _run_user(
@@ -781,43 +845,26 @@ def _run_user(
     profile = _build_profile(spec, config)
     baseline = profile if keep_actual else None  # the MEVU settlement baseline
 
-    meter = Meter(
-        spec.pod_id,
-        MeterConfig(
-            pn_w=spec.pn_w,
-            energy_threshold_wh=spec.energy_threshold_wh,
-            tick_s=tick,
-            direction=spec.direction,
-        ),
+    meter_config = MeterConfig(
+        spec.pn_w, energy_threshold_wh=spec.energy_threshold_wh, tick_s=tick, direction=spec.direction
     )
+    meter = Meter(spec.pod_id, meter_config)
     link = Channel(config.channel, derive(config.seed, "channel", spec.pod_id))
-    device = Device(
-        DeviceConfig(
-            paired_pod=spec.pod_id,
-            pn_w=spec.pn_w,
-            alarm_limit_w=spec.alarm_limit_w,
-            tariff=spec.tariff,
-        )
-    )
+    device = Device(DeviceConfig(spec.pod_id, spec.pn_w, spec.alarm_limit_w, tariff=spec.tariff))
 
-    battery = spec.battery.build() if spec.battery else None
     scheduled = _schedule_appliances(spec, config)
-    site = None
-    if config.dr_commands:
-        site = Site(
-            site_id=spec.pod_id,
-            loads=[SiteLoad(app.id, 0.0, app.interruptible, app.controllable) for app, _ in scheduled],
-            battery=battery,
-        )
+    power, arms = _grid_power(spec, config, profile, scheduled)
+    del profile
     events = deque(spec.supply_events)
-    dr_commands = config.dr_commands
 
     sent: Counter = Counter()
     received: Counter = Counter()
     lost: Counter = Counter()
     gated = 0
     pending: deque = deque()  # (t_arrive, raw bytes, type name, day)
-    actual = np.empty(n, dtype=np.float64) if keep_actual else None
+    # What the grid supplied: zero at a tick with the breaker open (a quiet
+    # tick has it closed), the grid power otherwise.
+    actual = power.copy() if keep_actual else None
     processed_log: list[tuple[float, int]] | None = [] if keep_log else None
 
     def send(frame: CompactFrame) -> None:
@@ -849,71 +896,25 @@ def _run_user(
                 if processed_log is not None:
                     processed_log.append((t_arrive, frame.seq))
 
-    # Open loop: nothing the user runs reads the meter back, so the whole
-    # power series is known up front and the meter steps only its breakpoints.
-    open_loop = (
-        site is None
-        and not events
-        and (battery is None or spec.peak_shave_limit_w is None)
-    )
-    if open_loop:
-        power = _open_loop_power(profile, scheduled, tick)
-        del profile
-        if actual is not None:
-            # Quiet ticks keep the supply on; a yielded tick may have it off.
-            actual[:] = power
-        for t, frames in meter.step_series(power, 0):
+    # Split the series wherever something reaches into the meter: at a supply
+    # event, at an emergency limit armed, and where that limit has expired.
+    ticks = range(0, config.duration_s, tick)
+    cuts = {0, n, *(t // tick for t, _ in events if 0 <= t < config.duration_s)}
+    for i, (_, until) in arms.items():
+        cuts.update((i, bisect_left(ticks, until)))
+    cuts = sorted(cuts)
+    for a, b in zip(cuts, cuts[1:]):
+        t = a * tick
+        while events and events[0][0] == t:
+            for frame in meter.apply_supply_event(t, events.popleft()[1]):
+                send(frame)
+        if a in arms:
+            meter.arm_emergency_limit(*arms[a])
+        for t, frames in meter.step_series(power[a:b], t):
             for frame in frames:
                 send(frame)
             if actual is not None and not meter.supply_on:
                 actual[t // tick] = 0.0
-            t_next = t + tick
-            if pending and pending[0][0] <= t_next:
-                drain(t_next)
-    else:
-        power = profile.tolist()
-        del profile
-        step = meter.step
-        for i in range(n):
-            t = i * tick
-            while events and events[0][0] == t:
-                _, kind = events.popleft()
-                for frame in meter.apply_supply_event(t, kind):
-                    send(frame)
-
-            p_house = power[i]
-            if scheduled:
-                slot = t // QUARTER_S
-                app_powers = _appliance_power(scheduled, slot)
-                if site is not None:
-                    for load, (_, p) in zip(site.loads, app_powers):
-                        load.power_w = p
-                else:
-                    p_house += sum(p for _, p in app_powers)
-
-            dr_active = False
-            if site is not None:
-                cmd = next(
-                    (c for c in dr_commands if c.t_start <= t < c.t_end), None
-                )
-                site.base_load_w = p_house
-                result = dr_site_step(site, cmd, t, tick, meter)
-                p_house = result.p_grid_w
-                # While a command window is open the battery belongs to the DR
-                # policy; opportunistic recharging must not breach the limit.
-                dr_active = result.in_window
-
-            if battery is not None and spec.peak_shave_limit_w is not None and not dr_active:
-                p_house = peak_shave_step(
-                    p_house, spec.peak_shave_limit_w, battery, tick
-                ).p_grid_w
-
-            for frame in step(p_house, t):
-                send(frame)
-            if actual is not None:
-                # What the grid actually supplied: zero for any tick with the
-                # breaker open, the policy output otherwise.
-                actual[i] = p_house if meter.supply_on else 0.0
             t_next = t + tick
             if pending and pending[0][0] <= t_next:
                 drain(t_next)
@@ -1120,14 +1121,9 @@ def _write_settlement(
     tick = config.tick_s
     i0 = int(spec.window[0]) // tick
     i1 = int(spec.window[1]) // tick
-    baselines: dict[str, np.ndarray] = {}
-    actuals: dict[str, np.ndarray] = {}
-    by_pod = {r.pod_id: r for r in results}
-    for pod in spec.members:
-        result = by_pod[pod]
-        assert result.profile_w is not None and result.actual_w is not None
-        baselines[pod] = result.profile_w[i0:i1]
-        actuals[pod] = result.actual_w[i0:i1]
+    by_pod = {r.pod_id: r for r in results}  # members keep both series
+    baselines = {pod: by_pod[pod].profile_w[i0:i1] for pod in spec.members}
+    actuals = {pod: by_pod[pod].actual_w[i0:i1] for pod in spec.members}
     cluster = MevuCluster(
         cluster_id="cluster-0",
         members=spec.members,

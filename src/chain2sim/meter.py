@@ -46,7 +46,8 @@ breakpoint ticks, where a frame can be emitted or the countdown can change:
 
 Between breakpoints the quarter and total energy advance by `np.cumsum`,
 which adds in sequence and so matches `step`'s `+=` bit for bit.  While the
-supply is off or an emergency limit is armed, every tick is stepped.
+supply is off or an emergency limit is armed, every tick to the end of the
+series is stepped, so a caller splits the series where it injects events.
 """
 
 from __future__ import annotations
@@ -372,9 +373,9 @@ class Meter:
 
         Yields `(t, frames)` for each breakpoint tick (see the module
         docstring); every other tick emits nothing.  The result equals calling
-        `step(power[i], t0 + i * tick_s)` for every i.  The caller may inject
-        supply events or arm an emergency limit between yields, but must not
-        step the meter itself until the series is exhausted.
+        `step(power[i], t0 + i * tick_s)` for every i.  Inject supply events
+        or arm an emergency limit only before a call, never between yields:
+        to inject at a later tick, split the series there.
         """
         p = np.asarray(power, dtype=np.float64)
         tick = self.config.tick_s

@@ -44,6 +44,18 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "tick_s" in capsys.readouterr().err
 
 
+def test_simulate_reports_unreadable_yaml_as_a_config_error(tmp_path, capsys):
+    # A YAML syntax error, and an int with more digits than Python will parse.
+    texts = {"cut.yaml": "duration_s: 3600\nusers: [", "big.yaml": f"seed: {'9' * 5000}\n"}
+    for name, text in texts.items():
+        config = tmp_path / name
+        config.write_text(text)
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid config:\n  {config}: ")
+        assert "Traceback" not in err
+
+
 def test_campaign_smoke(tmp_path, capsys):
     out = tmp_path / "camp"
     code = main(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chain2sim.automation import DrCommand
+from chain2sim.automation import DrCommand, Site, SiteLoad, dr_site_step, peak_shave_step
 from chain2sim.channel import BernoulliLoss, ChannelConfig
 from chain2sim.frames import SupplyEventKind
+from chain2sim.meter import Meter, MeterConfig
 from chain2sim import harness
 from chain2sim.harness import (
     CampaignReport,
@@ -230,6 +232,9 @@ def _user(**fields):
         ),
         ({"channel": {"rate_bps": float("nan")}}, "channel.rate_bps"),
         ({"duration_s": _DROP, "days": 1_000_000_000}, "duration_s"),
+        # Ints with more digits than Python prints (sys.get_int_max_str_digits).
+        ({"duration_s": 10**5000}, "duration_s"),
+        ({"seed": 10**5000}, "seed"),
     ],
 )
 def test_malformed_fields_are_config_errors(overrides, field):
@@ -552,12 +557,28 @@ def test_report_csv_shape():
     assert float(rate) == pytest.approx(report.totals.success_rate, abs=1e-6)
 
 
+def _per_tick_series(calls):
+    """A stand-in for Meter.step_series that steps every tick, as the oracle."""
+
+    def per_tick(meter, power, t0):
+        calls.append(meter.pod_id)
+        tick_s = meter.config.tick_s
+        for i, p in enumerate(np.asarray(power).tolist()):
+            yield t0 + i * tick_s, meter.step(p, t0 + i * tick_s)
+
+    return per_tick
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
 def test_open_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
     """Breakpoint stepping gives the same output tree as stepping every tick,
     for plain users with appliances, a CSV profile (one that trips the
     breaker) and an energy threshold, settled as a flexibility cluster.  A
-    third run takes the harness's own per-tick loop, which also checks how
-    the open-loop path builds the power series and the metered series."""
+    third run makes every user a demand-response site whose window opens
+    after the run, which must change nothing."""
     tick = 60
     duration = 2 * 86400
     profile = household_profile(np.random.default_rng(11), 3000.0, duration, tick_s=tick)
@@ -594,28 +615,169 @@ def test_open_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
     run(config, out_dir=str(tmp_path / "series"))
 
     calls = []
-
-    def per_tick(meter, power, t0):
-        calls.append(meter.pod_id)
-        tick_s = meter.config.tick_s
-        for i, p in enumerate(np.asarray(power).tolist()):
-            yield t0 + i * tick_s, meter.step(p, t0 + i * tick_s)
-
-    monkeypatch.setattr(harness.Meter, "step_series", per_tick)
+    monkeypatch.setattr(harness.Meter, "step_series", _per_tick_series(calls))
     run(config, out_dir=str(tmp_path / "per_tick"))
     assert sorted(calls) == pods
-
-    def tree(root):
-        return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
-
-    series = tree(tmp_path / "series")
-    assert series == tree(tmp_path / "per_tick")
+    series = _tree(tmp_path / "series")
+    assert series == _tree(tmp_path / "per_tick")
     # A DR command that opens after the run makes every user a DR site, which
-    # the harness steps tick by tick, without changing any power it meters.
+    # goes through step_series like any user, without changing any power.
     late = replace(config, dr_commands=(DrCommand(1000.0, duration, duration + 900),))
     calls.clear()
     run(late, out_dir=str(tmp_path / "closed_loop"))
-    assert calls == []
-    assert series == tree(tmp_path / "closed_loop")
+    assert sorted(calls) == pods
+    assert series == _tree(tmp_path / "closed_loop")
     events = series[Path("users", pods[1], "events.csv")].decode()
     assert "interruption_start" in events
+
+
+def _per_tick_loop(spec, config):
+    """A user's grid power, emergency arms and metered series as a loop over
+    every tick finds them: supply events, then `dr_site_step` (with no
+    command outside a window), then peak shaving outside windows, then
+    `Meter.step`.  Arms are recorded as {tick index: (limit_w, until_s)}."""
+    tick = config.tick_s
+    profile = harness._build_profile(spec, config)
+    scheduled = harness._schedule_appliances(spec, config)
+    battery = spec.battery.build() if spec.battery else None
+    loads = [SiteLoad(a.id, 0.0, a.interruptible, a.controllable) for a, _ in scheduled]
+    site = Site(spec.pod_id, loads, battery)
+    threshold = spec.energy_threshold_wh
+    meter = Meter(spec.pod_id, MeterConfig(spec.pn_w, energy_threshold_wh=threshold, tick_s=tick))
+    arms = {}
+
+    def arm(limit_w, until_s):  # record the arm, then arm the meter
+        arms[i] = (limit_w, until_s)
+        Meter.arm_emergency_limit(meter, limit_w, until_s)
+
+    meter.arm_emergency_limit = arm
+    grid, actual = [], []
+    for i, p_house in enumerate(profile.tolist()):
+        t = i * tick
+        for _, kind in (e for e in spec.supply_events if e[0] == t):
+            meter.apply_supply_event(t, kind)
+        slot = t // 900
+        for load, (app, start) in zip(site.loads, scheduled):
+            k = slot - start
+            load.power_w = app.profile_w[k] if 0 <= k < len(app.profile_w) else 0.0
+        site.base_load_w = p_house
+        cmd = next((c for c in config.dr_commands if c.t_start <= t < c.t_end), None)
+        result = dr_site_step(site, cmd, t, tick, meter)
+        p = result.p_grid_w
+        if battery is not None and spec.peak_shave_limit_w is not None and not result.in_window:
+            p = peak_shave_step(p, spec.peak_shave_limit_w, battery, tick).p_grid_w
+        meter.step(p, t)
+        grid.append(p)
+        actual.append(p if meter.supply_on else 0.0)
+    return np.array(grid), arms, np.array(actual)
+
+
+def test_closed_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
+    """Users with demand response, peak shaving and supply events: the grid
+    power built up front equals a loop over every tick, and stepping the
+    meter over pieces split at events and emergency arms gives the same
+    output tree as stepping every tick."""
+    tick = 60
+    duration = 2 * 86400
+    battery = {"capacity_wh": 3000, "p_charge_max_w": 1500, "p_discharge_max_w": 1500}
+    pods = ["IT001E00000021", "IT001E00000022", "IT001E00000023", "IT001E00000024"]
+    raw = {
+        "duration_s": duration,
+        "tick_s": tick,
+        "seed": 9,
+        "channel": {"loss": {"model": "bernoulli", "p_loss": 0.02}},
+        "users": [
+            {
+                "pod_id": pods[0],
+                "pn_w": 3000,
+                "battery": {**battery, "efficiency": 0.9, "soc_wh": 1500},
+                "peak_shave_limit_w": 1800,
+                "appliances": [
+                    {"id": "wash", "profile_w": [1800, 2200, 300], "earliest_start_s": 35100},
+                    {"id": "ev", "profile_w": [2000] * 8, "earliest_start_s": 36000,
+                     "interruptible": True},
+                ],
+                # An outage from the first tick.
+                "supply_events": [[0, "interruption_start"], [600, "interruption_end"]],
+            },
+            {
+                "pod_id": pods[1],
+                "pn_w": 3000,
+                "appliances": [
+                    {"id": "heater", "profile_w": [2500] * 3, "earliest_start_s": 39600,
+                     "controllable": False},
+                    {"id": "wash", "profile_w": [1500] * 4, "earliest_start_s": 36000,
+                     "interruptible": True},
+                ],
+                # On the emergency arm tick, then while the emergency limit
+                # holds the breaker open: a start that changes nothing, an
+                # end that closes it (until the limit trips it again), and
+                # an end after the window.
+                "supply_events": [
+                    [39600, "voltage_event"],
+                    [40200, "interruption_start"],
+                    [40500, "interruption_end"],
+                    [43200, "interruption_end"],
+                ],
+            },
+            {
+                "pod_id": pods[2],
+                "pn_w": 4500,
+                "energy_threshold_wh": 5000,
+                "battery": battery,
+                "supply_events": [[43200, "interruption_end"]],  # after an emergency trip
+                "appliances": [
+                    {"id": "dry", "profile_w": [2500, 2500], "earliest_start_s": 49500},
+                    {"id": "pump", "profile_w": [700] * 24, "earliest_start_s": 49500,
+                     "interruptible": True},
+                ],
+            },
+            # Peak shaving with no appliance: the settlement baseline is the
+            # very profile array the grid power starts from.
+            {"pod_id": pods[3], "pn_w": 3000, "battery": battery, "peak_shave_limit_w": 600},
+        ],
+        "dr_commands": [
+            # Back to back: curtailments carry from one window to the next.
+            {"p_limit_w": 1200, "t_start": 36000, "t_end": 39600},
+            {"p_limit_w": 1000, "t_start": 39600, "t_end": 41400, "issuer": "emergency"},
+            {"p_limit_w": 1500, "t_start": 49980.5, "t_end": 54000},
+            # A load curtailed in the window above runs again in this one.
+            {"p_limit_w": 1500, "t_start": 54900, "t_end": 57600},
+            {"p_limit_w": 800, "t_start": duration - 7200, "t_end": duration + 7200},
+        ],
+        "mevu": {
+            "members": pods,
+            "capacity_offer_w": 500,
+            "energy_price_eur_per_wh": 0.0002,
+            "capacity_price_eur_per_w_h": 0.0001,
+            "window": [0, duration],
+        },
+    }
+    config = validate_config(raw)
+    _, details = run(config, out_dir=str(tmp_path / "series"), with_details=True)
+    results = {result.pod_id: result for result in details.user_results}
+    for spec in config.users:
+        result = results[spec.pod_id]
+        profile = harness._build_profile(spec, config)
+        assert result.profile_w.tobytes() == profile.tobytes()
+        scheduled = harness._schedule_appliances(spec, config)
+        power, arms = harness._grid_power(spec, config, profile, scheduled)
+        want_power, want_arms, want_actual = _per_tick_loop(spec, config)
+        assert power.tobytes() == want_power.tobytes()
+        assert dict(arms) == want_arms == {39600 // tick: (1000.0, 41400.0)}
+        assert result.actual_w.tobytes() == want_actual.tobytes()
+
+    calls = []
+    monkeypatch.setattr(harness.Meter, "step_series", _per_tick_series(calls))
+    run(config, out_dir=str(tmp_path / "per_tick"))
+    series = _tree(tmp_path / "series")
+    assert series == _tree(tmp_path / "per_tick")
+    # Pieces start at 0, at each event, at the arm (39600) and at its expiry.
+    assert Counter(calls) == {pods[0]: 4, pods[1]: 6, pods[2]: 4, pods[3]: 3}
+    trips = [
+        line for line in series[Path("users", pods[1], "events.csv")].decode().splitlines()
+        if line.endswith(",interruption_start,")
+    ]
+    # The emergency limit opens the breaker twice; both trips fall in the window.
+    assert [int(line.split(",")[0]) for line in trips] == [39720, 40620]
+    assert Path("settlement.csv") in series

@@ -412,8 +412,15 @@ def series_cases(draw):
     return tick, pn, threshold, powers, warmup, t0, emergency
 
 
-def _drive_meter(case, use_series):
+def _drive_meter(case, use_series, injections=None):
+    """Drive a meter over the case's series; return the described frames, the
+    error raised, if any, and the final state.  `injections` maps a series
+    tick index to `(kind, limit)`: before that tick, the supply event `kind`
+    and then an emergency `(limit_w, ticks)` armed for that many ticks, each
+    optional.  The series is split there, and each piece stepped in one
+    `step_series` call or tick by tick."""
     tick, pn, threshold, powers, warmup, t0, emergency = case
+    injections = injections or {}
     meter = make_meter(pn_w=pn, tick_s=tick, energy_threshold_wh=threshold)
     for i, p in enumerate(warmup):
         meter.step(p, t0 + i * tick)
@@ -422,14 +429,22 @@ def _drive_meter(case, use_series):
         meter.arm_emergency_limit(emergency[0], until_s=start + emergency[1] * tick)
     described = []
     error = None
+    cuts = sorted({0, len(powers), *injections})
     try:
-        if use_series:
-            for t, frames in meter.step_series(np.array(powers), start):
-                described.extend(describe_frame(f) for f in frames)
-                assert all(f.timestamp in (t, t + tick) for f in frames)
-        else:
-            for i, p in enumerate(powers):
-                described.extend(describe_frame(f) for f in meter.step(p, start + i * tick))
+        for a, b in zip(cuts, cuts[1:]):
+            t_a = start + a * tick
+            kind, limit = injections.get(a, (None, None))
+            if kind is not None:
+                described.extend(describe_frame(f) for f in meter.apply_supply_event(t_a, kind))
+            if limit is not None:
+                meter.arm_emergency_limit(limit[0], until_s=t_a + limit[1] * tick)
+            if use_series:
+                for t, frames in meter.step_series(np.array(powers[a:b]), t_a):
+                    described.extend(describe_frame(f) for f in frames)
+                    assert all(f.timestamp in (t, t + tick) for f in frames)
+            else:
+                for i, p in enumerate(powers[a:b]):
+                    described.extend(describe_frame(f) for f in meter.step(p, t_a + i * tick))
     except (ValueError, OverflowError) as exc:
         error = (type(exc), str(exc))
     state = (
@@ -457,3 +472,22 @@ def _drive_meter(case, use_series):
 @example((60, 3000.0, None, [0.0, 0.0, -5e-324, 0.0], [], 0, None))
 def test_step_series_matches_the_per_tick_loop(case):
     assert _drive_meter(case, use_series=True) == _drive_meter(case, use_series=False)
+
+
+@st.composite
+def split_cases(draw):
+    """A series case and the injections that split it (see `_drive_meter`)."""
+    case = draw(series_cases())
+    pn, n = case[1], len(case[3])
+    injection = st.tuples(
+        st.none() | st.sampled_from(SupplyEventKind),
+        st.none() | st.tuples(st.floats(0.3 * pn, pn), st.integers(0, 50)),
+    )
+    return case, draw(st.dictionaries(st.integers(0, n - 1), injection, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_cases())
+def test_step_series_split_at_injections_matches_the_per_tick_loop(split_case):
+    case, injections = split_case
+    assert _drive_meter(case, True, injections) == _drive_meter(case, False, injections)
