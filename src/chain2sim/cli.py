@@ -25,24 +25,20 @@ from dataclasses import replace
 from chain2sim import harness, portal as portal_mod, taxonomy
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
+    """`simulate` a scenario file or run the stock `campaign`."""
     try:
-        config = harness.load_config(args.config)
+        if args.command == "campaign":
+            config = harness.default_campaign(
+                args.users, args.days, args.loss, tick_s=args.tick, seed=args.seed
+            )
+        else:
+            config = harness.load_config(args.config)
     except harness.ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    report = harness.run(config, out_dir=args.out)
-    print(report.to_table_text(), end="")
-    print(f"\nreport written to {os.path.join(args.out, 'report.csv')}")
-    return 0
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    config = harness.default_campaign(
-        args.users, args.days, args.loss, tick_s=args.tick, seed=args.seed
-    )
     report = harness.run(config, out_dir=args.out)
     print(report.to_table_text(), end="")
     print(f"\nreport written to {os.path.join(args.out, 'report.csv')}")
@@ -148,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="scenario YAML file")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_run)
 
     p_camp = sub.add_parser("campaign", help="run the stock multi-user campaign")
     p_camp.add_argument("--users", type=int, required=True)
@@ -157,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--tick", type=int, default=60, help="sampling tick in seconds")
     p_camp.add_argument("--seed", type=int, default=42)
     p_camp.add_argument("--out", default="campaign-out", help="output directory")
-    p_camp.set_defaults(func=_cmd_campaign)
+    p_camp.set_defaults(func=_cmd_run)
 
     p_tax = sub.add_parser("taxonomy", help="browse the use-case catalogue")
     tax_sub = p_tax.add_subparsers(dest="tax_cmd", required=True)

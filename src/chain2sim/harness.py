@@ -161,11 +161,12 @@ class ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     """Read and validate a YAML scenario file."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = yaml.safe_load(fh)
-        except (yaml.YAMLError, ValueError) as exc:  # ValueError: say, an int too long to parse
-            raise ConfigError([f"{path}: {exc}"]) from None
+    # OSError: an unreadable file; ValueError: say, an int too long to parse.
+    except (OSError, yaml.YAMLError, ValueError) as exc:
+        raise ConfigError([f"{path}: {exc}"]) from None
     return validate_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
@@ -589,23 +590,13 @@ def default_campaign(
     seed: int = 42,
 ) -> ScenarioConfig:
     """The stock multi-user campaign: mixed contract sizes and building
-    classes, a share of users with energy alarms, plain consumption only."""
-    loss = BernoulliLoss(p_loss) if p_loss > 0 else None
-    return ScenarioConfig(
-        duration_s=days * DAY_S,
-        tick_s=tick_s,
-        seed=seed,
-        users=tuple(
-            _fleet_users(
-                n_users,
-                [3000.0, 4500.0, 6000.0],
-                list(PRESETS),
-                threshold_fraction=0.5,
-                alarm_fraction=0.34,
-            )
-        ),
-        channel=ChannelConfig(loss=loss),
-    )
+    classes, a share of users with energy alarms, plain consumption only.
+    Checked like a scenario file, so a bad argument raises ConfigError."""
+    fractions = {"energy_threshold_fraction": 0.5, "alarm_limit_fraction": 0.34}
+    raw = {"fleet": {"count": n_users, **fractions}, "days": days, "tick_s": tick_s, "seed": seed}
+    if p_loss != 0:
+        raw["channel"] = {"loss": {"model": "bernoulli", "p_loss": p_loss}}
+    return validate_config(raw)
 
 
 # -- Statistics -----------------------------------------------------------------
@@ -862,8 +853,8 @@ def _run_user(
     lost: Counter = Counter()
     gated = 0
     pending: deque = deque()  # (t_arrive, raw bytes, type name, day)
-    # What the grid supplied: zero at a tick with the breaker open (a quiet
-    # tick has it closed), the grid power otherwise.
+    # What the grid supplied: zero at a tick with the breaker open, the grid
+    # power otherwise.
     actual = power.copy() if keep_actual else None
     processed_log: list[tuple[float, int]] | None = [] if keep_log else None
 
@@ -897,12 +888,9 @@ def _run_user(
                     processed_log.append((t_arrive, frame.seq))
 
     # Split the series wherever something reaches into the meter: at a supply
-    # event, at an emergency limit armed, and where that limit has expired.
-    ticks = range(0, config.duration_s, tick)
-    cuts = {0, n, *(t // tick for t, _ in events if 0 <= t < config.duration_s)}
-    for i, (_, until) in arms.items():
-        cuts.update((i, bisect_left(ticks, until)))
-    cuts = sorted(cuts)
+    # event and at an emergency limit armed.  The meter itself finds the tick
+    # where a limit expires.
+    cuts = sorted({0, n, *arms, *(t // tick for t, _ in events if 0 <= t < config.duration_s)})
     for a, b in zip(cuts, cuts[1:]):
         t = a * tick
         while events and events[0][0] == t:
@@ -910,14 +898,17 @@ def _run_user(
                 send(frame)
         if a in arms:
             meter.arm_emergency_limit(*arms[a])
+        opened = b  # only a supply event closes the breaker, so it stays open to b
         for t, frames in meter.step_series(power[a:b], t):
             for frame in frames:
                 send(frame)
-            if actual is not None and not meter.supply_on:
-                actual[t // tick] = 0.0
+            if opened == b and not meter.supply_on:
+                opened = t // tick
             t_next = t + tick
             if pending and pending[0][0] <= t_next:
                 drain(t_next)
+        if actual is not None:
+            actual[opened:b] = 0.0
     drain(float("inf"))
 
     # Per-link reconciliation; a failure here is a pipeline bug.

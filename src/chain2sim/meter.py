@@ -36,23 +36,28 @@ gives exactly what `step` gives when called for every tick: the same frames,
 the same exceptions and the same final state.  It runs `step` only at
 breakpoint ticks, where a frame can be emitted or the countdown can change:
 
-    the first tick;
+    the first tick and the last;
     a band change;
-    a sample above overrun_factor * pn_w, and the tick after one;
+    a sample above the overrun reference, and the tick after one;
     an edge of power > pn_w;
     a tick that closes a quarter;
     the first tick whose cumulative energy reaches energy_threshold_wh;
-    a negative, NaN or infinite sample (`step` raises on it).
+    the tick where an emergency limit expires;
+    a sample `step` rejects (it raises there).
 
-Between breakpoints the quarter and total energy advance by `np.cumsum`,
-which adds in sequence and so matches `step`'s `+=` bit for bit.  While the
-supply is off or an emergency limit is armed, every tick to the end of the
-series is stepped, so a caller splits the series where it injects events.
+The analysis reads the state it starts from: with the breaker open the meter
+samples 0 W, so only quarter closes break, and only a negative sample is
+rejected; with a limit armed the reference is the limit.  When a step opens
+the breaker or lets the limit expire, the rest of the series is analysed
+again from the next tick.  Between breakpoints the quarter and total energy
+advance by `np.cumsum`, which adds in sequence and so matches `step`'s `+=`
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -381,62 +386,55 @@ class Meter:
         tick = self.config.tick_s
         # Through the class, so a wrapper installed on Meter.step sees every call.
         step = Meter.step
-        ticks, m, quarter_last, total_last = self._breakpoints(p, t0)
-        start = 0
-        for i, p_i, quarter_ws, total_ws in ticks:
-            t = t0 + i * tick
-            if i > start:  # quiet ticks since the last step
-                self._quarter_acc_ws = quarter_ws
-                self._total_acc_ws = total_ws
-                self._next_t = t
-            yield t, step(self, p_i, t)
-            start = i + 1
-            # The breakpoints assume the supply on and the default reference.
-            if not self.supply_on or self._em_limit_w is not None:
-                break
-        else:
-            if start < m:
-                self._quarter_acc_ws = quarter_last
-                self._total_acc_ws = total_last
-                self._next_t = t0 + m * tick
-            start = m
-        for i, p_i in enumerate(p[start:].tolist(), start):
-            t = t0 + i * tick
-            yield t, step(self, p_i, t)
+        while p.size:
+            state = (self.supply_on, self._em_limit_w)
+            start = 0  # the first tick of p not stepped yet
+            for i, p_i, quarter_ws, total_ws in self._breakpoints(p, t0):
+                t = t0 + i * tick
+                if i > start:  # quiet ticks since the last step
+                    self._quarter_acc_ws = quarter_ws
+                    self._total_acc_ws = total_ws
+                    self._next_t = t
+                yield t, step(self, p_i, t)
+                start = i + 1
+                if (self.supply_on, self._em_limit_w) != state:
+                    break  # a cut or an expiry: analyse again from the next tick
+            p, t0 = p[start:], t0 + start * tick
 
-    def _breakpoints(
-        self, p: np.ndarray, t0: int
-    ) -> tuple[list[tuple[int, float, float, float]], int, float, float]:
-        """Breakpoint ticks of `p` from the meter's current state, for as long
-        as the supply stays on and no emergency limit is armed.
+    def _breakpoints(self, p: np.ndarray, t0: int) -> list[tuple[int, float, float, float]]:
+        """Breakpoint ticks of a non-empty `p` from the meter's current state,
+        as `(i, p[i], quarter_ws, total_ws)`, where the two accumulators are
+        their values just before tick i when tick i - 1 is quiet.
 
-        Returns `(ticks, m, quarter_last, total_last)`.  `ticks` holds
-        `(i, p[i], quarter_ws, total_ws)` per breakpoint, where the two
-        accumulators are their values just before tick i when tick i - 1 is
-        quiet.  Only the first `m` ticks are analysed: the series, or up to
-        its first sample `step` rejects.  `quarter_last` and `total_last` are
-        the accumulators after tick m - 1.
+        The analysis holds while the breaker and the emergency limit stay as
+        they are: an open breaker samples 0 W, and an armed limit is the
+        overrun reference until the tick where it expires.  It ends at the
+        first sample `step` rejects.
         """
         cfg = self.config
         tick = cfg.tick_s
         pn = cfg.pn_w
-        bad = np.flatnonzero(~(p >= 0.0) | (p == np.inf))
+        if self.supply_on:
+            bad = np.flatnonzero(~(p >= 0.0) | (p == np.inf))
+        else:
+            bad = np.flatnonzero(p < 0.0)  # step takes NaN and inf with the breaker open
         m = int(bad[0]) + 1 if bad.size else len(p)
-        if m == 0:
-            return [], 0, self._quarter_acc_ws, self._total_acc_ws
-        x = p[:m]
+        x = p[:m] if self.supply_on else np.zeros(m)
+        limit = self._em_limit_w
         with np.errstate(over="ignore", invalid="ignore"):
             band = np.floor((10.0 * x) / pn)
             np.minimum(band, 10.0, out=band)
             over_pn = x > pn
-            over_ref = x > cfg.overrun_factor * pn
+            over_ref = x > (cfg.overrun_factor * pn if limit is None else limit)
             mask = over_ref.copy()
             # The tick after an overrun clears its deadline or opens the breaker.
             mask[1:] |= over_ref[:-1]
             mask[1:] |= band[1:] != band[:-1]
             mask[1:] |= over_pn[1:] != over_pn[:-1]
-            mask[0] = True
-            mask[m - 1] |= bad.size > 0
+            mask[0] = mask[m - 1] = True
+            if limit is not None:
+                expiry = bisect_left(range(t0, t0 + m * tick, tick), self._em_until)
+                mask[expiry : expiry + 1] = True  # nothing when it expires later
             del band, over_pn, over_ref
             ticks_per_quarter = QUARTER_S // tick
             offset = (t0 % QUARTER_S) // tick
@@ -465,12 +463,11 @@ class Meter:
 
         idx = np.flatnonzero(mask)
         before = idx - 1  # wraps to -1 for tick 0, which is never set
-        ticks = list(
+        return list(
             zip(
                 idx.tolist(),
-                x[idx].tolist(),
+                p[idx].tolist(),  # the real samples: step checks them
                 quarter[before].tolist(),
                 total[before].tolist(),
             )
         )
-        return ticks, m, float(quarter[-1]), float(total[-1])

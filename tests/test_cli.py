@@ -56,6 +56,33 @@ def test_simulate_reports_unreadable_yaml_as_a_config_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--tick", "7", "tick_s"),
+        ("--loss", "2", "channel.loss.p_loss"),
+        ("--loss", "-0.5", "channel.loss.p_loss"),
+        ("--users", "0", "fleet.count"),
+        ("--days", "0", "duration_s"),
+    ],
+)
+def test_campaign_rejects_bad_arguments(tmp_path, capsys, flag, value, field):
+    args = ["campaign", "--users", "2", "--days", "1", "--loss", "0.01", "--out", str(tmp_path / "o")]
+    assert main([*args, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config:\n  {field}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_reports_a_missing_config_file(tmp_path, capsys):
+    config = tmp_path / "missing.yaml"
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid config:\n  {config}: ")
+    assert "Traceback" not in err
+
+
 def test_campaign_smoke(tmp_path, capsys):
     out = tmp_path / "camp"
     code = main(

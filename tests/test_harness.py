@@ -772,8 +772,9 @@ def test_closed_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
     run(config, out_dir=str(tmp_path / "per_tick"))
     series = _tree(tmp_path / "series")
     assert series == _tree(tmp_path / "per_tick")
-    # Pieces start at 0, at each event, at the arm (39600) and at its expiry.
-    assert Counter(calls) == {pods[0]: 4, pods[1]: 6, pods[2]: 4, pods[3]: 3}
+    # Pieces start at 0, at each event and at the arm (39600); the meter finds
+    # the limit's expiry inside its piece.
+    assert Counter(calls) == {pods[0]: 3, pods[1]: 5, pods[2]: 3, pods[3]: 2}
     trips = [
         line for line in series[Path("users", pods[1], "events.csv")].decode().splitlines()
         if line.endswith(",interruption_start,")

@@ -470,6 +470,10 @@ def _drive_meter(case, use_series, injections=None):
 @example((50, 3000.0, None, [0.0] * 10 + [3301.0] * 8, [], 50, None))
 # A negative sample so small that its band computes as -0.0, equal to band 0.
 @example((60, 3000.0, None, [0.0, 0.0, -5e-324, 0.0], [], 0, None))
+# A warm-up overrun opens the breaker at t=120; with it open, the tiniest
+# negative sample is still rejected, while NaN and inf are taken.
+@example((60, 3000.0, None, [0.0, -5e-324, 0.0], [9000.0] * 3, 0, None))
+@example((60, 3000.0, None, [0.0, math.nan, math.inf, 0.0], [9000.0] * 3, 0, None))
 def test_step_series_matches_the_per_tick_loop(case):
     assert _drive_meter(case, use_series=True) == _drive_meter(case, use_series=False)
 
@@ -491,3 +495,24 @@ def split_cases(draw):
 def test_step_series_split_at_injections_matches_the_per_tick_loop(split_case):
     case, injections = split_case
     assert _drive_meter(case, True, injections) == _drive_meter(case, False, injections)
+
+
+def test_step_series_keeps_breakpoints_after_a_cut_and_under_a_limit(monkeypatch):
+    """An open breaker or an armed limit does not make `step_series` step
+    every tick: one quiet day at 60 s is 1440 ticks."""
+    day = np.full(1440, 500.0)
+    cut = make_meter(tick_s=60)
+    drive(cut, [9000.0] * 3)  # the third tick opens the breaker
+    assert not cut.supply_on
+    limited = make_meter(tick_s=60)
+    limited.arm_emergency_limit(1000.0, until_s=600.0)  # expires at tick 10
+
+    calls = []
+    step = Meter.step
+    monkeypatch.setattr(Meter, "step", lambda self, p, t: calls.append(t) or step(self, p, t))
+    list(cut.step_series(day, 180))
+    assert len(calls) <= 98  # the first and last ticks and 96 quarter closes
+    calls.clear()
+    list(limited.step_series(day, 0))
+    assert limited.emergency_limit_w is None
+    assert len(calls) <= 110
