@@ -75,7 +75,7 @@ class ChannelConfig:
             raise ValueError(f"proc_delay_s must be >= 0, got {self.proc_delay_s}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TransmitVerdict:
     delivered: bool
     t_arrive: float | None

@@ -39,7 +39,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    report = harness.run(config, out_dir=args.out)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        report = harness.run(config, out_dir=args.out)
+    except OSError as exc:
+        print(f"cannot write outputs to {args.out}: {exc}", file=sys.stderr)
+        return 2
     print(report.to_table_text(), end="")
     print(f"\nreport written to {os.path.join(args.out, 'report.csv')}")
     return 0

@@ -133,7 +133,7 @@ class Notification:
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QuarterRecord:
     energy_wh: int
     direction: EnergyDirection

@@ -31,6 +31,10 @@ rate a T1 frame (240 bits) serializes in 50 ms.
 
 Timestamps are scenario-epoch seconds, never wall clock, so encoded
 byte streams are fully reproducible.  All functions here are pure.
+
+The frame records (`CompactFrame` and the payloads) are slotted value
+records, built once and never changed: they compare by type and fields, and
+are not hashable.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ VERSION = 0x01
 
 POD_ID_LEN = 14
 
-_U8 = 0xFF
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
 
@@ -122,7 +125,7 @@ class FieldValueError(FrameDecodeError):
 # -- Frame model --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class T1Payload:
     """Closed quarter-hour energy, 0-95 within the day."""
 
@@ -131,7 +134,7 @@ class T1Payload:
     direction: EnergyDirection = EnergyDirection.WITHDRAWN
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class T2Payload:
     """Band crossing: `band_index` is the k of the k*Pn/10 threshold crossed."""
 
@@ -140,13 +143,13 @@ class T2Payload:
     direction: CrossingDirection
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class T3Payload:
     cause: ExceedanceCause
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class T4Payload:
     """Supply event; `duration_s` only accompanies an interruption end."""
 
@@ -164,7 +167,7 @@ _PAYLOAD_TYPE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CompactFrame:
     """One telemetry message.  `seq` is a single monotone counter per meter,
     shared by all frame types, so the receiver can detect losses as gaps."""

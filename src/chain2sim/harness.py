@@ -4,7 +4,7 @@ A scenario is a fleet of independent user pipelines advanced over a common
 tick grid:
 
     profile -> (DR curtailment) -> (peak shaving) -> meter.step
-            -> encode -> channel -> decode -> portal gate -> device
+            -> encode -> channel -> decode -> pairing gate -> device
 
 Users never interact (demand-response commands are broadcast but applied
 per site), so the runner simulates each link start to finish on its own,
@@ -16,11 +16,16 @@ The meter never feeds back into power: demand response reaches it only by
 arming an emergency limit, and supply events are injected.  So each user's
 grid power series is built up front, and `Meter.step_series` steps only the
 ticks where a frame can be emitted, over pieces split at those injections.
+Each frame goes through the channel to the device as soon as it is sent.
+The device sees the same frames in the same order as a receiver that waits
+for each arrival: the link is FIFO (arrival times rise in send order) and
+nothing reads the device during a run.  The gate is the user's pairing
+window from the portal, fixed before any user runs.
 
 Statistics follow one frame end to end.  Every frame a meter emits is
 counted as sent under its frame type and the day of the observation it
 reports; it is counted as received only if the channel delivered it, the
-portal admitted it and the device processed it.  At the end of a run the
+pairing gate admitted it and the device processed it.  At the end of a run the
 books must balance per link:
 
     sent = delivered + lost
@@ -823,14 +828,13 @@ def _grid_power(
 def _run_user(
     spec: UserSpec,
     config: ScenarioConfig,
-    portal: Portal,
-    device_id: str,
+    window: tuple[float, float],
     keep_actual: bool,
     keep_log: bool,
     user_dir: str | None,
 ) -> UserResult:
-    """Simulate one user's link start to finish; with `user_dir`, write the
-    user's output files there before returning."""
+    """Simulate one user's link start to finish, gating frames on the pairing
+    `window`; with `user_dir`, write the user's output files there."""
     tick = config.tick_s
     n = config.duration_s // tick
     profile = _build_profile(spec, config)
@@ -852,13 +856,14 @@ def _run_user(
     received: Counter = Counter()
     lost: Counter = Counter()
     gated = 0
-    pending: deque = deque()  # (t_arrive, raw bytes, type name, day)
+    active_at, revoked_at = window
     # What the grid supplied: zero at a tick with the breaker open, the grid
     # power otherwise.
     actual = power.copy() if keep_actual else None
     processed_log: list[tuple[float, int]] | None = [] if keep_log else None
 
     def send(frame: CompactFrame) -> None:
+        nonlocal gated
         raw = encode_frame(frame)
         frame_type = frame.frame_type
         name = FRAME_TYPE_NAMES[frame_type - 1]
@@ -869,23 +874,17 @@ def _run_user(
         day = (ts - 1) // DAY_S if frame_type is _T1 else ts // DAY_S
         sent[(name, day)] += 1
         verdict = link.transmit(frame_type, ts)
-        if verdict.delivered:
-            pending.append((verdict.t_arrive, raw, name, day))
-        else:
+        if not verdict.delivered:
             lost[name] += 1
-
-    def drain(t_limit: float) -> None:
-        nonlocal gated
-        while pending and pending[0][0] <= t_limit:
-            t_arrive, raw, name, day = pending.popleft()
-            frame = decode_frame(raw)
-            if not portal.admits(spec.pod_id, device_id, t_arrive):
-                gated += 1
-                continue
-            if device.on_frame(frame, t_arrive) is _PROCESSED:
-                received[(name, day)] += 1
-                if processed_log is not None:
-                    processed_log.append((t_arrive, frame.seq))
+            return
+        t_arrive = verdict.t_arrive
+        frame = decode_frame(raw)
+        if not active_at <= t_arrive < revoked_at:
+            gated += 1
+        elif device.on_frame(frame, t_arrive) is _PROCESSED:
+            received[(name, day)] += 1
+            if processed_log is not None:
+                processed_log.append((t_arrive, frame.seq))
 
     # Split the series wherever something reaches into the meter: at a supply
     # event and at an emergency limit armed.  The meter itself finds the tick
@@ -904,12 +903,8 @@ def _run_user(
                 send(frame)
             if opened == b and not meter.supply_on:
                 opened = t // tick
-            t_next = t + tick
-            if pending and pending[0][0] <= t_next:
-                drain(t_next)
         if actual is not None:
             actual[opened:b] = 0.0
-    drain(float("inf"))
 
     # Per-link reconciliation; a failure here is a pipeline bug.
     n_sent = sum(sent.values())
@@ -985,16 +980,11 @@ class RunDetails:
     pairing_windows: dict[str, tuple[float, float | None]]  # pod -> (active_at, revoked_at)
 
 
-def _build_portal(config: ScenarioConfig) -> tuple[Portal, dict[str, str]]:
-    registry = {
-        spec.pod_id: PodRecord(spec.pod_id, MeterGeneration.SECOND, True)
-        for spec in config.users
-    }
-    portal = Portal(
-        registry,
-        rng=random.Random(derive(config.seed, "portal")),
-        activation_delay_h=config.activation_delay_h,
-    )
+def _pairing_windows(config: ScenarioConfig) -> dict[str, tuple[float, float]]:
+    """Each pod's `Portal.window`, fixed before any user runs."""
+    registry = {s.pod_id: PodRecord(s.pod_id, MeterGeneration.SECOND, True) for s in config.users}
+    rng = random.Random(derive(config.seed, "portal"))
+    portal = Portal(registry, rng=rng, activation_delay_h=config.activation_delay_h)
     device_ids = {spec.pod_id: f"dev-{spec.pod_id}" for spec in config.users}
     # Pair in pod order so activation delays are independent of config order.
     for spec in sorted(config.users, key=lambda s: s.pod_id):
@@ -1004,7 +994,7 @@ def _build_portal(config: ScenarioConfig) -> tuple[Portal, dict[str, str]]:
         if spec.revoke_at_s is not None:
             portal.revoke(spec.pod_id, device_ids[spec.pod_id], spec.revoke_at_s)
     portal.activate_due(0.0)
-    return portal, device_ids
+    return {pod: portal.window(pod, device) for pod, device in device_ids.items()}
 
 
 def run(
@@ -1024,14 +1014,13 @@ def run(
     `with_details=True` additionally returns the raw per-user results,
     including each user's processed-frame log, for cross-checks.
     """
-    portal, device_ids = _build_portal(config)
+    windows = _pairing_windows(config)
     mevu_members = set(config.mevu.members) if config.mevu else set()
     results = [
         _run_user(
             spec,
             config,
-            portal,
-            device_ids[spec.pod_id],
+            windows[spec.pod_id],
             spec.pod_id in mevu_members,
             with_details,
             None if out_dir is None else os.path.join(out_dir, "users", spec.pod_id),
@@ -1080,12 +1069,8 @@ def run(
     if out_dir is not None:
         _write_outputs(out_dir, config, report, results)
     if with_details:
-        windows = {}
-        for spec in config.users:
-            pairing = portal.pairing(spec.pod_id, device_ids[spec.pod_id])
-            assert pairing is not None
-            windows[spec.pod_id] = (pairing.active_at, pairing.revoked_at)
-        return report, RunDetails(results, windows)
+        pairings = {pod: (lo, None if hi == math.inf else hi) for pod, (lo, hi) in windows.items()}
+        return report, RunDetails(results, pairings)
     return report
 
 

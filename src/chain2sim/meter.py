@@ -218,8 +218,10 @@ class Meter:
         (no tolerance factor); an already armed cut deadline is dropped so
         the countdown restarts against the new reference.
         """
-        if limit_w <= 0:
+        if not limit_w > 0:  # written so that NaN fails too
             raise ValueError(f"limit_w must be positive, got {limit_w}")
+        if math.isnan(until_s):
+            raise ValueError("until_s must not be NaN")
         self._em_limit_w = float(limit_w)
         self._em_until = float(until_s)
         self._cut_deadline = None

@@ -4,8 +4,8 @@ A POD may talk to a user device only if it is registered, metered by a
 second-generation meter, and active.  Pairing a device is asynchronous:
 the request is accepted immediately but frames flow only after an
 activation delay drawn uniformly from a configurable window (default one
-to four hours), and stop flowing at revocation.  `admits` is the gate the
-scenario runner consults per frame.
+to four hours), and stop flowing at revocation.  `window` is the span in
+which frames pass; the scenario runner reads it once per user.
 
 Every transition (pair, activate, revoke) is appended to an optional
 line-delimited JSON log, and `replay_log` rebuilds a portal from such a
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -209,14 +210,19 @@ class Portal:
     def pairing(self, pod_id: str, device_id: str) -> Pairing | None:
         return self._pairings.get((pod_id, device_id))
 
-    def admits(self, pod_id: str, device_id: str, t: float) -> bool:
-        """Whether a frame arriving at `t` may be processed by the device."""
+    def window(self, pod_id: str, device_id: str) -> tuple[float, float]:
+        """`(active_at, revoked_at)`, the span `admits` lets frames through:
+        revoked_at is inf if never revoked, and both are inf if never paired."""
         pairing = self._pairings.get((pod_id, device_id))
         if pairing is None:
-            return False
-        if t < pairing.active_at:
-            return False
-        return pairing.revoked_at is None or t < pairing.revoked_at
+            return math.inf, math.inf
+        revoked_at = pairing.revoked_at
+        return pairing.active_at, math.inf if revoked_at is None else revoked_at
+
+    def admits(self, pod_id: str, device_id: str, t: float) -> bool:
+        """Whether a frame arriving at `t` may be processed by the device."""
+        active_at, revoked_at = self.window(pod_id, device_id)
+        return active_at <= t < revoked_at
 
 
 def replay_log(registry: dict[str, PodRecord], path: str) -> Portal:

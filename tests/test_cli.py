@@ -83,6 +83,17 @@ def test_simulate_reports_a_missing_config_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_unwritable_output_directory_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    out = blocker / "out"  # a directory inside a regular file cannot exist
+    args = ["campaign", "--users", "1", "--days", "1", "--loss", "0", "--tick", "900"]
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err
+    assert "Traceback" not in err
+
+
 def test_campaign_smoke(tmp_path, capsys):
     out = tmp_path / "camp"
     code = main(

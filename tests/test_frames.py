@@ -2,13 +2,15 @@
 
 import random
 import string
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chain2sim.channel import TransmitVerdict
+from chain2sim.device import QuarterRecord
 from chain2sim.frames import (
     CompactFrame,
     CrcMismatchError,
@@ -235,6 +237,36 @@ def test_decode_returns_enum_members(frame):
     value = getattr(decoded.payload, name)
     assert type(value) is type(getattr(frame.payload, name))
     assert decoded == frame
+
+
+def test_payloads_of_different_types_never_compare_equal():
+    # Same field values, different record types.
+    pairs = [
+        (T1Payload(1, 7, EnergyDirection.WITHDRAWN), T2Payload(1, 7, CrossingDirection.UP)),
+        (T3Payload(ExceedanceCause.POWER_EXCEEDED, 7), T4Payload(SupplyEventKind.INTERRUPTION_START, 7)),
+        (T3Payload(ExceedanceCause.RESTORED, 0), T4Payload(SupplyEventKind.VOLTAGE_EVENT, 0)),
+    ]
+    for a, b in pairs:
+        assert astuple(a) == astuple(b)
+        assert a != b and b != a
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        T1Payload(0, 5),
+        T2Payload(3, 900, CrossingDirection.UP),
+        T3Payload(ExceedanceCause.POWER_EXCEEDED, 3500),
+        T4Payload(SupplyEventKind.INTERRUPTION_START),
+        CompactFrame(FrameType.T1, "IT001E00000001", 1, 900, T1Payload(0, 5)),
+        TransmitVerdict(True, 0.1, 0.05),
+        QuarterRecord(5, EnergyDirection.WITHDRAWN, 1),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_frame_records_are_slotted(record):
+    assert "__slots__" in vars(type(record))
+    assert not hasattr(record, "__dict__")
 
 
 def test_encode_rejects_mismatched_payload():

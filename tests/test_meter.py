@@ -323,6 +323,16 @@ def test_arming_drops_existing_deadline():
     assert meter.cut_deadline is None
 
 
+@pytest.mark.parametrize("limit_w, until_s", [(math.nan, 1000), (2000.0, math.nan)])
+def test_arming_rejects_nan(limit_w, until_s):
+    meter = make_meter(pn_w=3000.0)
+    with pytest.raises(ValueError, match="limit_w|until_s"):
+        meter.arm_emergency_limit(limit_w, until_s=until_s)
+    assert meter.emergency_limit_w is None
+    drive(meter, [9000.0] * 6000)  # 9 kW on 3 kW: the unarmed meter cuts
+    assert not meter.supply_on
+
+
 # -- bookkeeping --------------------------------------------------------------------
 
 

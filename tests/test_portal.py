@@ -1,9 +1,12 @@
 """Eligibility checks, pairing lifecycle, admission gate, log replay."""
 
 import io
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chain2sim.portal import (
     DuplicatePairingError,
@@ -90,6 +93,37 @@ def test_revoking_a_pending_pairing_is_allowed():
     assert not portal.admits("IT001E00000001", "dev1", pairing.active_at + 1)
     with pytest.raises(KeyError):
         portal.revoke("IT001E00000001", "dev1", 20.0)
+
+
+@st.composite
+def pairing_cases(draw):
+    """A portal holding one pair in a drawn state, with the window it must
+    give: unpaired, pending, active, or revoked (possibly before activation)."""
+    portal = make_portal(rng=random.Random(draw(st.integers(0, 2**32))))
+    state = draw(st.sampled_from(["unpaired", "pending", "active", "revoked"]))
+    if state == "unpaired":
+        return portal, (math.inf, math.inf)
+    pairing = portal.pair("IT001E00000001", "dev1", draw(st.floats(0.0, 1e7)))
+    if state == "active":
+        portal.activate_due(pairing.active_at)
+    if state != "revoked":
+        return portal, (pairing.active_at, math.inf)
+    revoked_at = draw(st.floats(0.0, 2e7))
+    portal.revoke("IT001E00000001", "dev1", revoked_at)
+    return portal, (pairing.active_at, revoked_at)
+
+
+@given(pairing_cases(), st.floats(allow_nan=False))
+def test_admits_is_the_window(case, t):
+    portal, expected = case
+    lo, hi = portal.window("IT001E00000001", "dev1")
+    assert (lo, hi) == expected
+    probes = [t]
+    for edge in (lo, hi):
+        if math.isfinite(edge):  # the edge itself and one ulp either side
+            probes += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+    for probe in probes:
+        assert portal.admits("IT001E00000001", "dev1", probe) == (lo <= probe < hi)
 
 
 def test_admits_unknown_pairing_is_false():
