@@ -147,9 +147,6 @@ class Appliance:
                 f"[{self.earliest_start_s}, {self.deadline_s}]"
             )
 
-    def energy_wh(self, slot_s: int) -> float:
-        return sum(self.profile_w) * slot_s / 3600.0
-
 
 @dataclass(frozen=True)
 class ScheduleResult:
@@ -159,6 +156,10 @@ class ScheduleResult:
     optimal: bool
     method: str  # "exhaustive" or "greedy"
     offending_slots: tuple[int, ...] = ()
+
+
+# Most start combinations `load_shift_schedule` searches exhaustively.
+EXHAUSTIVE_CAP = 2_000_000
 
 
 def _feasible_starts(app: Appliance, n_slots: int, slot_s: int) -> list[int]:
@@ -183,12 +184,11 @@ def load_shift_schedule(
     grid_limit_w: float | None = None,
     *,
     slot_s: int = 900,
-    exhaustive_cap: int = 2_000_000,
 ) -> ScheduleResult:
     """Choose one start slot per appliance minimizing total energy cost.
 
     Exhaustive search (branch and bound) when the combination count fits
-    under `exhaustive_cap`, which covers any desk-scale instance; larger
+    under `EXHAUSTIVE_CAP`, which covers any desk-scale instance; larger
     instances fall back to a per-appliance greedy pass and the result is
     labeled `optimal=False`.  Ties on cost are broken toward the earliest
     start, appliance ids considered in sorted order.
@@ -224,7 +224,7 @@ def load_shift_schedule(
     combos = 1
     for starts in starts_per_app:
         combos *= len(starts)
-    if combos > exhaustive_cap:
+    if combos > EXHAUSTIVE_CAP:
         return _greedy_schedule(
             apps, starts_per_app, costs_per_app, grid_limit_w, n_slots, slot_s
         )

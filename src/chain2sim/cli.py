@@ -69,23 +69,10 @@ def _cmd_taxonomy(args: argparse.Namespace) -> int:
         filters["provider"] = args.provider
     if args.enabler:
         filters["enabler"] = taxonomy.Enabler(args.enabler)
-    if filters:
-        ids = taxonomy.list_by(**filters)
-    else:
-        ids = sorted(taxonomy.load_dataset(), key=taxonomy._id_sort_key)
     print(f"{'id':<6} {'level':<12} {'maturity':<16} {'enabler':<12} name")
-    for uc_id in ids:
+    for uc_id in taxonomy.list_by(**filters):
         record = taxonomy.classify(uc_id)
-        maturity = (
-            "NA"
-            if record.maturity is None
-            else "/".join(
-                sorted(
-                    (m.value for m in record.maturity),
-                    key=["low", "medium", "high"].index,
-                )
-            )
-        )
+        maturity = taxonomy.maturity_text(record, "/")
         print(
             f"{record.id:<6} {record.level.value:<12} {maturity:<16} "
             f"{record.smart_home_enabler.value:<12} {record.name}"

@@ -9,7 +9,7 @@ picture, and raises user notifications:
     T2  updates the latest instantaneous power and drives the user-set
         power alarm and the cut warning,
     T3  contractual exceedance start/end and the one-shot energy alarm,
-    T4  supply events feeding the quality report.
+    T4  logs supply events (interruption start/end, voltage events).
 
 Dedup keeps a high-water mark plus a 16-deep out-of-order window: a frame
 older than the window is dropped and counted, never processed.  The
@@ -37,7 +37,7 @@ from chain2sim.frames import (
     T3Payload,
     T4Payload,
 )
-from chain2sim.meter import QUARTER_S, MeterConfig, switchoff_remaining
+from chain2sim.meter import OVERRUN_FACTOR, QUARTER_S, switchoff_remaining
 
 DAY_S = 86400
 
@@ -119,9 +119,6 @@ class DeviceConfig:
     paired_pod: str
     pn_w: float | None = None  # contractual power, for plausibility checks
     alarm_limit_w: float | None = None  # user-set threshold for the power alarm
-    overrun_factor: float = 1.1
-    switchoff_tau_s: float = 180.0
-    staleness_s: float = 60.0
     tariff: TariffSchedule | None = None
     dedup_window: int = 16
 
@@ -148,13 +145,6 @@ class SupplyEvent:
 
 
 @dataclass(frozen=True)
-class CutEta:
-    seconds: float
-    power_w: float
-    stale: bool
-
-
-@dataclass(frozen=True)
 class CostEstimate:
     cost_eur: float
     income_eur: float
@@ -168,21 +158,6 @@ class CostEstimate:
         return self.quarters_observed / self.quarters_expected
 
 
-@dataclass(frozen=True)
-class Interruption:
-    t_start: int
-    t_end: int | None  # None while still open at the window edge
-    duration_s: int
-
-
-@dataclass(frozen=True)
-class QualityReport:
-    interruptions: tuple[Interruption, ...]
-    total_interrupted_s: int
-    voltage_events: int
-    open_interruption: bool
-
-
 class Device:
     def __init__(self, config: DeviceConfig) -> None:
         if config.dedup_window < 1:
@@ -190,7 +165,6 @@ class Device:
         self.config = config
         self.quarters: dict[int, QuarterRecord] = {}  # quarter start s -> record
         self.last_power_w: float | None = None
-        self.last_power_t: float | None = None
         self.event_log: list[SupplyEvent] = []
         self.notifications: list[Notification] = []
         self.stats: dict[str, int] = {
@@ -272,7 +246,6 @@ class Device:
 
     def _on_power_sample(self, t: int, power_w: float) -> None:
         self.last_power_w = power_w
-        self.last_power_t = float(t)
         cfg = self.config
         limit = cfg.alarm_limit_w
         if limit is not None:
@@ -284,19 +257,14 @@ class Device:
             elif power_w <= limit:
                 self._alarm_active = False
         if cfg.pn_w is not None:
-            eta = switchoff_remaining(
-                power_w,
-                cfg.pn_w,
-                overrun_factor=cfg.overrun_factor,
-                tau_s=cfg.switchoff_tau_s,
-            )
+            eta = switchoff_remaining(power_w, cfg.pn_w)  # the meter's countdown law
             if eta is not None and not self._cut_warning_active:
                 self._cut_warning_active = True
                 self._notify(
                     t,
                     "switchoff_warning",
                     f"supply cut in {eta:.0f} s unless load drops below "
-                    f"{cfg.overrun_factor * cfg.pn_w:.0f} W",
+                    f"{OVERRUN_FACTOR * cfg.pn_w:.0f} W",
                 )
             elif eta is None:
                 self._cut_warning_active = False
@@ -347,41 +315,6 @@ class Device:
         horizon = self._high_water if final_seq is None else max(final_seq, self._high_water)
         return horizon - self.stats["processed"]
 
-    def reconstructed_energy_wh(
-        self, direction: EnergyDirection = EnergyDirection.WITHDRAWN
-    ) -> int:
-        return sum(
-            r.energy_wh for r in self.quarters.values() if r.direction == direction
-        )
-
-    def missing_quarters(self, start_s: int, end_s: int) -> list[int]:
-        """Quarter start times in [start, end) with no stored record."""
-        _check_quarter_window(start_s, end_s)
-        return [q for q in range(start_s, end_s, QUARTER_S) if q not in self.quarters]
-
-    def cut_eta(self, t_now: float, meter_cfg: MeterConfig | None = None) -> CutEta | None:
-        """Remaining time before the breaker opens, from the latest power.
-
-        Applies the meter's own countdown law to the last received power
-        sample; None below the tolerated threshold.  The estimate is flagged
-        stale when that sample is older than the configured staleness window.
-        """
-        if self.last_power_w is None or self.last_power_t is None:
-            return None
-        if meter_cfg is not None:
-            pn, factor, tau = meter_cfg.pn_w, meter_cfg.overrun_factor, meter_cfg.switchoff_tau_s
-        else:
-            if self.config.pn_w is None:
-                return None
-            pn = self.config.pn_w
-            factor = self.config.overrun_factor
-            tau = self.config.switchoff_tau_s
-        eta = switchoff_remaining(self.last_power_w, pn, overrun_factor=factor, tau_s=tau)
-        if eta is None:
-            return None
-        stale = (t_now - self.last_power_t) > self.config.staleness_s
-        return CutEta(eta, self.last_power_w, stale)
-
     def estimate_cost(self, start_s: int, end_s: int) -> CostEstimate:
         """Tariff cost (and feed-in income) of the stored quarters in a window.
 
@@ -391,7 +324,10 @@ class Device:
         """
         if self.config.tariff is None:
             raise ValueError("no tariff configured")
-        _check_quarter_window(start_s, end_s)
+        if start_s % QUARTER_S or end_s % QUARTER_S or end_s <= start_s:
+            raise ValueError(
+                f"window [{start_s}, {end_s}) must be a positive span of whole quarters"
+            )
         tariff = self.config.tariff
         cost = 0.0
         income = 0.0
@@ -409,44 +345,3 @@ class Device:
                 income += kwh * feed_in
         expected = (end_s - start_s) // QUARTER_S
         return CostEstimate(cost, income, expected, observed)
-
-    def quality_report(self, start_s: int, end_s: int) -> QualityReport:
-        """Interruption statistics over [start, end), from the T4 event log.
-
-        An end without a matching start is backfilled from the duration the
-        frame carries, clamped to the window; a start without an end stays
-        open and counts up to the window edge.
-        """
-        interruptions: list[Interruption] = []
-        voltage = 0
-        open_start: int | None = None
-        for event in self.event_log:
-            if event.t < start_s or event.t >= end_s:
-                continue
-            if event.kind == SupplyEventKind.VOLTAGE_EVENT:
-                voltage += 1
-            elif event.kind == SupplyEventKind.INTERRUPTION_START:
-                open_start = event.t
-            elif event.kind == SupplyEventKind.INTERRUPTION_END:
-                if open_start is not None:
-                    interruptions.append(
-                        Interruption(open_start, event.t, event.t - open_start)
-                    )
-                    open_start = None
-                else:
-                    began = event.t - (event.duration_s or 0)
-                    began = max(began, start_s)
-                    interruptions.append(Interruption(began, event.t, event.t - began))
-        if open_start is not None:
-            interruptions.append(Interruption(open_start, None, end_s - open_start))
-        total = sum(i.duration_s for i in interruptions)
-        return QualityReport(
-            tuple(interruptions), total, voltage, open_start is not None
-        )
-
-
-def _check_quarter_window(start_s: int, end_s: int) -> None:
-    if start_s % QUARTER_S or end_s % QUARTER_S or end_s <= start_s:
-        raise ValueError(
-            f"window [{start_s}, {end_s}) must be a positive span of whole quarters"
-        )

@@ -82,7 +82,7 @@ from chain2sim.frames import (
 )
 from chain2sim.meter import QUARTER_S, Meter, MeterConfig
 from chain2sim.portal import MeterGeneration, PodRecord, Portal
-from chain2sim.profiles import PRESETS, household_profile, profile_from_csv
+from chain2sim.profiles import PRESETS, household_profile, profile_from_csv, profile_peak_w
 from chain2sim.seeds import derive
 
 DAY_S = 86400
@@ -401,26 +401,33 @@ def _parse_user(
         return None
     spec = UserSpec(appliances=tuple(appliances), supply_events=tuple(sorted(events)), **spec)
     if spec.profile_csv is None:
-        return spec
-    return _check_profile_csv(read, spec, path, base_dir, tick_s, duration_s)
+        peak_w, peak_path = profile_peak_w(pn, spec.building_class), f"{path}.pn_w"
+    else:
+        spec, peak_w = _check_profile_csv(read, spec, path, base_dir, tick_s, duration_s)
+        peak_path = f"{path}.profile_csv"
+    if peak_w is not None:
+        _check_wire_limits(read, spec, peak_w, tick_s, peak_path, f"{path}.energy_threshold_wh")
+    return spec
 
 
 def _check_profile_csv(
     read: _Reader, spec: UserSpec, path: str, base_dir: str, tick_s: int, duration_s: int
-) -> UserSpec:
+) -> tuple[UserSpec, float | None]:
     """Resolve a user's profile CSV against `base_dir` and check that it
     matches the scenario tick, covers the run, and holds no sample the
-    meter would reject within the run (rows past the run are never read)."""
+    meter would reject within the run (rows past the run are never read).
+    Returns the spec and, when the CSV passes, its peak over the run."""
     csv_path = os.path.join(base_dir, spec.profile_csv)  # an absolute path stays as it is
     spec, path = replace(spec, profile_csv=csv_path), f"{path}.profile_csv"
+    mark = len(read.errors)
     try:
         power, csv_tick = profile_from_csv(csv_path)
     except (OSError, ValueError) as exc:
         read.fail(path, exc)
-        return spec
+        return spec, None
     if csv_tick != tick_s:
         read.fail(path, f"tick {csv_tick} s != scenario tick {tick_s} s")
-        return spec
+        return spec, None
     if len(power) * tick_s < duration_s:
         read.fail(path, f"covers {len(power) * tick_s} s, need {duration_s} s")
     used = power[: duration_s // tick_s]
@@ -429,7 +436,34 @@ def _check_profile_csv(
         row = int(bad[0])
         sample = f"row {row} (t_s={row * csv_tick})"
         read.fail(path, f"{sample}: power_W must be finite and >= 0, got {power[row]}")
-    return spec
+    return spec, float(used.max()) if len(read.errors) == mark else None
+
+
+_U16_MAX = 2**16 - 1
+_U32_MAX = 2**32 - 1
+
+
+def _check_wire_limits(
+    read: _Reader, spec: UserSpec, profile_peak_w: float, tick_s: int, path: str, threshold_path: str
+) -> None:
+    """Reject a user whose frames could overflow a wire field, from a bound
+    on its grid power: the profile peak plus each appliance's peak, or the
+    peak-shaving limit if higher, since the battery charges only up to it.
+    Demand response only lowers the load.  The T1 quarter energy (u16 Wh)
+    is the tightest field; under it the u32 powers of T2 and T3 fit too.
+    The bound is conservative: it does not credit a meter cutting the load."""
+    peak_w = profile_peak_w + sum(max(app.profile_w) for app in spec.appliances)
+    if spec.battery is not None and spec.peak_shave_limit_w is not None:
+        peak_w = max(peak_w, spec.peak_shave_limit_w)
+    quarter_wh = peak_w * QUARTER_S / 3600
+    if quarter_wh > _U16_MAX:
+        reason = f"{quarter_wh:.0f} Wh a quarter, over the {_U16_MAX} Wh a T1 frame carries"
+        read.fail(path, f"grid power may reach {peak_w:.0f} W: {reason}")
+    if spec.energy_threshold_wh is not None:
+        alarm_wh = spec.energy_threshold_wh + peak_w * tick_s / 3600
+        if alarm_wh > _U32_MAX:
+            reason = f"over the {_U32_MAX} Wh a T3 frame carries"
+            read.fail(threshold_path, f"the energy alarm may report {alarm_wh:.0f} Wh, {reason}")
 
 
 def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
@@ -489,7 +523,16 @@ def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
             for key in ("energy_threshold_fraction", "alarm_limit_fraction")
         ]
         if count and pn_choices and classes and None not in (*classes, *fractions):
-            users.extend(_fleet_users(count, pn_choices, classes, *fractions))
+            fleet_users = _fleet_users(count, pn_choices, classes, *fractions)
+            # Fleet users differ only in these; check each kind once.
+            kinds = {
+                (profile_peak_w(u.pn_w, u.building_class), u.energy_threshold_wh): u
+                for u in fleet_users
+            }
+            path = "fleet.pn_choices_w"
+            for (peak_w, _), u in kinds.items():
+                _check_wire_limits(read, u, peak_w, tick_s, path, path)
+            users.extend(fleet_users)
     for i, raw_user in enumerate(read.items(raw, "", "users", ()) or ()):
         spec = _parse_user(read, raw_user, f"users[{i}]", base_dir, tick_s, duration_s)
         if spec is not None:

@@ -78,6 +78,8 @@ from chain2sim.frames import (
 
 QUARTER_S = 900
 QUARTERS_PER_DAY = 96
+OVERRUN_FACTOR = 1.1  # default tolerated fraction of pn_w
+SWITCHOFF_TAU_S = 180.0  # default time constant of the cut countdown (s)
 
 # Enum members used per tick, bound once: looking a member up on its enum
 # class is a slow attribute access on CPython 3.11.
@@ -105,8 +107,8 @@ def switchoff_remaining(
     power_w: float,
     pn_w: float,
     *,
-    overrun_factor: float = 1.1,
-    tau_s: float = 180.0,
+    overrun_factor: float = OVERRUN_FACTOR,
+    tau_s: float = SWITCHOFF_TAU_S,
 ) -> float | None:
     """Seconds until the breaker would open at a steady `power_w`.
 
@@ -135,8 +137,8 @@ class MeterConfig:
     """
 
     pn_w: float
-    overrun_factor: float = 1.1
-    switchoff_tau_s: float = 180.0
+    overrun_factor: float = OVERRUN_FACTOR
+    switchoff_tau_s: float = SWITCHOFF_TAU_S
     energy_threshold_wh: float | None = None
     tick_s: int = 1
     direction: EnergyDirection = EnergyDirection.WITHDRAWN

@@ -207,9 +207,6 @@ class Portal:
 
     # -- queries ---------------------------------------------------------
 
-    def pairing(self, pod_id: str, device_id: str) -> Pairing | None:
-        return self._pairings.get((pod_id, device_id))
-
     def window(self, pod_id: str, device_id: str) -> tuple[float, float]:
         """`(active_at, revoked_at)`, the span `admits` lets frames through:
         revoked_at is inf if never revoked, and both are inf if never paired."""

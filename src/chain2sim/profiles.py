@@ -120,6 +120,11 @@ def household_profile(
     return power
 
 
+def profile_peak_w(pn_w: float, preset: str = "B") -> float:
+    """An upper bound on every sample `household_profile` draws."""
+    return max(_SOFT_CAP, PRESETS[preset].overrun_peak_hi) * pn_w
+
+
 def profile_to_csv(path: str, power_w: np.ndarray, tick_s: int) -> None:
     """Write a profile as `t_s,power_W` rows, one per tick."""
     with open(path, "w", newline="") as fh:

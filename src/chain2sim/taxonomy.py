@@ -161,9 +161,8 @@ def list_by(
     provider: str | None = None,
     enabler: Enabler | None = None,
 ) -> list[str]:
-    """Ids matching every given filter, in stable id order."""
-    if level is None and maturity is None and provider is None and enabler is None:
-        raise ValueError("give at least one filter")
+    """Ids matching every given filter, in catalogue order; every id when
+    no filter is given."""
     out = []
     for uc_id in sorted(load_dataset(), key=_id_sort_key):
         record = load_dataset()[uc_id]
@@ -236,6 +235,13 @@ def validate_dataset(records: dict[str, UseCaseRecord] | None = None) -> list[st
     return violations
 
 
+def maturity_text(record: UseCaseRecord, sep: str) -> str:
+    """The record's maturity levels, low to high, joined by `sep`; NA for none."""
+    if record.maturity is None:
+        return "NA"
+    return sep.join(m.value for m in Maturity if m in record.maturity)
+
+
 def format_record(record: UseCaseRecord) -> str:
     """Multi-line human-readable rendering for the CLI."""
 
@@ -244,18 +250,11 @@ def format_record(record: UseCaseRecord) -> str:
             return "NA"
         return ", ".join(sorted(values)) or "-"
 
-    maturity = (
-        "NA"
-        if record.maturity is None
-        else ", ".join(
-            sorted((m.value for m in record.maturity), key=["low", "medium", "high"].index)
-        )
-    )
     return "\n".join(
         [
             f"{record.id}  {record.name}",
             f"  level:              {record.level.value}",
-            f"  maturity:           {maturity}",
+            f"  maturity:           {maturity_text(record, ', ')}",
             f"  providers:          {tags(record.providers)}",
             f"  smart home enabler: {record.smart_home_enabler.value}",
             f"  benefits:           {tags(record.benefits)}",

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chain2sim.automation import (
+    EXHAUSTIVE_CAP,
     Appliance,
     Battery,
     DrCommand,
@@ -233,8 +234,10 @@ def test_appliance_with_no_window_raises():
 
 
 def test_large_instances_fall_back_to_greedy():
-    apps = [Appliance(f"a{i}", (100.0,), 0, 96 * 900) for i in range(3)]
-    result = load_shift_schedule(apps, [0.1] * 96, exhaustive_cap=10)
+    # 96**4 = 84.9M start combinations, over the exhaustive search's cap.
+    apps = [Appliance(f"a{i}", (100.0,), 0, 96 * 900) for i in range(4)]
+    assert 96**4 > EXHAUSTIVE_CAP
+    result = load_shift_schedule(apps, [0.1] * 96)
     assert result.method == "greedy"
     assert not result.optimal
     assert result.feasible
@@ -245,7 +248,6 @@ def test_appliance_validation():
         Appliance("a", (), 0, 900)
     with pytest.raises(ValueError, match="earliest_start_s"):
         Appliance("a", (1.0,), 900, 900)
-    assert Appliance("a", (1000.0, 500.0), 0, 1800).energy_wh(900) == 375.0
 
 
 # -- demand response -----------------------------------------------------------------

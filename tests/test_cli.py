@@ -56,6 +56,18 @@ def test_simulate_reports_unreadable_yaml_as_a_config_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_simulate_rejects_configs_that_overflow_the_wire_format(tmp_path, capsys):
+    # A 2 MW contract's quarters exceed the 65535 Wh a T1 frame carries.
+    config = tmp_path / "big.yaml"
+    config.write_text(f"days: 1\ntick_s: 60\nusers:\n  - pod_id: {POD}\n    pn_w: 2000000\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:\n  users[0].pn_w: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, field",
     [

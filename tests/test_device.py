@@ -1,4 +1,4 @@
-"""Device-side ingest: dedup, plausibility, alarms, reconstruction, reports."""
+"""Device-side ingest: dedup, plausibility, alarms, reconstruction, cost."""
 
 import pytest
 from hypothesis import given
@@ -17,13 +17,10 @@ from chain2sim.frames import (
     EnergyDirection,
     ExceedanceCause,
     FrameType,
-    SupplyEventKind,
     T1Payload,
     T2Payload,
     T3Payload,
-    T4Payload,
 )
-from chain2sim.meter import MeterConfig
 
 POD = "IT001E00000001"
 
@@ -38,10 +35,6 @@ def t2(seq, ts, power_w, band=3, pod=POD):
 
 def t3(seq, ts, cause, value):
     return CompactFrame(FrameType.T3, POD, seq, ts, T3Payload(cause, value))
-
-
-def t4(seq, ts, kind, duration=None):
-    return CompactFrame(FrameType.T4, POD, seq, ts, T4Payload(kind, duration))
 
 
 def make_device(**kw) -> Device:
@@ -160,8 +153,7 @@ def test_quarters_and_missing_slots():
     dev.on_frame(t1(2, 2700, 100), 2701.0)
     assert dev.quarters[0].energy_wh == 250
     assert dev.quarters[1800].energy_wh == 100
-    assert dev.missing_quarters(0, 3600) == [900, 2700]
-    assert dev.reconstructed_energy_wh() == 350
+    assert sorted(dev.quarters) == [0, 1800]  # 900 and 2700 are gaps
 
 
 def test_implausible_quarter_is_quarantined():
@@ -210,29 +202,6 @@ def test_t3_updates_power_state_and_notifies():
     assert dev.last_power_w == 1800.0
     dev.on_frame(t3(3, 300, ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED, 5000), 300.1)
     assert any(n.kind == "energy_threshold" for n in dev.notifications)
-
-
-# -- cut estimate ----------------------------------------------------------------------
-
-
-def test_cut_eta_formula_and_staleness():
-    dev = make_device(pn_w=3000.0, staleness_s=60.0)
-    assert dev.cut_eta(0.0) is None  # no sample yet
-    dev.on_frame(t2(1, 100, 4000), 100.1)
-    eta = dev.cut_eta(120.0)
-    assert eta.seconds == pytest.approx(180.0 * 3000.0 / 700.0)
-    assert eta.power_w == 4000.0
-    assert not eta.stale
-    assert dev.cut_eta(200.0).stale  # sample now 100 s old
-
-
-def test_cut_eta_none_below_threshold_and_meter_override():
-    dev = make_device(pn_w=3000.0)
-    dev.on_frame(t2(1, 100, 3200), 100.1)
-    assert dev.cut_eta(101.0) is None  # 3200 < 1.1 * 3000
-    tighter = MeterConfig(pn_w=2000.0)
-    eta = dev.cut_eta(101.0, meter_cfg=tighter)
-    assert eta.seconds == pytest.approx(180.0 * 2000.0 / (3200.0 - 2200.0))
 
 
 # -- cost estimate ---------------------------------------------------------------------
@@ -286,45 +255,6 @@ def test_tariff_windows_must_tile_the_day():
     assert schedule.price_at(43200) == 0.30
     assert schedule.price_at(86400 + 10) == 0.10  # wraps into day two
     assert schedule.slot_prices(4, 43200)[:2] == [0.10, 0.30]
-
-
-# -- supply quality ---------------------------------------------------------------------
-
-
-def test_quality_report_pairs_and_open_interruption():
-    dev = make_device()
-    dev.on_frame(t4(1, 1000, SupplyEventKind.INTERRUPTION_START), 1000.1)
-    dev.on_frame(t4(2, 1600, SupplyEventKind.INTERRUPTION_END, 600), 1600.1)
-    dev.on_frame(t4(3, 2000, SupplyEventKind.VOLTAGE_EVENT), 2000.1)
-    dev.on_frame(t4(4, 8000, SupplyEventKind.INTERRUPTION_START), 8000.1)
-    report = dev.quality_report(0, 9000)
-    assert report.voltage_events == 1
-    assert report.open_interruption
-    assert report.total_interrupted_s == 600 + 1000
-    first, second = report.interruptions
-    assert (first.t_start, first.t_end, first.duration_s) == (1000, 1600, 600)
-    assert (second.t_start, second.t_end) == (8000, None)
-
-
-def test_quality_report_backfills_lost_start():
-    dev = make_device()
-    # The start frame was lost; the end carries the outage duration.
-    dev.on_frame(t4(1, 5000, SupplyEventKind.INTERRUPTION_END, 1200), 5000.1)
-    report = dev.quality_report(0, 9000)
-    assert report.interruptions[0].t_start == 3800
-    assert report.total_interrupted_s == 1200
-    # Clamped when the outage began before the window.
-    clamped = dev.quality_report(4500, 9000)
-    assert clamped.interruptions[0].t_start == 4500
-    assert clamped.total_interrupted_s == 500
-
-
-def test_quality_report_ignores_events_outside_window():
-    dev = make_device()
-    dev.on_frame(t4(1, 100, SupplyEventKind.VOLTAGE_EVENT), 100.1)
-    dev.on_frame(t4(2, 5000, SupplyEventKind.VOLTAGE_EVENT), 5000.1)
-    report = dev.quality_report(1000, 6000)
-    assert report.voltage_events == 1
 
 
 def test_dedup_window_must_be_positive():

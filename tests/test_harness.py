@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -336,6 +337,64 @@ def test_validate_config_returns_a_config_or_raises_config_error(raw):
         assert exc.errors and all(isinstance(e, str) for e in exc.errors)
     else:
         assert isinstance(config, ScenarioConfig)
+
+
+def test_wire_limits_are_checked_before_the_run(tmp_path):
+    # 300 kW for a quarter is 75000 Wh, over the u16 energy field of T1.
+    profile_to_csv(tmp_path / "big.csv", np.full(1440, 300_000.0), 60)
+    appliance = {"id": "kiln", "profile_w": [200_000.0]}
+    battery = {"capacity_wh": 10**6, "p_charge_max_w": 10**6, "p_discharge_max_w": 0}
+    cases = [
+        (_user(pn_w=400_000, profile_csv="big.csv"), "users[0].profile_csv"),
+        (_user(pn_w=2_000_000), "users[0].pn_w"),
+        # 1.9 * 100 kW, the generated peak, plus the appliance: 390 kW.
+        (_user(pn_w=100_000, appliances=[appliance]), "users[0].pn_w"),
+        # The battery may charge up to the shaving limit.
+        (_user(pn_w=3000, battery=battery, peak_shave_limit_w=300_000), "users[0].pn_w"),
+        (_user(energy_threshold_wh=2**32 - 10), "users[0].energy_threshold_wh"),
+        ({"fleet": {"count": 3, "pn_choices_w": [3000, 2_000_000]}}, "fleet.pn_choices_w"),
+    ]
+    for overrides, field in cases:
+        raw = {"days": 1, **overrides}
+        with pytest.raises(ConfigError) as exc_info:
+            validate_config(raw, base_dir=str(tmp_path))
+        assert [e.split(":")[0] for e in exc_info.value.errors] == [field], overrides
+    # Just inside the T1 limit at a 900 s tick: 262140 W for a quarter is 65535 Wh.
+    profile_to_csv(tmp_path / "edge.csv", np.full(96, 262_140.0), 900)
+    raw = {"days": 1, "tick_s": 900, **_user(pn_w=400_000, profile_csv="edge.csv")}
+    run(validate_config(raw, base_dir=str(tmp_path)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pn_w=st.floats(1000, 300_000),
+    csv_peak_w=st.none() | st.floats(0, 400_000),
+    appliance_w=st.none() | st.floats(0, 200_000),
+    shave_limit_w=st.none() | st.floats(1, 400_000),
+    threshold_wh=st.none() | st.floats(1, 10**6) | st.floats(2**32 - 10**7, 2**32 + 10**6),
+)
+def test_every_accepted_config_runs_to_completion(
+    pn_w, csv_peak_w, appliance_w, shave_limit_w, threshold_wh
+):
+    user = {"pod_id": POD1, "pn_w": pn_w, "energy_threshold_wh": threshold_wh}
+    if appliance_w is not None:
+        user["appliances"] = [{"id": "a", "profile_w": [appliance_w], "earliest_start_s": 3600}]
+    if shave_limit_w is not None:
+        user["battery"] = {"capacity_wh": 10**6, "p_charge_max_w": 10**6, "p_discharge_max_w": 10**6}
+        user["peak_shave_limit_w"] = shave_limit_w
+    raw = {"days": 1, "tick_s": 900, "users": [user]}
+    with tempfile.TemporaryDirectory() as tmp:
+        if csv_peak_w is not None:  # the peak in one quarter, a tenth of it elsewhere
+            power = np.full(96, csv_peak_w / 10)
+            power[40] = csv_peak_w
+            profile_to_csv(Path(tmp, "p.csv"), power, 900)
+            user["profile_csv"] = "p.csv"
+        try:
+            config = validate_config(raw, base_dir=tmp)
+        except ConfigError:
+            return
+        report = run(config)
+    assert report.totals.sent > 0
 
 
 def test_load_config_reads_yaml(tmp_path):

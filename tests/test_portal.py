@@ -163,9 +163,13 @@ def test_log_and_replay_round_trip(tmp_path):
             assert replayed.admits("IT001E00000001", device, t) == portal.admits(
                 "IT001E00000001", device, t
             )
-    again = replayed.pairing("IT001E00000001", "dev1")
-    assert again.active_at == pairing.active_at
-    assert again.status is PairingStatus.REVOKED
+    for device in ("dev1", "dev2"):
+        assert replayed.window("IT001E00000001", device) == portal.window(
+            "IT001E00000001", device
+        )
+    # The replayed dev1 pairing is revoked, so it cannot be revoked again.
+    with pytest.raises(KeyError):
+        replayed.revoke("IT001E00000001", "dev1", 50_000.0)
 
 
 def test_replay_rejects_garbage(tmp_path):

@@ -15,6 +15,7 @@ from chain2sim.taxonomy import (
     format_record,
     list_by,
     load_dataset,
+    maturity_text,
     validate_dataset,
 )
 
@@ -75,9 +76,14 @@ def test_list_by_filters_compose():
     assert both == sorted(both, key=lambda i: EXPECTED_IDS.index(i))
 
 
-def test_list_by_requires_a_filter():
-    with pytest.raises(ValueError, match="filter"):
-        list_by()
+def test_list_by_without_a_filter_lists_every_id_in_catalogue_order():
+    assert list_by() == list(EXPECTED_IDS)
+
+
+def test_maturity_text_orders_levels_low_to_high():
+    record = replace(classify("A.2"), maturity=frozenset(Maturity))
+    assert maturity_text(record, "/") == "low/medium/high"
+    assert maturity_text(classify("A.1a"), ", ") == "NA"
 
 
 def test_list_by_ids_are_in_catalogue_order():
