@@ -8,9 +8,10 @@ over at `t_send` on an idle link the arrival time is
 
 When frames queue up (several emitted at the same tick) the link stays
 busy and transmissions serialize back to back, so arrival times on one
-link are strictly increasing and order is preserved.  A dropped frame
-still occupies the link for its transmission time: loss models corruption
-at the receiver, not a suppressed send.
+link are strictly increasing and order is preserved.  A dropped frame has
+no arrival time but still occupies the link for its transmission time, so
+the next frame queues behind it: loss models corruption at the receiver,
+not a suppressed send.
 
 Two loss models:
 
@@ -26,7 +27,7 @@ construction, so a link replays identically for the same seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from chain2sim.frames import FrameType, frame_bits
 
@@ -75,13 +76,6 @@ class ChannelConfig:
             raise ValueError(f"proc_delay_s must be >= 0, got {self.proc_delay_s}")
 
 
-@dataclass(slots=True)
-class TransmitVerdict:
-    delivered: bool
-    t_arrive: float | None
-    t_link_free: float = field(compare=False, default=0.0)
-
-
 class Channel:
     """State of one meter-to-device link."""
 
@@ -104,8 +98,9 @@ class Channel:
             self._bad_state = not self._bad_state
         return dropped
 
-    def transmit(self, frame_type: FrameType, t_send: float) -> TransmitVerdict:
-        """Put one frame on the link; returns delivery verdict and timing."""
+    def transmit(self, frame_type: FrameType, t_send: float) -> float | None:
+        """Put one frame on the link; returns its arrival time at the
+        receiver, or None when the loss model drops it."""
         try:
             bits = _FRAME_BITS[frame_type]
         except (KeyError, TypeError):
@@ -114,6 +109,6 @@ class Channel:
         finish = start + bits / self.config.rate_bps
         self._busy_until = finish
         if self._draw_loss():
-            return TransmitVerdict(False, None, finish)
-        return TransmitVerdict(True, finish + self.config.proc_delay_s, finish)
+            return None
+        return finish + self.config.proc_delay_s
 

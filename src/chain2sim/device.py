@@ -6,15 +6,16 @@ picture, and raises user notifications:
 
     T1  fills the quarter-hour energy series (lost quarters stay as gaps,
         they are never interpolated),
-    T2  updates the latest instantaneous power and drives the user-set
-        power alarm and the cut warning,
+    T2  drives the user-set power alarm and the cut warning from the
+        instantaneous power,
     T3  contractual exceedance start/end and the one-shot energy alarm,
     T4  logs supply events (interruption start/end, voltage events).
 
-Dedup keeps a high-water mark plus a 16-deep out-of-order window: a frame
-older than the window is dropped and counted, never processed.  The
-channel is FIFO so in simulation only duplicates of replayed inputs ever
-hit the window path, but the device must survive arbitrary replays.
+Dedup keeps a high-water mark plus a `DEDUP_WINDOW`-deep out-of-order
+window: a frame older than the window is dropped and counted, never
+processed.  The channel is FIFO so in simulation only duplicates of
+replayed inputs ever hit the window path, but the device must survive
+arbitrary replays.
 
 Sequence gaps below the high-water mark are exactly the frames the channel
 lost (plus any still in flight); `seq_gaps` takes the meter's final
@@ -40,6 +41,7 @@ from chain2sim.frames import (
 from chain2sim.meter import OVERRUN_FACTOR, QUARTER_S, switchoff_remaining
 
 DAY_S = 86400
+DEDUP_WINDOW = 16  # how far below the high-water mark a late frame is still taken
 
 
 # -- Tariffs -------------------------------------------------------------------
@@ -103,7 +105,8 @@ class TariffSchedule:
 
 
 class Disposition(Enum):
-    """What `on_frame` did with a frame."""
+    """What `on_frame` did with a frame; `Device.stats` counts each under
+    its value."""
 
     PROCESSED = "processed"
     DUPLICATE = "duplicate"
@@ -120,7 +123,6 @@ class DeviceConfig:
     pn_w: float | None = None  # contractual power, for plausibility checks
     alarm_limit_w: float | None = None  # user-set threshold for the power alarm
     tariff: TariffSchedule | None = None
-    dedup_window: int = 16
 
 
 @dataclass(frozen=True)
@@ -160,16 +162,13 @@ class CostEstimate:
 
 class Device:
     def __init__(self, config: DeviceConfig) -> None:
-        if config.dedup_window < 1:
-            raise ValueError("dedup_window must be >= 1")
         self.config = config
         self.quarters: dict[int, QuarterRecord] = {}  # quarter start s -> record
-        self.last_power_w: float | None = None
         self.event_log: list[SupplyEvent] = []
         self.notifications: list[Notification] = []
         self.stats: dict[str, int] = {
             "processed": 0,
-            "duplicates": 0,
+            "duplicate": 0,
             "too_old": 0,
             "unpaired": 0,
             "implausible_t1": 0,
@@ -188,23 +187,22 @@ class Device:
             self.stats["unpaired"] += 1
             return _UNPAIRED
         seq = frame.seq
-        window = self.config.dedup_window
         high_water = self._high_water
         recent = self._recent
         if seq > high_water:
-            # The window is (high_water - window, high_water]; advancing the
-            # mark drops exactly the seqs that fall out of it.
-            floor = seq - window
+            # The window is (high_water - DEDUP_WINDOW, high_water]; advancing
+            # the mark drops exactly the seqs that fall out of it.
+            floor = seq - DEDUP_WINDOW
             if floor >= high_water:
                 recent.clear()
             else:
-                for old in range(high_water - window + 1, floor + 1):
+                for old in range(high_water - DEDUP_WINDOW + 1, floor + 1):
                     recent.discard(old)
             recent.add(seq)
             self._high_water = seq
-        elif seq > high_water - window:
+        elif seq > high_water - DEDUP_WINDOW:
             if seq in recent:
-                self.stats["duplicates"] += 1
+                self.stats["duplicate"] += 1
                 return _DUPLICATE
             recent.add(seq)
         else:
@@ -245,7 +243,6 @@ class Device:
         )
 
     def _on_power_sample(self, t: int, power_w: float) -> None:
-        self.last_power_w = power_w
         cfg = self.config
         limit = cfg.alarm_limit_w
         if limit is not None:

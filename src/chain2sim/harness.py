@@ -22,18 +22,21 @@ for each arrival: the link is FIFO (arrival times rise in send order) and
 nothing reads the device during a run.  The gate is the user's pairing
 window from the portal, fixed before any user runs.
 
-Statistics follow one frame end to end.  Every frame a meter emits is
-counted as sent under its frame type and the day of the observation it
-reports; it is counted as received only if the channel delivered it, the
-pairing gate admitted it and the device processed it.  At the end of a run the
-books must balance per link:
+Statistics follow one frame end to end, on one ledger per link: a Counter
+keyed (frame type, day, disposition) that counts every frame the meter
+sends exactly once, under its final disposition.  The day is that of the
+observation the frame reports.  The disposition is `LinkOutcome.LOST` when
+the channel drops the frame, `LinkOutcome.GATED` when it arrives outside
+the pairing window, and otherwise the `Disposition` that `Device.on_frame`
+returns; a frame counts as received when it is processed.  At the end of a
+run each link's books must balance:
 
-    sent = delivered + lost
-    delivered = processed + gated + duplicates + too_old + unpaired
+    frames on the ledger = the meter's final sequence number
+    each device disposition on the ledger = the device's own count of it
+    the device's sequence gaps = lost + gated
 
-and the device-side sequence gaps (against the meter's final sequence
-number) must equal lost + gated exactly.  A reconciliation failure is a
-bug, not a statistic, and raises.
+A failure is a bug, not a statistic, and raises `ReconciliationError`,
+which carries the link's ledger.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ import random
 import sys
 from bisect import bisect_left
 from collections import Counter, deque
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from enum import Enum
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -87,7 +91,7 @@ from chain2sim.seeds import derive
 
 DAY_S = 86400
 
-FRAME_TYPE_NAMES = tuple(t.name for t in FrameType)  # indexed by type - 1
+FRAME_TYPE_NAMES = tuple(t.name for t in FrameType)  # in report order
 
 _T1 = FrameType.T1
 _PROCESSED = Disposition.PROCESSED
@@ -137,6 +141,9 @@ class UserSpec:
     supply_events: tuple[tuple[int, SupplyEventKind], ...] = ()
     revoke_at_s: float | None = None
     direction: EnergyDirection = EnergyDirection.WITHDRAWN
+    # The samples of `profile_csv` over the run, read-only: validate_config
+    # reads and checks the file once and keeps them here for the run.
+    profile_w: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -416,7 +423,8 @@ def _check_profile_csv(
     """Resolve a user's profile CSV against `base_dir` and check that it
     matches the scenario tick, covers the run, and holds no sample the
     meter would reject within the run (rows past the run are never read).
-    Returns the spec and, when the CSV passes, its peak over the run."""
+    Returns the spec, with the samples over the run when the CSV passes,
+    and then also their peak."""
     csv_path = os.path.join(base_dir, spec.profile_csv)  # an absolute path stays as it is
     spec, path = replace(spec, profile_csv=csv_path), f"{path}.profile_csv"
     mark = len(read.errors)
@@ -436,7 +444,10 @@ def _check_profile_csv(
         row = int(bad[0])
         sample = f"row {row} (t_s={row * csv_tick})"
         read.fail(path, f"{sample}: power_W must be finite and >= 0, got {power[row]}")
-    return spec, float(used.max()) if len(read.errors) == mark else None
+    if len(read.errors) > mark:
+        return spec, None
+    used.flags.writeable = False  # every run of the config shares it
+    return replace(spec, profile_w=used), float(used.max())
 
 
 _U16_MAX = 2**16 - 1
@@ -650,6 +661,48 @@ def default_campaign(
 # -- Statistics -----------------------------------------------------------------
 
 
+class LinkOutcome(Enum):
+    """The disposition of a frame that never reaches `Device.on_frame`."""
+
+    LOST = "lost"  # dropped by the channel
+    GATED = "gated"  # delivered outside the pairing window
+
+
+_LOST, _GATED = LinkOutcome
+
+
+class ReconciliationError(RuntimeError):
+    """A link's books do not balance: a bug in the pipeline, not a statistic.
+    Carries the pod and its ledger, (frame type, day, disposition) -> frames."""
+
+    def __init__(self, pod_id: str, ledger: Counter, problems: list[str]) -> None:
+        super().__init__(f"{pod_id}: " + "; ".join(problems))
+        self.pod_id = pod_id
+        self.ledger = ledger
+
+
+def _reconcile(pod_id: str, ledger: Counter, meter: Meter, device: Device) -> int:
+    """Check one link's books (see the module docstring); returns the
+    device's sequence gaps."""
+    counts: Counter = Counter()  # disposition -> frames
+    for (_, _, disposition), n in ledger.items():
+        counts[disposition] += n
+    problems = []
+    sent = sum(counts.values())
+    if sent != meter.last_seq:
+        problems.append(f"sent {sent} != meter seq {meter.last_seq}")
+    for disposition in Disposition:
+        on_device = device.stats[disposition.value]
+        if counts[disposition] != on_device:
+            problems.append(f"{disposition.value} {counts[disposition]} != device {on_device}")
+    gaps = device.seq_gaps(final_seq=meter.last_seq)
+    if gaps != counts[_LOST] + counts[_GATED]:
+        problems.append(f"seq gaps {gaps} != lost {counts[_LOST]} + gated {counts[_GATED]}")
+    if problems:
+        raise ReconciliationError(pod_id, ledger, problems)
+    return gaps
+
+
 @dataclass
 class TypeStats:
     sent: int = 0
@@ -665,12 +718,7 @@ class TypeStats:
 @dataclass
 class UserResult:
     pod_id: str
-    final_seq: int
-    sent: Counter  # (type name, day) -> count
-    received: Counter  # (type name, day) -> count
-    lost: Counter  # type name -> count
-    gated: int
-    device_stats: dict[str, int]
+    ledger: Counter  # (frame type, day, disposition) -> frames
     seq_gaps: int
     processed_log: list[tuple[float, int]] | None  # (arrival t, seq), with_details only
     profile_w: np.ndarray | None  # settlement baseline, MEVU members only
@@ -769,17 +817,7 @@ def summarize_daily(report: CampaignReport) -> list[tuple[int, TypeStats]]:
 
 def _build_profile(spec: UserSpec, config: ScenarioConfig) -> np.ndarray:
     if spec.profile_csv is not None:
-        power, tick = profile_from_csv(spec.profile_csv)
-        if tick != config.tick_s:
-            raise ConfigError(
-                [f"{spec.pod_id}: profile tick {tick} s != scenario tick {config.tick_s} s"]
-            )
-        n = config.duration_s // config.tick_s
-        if len(power) < n:
-            raise ConfigError(
-                [f"{spec.pod_id}: profile covers {len(power)} ticks, need {n}"]
-            )
-        return power[:n]
+        return spec.profile_w
     rng = np.random.default_rng(derive(config.seed, "profile", spec.pod_id))
     return household_profile(rng, spec.pn_w, config.duration_s, config.tick_s, spec.building_class)
 
@@ -895,10 +933,7 @@ def _run_user(
     del profile
     events = deque(spec.supply_events)
 
-    sent: Counter = Counter()
-    received: Counter = Counter()
-    lost: Counter = Counter()
-    gated = 0
+    ledger: Counter = Counter()
     active_at, revoked_at = window
     # What the grid supplied: zero at a tick with the breaker open, the grid
     # power otherwise.
@@ -906,28 +941,25 @@ def _run_user(
     processed_log: list[tuple[float, int]] | None = [] if keep_log else None
 
     def send(frame: CompactFrame) -> None:
-        nonlocal gated
         raw = encode_frame(frame)
         frame_type = frame.frame_type
-        name = FRAME_TYPE_NAMES[frame_type - 1]
         ts = frame.timestamp
         # T1 reports the quarter that ENDS at its timestamp; attribute it to
         # the day containing that quarter, not the day the boundary tick
         # falls in.
         day = (ts - 1) // DAY_S if frame_type is _T1 else ts // DAY_S
-        sent[(name, day)] += 1
-        verdict = link.transmit(frame_type, ts)
-        if not verdict.delivered:
-            lost[name] += 1
-            return
-        t_arrive = verdict.t_arrive
-        frame = decode_frame(raw)
-        if not active_at <= t_arrive < revoked_at:
-            gated += 1
-        elif device.on_frame(frame, t_arrive) is _PROCESSED:
-            received[(name, day)] += 1
-            if processed_log is not None:
-                processed_log.append((t_arrive, frame.seq))
+        t_arrive = link.transmit(frame_type, ts)
+        if t_arrive is None:
+            disposition = _LOST
+        else:
+            frame = decode_frame(raw)
+            if not active_at <= t_arrive < revoked_at:
+                disposition = _GATED
+            else:
+                disposition = device.on_frame(frame, t_arrive)
+                if processed_log is not None and disposition is _PROCESSED:
+                    processed_log.append((t_arrive, frame.seq))
+        ledger[frame_type, day, disposition] += 1
 
     # Split the series wherever something reaches into the meter: at a supply
     # event and at an emergency limit armed.  The meter itself finds the tick
@@ -949,33 +981,12 @@ def _run_user(
         if actual is not None:
             actual[opened:b] = 0.0
 
-    # Per-link reconciliation; a failure here is a pipeline bug.
-    n_sent = sum(sent.values())
-    n_lost = sum(lost.values())
-    n_delivered = n_sent - n_lost
-    stats = device.stats
-    if n_sent != meter.last_seq:
-        raise RuntimeError(f"{spec.pod_id}: sent {n_sent} != meter seq {meter.last_seq}")
-    if n_delivered != (
-        stats["processed"] + gated + stats["duplicates"] + stats["too_old"] + stats["unpaired"]
-    ):
-        raise RuntimeError(f"{spec.pod_id}: delivered frames do not reconcile")
-    gaps = device.seq_gaps(final_seq=meter.last_seq)
-    if gaps != n_lost + gated:
-        raise RuntimeError(
-            f"{spec.pod_id}: seq gaps {gaps} != lost {n_lost} + gated {gated}"
-        )
-
+    gaps = _reconcile(spec.pod_id, ledger, meter, device)
     if user_dir is not None:
         _write_user_files(user_dir, device, config.duration_s)
     return UserResult(
         pod_id=spec.pod_id,
-        final_seq=meter.last_seq,
-        sent=sent,
-        received=received,
-        lost=lost,
-        gated=gated,
-        device_stats=dict(stats),
+        ledger=ledger,
         seq_gaps=gaps,
         processed_log=processed_log,
         profile_w=baseline,
@@ -1074,20 +1085,20 @@ def run(
     per_type: dict[str, TypeStats] = {}
     per_day: dict[int, dict[str, TypeStats]] = {}
     per_user: dict[str, dict[str, TypeStats]] = {}
-    lost_total = 0
-    gated_total = 0
+    by_disposition: Counter = Counter()
     for result in results:
         user_map = per_user.setdefault(result.pod_id, {})
-        for (name, day), count in sorted(result.sent.items()):
-            per_type.setdefault(name, TypeStats()).sent += count
-            per_day.setdefault(day, {}).setdefault(name, TypeStats()).sent += count
-            user_map.setdefault(name, TypeStats()).sent += count
-        for (name, day), count in sorted(result.received.items()):
-            per_type.setdefault(name, TypeStats()).received += count
-            per_day.setdefault(day, {}).setdefault(name, TypeStats()).received += count
-            user_map.setdefault(name, TypeStats()).received += count
-        lost_total += sum(result.lost.values())
-        gated_total += result.gated
+        for (frame_type, day, disposition), count in result.ledger.items():
+            name = frame_type.name
+            received = count if disposition is _PROCESSED else 0
+            for stats in (
+                per_type.setdefault(name, TypeStats()),
+                per_day.setdefault(day, {}).setdefault(name, TypeStats()),
+                user_map.setdefault(name, TypeStats()),
+            ):
+                stats.sent += count
+                stats.received += received
+            by_disposition[disposition] += count
     totals = _sum_stats(per_type.values())
 
     loss = config.channel.loss
@@ -1105,8 +1116,8 @@ def run(
         per_day=per_day,
         per_user=per_user,
         totals=totals,
-        lost_total=lost_total,
-        gated_total=gated_total,
+        lost_total=by_disposition[_LOST],
+        gated_total=by_disposition[_GATED],
     )
 
     if out_dir is not None:

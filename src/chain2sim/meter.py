@@ -9,11 +9,11 @@ the half-open interval [t, t + tick_s) and may emit:
     T1  when the tick closes a quarter hour (energy of that quarter),
     T4  when the meter itself opens the breaker after a sustained overrun.
 
-Overrun handling: while the power stays above `overrun_factor * pn_w` the
+Overrun handling: while the power stays above `OVERRUN_FACTOR * pn_w` the
 meter counts down to a supply cut.  The allowed time is inversely
 proportional to the excess,
 
-    remaining = switchoff_tau_s * pn_w / (power - overrun_factor * pn_w)
+    remaining = SWITCHOFF_TAU_S * pn_w / (power - OVERRUN_FACTOR * pn_w)
 
 so a small overrun is tolerated for tens of minutes while a doubled load is
 cut within a few minutes.  The deadline only tightens while the overrun
@@ -24,7 +24,7 @@ reference.
 A distributor-issued emergency limit (`arm_emergency_limit`) replaces the
 reference: while armed, the countdown uses
 
-    remaining = switchoff_tau_s * limit_w / (power - limit_w)
+    remaining = SWITCHOFF_TAU_S * limit_w / (power - limit_w)
 
 with no tolerance factor on the limit itself.
 
@@ -78,8 +78,8 @@ from chain2sim.frames import (
 
 QUARTER_S = 900
 QUARTERS_PER_DAY = 96
-OVERRUN_FACTOR = 1.1  # default tolerated fraction of pn_w
-SWITCHOFF_TAU_S = 180.0  # default time constant of the cut countdown (s)
+OVERRUN_FACTOR = 1.1  # tolerated fraction of pn_w before the cut countdown arms
+SWITCHOFF_TAU_S = 180.0  # time constant of the cut countdown (s)
 
 # Enum members used per tick, bound once: looking a member up on its enum
 # class is a slow attribute access on CPython 3.11.
@@ -89,26 +89,8 @@ _POWER_EXCEEDED, _ENERGY_THRESHOLD_EXCEEDED, _RESTORED = ExceedanceCause
 _INTERRUPTION_START = SupplyEventKind.INTERRUPTION_START
 
 
-def band_index(power_w: float, pn_w: float) -> int:
-    """Band of a power sample: floor(10 * P / Pn), clamped to [0, 10].
-
-    Band k means the power sits between thresholds k*Pn/10 and (k+1)*Pn/10;
-    band 10 collects everything at or above Pn.
-    """
-    k = math.floor((10.0 * power_w) / pn_w)
-    if k < 0:
-        return 0
-    if k > 10:
-        return 10
-    return k
-
-
 def switchoff_remaining(
-    power_w: float,
-    pn_w: float,
-    *,
-    overrun_factor: float = OVERRUN_FACTOR,
-    tau_s: float = SWITCHOFF_TAU_S,
+    power_w: float, pn_w: float, *, overrun_factor: float = OVERRUN_FACTOR
 ) -> float | None:
     """Seconds until the breaker would open at a steady `power_w`.
 
@@ -119,7 +101,7 @@ def switchoff_remaining(
     reference = overrun_factor * pn_w
     if power_w <= reference:
         return None
-    return tau_s * pn_w / (power_w - reference)
+    return SWITCHOFF_TAU_S * pn_w / (power_w - reference)
 
 
 @dataclass(frozen=True)
@@ -127,8 +109,6 @@ class MeterConfig:
     """Static parameters of one meter.
 
     pn_w: contractual power in watts.
-    overrun_factor: tolerated fraction of pn_w before the cut countdown arms.
-    switchoff_tau_s: time constant of the cut countdown (seconds).
     energy_threshold_wh: optional cumulative-energy alarm level; the meter
         sends a single T3 when lifetime energy first reaches it.
     tick_s: sampling period in whole seconds; must divide the 900 s quarter.
@@ -137,8 +117,6 @@ class MeterConfig:
     """
 
     pn_w: float
-    overrun_factor: float = OVERRUN_FACTOR
-    switchoff_tau_s: float = SWITCHOFF_TAU_S
     energy_threshold_wh: float | None = None
     tick_s: int = 1
     direction: EnergyDirection = EnergyDirection.WITHDRAWN
@@ -146,14 +124,6 @@ class MeterConfig:
     def __post_init__(self) -> None:
         if self.pn_w <= 0:
             raise ValueError(f"pn_w must be positive, got {self.pn_w}")
-        if self.overrun_factor < 1.0:
-            raise ValueError(
-                f"overrun_factor must be >= 1, got {self.overrun_factor}"
-            )
-        if self.switchoff_tau_s <= 0:
-            raise ValueError(
-                f"switchoff_tau_s must be positive, got {self.switchoff_tau_s}"
-            )
         if self.energy_threshold_wh is not None and self.energy_threshold_wh <= 0:
             raise ValueError(
                 f"energy_threshold_wh must be positive, got {self.energy_threshold_wh}"
@@ -179,7 +149,6 @@ class Meter:
         self.pod_id = pod_id
         self.config = config
         self.supply_on = True
-        self.total_reported_wh = 0
         self._seq = 0
         self._next_t: int | None = None
         self._band = 0
@@ -299,7 +268,8 @@ class Meter:
         p_eff = power_w if self.supply_on else 0.0
 
         # Band crossings.  One frame per threshold passed, in crossing order.
-        # Same rule as band_index(); p_eff >= 0, so int() is the floor.
+        # Band k holds the powers in [k*Pn/10, (k+1)*Pn/10), band 10 all at or
+        # above Pn; p_eff >= 0, so int() is the floor.
         new_band = int((10.0 * p_eff) / pn)
         if new_band > 10:
             new_band = 10
@@ -315,17 +285,15 @@ class Meter:
             self._band = new_band
 
         # Overrun countdown against the active reference.  The default
-        # reference is switchoff_remaining() inlined with the config's factor.
+        # reference is switchoff_remaining() inlined.
         if self._em_limit_w is not None:
-            remaining = switchoff_remaining(
-                p_eff, self._em_limit_w, overrun_factor=1.0, tau_s=cfg.switchoff_tau_s
-            )
+            remaining = switchoff_remaining(p_eff, self._em_limit_w, overrun_factor=1.0)
         else:
-            reference = cfg.overrun_factor * pn
+            reference = OVERRUN_FACTOR * pn
             if p_eff <= reference:
                 remaining = None
             else:
-                remaining = cfg.switchoff_tau_s * pn / (p_eff - reference)
+                remaining = SWITCHOFF_TAU_S * pn / (p_eff - reference)
         if remaining is None:
             self._cut_deadline = None
         else:
@@ -368,7 +336,6 @@ class Meter:
         if t_close % QUARTER_S == 0:
             energy_wh = round(self._quarter_acc_ws / 3600.0)
             self._quarter_acc_ws = 0.0
-            self.total_reported_wh += energy_wh
             quarter = (t_close // QUARTER_S - 1) % QUARTERS_PER_DAY
             frames.append(
                 self._emit(_T1, t_close, T1Payload(quarter, energy_wh, cfg.direction))
@@ -429,7 +396,7 @@ class Meter:
             band = np.floor((10.0 * x) / pn)
             np.minimum(band, 10.0, out=band)
             over_pn = x > pn
-            over_ref = x > (cfg.overrun_factor * pn if limit is None else limit)
+            over_ref = x > (OVERRUN_FACTOR * pn if limit is None else limit)
             mask = over_ref.copy()
             # The tick after an overrun clears its deadline or opens the breaker.
             mask[1:] |= over_ref[:-1]

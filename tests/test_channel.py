@@ -15,39 +15,36 @@ from chain2sim.frames import FrameType
 
 def test_idle_link_arrival_time():
     link = Channel(ChannelConfig(), seed=1)
-    verdict = link.transmit(FrameType.T1, 10.0)
-    assert verdict.delivered
     # 240 bits at 4800 bit/s is 50 ms on the wire plus 50 ms processing.
-    assert verdict.t_arrive == pytest.approx(10.0 + 0.05 + 0.05)
+    assert link.transmit(FrameType.T1, 10.0) == pytest.approx(10.0 + 0.05 + 0.05)
 
 
 def test_burst_of_frames_serializes():
     link = Channel(ChannelConfig(proc_delay_s=0.0), seed=1)
-    verdicts = [link.transmit(FrameType.T2, 100.0) for _ in range(3)]
+    arrivals = [link.transmit(FrameType.T2, 100.0) for _ in range(3)]
     slot = 256 / 4800.0
-    arrivals = [v.t_arrive for v in verdicts]
     assert arrivals == pytest.approx([100.0 + slot, 100.0 + 2 * slot, 100.0 + 3 * slot])
     assert arrivals == sorted(arrivals)
 
 
 def test_lost_frame_still_occupies_the_link():
-    link = Channel(ChannelConfig(loss=BernoulliLoss(1.0)), seed=3)
-    first = link.transmit(FrameType.T1, 0.0)
-    assert not first.delivered and first.t_arrive is None
-    assert first.t_link_free == pytest.approx(0.05)
-    # The next frame queues behind the corrupted one.
-    second = link.transmit(FrameType.T1, 0.0)
-    assert second.t_link_free == pytest.approx(0.10)
+    # The good state loses every frame and the bad state none; the state
+    # flips after every frame, so the first frame is lost, the second not.
+    loss = GilbertElliottLoss(1.0, 1.0, loss_good=1.0, loss_bad=0.0)
+    link = Channel(ChannelConfig(loss=loss), seed=3)
+    assert link.transmit(FrameType.T1, 0.0) is None
+    # The next frame queues behind the corrupted one: 2 x 50 ms on the wire.
+    assert link.transmit(FrameType.T1, 0.0) == pytest.approx(0.10 + 0.05)
 
 
 def test_no_loss_model_delivers_everything():
     link = Channel(ChannelConfig(), seed=99)
-    assert all(link.transmit(FrameType.T3, float(t)).delivered for t in range(500))
+    assert all(link.transmit(FrameType.T3, float(t)) is not None for t in range(500))
 
 
 def test_bernoulli_loss_rate_is_plausible():
     link = Channel(ChannelConfig(loss=BernoulliLoss(0.1)), seed=42)
-    lost = sum(not link.transmit(FrameType.T1, float(t)).delivered for t in range(20_000))
+    lost = sum(link.transmit(FrameType.T1, float(t)) is None for t in range(20_000))
     assert lost / 20_000 == pytest.approx(0.1, abs=0.01)
 
 
@@ -56,9 +53,9 @@ def test_gilbert_elliott_starts_good_and_matches_stationary_rate():
     loss = GilbertElliottLoss(0.1, 0.3, loss_good=0.0, loss_bad=0.5)
     for seed in range(5):
         link = Channel(ChannelConfig(loss=loss), seed=seed)
-        assert link.transmit(FrameType.T1, 0.0).delivered  # good state, loss 0
+        assert link.transmit(FrameType.T1, 0.0) is not None  # good state, loss 0
     link = Channel(ChannelConfig(loss=loss), seed=7)
-    lost = sum(not link.transmit(FrameType.T1, float(t)).delivered for t in range(40_000))
+    lost = sum(link.transmit(FrameType.T1, float(t)) is None for t in range(40_000))
     assert lost / 40_000 == pytest.approx(0.125, abs=0.02)
 
 
@@ -67,7 +64,7 @@ def test_gilbert_elliott_losses_cluster():
 
     def adjacent_loss_fraction(loss_model, seed):
         link = Channel(ChannelConfig(loss=loss_model), seed=seed)
-        outcomes = [link.transmit(FrameType.T1, float(t)).delivered for t in range(30_000)]
+        outcomes = [link.transmit(FrameType.T1, float(t)) is not None for t in range(30_000)]
         pairs = sum(
             1 for a, b in zip(outcomes, outcomes[1:]) if not a and not b
         )

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chain2sim.device import (
+    DEDUP_WINDOW,
     Device,
     DeviceConfig,
     Disposition,
@@ -56,7 +57,7 @@ def test_duplicate_and_reordered_frames():
     assert dev.on_frame(t2(4, 0, 500), 1.4) is Disposition.TOO_OLD
     assert dev.stats == {
         "processed": 2,
-        "duplicates": 2,
+        "duplicate": 2,
         "too_old": 1,
         "unpaired": 0,
         "implausible_t1": 0,
@@ -71,7 +72,7 @@ class _SetRebuildDedup:
         self.window = window
         self.high_water = 0
         self.recent: set[int] = set()
-        self.stats = {"processed": 0, "duplicates": 0, "too_old": 0, "unpaired": 0}
+        self.stats = {"processed": 0, "duplicate": 0, "too_old": 0, "unpaired": 0}
 
     def feed(self, seq: int, paired: bool) -> Disposition:
         if not paired:
@@ -85,7 +86,7 @@ class _SetRebuildDedup:
                 self.recent = {s for s in self.recent if s > floor}
         elif seq > self.high_water - self.window:
             if seq in self.recent:
-                self.stats["duplicates"] += 1
+                self.stats["duplicate"] += 1
                 return Disposition.DUPLICATE
             self.recent.add(seq)
         else:
@@ -95,18 +96,19 @@ class _SetRebuildDedup:
         return Disposition.PROCESSED
 
 
-@given(window=st.integers(1, 20), data=st.data())
-def test_dedup_matches_the_set_rebuild_rule(window, data):
+@given(data=st.data())
+def test_dedup_matches_the_set_rebuild_rule(data):
     """Duplicates, reorders, stale frames, jumps and unpaired pods: the
     incrementally trimmed window decides exactly as a full rebuild would."""
     # Each frame's seq is the high-water mark plus a step.  A positive step
     # advances the mark, a step in (-window, 0] repeats or reorders a seq
     # inside the window, a lower one falls behind it.  The edges of the
     # window are drawn on purpose: they are where a trim goes wrong.
+    window = DEDUP_WINDOW
     edges = [-window, 1 - window, 0, 1, window - 1, window, window + 1]
     step = st.one_of(st.sampled_from(edges), st.integers(-window - 2, 2))
     steps = data.draw(st.lists(st.tuples(step, st.booleans()), min_size=30, max_size=150))
-    dev = make_device(dedup_window=window)
+    dev = make_device()
     ref = _SetRebuildDedup(window)
     for i, (step, paired) in enumerate(steps):
         seq = max(0, ref.high_water + step)
@@ -124,7 +126,7 @@ def test_duplicate_does_not_reapply_payload():
     dev.quarters[0] = dev.quarters[0]  # sanity: record exists
     dev.on_frame(frame, 2.0)
     assert dev.stats["processed"] == 1
-    assert dev.stats["duplicates"] == 1
+    assert dev.stats["duplicate"] == 1
 
 
 def test_unpaired_pod_is_rejected():
@@ -194,14 +196,21 @@ def test_switchoff_warning_once_per_excursion():
 def test_t3_updates_power_state_and_notifies():
     dev = make_device(pn_w=3000.0, alarm_limit_w=2000.0)
     dev.on_frame(t3(1, 100, ExceedanceCause.POWER_EXCEEDED, 3400), 100.1)
-    assert dev.last_power_w == 3400.0
-    kinds = {n.kind for n in dev.notifications}
-    assert "contract_power_exceeded" in kinds
-    assert "power_alarm" in kinds  # 3400 W is also over the user limit
+    # 3400 W is also over the user limit and over 1.1 * Pn.
+    assert [(n.kind, n.message) for n in dev.notifications] == [
+        ("contract_power_exceeded", "drawing 3400 W over contract"),
+        ("power_alarm", "power 3400 W above set limit 2000 W"),
+        ("switchoff_warning", "supply cut in 5400 s unless load drops below 3300 W"),
+    ]
     dev.on_frame(t3(2, 200, ExceedanceCause.RESTORED, 1800), 200.1)
-    assert dev.last_power_w == 1800.0
-    dev.on_frame(t3(3, 300, ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED, 5000), 300.1)
-    assert any(n.kind == "energy_threshold" for n in dev.notifications)
+    # 1800 W clears the power alarm, so the next excursion raises it again.
+    dev.on_frame(t2(3, 250, 2500), 250.1)
+    assert [(n.kind, n.message) for n in dev.notifications[3:]] == [
+        ("power_restored", "back to 1800 W"),
+        ("power_alarm", "power 2500 W above set limit 2000 W"),
+    ]
+    dev.on_frame(t3(4, 300, ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED, 5000), 300.1)
+    assert dev.notifications[-1].kind == "energy_threshold"
 
 
 # -- cost estimate ---------------------------------------------------------------------
@@ -255,8 +264,3 @@ def test_tariff_windows_must_tile_the_day():
     assert schedule.price_at(43200) == 0.30
     assert schedule.price_at(86400 + 10) == 0.10  # wraps into day two
     assert schedule.slot_prices(4, 43200)[:2] == [0.10, 0.30]
-
-
-def test_dedup_window_must_be_positive():
-    with pytest.raises(ValueError, match="dedup_window"):
-        Device(DeviceConfig(paired_pod=POD, dedup_window=0))

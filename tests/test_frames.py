@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chain2sim.channel import TransmitVerdict
 from chain2sim.device import QuarterRecord
 from chain2sim.frames import (
     CompactFrame,
@@ -259,7 +258,6 @@ def test_payloads_of_different_types_never_compare_equal():
         T3Payload(ExceedanceCause.POWER_EXCEEDED, 3500),
         T4Payload(SupplyEventKind.INTERRUPTION_START),
         CompactFrame(FrameType.T1, "IT001E00000001", 1, 900, T1Payload(0, 5)),
-        TransmitVerdict(True, 0.1, 0.05),
         QuarterRecord(5, EnergyDirection.WITHDRAWN, 1),
     ],
     ids=lambda record: type(record).__name__,

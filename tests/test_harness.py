@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 
 from chain2sim.automation import DrCommand, Site, SiteLoad, dr_site_step, peak_shave_step
 from chain2sim.channel import BernoulliLoss, ChannelConfig
+from chain2sim.device import Disposition
 from chain2sim.frames import SupplyEventKind
 from chain2sim.meter import Meter, MeterConfig
 from chain2sim import harness
 from chain2sim.harness import (
     CampaignReport,
     ConfigError,
+    LinkOutcome,
     MevuSpec,
     ScenarioConfig,
     UserSpec,
@@ -534,7 +536,29 @@ def test_seq_gap_identity_per_user():
     config = small_config(duration_s=8 * 3600)
     _, details = run(config, parallel=False, with_details=True)
     for result in details.user_results:
-        assert result.seq_gaps == sum(result.lost.values()) + result.gated
+        undelivered = (LinkOutcome.LOST, LinkOutcome.GATED)
+        assert result.seq_gaps == sum(
+            n for (_, _, disposition), n in result.ledger.items() if disposition in undelivered
+        )
+
+
+def test_unbalanced_books_raise_with_the_ledger(monkeypatch):
+    """A device that reports one frame as a duplicate while counting it as
+    processed breaks the books; the error carries the link's ledger."""
+    real = harness.Device.on_frame
+
+    def on_frame(self, frame, t_arrive):
+        disposition = real(self, frame, t_arrive)
+        return Disposition.DUPLICATE if frame.seq == 3 else disposition
+
+    monkeypatch.setattr(harness.Device, "on_frame", on_frame)
+    config = small_config(users=(UserSpec(pod_id=POD1, pn_w=3000.0),), channel=ChannelConfig())
+    with pytest.raises(harness.ReconciliationError, match="duplicate 1 != device 0") as caught:
+        run(config)
+    ledger = caught.value.ledger
+    assert caught.value.pod_id == POD1
+    assert {d for _, _, d in ledger} == {Disposition.PROCESSED, Disposition.DUPLICATE}
+    assert sum(n for (_, _, d), n in ledger.items() if d is Disposition.DUPLICATE) == 1
 
 
 def test_outputs_written(tmp_path):

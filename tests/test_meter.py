@@ -20,7 +20,6 @@ from chain2sim.meter import (
     QUARTERS_PER_DAY,
     Meter,
     MeterConfig,
-    band_index,
     switchoff_remaining,
 )
 
@@ -43,15 +42,23 @@ def drive(meter, powers, t0=0):
 # -- band index ----------------------------------------------------------------
 
 
+def band_from_zero(power_w, pn_w):
+    """The band a fresh meter (band 0) reports after one step at `power_w`:
+    the band of the last T2 frame, 0 when it emits none."""
+    t2 = [f for f in make_meter(pn_w=pn_w).step(power_w, 0) if f.frame_type is FrameType.T2]
+    assert [f.payload.band_index for f in t2] == list(range(1, len(t2) + 1))
+    return len(t2)
+
+
 def test_band_index_thresholds():
     pn = 3000.0
-    assert band_index(0.0, pn) == 0
-    assert band_index(299.9, pn) == 0
-    assert band_index(300.0, pn) == 1
-    assert band_index(1500.0, pn) == 5
-    assert band_index(2999.9, pn) == 9
-    assert band_index(3000.0, pn) == 10
-    assert band_index(50000.0, pn) == 10
+    assert band_from_zero(0.0, pn) == 0
+    assert band_from_zero(299.9, pn) == 0
+    assert band_from_zero(300.0, pn) == 1
+    assert band_from_zero(1500.0, pn) == 5
+    assert band_from_zero(2999.9, pn) == 9
+    assert band_from_zero(3000.0, pn) == 10
+    assert band_from_zero(50000.0, pn) == 10
 
 
 @given(
@@ -61,8 +68,8 @@ def test_band_index_thresholds():
 )
 def test_band_index_monotone(p1, p2, pn):
     lo, hi = sorted((p1, p2))
-    assert band_index(lo, pn) <= band_index(hi, pn)
-    assert 0 <= band_index(lo, pn) <= 10
+    assert band_from_zero(lo, pn) <= band_from_zero(hi, pn)
+    assert 0 <= band_from_zero(lo, pn) <= 10
 
 
 # -- switch-off law --------------------------------------------------------------
@@ -115,7 +122,6 @@ def test_one_day_constant_load():
     assert [f.timestamp for f in t1] == [900 * (k + 1) for k in range(96)]
     assert all(f.payload.energy_wh == 250 for f in t1)
     assert all(f.payload.direction is EnergyDirection.WITHDRAWN for f in t1)
-    assert meter.total_reported_wh == 24000
 
 
 def test_quarter_index_wraps_on_second_day():
@@ -365,9 +371,9 @@ def test_first_step_must_be_tick_aligned():
     [
         {"pn_w": 0.0},
         {"pn_w": 3000.0, "tick_s": 7},
-        {"pn_w": 3000.0, "overrun_factor": 0.9},
-        {"pn_w": 3000.0, "switchoff_tau_s": 0.0},
         {"pn_w": 3000.0, "energy_threshold_wh": 0.0},
+        {"pn_w": 3000.0, "tick_s": 0},
+        {"pn_w": 3000.0, "tick_s": 1.5},
     ],
 )
 def test_config_validation(kw):
@@ -461,7 +467,6 @@ def _drive_meter(case, use_series, injections=None):
         meter.last_seq,
         meter._quarter_acc_ws,
         meter._total_acc_ws,
-        meter.total_reported_wh,
         meter._band,
         meter._next_t,
         meter.cut_deadline,

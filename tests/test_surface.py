@@ -1,5 +1,6 @@
 """Every public function, class, method and property in the package has a
-caller in the package itself, or a stated reason to exist without one."""
+caller in the package itself, or a stated reason to exist without one, and
+every public attribute a class sets on `self` has a reader there."""
 
 import ast
 from collections import Counter
@@ -24,14 +25,15 @@ ALLOWED = {
 
 
 def _uses(node: ast.AST) -> tuple[Counter, Counter]:
-    """The names the code under `node` uses: as attributes (`x.name`), and
-    bare or imported (`name`, `from m import name`)."""
+    """The names the code under `node` reads: as attributes (`x.name`), and
+    bare or imported (`name`, `from m import name`).  A name only assigned,
+    such as a dataclass field declared as `name: int`, is not a use."""
     attributes: Counter = Counter()
     bare: Counter = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             attributes[sub.attr] += 1
-        elif isinstance(sub, ast.Name):
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             bare[sub.id] += 1
         elif isinstance(sub, ast.alias):
             bare[sub.name] += 1
@@ -50,10 +52,28 @@ def _public_definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}", True, item
 
 
+def _public_attributes(tree: ast.Module):
+    """`Class.name` of each public `self.name` that a method of a public
+    class assigns."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                    and not sub.attr.startswith("_")
+                ):
+                    yield f"{node.name}.{sub.attr}", sub.attr
+
+
 def _uncalled() -> set[str]:
-    """Public names with no use in src/ outside their own definition.  A
-    method counts as used only through an attribute, so a local variable of
-    the same name does not hide it; a module-level name counts either way."""
+    """Public names with no use in src/ outside their own definition, and
+    public attributes assigned on `self` that nothing in src/ reads.  A
+    method or attribute counts as used only through an attribute, so a
+    local variable of the same name does not hide it; a module-level name
+    counts either way."""
     trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
     attributes, bare = Counter(), Counter()
     for tree in trees:
@@ -68,6 +88,9 @@ def _uncalled() -> set[str]:
             if not is_method:
                 uses += bare[name] - own_bare[name]
             if uses <= 0:
+                uncalled.add(qualified)
+        for qualified, name in _public_attributes(tree):
+            if attributes[name] == 0:
                 uncalled.add(qualified)
     return uncalled
 
