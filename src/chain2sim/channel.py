@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from chain2sim.frames import FrameType, frame_bits
 
@@ -76,39 +77,49 @@ class ChannelConfig:
             raise ValueError(f"proc_delay_s must be >= 0, got {self.proc_delay_s}")
 
 
+def _loss_draw(loss: LossModel | None, rng: random.Random) -> Callable[[], bool] | None:
+    """The per-frame loss draw of one link: returns True to drop the frame.
+    None for a lossless link, which draws nothing."""
+    if loss is None:
+        return None
+    draw = rng.random
+    if isinstance(loss, BernoulliLoss):
+        p_loss = loss.p_loss
+        return lambda: draw() < p_loss
+    bad = False  # the link starts in the good state
+
+    def gilbert_elliott() -> bool:
+        nonlocal bad
+        dropped = draw() < (loss.loss_bad if bad else loss.loss_good)
+        if draw() < (loss.p_bad_to_good if bad else loss.p_good_to_bad):
+            bad = not bad
+        return dropped
+
+    return gilbert_elliott
+
+
 class Channel:
     """State of one meter-to-device link."""
 
     def __init__(self, config: ChannelConfig, seed: int) -> None:
         self.config = config
-        self._rng = random.Random(seed)
-        self._bad_state = False
+        self._dropped = _loss_draw(config.loss, random.Random(seed))
+        # Frame type (member or equal value) -> serialization time.
+        self._tx_s = {t: bits / config.rate_bps for t, bits in _FRAME_BITS.items()}
+        self._proc_delay_s = config.proc_delay_s
         self._busy_until = 0.0
-
-    def _draw_loss(self) -> bool:
-        loss = self.config.loss
-        if loss is None:
-            return False
-        if isinstance(loss, BernoulliLoss):
-            return self._rng.random() < loss.p_loss
-        p = loss.loss_bad if self._bad_state else loss.loss_good
-        dropped = self._rng.random() < p
-        flip_p = loss.p_bad_to_good if self._bad_state else loss.p_good_to_bad
-        if self._rng.random() < flip_p:
-            self._bad_state = not self._bad_state
-        return dropped
 
     def transmit(self, frame_type: FrameType, t_send: float) -> float | None:
         """Put one frame on the link; returns its arrival time at the
         receiver, or None when the loss model drops it."""
         try:
-            bits = _FRAME_BITS[frame_type]
+            tx_s = self._tx_s[frame_type]
         except (KeyError, TypeError):
             raise ValueError(f"unknown frame type {frame_type!r}") from None
-        start = max(float(t_send), self._busy_until)
-        finish = start + bits / self.config.rate_bps
+        busy = self._busy_until
+        finish = (t_send if t_send > busy else busy) + tx_s
         self._busy_until = finish
-        if self._draw_loss():
+        dropped = self._dropped
+        if dropped is not None and dropped():
             return None
-        return finish + self.config.proc_delay_s
-
+        return finish + self._proc_delay_s

@@ -1,8 +1,9 @@
 """User-device state machine: the receiving end of the telemetry link.
 
-The device pairs with exactly one POD.  Every decoded frame goes through
-`on_frame`, which deduplicates by sequence number, updates the consumption
-picture, and raises user notifications:
+The device pairs with exactly one POD.  Every frame it receives, a record
+as the meter built it or as `decode_frame` read it off the wire, goes
+through `on_frame`, which deduplicates by sequence number, updates the
+consumption picture, and raises user notifications:
 
     T1  fills the quarter-hour energy series (lost quarters stay as gaps,
         they are never interpolated),
@@ -32,11 +33,8 @@ from chain2sim.frames import (
     CompactFrame,
     EnergyDirection,
     ExceedanceCause,
+    FrameType,
     SupplyEventKind,
-    T1Payload,
-    T2Payload,
-    T3Payload,
-    T4Payload,
 )
 from chain2sim.meter import OVERRUN_FACTOR, QUARTER_S, switchoff_remaining
 
@@ -104,9 +102,11 @@ class TariffSchedule:
 # -- Device --------------------------------------------------------------------
 
 
-class Disposition(Enum):
+class Disposition(str, Enum):
     """What `on_frame` did with a frame; `Device.stats` counts each under
-    its value."""
+    its value.  A `str` mix-in, so that a member hashes in C: the harness
+    keys every ledger increment on one.  Outputs use `.value`, never the
+    member's own format, which differs across Python versions."""
 
     PROCESSED = "processed"
     DUPLICATE = "duplicate"
@@ -182,7 +182,9 @@ class Device:
     # -- ingest ------------------------------------------------------------
 
     def on_frame(self, frame: CompactFrame, t_arrive: float) -> Disposition:
-        """Ingest one decoded frame; returns how it was treated."""
+        """Ingest one received frame; returns how it was treated.  The
+        payload must be of the class its frame type names, as the meter and
+        `decode_frame` build it: the frame type picks the handler."""
         if frame.pod_id != self.config.paired_pod:
             self.stats["unpaired"] += 1
             return _UNPAIRED
@@ -210,26 +212,18 @@ class Device:
             return _TOO_OLD
 
         self.stats["processed"] += 1
-        payload = frame.payload
-        if isinstance(payload, T1Payload):
-            self._on_t1(frame, payload)
-        elif isinstance(payload, T2Payload):
-            self._on_power_sample(frame.timestamp, float(payload.power_w))
-        elif isinstance(payload, T3Payload):
-            self._on_t3(frame, payload)
-        else:
-            assert isinstance(payload, T4Payload)
-            self._on_t4(frame, payload)
+        _HANDLERS[frame.frame_type](self, frame)
         return _PROCESSED
 
     def _notify(self, t: float, kind: str, message: str) -> None:
         self.notifications.append(Notification(t, kind, message))
 
-    def _on_t1(self, frame: CompactFrame, payload: T1Payload) -> None:
+    def _on_t1(self, frame: CompactFrame) -> None:
+        payload = frame.payload
         pn = self.config.pn_w
         if pn is not None and payload.energy_wh > 1.5 * pn * (QUARTER_S / 3600.0):
-            # CRC-valid but physically impossible for this contract; keep it
-            # out of the series rather than poison cost estimates.
+            # Well-formed but physically impossible for this contract; keep
+            # it out of the series rather than poison cost estimates.
             self.stats["implausible_t1"] += 1
             self._notify(
                 frame.timestamp,
@@ -241,6 +235,9 @@ class Device:
         self.quarters[quarter_start] = QuarterRecord(
             payload.energy_wh, payload.direction, frame.seq
         )
+
+    def _on_t2(self, frame: CompactFrame) -> None:
+        self._on_power_sample(frame.timestamp, float(frame.payload.power_w))
 
     def _on_power_sample(self, t: int, power_w: float) -> None:
         cfg = self.config
@@ -266,7 +263,8 @@ class Device:
             elif eta is None:
                 self._cut_warning_active = False
 
-    def _on_t3(self, frame: CompactFrame, payload: T3Payload) -> None:
+    def _on_t3(self, frame: CompactFrame) -> None:
+        payload = frame.payload
         t = frame.timestamp
         cause = payload.cause
         if cause == ExceedanceCause.POWER_EXCEEDED:
@@ -284,7 +282,8 @@ class Device:
                 t, "energy_threshold", f"cumulative energy reached {payload.value} Wh"
             )
 
-    def _on_t4(self, frame: CompactFrame, payload: T4Payload) -> None:
+    def _on_t4(self, frame: CompactFrame) -> None:
+        payload = frame.payload
         t = frame.timestamp
         kind = payload.event
         self.event_log.append(SupplyEvent(t, kind, payload.duration_s))
@@ -342,3 +341,12 @@ class Device:
                 income += kwh * feed_in
         expected = (end_s - start_s) // QUARTER_S
         return CostEstimate(cost, income, expected, observed)
+
+
+# Frame type -> the method that ingests a processed frame of that type.
+_HANDLERS = {
+    FrameType.T1: Device._on_t1,
+    FrameType.T2: Device._on_t2,
+    FrameType.T3: Device._on_t3,
+    FrameType.T4: Device._on_t4,
+}

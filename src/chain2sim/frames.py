@@ -241,19 +241,7 @@ def crc16(data: bytes) -> int:
     return binascii.crc_hqx(data, 0xFFFF)
 
 
-# -- Pod ids ------------------------------------------------------------------
-# A run sends thousands of frames per pod, so each pod id is validated once
-# and its wire image (and the reverse) remembered.
-
-_POD_CACHE_MAX = 4096
-_POD_BYTES: dict[str, bytes] = {}
-_POD_IDS: dict[bytes, str] = {}
-
-
-def _remember_pod(pod_id: str, raw: bytes) -> None:
-    if len(_POD_BYTES) < _POD_CACHE_MAX:
-        _POD_BYTES[pod_id] = raw
-        _POD_IDS[raw] = pod_id
+# -- Encoding -----------------------------------------------------------------
 
 
 def _check_pod_id(pod_id: str) -> bytes:
@@ -263,30 +251,11 @@ def _check_pod_id(pod_id: str) -> bytes:
         )
     if not (pod_id.isascii() and pod_id.isalnum()):
         raise FrameEncodeError(f"pod_id must be ASCII alphanumeric, got {pod_id!r}")
-    raw = pod_id.encode("ascii")
-    _remember_pod(pod_id, raw)
-    return raw
-
-
-def _decode_pod_id(raw: bytes) -> str:
-    try:
-        pod_id = raw.decode("ascii")
-    except UnicodeDecodeError:
-        raise FieldValueError(f"pod_id is not ASCII: {raw!r}") from None
-    if not pod_id.isalnum():
-        raise FieldValueError(f"pod_id is not alphanumeric: {pod_id!r}")
-    _remember_pod(pod_id, raw)
-    return pod_id
-
-
-# -- Encoding -----------------------------------------------------------------
-# Each field is checked inline with `type(v) is int and lo <= v <= hi`, which
-# rejects bools.  Only a value that fails it reaches `_check_int`, which
-# raises naming the field, or returns the value if it is a non-bool int
-# subclass in range.
+    return pod_id.encode("ascii")
 
 
 def _check_int(field: str, value: int, lo: int, hi: int) -> int:
+    """The value of an integer field (a bool is not one), in [lo, hi]."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise FrameEncodeError(f"{field} must be an integer, got {value!r}")
     if value < lo or value > hi:
@@ -294,8 +263,12 @@ def _check_int(field: str, value: int, lo: int, hi: int) -> int:
     return value
 
 
-def _enum_error(field: str, value) -> FrameEncodeError:
-    return FrameEncodeError(f"{field} out of range: {value!r}")
+def _enum_byte(field: str, table: dict, value) -> int:
+    """The wire byte of an enum field, from its table."""
+    try:
+        return table[value]
+    except (KeyError, TypeError):
+        raise FrameEncodeError(f"{field} out of range: {value!r}") from None
 
 
 def encode_frame(frame: CompactFrame) -> bytes:
@@ -309,17 +282,9 @@ def encode_frame(frame: CompactFrame) -> bytes:
         frame_type, layout, expected = _ENCODING[frame.frame_type]
     except (KeyError, TypeError):
         raise FrameEncodeError(f"unknown frame type {frame.frame_type!r}") from None
-    pod_id = frame.pod_id
-    try:
-        pod = _POD_BYTES[pod_id]
-    except (KeyError, TypeError):
-        pod = _check_pod_id(pod_id)
-    seq = frame.seq
-    if type(seq) is not int or not 0 <= seq <= _U32:
-        seq = _check_int("seq", seq, 0, _U32)
-    ts = frame.timestamp
-    if type(ts) is not int or not 0 <= ts <= _U32:
-        ts = _check_int("timestamp", ts, 0, _U32)
+    pod = _check_pod_id(frame.pod_id)
+    seq = _check_int("seq", frame.seq, 0, _U32)
+    ts = _check_int("timestamp", frame.timestamp, 0, _U32)
 
     payload = frame.payload
     if type(payload) is not expected:
@@ -328,51 +293,28 @@ def encode_frame(frame: CompactFrame) -> bytes:
             f"got {type(payload).__name__}"
         )
     if expected is T1Payload:
-        quarter = payload.quarter_index
-        if type(quarter) is not int or not 0 <= quarter <= 95:
-            quarter = _check_int("quarter_index", quarter, 0, 95)
-        try:
-            direction = _ENERGY_DIRECTION_BYTE[payload.direction]
-        except (KeyError, TypeError):
-            raise _enum_error("direction", payload.direction) from None
-        energy = payload.energy_wh
-        if type(energy) is not int or not 0 <= energy <= _U16:
-            energy = _check_int("energy_wh", energy, 0, _U16)
+        quarter = _check_int("quarter_index", payload.quarter_index, 0, 95)
+        direction = _enum_byte("direction", _ENERGY_DIRECTION_BYTE, payload.direction)
+        energy = _check_int("energy_wh", payload.energy_wh, 0, _U16)
         body = layout.pack(VERSION, frame_type, pod, seq, ts, quarter, direction, energy)
     elif expected is T2Payload:
-        band = payload.band_index
-        if type(band) is not int or not 0 <= band <= 10:
-            band = _check_int("band_index", band, 0, 10)
-        try:
-            direction = _CROSSING_DIRECTION_BYTE[payload.direction]
-        except (KeyError, TypeError):
-            raise _enum_error("direction", payload.direction) from None
-        power = payload.power_w
-        if type(power) is not int or not 0 <= power <= _U32:
-            power = _check_int("power_w", power, 0, _U32)
+        band = _check_int("band_index", payload.band_index, 0, 10)
+        direction = _enum_byte("direction", _CROSSING_DIRECTION_BYTE, payload.direction)
+        power = _check_int("power_w", payload.power_w, 0, _U32)
         body = layout.pack(VERSION, frame_type, pod, seq, ts, band, direction, power)
     elif expected is T3Payload:
-        try:
-            cause = _EXCEEDANCE_CAUSE_BYTE[payload.cause]
-        except (KeyError, TypeError):
-            raise _enum_error("cause", payload.cause) from None
-        value = payload.value
-        if type(value) is not int or not 0 <= value <= _U32:
-            value = _check_int("value", value, 0, _U32)
+        cause = _enum_byte("cause", _EXCEEDANCE_CAUSE_BYTE, payload.cause)
+        value = _check_int("value", payload.value, 0, _U32)
         body = layout.pack(VERSION, frame_type, pod, seq, ts, cause, value)
     else:
-        try:
-            event = _SUPPLY_EVENT_BYTE[payload.event]
-        except (KeyError, TypeError):
-            raise _enum_error("event", payload.event) from None
+        event = _enum_byte("event", _SUPPLY_EVENT_BYTE, payload.event)
         # The duration field is meaningful only on an interruption end and
         # must be absent (None) otherwise, so the wire image is unambiguous.
         duration = payload.duration_s
         if event == SupplyEventKind.INTERRUPTION_END:
             if duration is None:
                 raise FrameEncodeError("duration_s required for interruption_end")
-            if type(duration) is not int or not 0 <= duration <= _U32:
-                duration = _check_int("duration_s", duration, 0, _U32)
+            duration = _check_int("duration_s", duration, 0, _U32)
         elif duration is not None:
             raise FrameEncodeError(
                 f"duration_s only valid for interruption_end, got {duration}"
@@ -455,7 +397,12 @@ def decode_frame(data: bytes) -> CompactFrame:
             raise FieldValueError(f"duration_s must be zero for {event.name.lower()}")
         else:
             payload = T4Payload(event, None)
-    pod_id = _POD_IDS.get(pod_raw) or _decode_pod_id(pod_raw)
+    try:
+        pod_id = pod_raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise FieldValueError(f"pod_id is not ASCII: {pod_raw!r}") from None
+    if not pod_id.isalnum():
+        raise FieldValueError(f"pod_id is not alphanumeric: {pod_id!r}")
     return CompactFrame(frame_type, pod_id, seq, ts, payload)
 
 

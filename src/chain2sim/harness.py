@@ -4,7 +4,7 @@ A scenario is a fleet of independent user pipelines advanced over a common
 tick grid:
 
     profile -> (DR curtailment) -> (peak shaving) -> meter.step
-            -> encode -> channel -> decode -> pairing gate -> device
+            -> channel -> pairing gate -> device
 
 Users never interact (demand-response commands are broadcast but applied
 per site), so the runner simulates each link start to finish on its own,
@@ -21,6 +21,13 @@ The device sees the same frames in the same order as a receiver that waits
 for each arrival: the link is FIFO (arrival times rise in send order) and
 nothing reads the device during a run.  The gate is the user's pairing
 window from the portal, fixed before any user runs.
+
+Frames travel as records: the device gets the meter's own `CompactFrame`.
+The channel drops whole frames and never damages a bit, so a wire image
+would decode back to an equal record; nothing changes a frame, and the
+device copies out only values.  `validate_config` checks up front that every
+frame fits its wire fields, and the codec in `frames` stays the tested wire
+format.
 
 Statistics follow one frame end to end, on one ledger per link: a Counter
 keyed (frame type, day, disposition) that counts every frame the meter
@@ -76,14 +83,12 @@ from chain2sim.automation import (
 )
 from chain2sim.channel import BernoulliLoss, Channel, ChannelConfig, GilbertElliottLoss
 from chain2sim.device import Device, DeviceConfig, Disposition, TariffSchedule, TariffWindow
-from chain2sim.frames import (
-    CompactFrame,
-    EnergyDirection,
-    FrameType,
-    SupplyEventKind,
-    decode_frame,
-    encode_frame,
-)
+from chain2sim.frames import CompactFrame, EnergyDirection, FrameType, SupplyEventKind
+
+# The run carries frames as records and calls no codec.  These two names stay
+# bound here because the benchmark's span tracer (perfbench/tracer.py) wraps
+# `chain2sim.harness:encode_frame` and `:decode_frame` by name.
+from chain2sim.frames import decode_frame, encode_frame  # noqa: F401
 from chain2sim.meter import QUARTER_S, Meter, MeterConfig
 from chain2sim.portal import MeterGeneration, PodRecord, Portal
 from chain2sim.profiles import PRESETS, household_profile, profile_from_csv, profile_peak_w
@@ -661,8 +666,10 @@ def default_campaign(
 # -- Statistics -----------------------------------------------------------------
 
 
-class LinkOutcome(Enum):
-    """The disposition of a frame that never reaches `Device.on_frame`."""
+class LinkOutcome(str, Enum):
+    """The disposition of a frame that never reaches `Device.on_frame`.  A
+    `str` mix-in, like `Disposition`, for a C-level hash; its values differ
+    from every `Disposition` value, so no two ledger keys compare equal."""
 
     LOST = "lost"  # dropped by the channel
     GATED = "gated"  # delivered outside the pairing window
@@ -940,25 +947,25 @@ def _run_user(
     actual = power.copy() if keep_actual else None
     processed_log: list[tuple[float, int]] | None = [] if keep_log else None
 
+    transmit = link.transmit
+    on_frame = device.on_frame
+
     def send(frame: CompactFrame) -> None:
-        raw = encode_frame(frame)
         frame_type = frame.frame_type
         ts = frame.timestamp
         # T1 reports the quarter that ENDS at its timestamp; attribute it to
         # the day containing that quarter, not the day the boundary tick
         # falls in.
         day = (ts - 1) // DAY_S if frame_type is _T1 else ts // DAY_S
-        t_arrive = link.transmit(frame_type, ts)
+        t_arrive = transmit(frame_type, ts)
         if t_arrive is None:
             disposition = _LOST
+        elif not active_at <= t_arrive < revoked_at:
+            disposition = _GATED
         else:
-            frame = decode_frame(raw)
-            if not active_at <= t_arrive < revoked_at:
-                disposition = _GATED
-            else:
-                disposition = device.on_frame(frame, t_arrive)
-                if processed_log is not None and disposition is _PROCESSED:
-                    processed_log.append((t_arrive, frame.seq))
+            disposition = on_frame(frame, t_arrive)
+            if processed_log is not None and disposition is _PROCESSED:
+                processed_log.append((t_arrive, frame.seq))
         ledger[frame_type, day, disposition] += 1
 
     # Split the series wherever something reaches into the meter: at a supply

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from chain2sim.automation import Appliance, Battery, DrCommand, Site, SiteLoad, dr_site_step, load_shift_schedule, peak_shave_step
-from chain2sim.channel import BernoulliLoss, ChannelConfig
 from chain2sim.frames import (
     CompactFrame,
     CrossingDirection,
@@ -34,7 +33,7 @@ from chain2sim.frames import (
     decode_frame,
     encode_frame,
 )
-from chain2sim.harness import UserSpec, default_campaign, run, summarize_daily
+from chain2sim.harness import default_campaign, run, summarize_daily
 from chain2sim.meter import Meter, MeterConfig, switchoff_remaining
 from chain2sim.profiles import PRESETS, household_profile
 from chain2sim.seeds import derive

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from chain2sim.automation import DrCommand, Site, SiteLoad, dr_site_step, peak_shave_step
 from chain2sim.channel import BernoulliLoss, ChannelConfig
 from chain2sim.device import Disposition
-from chain2sim.frames import SupplyEventKind
+from chain2sim import frames
+from chain2sim.frames import SupplyEventKind, encode_frame
 from chain2sim.meter import Meter, MeterConfig
 from chain2sim import harness
 from chain2sim.harness import (
-    CampaignReport,
     ConfigError,
     LinkOutcome,
     MevuSpec,
@@ -35,7 +35,6 @@ from chain2sim.harness import (
     validate_config,
 )
 from chain2sim.profiles import household_profile, profile_to_csv
-from chain2sim.seeds import derive
 
 POD1 = "IT001E00000001"
 POD2 = "IT001E00000002"
@@ -364,7 +363,33 @@ def test_wire_limits_are_checked_before_the_run(tmp_path):
     # Just inside the T1 limit at a 900 s tick: 262140 W for a quarter is 65535 Wh.
     profile_to_csv(tmp_path / "edge.csv", np.full(96, 262_140.0), 900)
     raw = {"days": 1, "tick_s": 900, **_user(pn_w=400_000, profile_csv="edge.csv")}
-    run(validate_config(raw, base_dir=str(tmp_path)))
+    _run_encoding_every_frame(validate_config(raw, base_dir=str(tmp_path)))
+
+
+def _run_encoding_every_frame(config):
+    """`run(config)`, with every frame the meters emit also put through
+    `encode_frame`, which raises on a value past its wire field.  The run
+    itself carries frames as records, so without this such a value would
+    land in the outputs unnoticed."""
+    step_series, apply_supply_event = Meter.step_series, Meter.apply_supply_event
+    encoded = []
+
+    def encode_all(frames):
+        encoded.extend(encode_frame(frame) for frame in frames)
+        return frames
+
+    def series(self, power, t0):
+        for t, frames in step_series(self, power, t0):
+            yield t, encode_all(frames)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Meter, "step_series", series)
+        patch.setattr(
+            Meter, "apply_supply_event", lambda self, t, kind: encode_all(apply_supply_event(self, t, kind))
+        )
+        report = run(config)
+    assert len(encoded) == report.totals.sent
+    return report
 
 
 @settings(max_examples=60, deadline=None)
@@ -395,7 +420,7 @@ def test_every_accepted_config_runs_to_completion(
             config = validate_config(raw, base_dir=tmp)
         except ConfigError:
             return
-        report = run(config)
+        report = _run_encoding_every_frame(config)
     assert report.totals.sent > 0
 
 
@@ -423,6 +448,17 @@ def test_default_campaign_shape():
 
 
 # -- the runner -------------------------------------------------------------------
+
+
+def test_run_computes_no_crc(monkeypatch):
+    """Frames travel from meter to device as records: the run encodes and
+    decodes none of them."""
+    calls = []
+    crc16 = frames.crc16
+    monkeypatch.setattr(frames, "crc16", lambda data: calls.append(data) or crc16(data))
+    report = run(default_campaign(3, 1, 0.01, seed=3))
+    assert report.totals.sent > 0
+    assert calls == []
 
 
 def test_run_reconciles_sent_received_lost():
@@ -533,6 +569,9 @@ def test_revocation_stops_processing():
 
 
 def test_seq_gap_identity_per_user():
+    # Dispositions compare as their str values: no two may share one, or
+    # their ledger keys would merge.
+    assert len({*Disposition, *LinkOutcome}) == len(Disposition) + len(LinkOutcome)
     config = small_config(duration_s=8 * 3600)
     _, details = run(config, parallel=False, with_details=True)
     for result in details.user_results:

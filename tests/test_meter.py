@@ -8,12 +8,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chain2sim.frames import (
+    CompactFrame,
     CrossingDirection,
     EnergyDirection,
     ExceedanceCause,
     FrameType,
     SupplyEventKind,
+    T1Payload,
+    T2Payload,
+    T3Payload,
+    T4Payload,
+    decode_frame,
     describe_frame,
+    encode_frame,
 )
 from chain2sim.meter import (
     QUARTER_S,
@@ -428,13 +435,14 @@ def series_cases(draw):
     return tick, pn, threshold, powers, warmup, t0, emergency
 
 
-def _drive_meter(case, use_series, injections=None):
+def _drive_meter(case, use_series, injections=None, emitted=None):
     """Drive a meter over the case's series; return the described frames, the
     error raised, if any, and the final state.  `injections` maps a series
     tick index to `(kind, limit)`: before that tick, the supply event `kind`
     and then an emergency `(limit_w, ticks)` armed for that many ticks, each
     optional.  The series is split there, and each piece stepped in one
-    `step_series` call or tick by tick."""
+    `step_series` call or tick by tick.  A list passed as `emitted` receives
+    every frame of the series and of the supply events."""
     tick, pn, threshold, powers, warmup, t0, emergency = case
     injections = injections or {}
     meter = make_meter(pn_w=pn, tick_s=tick, energy_threshold_wh=threshold)
@@ -444,6 +452,12 @@ def _drive_meter(case, use_series, injections=None):
     if emergency is not None:
         meter.arm_emergency_limit(emergency[0], until_s=start + emergency[1] * tick)
     described = []
+    emitted = [] if emitted is None else emitted
+
+    def take(frames):
+        emitted.extend(frames)
+        described.extend(describe_frame(f) for f in frames)
+
     error = None
     cuts = sorted({0, len(powers), *injections})
     try:
@@ -451,16 +465,16 @@ def _drive_meter(case, use_series, injections=None):
             t_a = start + a * tick
             kind, limit = injections.get(a, (None, None))
             if kind is not None:
-                described.extend(describe_frame(f) for f in meter.apply_supply_event(t_a, kind))
+                take(meter.apply_supply_event(t_a, kind))
             if limit is not None:
                 meter.arm_emergency_limit(limit[0], until_s=t_a + limit[1] * tick)
             if use_series:
                 for t, frames in meter.step_series(np.array(powers[a:b]), t_a):
-                    described.extend(describe_frame(f) for f in frames)
+                    take(frames)
                     assert all(f.timestamp in (t, t + tick) for f in frames)
             else:
                 for i, p in enumerate(powers[a:b]):
-                    described.extend(describe_frame(f) for f in meter.step(p, t_a + i * tick))
+                    take(meter.step(p, t_a + i * tick))
     except (ValueError, OverflowError) as exc:
         error = (type(exc), str(exc))
     state = (
@@ -510,6 +524,35 @@ def split_cases(draw):
 def test_step_series_split_at_injections_matches_the_per_tick_loop(split_case):
     case, injections = split_case
     assert _drive_meter(case, True, injections) == _drive_meter(case, False, injections)
+
+
+# The exact type of each field of a frame record as the wire decodes it.
+RECORD_FIELDS = {
+    CompactFrame: {"frame_type": FrameType, "pod_id": str, "seq": int, "timestamp": int},
+    T1Payload: {"quarter_index": int, "energy_wh": int, "direction": EnergyDirection},
+    T2Payload: {"band_index": int, "power_w": int, "direction": CrossingDirection},
+    T3Payload: {"cause": ExceedanceCause, "value": int},
+    T4Payload: {"event": SupplyEventKind, "duration_s": (int, type(None))},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_cases())
+def test_emitted_frames_are_their_own_wire_image(split_case):
+    """The run hands the meter's records to the device without encoding
+    them, so each must be exactly what decoding its wire image gives: equal
+    to it, with plain ints and enum members in the same fields."""
+    case, injections = split_case
+    emitted = []
+    _drive_meter(case, True, injections, emitted)
+    for frame in emitted:
+        assert decode_frame(encode_frame(frame)) == frame
+        for record in (frame, frame.payload):
+            for name, kinds in RECORD_FIELDS[type(record)].items():
+                value = getattr(record, name)
+                assert type(value) in (kinds if isinstance(kinds, tuple) else (kinds,)), (
+                    f"{describe_frame(frame)}: {name} is {type(value).__name__}"
+                )
 
 
 def test_step_series_keeps_breakpoints_after_a_cut_and_under_a_limit(monkeypatch):

@@ -24,15 +24,31 @@ ALLOWED = {
 }
 
 
-def _uses(node: ast.AST) -> tuple[Counter, Counter]:
+def _chain2sim_modules(tree: ast.Module) -> set[str]:
+    """The names a module binds to a chain2sim module, by
+    `from chain2sim import name [as alias]`."""
+    return {
+        alias.asname or alias.name
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.ImportFrom) and sub.module == "chain2sim"
+        for alias in sub.names
+        if (SRC / f"{alias.name}.py").exists()
+    }
+
+
+def _uses(node: ast.AST, modules: set[str]) -> tuple[Counter, Counter]:
     """The names the code under `node` reads: as attributes (`x.name`), and
-    bare or imported (`name`, `from m import name`).  A name only assigned,
-    such as a dataclass field declared as `name: int`, is not a use."""
+    bare, imported or through a chain2sim module (`name`, `from m import
+    name`, `frames.name` where `modules` holds `frames`).  A name only
+    assigned, such as a dataclass field declared as `name: int`, is not a
+    use."""
     attributes: Counter = Counter()
     bare: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             attributes[sub.attr] += 1
+            if isinstance(sub.value, ast.Name) and sub.value.id in modules:
+                bare[sub.attr] += 1
         elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             bare[sub.id] += 1
         elif isinstance(sub, ast.alias):
@@ -73,20 +89,23 @@ def _uncalled() -> set[str]:
     public attributes assigned on `self` that nothing in src/ reads.  A
     method or attribute counts as used only through an attribute, so a
     local variable of the same name does not hide it; a module-level name
-    counts either way."""
+    only bare, imported or through a chain2sim module, so an attribute of
+    the same name on some other object does not hide it either."""
     trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    trees = [(tree, _chain2sim_modules(tree)) for tree in trees]
     attributes, bare = Counter(), Counter()
-    for tree in trees:
-        a, b = _uses(tree)
+    for tree, modules in trees:
+        a, b = _uses(tree, modules)
         attributes, bare = attributes + a, bare + b
     uncalled = set()
-    for tree in trees:
+    for tree, modules in trees:
         for qualified, is_method, node in _public_definitions(tree):
-            own_attributes, own_bare = _uses(node)
+            own_attributes, own_bare = _uses(node, modules)
             name = node.name
-            uses = attributes[name] - own_attributes[name]
-            if not is_method:
-                uses += bare[name] - own_bare[name]
+            if is_method:
+                uses = attributes[name] - own_attributes[name]
+            else:
+                uses = bare[name] - own_bare[name]
             if uses <= 0:
                 uncalled.add(qualified)
         for qualified, name in _public_attributes(tree):
