@@ -7,7 +7,8 @@ Four frame types travel from a smart meter to its paired user device:
     T3  exceedance        contractual power / energy threshold events
     T4  supply event      interruption start/end, voltage events
 
-Wire layout (big-endian, fixed length per frame type):
+Wire layout (big-endian, fixed length per frame type).  The tables below are
+the spec for readers; the code reads the payloads from one table, `_LAYOUT`:
 
     | offset | size | field                                          |
     |--------|------|------------------------------------------------|
@@ -159,13 +160,6 @@ class T4Payload:
 
 Payload = T1Payload | T2Payload | T3Payload | T4Payload
 
-_PAYLOAD_TYPE = {
-    FrameType.T1: T1Payload,
-    FrameType.T2: T2Payload,
-    FrameType.T3: T3Payload,
-    FrameType.T4: T4Payload,
-}
-
 
 @dataclass(slots=True)
 class CompactFrame:
@@ -179,50 +173,56 @@ class CompactFrame:
     payload: Payload
 
 
+# The payload of each frame type: its record, and its fields in wire order as
+# record attribute -> (key in the text form, struct code, largest value or enum).
+# A T4 duration is carried only on an interruption end; elsewhere it is None
+# in the record, zero on the wire and absent from the text.
+_LAYOUT: dict[FrameType, tuple[type, dict[str, tuple[str, str, int | type[IntEnum]]]]] = {
+    FrameType.T1: (T1Payload, {
+        "quarter_index": ("quarter", "B", 95),
+        "direction": ("direction", "B", EnergyDirection),
+        "energy_wh": ("energy_wh", "H", _U16),
+    }),
+    FrameType.T2: (T2Payload, {
+        "band_index": ("band", "B", 10),
+        "direction": ("direction", "B", CrossingDirection),
+        "power_w": ("power_w", "I", _U32),
+    }),
+    FrameType.T3: (T3Payload, {
+        "cause": ("cause", "B", ExceedanceCause),
+        "value": ("value", "I", _U32),
+    }),
+    FrameType.T4: (T4Payload, {
+        "event": ("event", "B", SupplyEventKind),
+        "duration_s": ("duration_s", "I", _U32),
+    }),
+}
+
 _HEADER = ">BB14sII"  # version, type, pod id, seq, timestamp
 _CRC_BYTES = 2
 
-# Whole-body layout (header plus payload, no CRC) per frame type, shared by
-# encode and decode.
-_BODY: dict[FrameType, struct.Struct] = {
-    FrameType.T1: struct.Struct(_HEADER + "BBH"),  # quarter, direction, energy Wh
-    FrameType.T2: struct.Struct(_HEADER + "BBI"),  # band, direction, power W
-    FrameType.T3: struct.Struct(_HEADER + "BI"),  # cause, value
-    FrameType.T4: struct.Struct(_HEADER + "BI"),  # event, duration s
+# Whole-body layout (header plus payload, no CRC) per frame type.
+_BODY = {
+    t: struct.Struct(_HEADER + "".join(code for _, code, _ in fields.values()))
+    for t, (_, fields) in _LAYOUT.items()
 }
 
-_FRAME_BYTES = {t: layout.size + _CRC_BYTES for t, layout in _BODY.items()}
 
-# Frame type (member or equal value) -> (member, body layout, payload class).
-_ENCODING = {t: (t, _BODY[t], _PAYLOAD_TYPE[t]) for t in FrameType}
-# The same entries indexed by the type byte; None where no type is defined.
-_DECODING = tuple(_ENCODING.get(b) for b in range(max(FrameType) + 1))
-
-# Valid enum values mapped to their wire byte.  A dict lookup accepts exactly
-# what the enum constructor accepts (members, plain ints, equal numbers) and
-# rejects everything else with KeyError or, for unhashable values, TypeError.
-_ENERGY_DIRECTION_BYTE = {m: m.value for m in EnergyDirection}
-_CROSSING_DIRECTION_BYTE = {m: m.value for m in CrossingDirection}
-_EXCEEDANCE_CAUSE_BYTE = {m: m.value for m in ExceedanceCause}
-_SUPPLY_EVENT_BYTE = {m: m.value for m in SupplyEventKind}
+def field_max(frame_type: FrameType, field: str) -> int:
+    """Largest value the integer payload field `field` carries on the wire."""
+    return _LAYOUT[frame_type][1][field][2]
 
 
-def _members_by_value(enum_cls) -> tuple:
-    """Members indexed by their value; the values must be 0, 1, 2, ..."""
-    members = tuple(enum_cls)
-    assert [m.value for m in members] == list(range(len(members)))
-    return members
-
-
-_ENERGY_DIRECTIONS = _members_by_value(EnergyDirection)
-_CROSSING_DIRECTIONS = _members_by_value(CrossingDirection)
-_EXCEEDANCE_CAUSES = _members_by_value(ExceedanceCause)
-_SUPPLY_EVENTS = _members_by_value(SupplyEventKind)
+def is_pod_id(value) -> bool:
+    """Whether `value` is a POD id: 14 ASCII alphanumeric characters."""
+    return (
+        isinstance(value, str) and len(value) == POD_ID_LEN and value.isascii() and value.isalnum()
+    )
 
 
 def frame_bytes(frame_type: FrameType) -> int:
     """Total encoded length of a frame of the given type, in bytes."""
-    return _FRAME_BYTES[FrameType(frame_type)]
+    return _BODY[FrameType(frame_type)].size + _CRC_BYTES
 
 
 def frame_bits(frame_type: FrameType) -> int:
@@ -244,31 +244,23 @@ def crc16(data: bytes) -> int:
 # -- Encoding -----------------------------------------------------------------
 
 
-def _check_pod_id(pod_id: str) -> bytes:
-    if not isinstance(pod_id, str) or len(pod_id) != POD_ID_LEN:
-        raise FrameEncodeError(
-            f"pod_id must be exactly {POD_ID_LEN} characters, got {pod_id!r}"
-        )
-    if not (pod_id.isascii() and pod_id.isalnum()):
-        raise FrameEncodeError(f"pod_id must be ASCII alphanumeric, got {pod_id!r}")
-    return pod_id.encode("ascii")
+def _wire_value(field: str, value, limit: int | type[IntEnum]) -> int:
+    """`value` as the wire carries it: an integer (a bool is not one) in
+    0..limit, or a member of the enum `limit`.
 
-
-def _check_int(field: str, value: int, lo: int, hi: int) -> int:
-    """The value of an integer field (a bool is not one), in [lo, hi]."""
+    Raises:
+        ValueError: naming the field, if `value` is neither.
+    """
+    if isinstance(limit, type):
+        try:
+            return limit(value)
+        except (ValueError, TypeError):
+            raise ValueError(f"{field} out of range: {value!r}") from None
     if not isinstance(value, int) or isinstance(value, bool):
-        raise FrameEncodeError(f"{field} must be an integer, got {value!r}")
-    if value < lo or value > hi:
-        raise FrameEncodeError(f"{field} out of range: {value} (allowed {lo}..{hi})")
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    if value < 0 or value > limit:
+        raise ValueError(f"{field} out of range: {value} (allowed 0..{limit})")
     return value
-
-
-def _enum_byte(field: str, table: dict, value) -> int:
-    """The wire byte of an enum field, from its table."""
-    try:
-        return table[value]
-    except (KeyError, TypeError):
-        raise FrameEncodeError(f"{field} out of range: {value!r}") from None
 
 
 def encode_frame(frame: CompactFrame) -> bytes:
@@ -279,49 +271,37 @@ def encode_frame(frame: CompactFrame) -> bytes:
             message names the offending field.
     """
     try:
-        frame_type, layout, expected = _ENCODING[frame.frame_type]
-    except (KeyError, TypeError):
+        frame_type = FrameType(frame.frame_type)
+    except (ValueError, TypeError):
         raise FrameEncodeError(f"unknown frame type {frame.frame_type!r}") from None
-    pod = _check_pod_id(frame.pod_id)
-    seq = _check_int("seq", frame.seq, 0, _U32)
-    ts = _check_int("timestamp", frame.timestamp, 0, _U32)
-
-    payload = frame.payload
-    if type(payload) is not expected:
+    if not is_pod_id(frame.pod_id):
         raise FrameEncodeError(
-            f"payload for {frame_type.name} must be {expected.__name__}, "
+            f"pod_id must be {POD_ID_LEN} ASCII alphanumeric characters, got {frame.pod_id!r}"
+        )
+    payload_type, fields = _LAYOUT[frame_type]
+    payload = frame.payload
+    if type(payload) is not payload_type:
+        raise FrameEncodeError(
+            f"payload for {frame_type.name} must be {payload_type.__name__}, "
             f"got {type(payload).__name__}"
         )
-    if expected is T1Payload:
-        quarter = _check_int("quarter_index", payload.quarter_index, 0, 95)
-        direction = _enum_byte("direction", _ENERGY_DIRECTION_BYTE, payload.direction)
-        energy = _check_int("energy_wh", payload.energy_wh, 0, _U16)
-        body = layout.pack(VERSION, frame_type, pod, seq, ts, quarter, direction, energy)
-    elif expected is T2Payload:
-        band = _check_int("band_index", payload.band_index, 0, 10)
-        direction = _enum_byte("direction", _CROSSING_DIRECTION_BYTE, payload.direction)
-        power = _check_int("power_w", payload.power_w, 0, _U32)
-        body = layout.pack(VERSION, frame_type, pod, seq, ts, band, direction, power)
-    elif expected is T3Payload:
-        cause = _enum_byte("cause", _EXCEEDANCE_CAUSE_BYTE, payload.cause)
-        value = _check_int("value", payload.value, 0, _U32)
-        body = layout.pack(VERSION, frame_type, pod, seq, ts, cause, value)
-    else:
-        event = _enum_byte("event", _SUPPLY_EVENT_BYTE, payload.event)
-        # The duration field is meaningful only on an interruption end and
-        # must be absent (None) otherwise, so the wire image is unambiguous.
-        duration = payload.duration_s
-        if event == SupplyEventKind.INTERRUPTION_END:
-            if duration is None:
-                raise FrameEncodeError("duration_s required for interruption_end")
-            duration = _check_int("duration_s", duration, 0, _U32)
-        elif duration is not None:
-            raise FrameEncodeError(
-                f"duration_s only valid for interruption_end, got {duration}"
-            )
-        else:
-            duration = 0
-        body = layout.pack(VERSION, frame_type, pod, seq, ts, event, duration)
+    values = [getattr(payload, name) for name in fields]
+    if payload_type is T4Payload:
+        event, duration = values
+        if (event == SupplyEventKind.INTERRUPTION_END) != (duration is not None):
+            raise FrameEncodeError(f"duration_s required on interruption_end only, got {duration!r}")
+        values[1] = 0 if duration is None else duration
+    try:
+        seq = _wire_value("seq", frame.seq, _U32)
+        ts = _wire_value("timestamp", frame.timestamp, _U32)
+        values = [
+            _wire_value(name, value, limit)
+            for (name, (_, _, limit)), value in zip(fields.items(), values)
+        ]
+    except ValueError as exc:
+        raise FrameEncodeError(str(exc)) from None
+    pod = frame.pod_id.encode("ascii")
+    body = _BODY[frame_type].pack(VERSION, frame_type, pod, seq, ts, *values)
     return body + crc16(body).to_bytes(2, "big")
 
 
@@ -347,12 +327,12 @@ def decode_frame(data: bytes) -> CompactFrame:
         raise TruncatedFrameError(f"need at least 2 bytes, got {size}")
     if data[0] != VERSION:
         raise UnsupportedVersionError(f"unsupported version byte 0x{data[0]:02X}")
-    type_byte = data[1]
-    entry = _DECODING[type_byte] if type_byte < len(_DECODING) else None
-    if entry is None:
-        raise UnknownFrameTypeError(f"unknown frame type byte 0x{type_byte:02X}")
-    frame_type, layout, payload_type = entry
-    body_size = layout.size
+    try:
+        frame_type = FrameType(data[1])
+    except ValueError:
+        raise UnknownFrameTypeError(f"unknown frame type byte 0x{data[1]:02X}") from None
+    payload_type, fields = _LAYOUT[frame_type]
+    body_size = _BODY[frame_type].size
     if size != body_size + _CRC_BYTES:
         raise TruncatedFrameError(
             f"{frame_type.name} frame must be {body_size + _CRC_BYTES} bytes, got {size}"
@@ -363,47 +343,22 @@ def decode_frame(data: bytes) -> CompactFrame:
         raise CrcMismatchError(
             f"CRC mismatch: received 0x{received_crc:04X}, computed 0x{computed_crc:04X}"
         )
-    if payload_type is T1Payload:
-        _, _, pod_raw, seq, ts, quarter, direction, energy = layout.unpack_from(data)
-        if quarter > 95:
-            raise FieldValueError(f"quarter_index out of range: {quarter}")
-        try:
-            payload = T1Payload(quarter, energy, _ENERGY_DIRECTIONS[direction])
-        except IndexError:
-            raise FieldValueError(f"direction byte invalid: {direction}") from None
-    elif payload_type is T2Payload:
-        _, _, pod_raw, seq, ts, band, direction, power = layout.unpack_from(data)
-        if band > 10:
-            raise FieldValueError(f"band_index out of range: {band}")
-        try:
-            payload = T2Payload(band, power, _CROSSING_DIRECTIONS[direction])
-        except IndexError:
-            raise FieldValueError(f"direction byte invalid: {direction}") from None
-    elif payload_type is T3Payload:
-        _, _, pod_raw, seq, ts, cause, value = layout.unpack_from(data)
-        try:
-            payload = T3Payload(_EXCEEDANCE_CAUSES[cause], value)
-        except IndexError:
-            raise FieldValueError(f"cause byte invalid: {cause}") from None
-    else:
-        _, _, pod_raw, seq, ts, event_byte, duration = layout.unpack_from(data)
-        try:
-            event = _SUPPLY_EVENTS[event_byte]
-        except IndexError:
-            raise FieldValueError(f"event byte invalid: {event_byte}") from None
-        if event is SupplyEventKind.INTERRUPTION_END:
-            payload = T4Payload(event, duration)
-        elif duration != 0:
-            raise FieldValueError(f"duration_s must be zero for {event.name.lower()}")
-        else:
-            payload = T4Payload(event, None)
+    _, _, pod_raw, seq, ts, *raw = _BODY[frame_type].unpack_from(data)
     try:
-        pod_id = pod_raw.decode("ascii")
-    except UnicodeDecodeError:
-        raise FieldValueError(f"pod_id is not ASCII: {pod_raw!r}") from None
-    if not pod_id.isalnum():
-        raise FieldValueError(f"pod_id is not alphanumeric: {pod_id!r}")
-    return CompactFrame(frame_type, pod_id, seq, ts, payload)
+        values = {
+            name: _wire_value(name, value, limit)
+            for (name, (_, _, limit)), value in zip(fields.items(), raw)
+        }
+    except ValueError as exc:
+        raise FieldValueError(str(exc)) from None
+    if payload_type is T4Payload and values["event"] is not SupplyEventKind.INTERRUPTION_END:
+        if values["duration_s"] != 0:
+            raise FieldValueError(f"duration_s must be zero for {values['event'].name.lower()}")
+        values["duration_s"] = None
+    pod_id = pod_raw.decode("latin-1")
+    if not is_pod_id(pod_id):
+        raise FieldValueError(f"pod_id is not ASCII alphanumeric: {pod_raw!r}")
+    return CompactFrame(frame_type, pod_id, seq, ts, payload_type(**values))
 
 
 # -- Canonical text form ------------------------------------------------------
@@ -413,33 +368,21 @@ def decode_frame(data: bytes) -> CompactFrame:
 
 def describe_frame(frame: CompactFrame) -> str:
     """Canonical one-line description, stable across releases."""
-    head = (
-        f"{FrameType(frame.frame_type).name} pod={frame.pod_id} "
-        f"seq={frame.seq} ts={frame.timestamp}"
-    )
-    p = frame.payload
-    if isinstance(p, T1Payload):
-        return (
-            f"{head} quarter={p.quarter_index} "
-            f"direction={EnergyDirection(p.direction).name.lower()} energy_wh={p.energy_wh}"
-        )
-    if isinstance(p, T2Payload):
-        return (
-            f"{head} band={p.band_index} "
-            f"direction={CrossingDirection(p.direction).name.lower()} power_w={p.power_w}"
-        )
-    if isinstance(p, T3Payload):
-        return f"{head} cause={ExceedanceCause(p.cause).name.lower()} value={p.value}"
-    if p.event is SupplyEventKind.INTERRUPTION_END:
-        return f"{head} event=interruption_end duration_s={p.duration_s}"
-    return f"{head} event={SupplyEventKind(p.event).name.lower()}"
+    frame_type = FrameType(frame.frame_type)
+    words = [f"{frame_type.name} pod={frame.pod_id} seq={frame.seq} ts={frame.timestamp}"]
+    for name, (key, _, limit) in _LAYOUT[frame_type][1].items():
+        value = getattr(frame.payload, name)
+        if value is not None:
+            words.append(f"{key}={limit(value).name.lower() if isinstance(limit, type) else value}")
+    return " ".join(words)
 
 
 def frame_from_description(text: str) -> CompactFrame:
     """Parse the canonical description back into a frame.
 
     Raises:
-        ValueError: on malformed descriptions.
+        ValueError: on malformed descriptions, naming the missing key or the
+            bad value.
     """
     parts = text.split()
     if not parts:
@@ -454,25 +397,23 @@ def frame_from_description(text: str) -> CompactFrame:
         if not sep:
             raise ValueError(f"malformed field {part!r}")
         fields[key] = value
-    payload: Payload
-    if frame_type is FrameType.T1:
-        payload = T1Payload(
-            int(fields["quarter"]),
-            int(fields["energy_wh"]),
-            EnergyDirection[fields["direction"].upper()],
-        )
-    elif frame_type is FrameType.T2:
-        payload = T2Payload(
-            int(fields["band"]),
-            int(fields["power_w"]),
-            CrossingDirection[fields["direction"].upper()],
-        )
-    elif frame_type is FrameType.T3:
-        payload = T3Payload(ExceedanceCause[fields["cause"].upper()], int(fields["value"]))
-    else:
-        event = SupplyEventKind[fields["event"].upper()]
-        duration = int(fields["duration_s"]) if "duration_s" in fields else None
-        payload = T4Payload(event, duration)
+
+    def read(key: str, kind=int):
+        if key not in fields:
+            raise ValueError(f"{frame_type.name} description has no {key}=")
+        value = fields[key]
+        try:
+            return kind[value.upper()] if issubclass(kind, IntEnum) else kind(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"bad {key}={value}") from None
+
+    payload_type, layout = _LAYOUT[frame_type]
+    values = {
+        name: None
+        if name == "duration_s" and key not in fields
+        else read(key, limit if isinstance(limit, type) else int)
+        for name, (key, _, limit) in layout.items()
+    }
     return CompactFrame(
-        frame_type, fields["pod"], int(fields["seq"]), int(fields["ts"]), payload
+        frame_type, read("pod", str), read("seq"), read("ts"), payload_type(**values)
     )

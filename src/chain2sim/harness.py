@@ -83,6 +83,7 @@ from chain2sim.automation import (
 )
 from chain2sim.channel import BernoulliLoss, Channel, ChannelConfig, GilbertElliottLoss
 from chain2sim.device import Device, DeviceConfig, Disposition, TariffSchedule, TariffWindow
+from chain2sim import frames
 from chain2sim.frames import CompactFrame, EnergyDirection, FrameType, SupplyEventKind
 
 # The run carries frames as records and calls no codec.  These two names stay
@@ -359,7 +360,7 @@ def _parse_user(
         return None
     mark = len(read.errors)
     pod = read.string(user, path, "pod_id")
-    if pod is not None and not (len(pod) == 14 and pod.isascii() and pod.isalnum()):
+    if pod is not None and not frames.is_pod_id(pod):
         read.fail(f"{path}.pod_id", f"must be 14 ASCII alphanumeric characters, got {pod!r}")
     pn = read.number(user, path, "pn_w")
     threshold = read.number(user, path, "energy_threshold_wh", None)
@@ -455,10 +456,6 @@ def _check_profile_csv(
     return replace(spec, profile_w=used), float(used.max())
 
 
-_U16_MAX = 2**16 - 1
-_U32_MAX = 2**32 - 1
-
-
 def _check_wire_limits(
     read: _Reader, spec: UserSpec, profile_peak_w: float, tick_s: int, path: str, threshold_path: str
 ) -> None:
@@ -472,13 +469,15 @@ def _check_wire_limits(
     if spec.battery is not None and spec.peak_shave_limit_w is not None:
         peak_w = max(peak_w, spec.peak_shave_limit_w)
     quarter_wh = peak_w * QUARTER_S / 3600
-    if quarter_wh > _U16_MAX:
-        reason = f"{quarter_wh:.0f} Wh a quarter, over the {_U16_MAX} Wh a T1 frame carries"
+    energy_max = frames.field_max(FrameType.T1, "energy_wh")
+    if quarter_wh > energy_max:
+        reason = f"{quarter_wh:.0f} Wh a quarter, over the {energy_max} Wh a T1 frame carries"
         read.fail(path, f"grid power may reach {peak_w:.0f} W: {reason}")
     if spec.energy_threshold_wh is not None:
         alarm_wh = spec.energy_threshold_wh + peak_w * tick_s / 3600
-        if alarm_wh > _U32_MAX:
-            reason = f"over the {_U32_MAX} Wh a T3 frame carries"
+        value_max = frames.field_max(FrameType.T3, "value")
+        if alarm_wh > value_max:
+            reason = f"over the {value_max} Wh a T3 frame carries"
             read.fail(threshold_path, f"the energy alarm may report {alarm_wh:.0f} Wh, {reason}")
 
 
@@ -1054,7 +1053,6 @@ def _pairing_windows(config: ScenarioConfig) -> dict[str, tuple[float, float]]:
             pairing.active_at = 0.0
         if spec.revoke_at_s is not None:
             portal.revoke(spec.pod_id, device_ids[spec.pod_id], spec.revoke_at_s)
-    portal.activate_due(0.0)
     return {pod: portal.window(pod, device) for pod, device in device_ids.items()}
 
 

@@ -309,20 +309,50 @@ def test_decode_error_taxonomy():
         decode_frame(bad_crc)
 
 
-def test_decode_rejects_bad_fields_behind_valid_crc():
-    # Rebuild a frame byte-for-byte with an out-of-range band and a fresh CRC:
+@pytest.mark.parametrize(
+    "payload,frame_type,patch,field",
+    [
+        (T2Payload(10, 1500, CrossingDirection.UP), FrameType.T2, {24: 11}, "band_index"),
+        (T1Payload(95, 250), FrameType.T1, {24: 96}, "quarter_index"),
+        (T1Payload(0, 250), FrameType.T1, {25: 2}, "direction"),
+        (T2Payload(3, 1500, CrossingDirection.UP), FrameType.T2, {25: 2}, "direction"),
+        (T3Payload(ExceedanceCause.RESTORED, 9), FrameType.T3, {24: 3}, "cause"),
+        (T4Payload(SupplyEventKind.VOLTAGE_EVENT), FrameType.T4, {24: 3}, "event"),
+        # duration_s is bytes 25-28
+        (T4Payload(SupplyEventKind.INTERRUPTION_START), FrameType.T4, {28: 1}, "duration_s"),
+    ],
+    ids=["t2_band", "t1_quarter", "t1_direction", "t2_direction", "t3_cause", "t4_event",
+         "t4_duration_on_start"],
+)
+def test_decode_rejects_bad_fields_behind_valid_crc(payload, frame_type, patch, field):
+    # Rebuild a frame byte-for-byte with an out-of-range field and a fresh CRC:
     # the checksum passes, the range check must still catch it.
-    good = encode_frame(_frame(T2Payload(10, 1500, CrossingDirection.UP), FrameType.T2))
+    good = encode_frame(_frame(payload, frame_type))
     body = bytearray(good[:-2])
-    body[24] = 11
+    for offset, byte in patch.items():
+        body[offset] = byte
     raw = bytes(body) + crc16(bytes(body)).to_bytes(2, "big")
-    with pytest.raises(FieldValueError, match="band_index"):
+    with pytest.raises(FieldValueError, match=field):
         decode_frame(raw)
 
 
 @given(frames)
 def test_description_roundtrip(frame):
     assert frame_from_description(describe_frame(frame)) == frame
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("T1 pod=IT001E00000001 seq=1", "no quarter="),
+        ("T1 pod=IT001E00000001 seq=1 ts=900 quarter=0 direction=up energy_wh=250", "direction=up"),
+        ("T4 pod=IT001E00000001 seq=1 ts=900 event=nope", "event=nope"),
+    ],
+    ids=["t1_missing_quarter", "t1_direction_up", "t4_event_nope"],
+)
+def test_malformed_description_raises_value_error(text, match):
+    with pytest.raises(ValueError, match=match):
+        frame_from_description(text)
 
 
 def test_golden_vectors():

@@ -21,6 +21,8 @@ ALLOWED = {
     "Meter.cut_deadline": "countdown state that the property tests read",
     "Meter.emergency_limit_w": "emergency-limit state that the property tests read",
     "Portal.admits": "resolved by name by the benchmark's tracer (perfbench/tracer.py)",
+    "Portal.activate_due": "the documented pending -> active step of the pairing lifecycle; "
+    "writes the `activate` entry that replay_log reads",
 }
 
 
