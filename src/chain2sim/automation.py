@@ -482,17 +482,12 @@ def load_dr_commands(path: str) -> list[DrCommand]:
             try:
                 issuer = DrIssuer(row["issuer"].strip())
             except ValueError:
-                raise ValueError(
-                    f"{path}: row {i}: unknown issuer {row['issuer']!r}"
-                ) from None
-            commands.append(
-                DrCommand(
-                    float(row["p_limit_W"]),
-                    float(row["t_start"]),
-                    float(row["t_end"]),
-                    issuer,
-                )
-            )
+                raise ValueError(f"{path}: row {i}: unknown issuer {row['issuer']!r}") from None
+            try:
+                limit_w, t_start, t_end = (float(row[k]) for k in ("p_limit_W", "t_start", "t_end"))
+                commands.append(DrCommand(limit_w, t_start, t_end, issuer))
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from None
     return commands
 
 

@@ -11,12 +11,14 @@
 `simulate` runs a YAML scenario (schema documented in the README),
 `campaign` runs the stock multi-user campaign without a config file.  The
 portal subcommands persist pairing state in an append-only transition log
-so successive invocations continue where the last one stopped.
+so successive invocations continue where the last one stopped, and draw
+the activation delays one in-process portal seeded with `--seed` would.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -80,17 +82,35 @@ def _cmd_taxonomy(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_time(text: str) -> float:
+    """A `--t` value; a NaN or infinite time would write a log no replay accepts."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def _open_portal(args: argparse.Namespace) -> portal_mod.Portal:
+    """The portal as the log left it, its delays drawn from the `--seed` stream.
+
+    Raises:
+        OSError, ValueError: the registry or the log cannot be read or parsed.
+    """
     registry = portal_mod.load_registry(args.registry)
+    rng = random.Random(args.seed)
     if args.log and os.path.exists(args.log):
-        gate = portal_mod.replay_log(registry, args.log)
-    else:
-        gate = portal_mod.Portal(registry, rng=random.Random(args.seed))
-    return gate
+        return portal_mod.replay_log(registry, args.log, rng)
+    return portal_mod.Portal(registry, rng=rng)
 
 
 def _cmd_portal(args: argparse.Namespace) -> int:
-    gate = _open_portal(args)
+    try:
+        gate = _open_portal(args)
+        appends = args.log and args.portal_cmd != "eligibility"
+        log_fh = open(args.log, "a") if appends else None
+    except (OSError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.portal_cmd == "eligibility":
         verdict = gate.check_eligibility(args.pod)
         if verdict.eligible:
@@ -99,7 +119,6 @@ def _cmd_portal(args: argparse.Namespace) -> int:
         print(f"{args.pod}: ineligible ({verdict.reason})")
         return 1
 
-    log_fh = open(args.log, "a") if args.log else None
     try:
         gate.set_log_sink(log_fh)
         if args.portal_cmd == "pair":
@@ -169,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("pod")
         if needs_device:
             p.add_argument("device")
-            p.add_argument("--t", type=float, default=0.0, help="scenario time of the request")
+            p.add_argument("--t", type=_finite_time, default=0.0, help="scenario time of the request")
         p.set_defaults(func=_cmd_portal)
     return parser
 

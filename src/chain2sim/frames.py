@@ -51,6 +51,7 @@ POD_ID_LEN = 14
 
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
+TIMESTAMP_MAX = _U32  # the header's timestamp, seconds since the scenario epoch
 
 
 class FrameType(IntEnum):
@@ -293,7 +294,7 @@ def encode_frame(frame: CompactFrame) -> bytes:
         values[1] = 0 if duration is None else duration
     try:
         seq = _wire_value("seq", frame.seq, _U32)
-        ts = _wire_value("timestamp", frame.timestamp, _U32)
+        ts = _wire_value("timestamp", frame.timestamp, TIMESTAMP_MAX)
         values = [
             _wire_value(name, value, limit)
             for (name, (_, _, limit)), value in zip(fields.items(), values)

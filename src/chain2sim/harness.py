@@ -503,7 +503,7 @@ def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
         default=_REQUIRED if raw.get("days") is None else None,
         integer=True,
         ge=1,
-        le=2**32 - 1,  # frame timestamps are u32 seconds
+        le=frames.TIMESTAMP_MAX,  # frame headers stamp run times in seconds
     )
     if duration_s and duration_s % tick_s:
         read.fail("duration_s", f"must be a multiple of tick_s, got {duration_s}")
@@ -1044,13 +1044,12 @@ def _pairing_windows(config: ScenarioConfig) -> dict[str, tuple[float, float]]:
     """Each pod's `Portal.window`, fixed before any user runs."""
     registry = {s.pod_id: PodRecord(s.pod_id, MeterGeneration.SECOND, True) for s in config.users}
     rng = random.Random(derive(config.seed, "portal"))
-    portal = Portal(registry, rng=rng, activation_delay_h=config.activation_delay_h)
+    delay_h = (0.0, 0.0) if config.pairing_mode == "pre_active" else config.activation_delay_h
+    portal = Portal(registry, rng=rng, activation_delay_h=delay_h)
     device_ids = {spec.pod_id: f"dev-{spec.pod_id}" for spec in config.users}
     # Pair in pod order so activation delays are independent of config order.
     for spec in sorted(config.users, key=lambda s: s.pod_id):
-        pairing = portal.pair(spec.pod_id, device_ids[spec.pod_id], 0.0)
-        if config.pairing_mode == "pre_active":
-            pairing.active_at = 0.0
+        portal.pair(spec.pod_id, device_ids[spec.pod_id], 0.0)
         if spec.revoke_at_s is not None:
             portal.revoke(spec.pod_id, device_ids[spec.pod_id], spec.revoke_at_s)
     return {pod: portal.window(pod, device) for pod, device in device_ids.items()}

@@ -1,15 +1,16 @@
-"""Distributor portal mock: POD eligibility and POD-device pairing lifecycle.
+"""Distributor portal mock: POD eligibility and POD-device pairing.
 
 A POD may talk to a user device only if it is registered, metered by a
 second-generation meter, and active.  Pairing a device is asynchronous:
 the request is accepted immediately but frames flow only after an
 activation delay drawn uniformly from a configurable window (default one
-to four hours), and stop flowing at revocation.  `window` is the span in
-which frames pass; the scenario runner reads it once per user.
+to four hours), and stop flowing at revocation.  A pairing is therefore
+two times, `active_at` and `revoked_at`; `window` is the span between
+them in which frames pass, and the scenario runner reads it once per user.
 
-Every transition (pair, activate, revoke) is appended to an optional
-line-delimited JSON log, and `replay_log` rebuilds a portal from such a
-log, so a run can be resumed or audited.
+Every `pair` and `revoke` is appended to an optional line-delimited JSON
+log, and `replay_log` rebuilds a portal from such a log, so a run can be
+resumed or audited.
 """
 
 from __future__ import annotations
@@ -46,12 +47,6 @@ class DuplicatePairingError(Exception):
     pass
 
 
-class PairingStatus(Enum):
-    PENDING = "pending"
-    ACTIVE = "active"
-    REVOKED = "revoked"
-
-
 @dataclass(frozen=True)
 class Eligibility:
     eligible: bool
@@ -61,19 +56,24 @@ class Eligibility:
 
 @dataclass
 class Pairing:
+    """Admits frames from `active_at` until `revoked_at`; live while not revoked."""
+
     pod_id: str
     device_id: str
     requested_at: float
     active_at: float
-    status: PairingStatus = PairingStatus.PENDING
     revoked_at: float | None = None
 
 
 def load_registry(path: str) -> dict[str, PodRecord]:
-    """Read a registry seed file: `pod_id,meter_generation,active[,dso]`."""
+    """Read a registry seed file: `pod_id,meter_generation,active[,dso]`.
+
+    Raises:
+        ValueError: naming the file, and the row of a malformed row.
+    """
     registry: dict[str, PodRecord] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")  # a short row reads as empty fields
         needed = {"pod_id", "meter_generation", "active"}
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
             raise ValueError(
@@ -81,29 +81,25 @@ def load_registry(path: str) -> dict[str, PodRecord]:
             )
         for i, row in enumerate(reader):
             pod = row["pod_id"].strip()
-            if pod in registry:
-                raise ValueError(f"{path}: row {i}: duplicate pod_id {pod}")
-            active_raw = row["active"].strip().lower()
-            if active_raw not in ("true", "false"):
-                raise ValueError(
-                    f"{path}: row {i}: active must be true/false, got {row['active']!r}"
-                )
-            registry[pod] = PodRecord(
-                pod_id=pod,
-                meter_generation=MeterGeneration(row["meter_generation"].strip()),
-                active=active_raw == "true",
-                dso=(row.get("dso") or "default-dso").strip(),
-            )
+            active = row["active"].strip().lower()
+            try:
+                if pod in registry:
+                    raise ValueError(f"duplicate pod_id {pod}")
+                if active not in ("true", "false"):
+                    raise ValueError(f"active must be true/false, got {row['active']!r}")
+                generation = MeterGeneration(row["meter_generation"].strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {i}: {exc}") from None
+            dso = (row.get("dso") or "default-dso").strip()
+            registry[pod] = PodRecord(pod, generation, active == "true", dso)
     return registry
 
 
 class Portal:
-    """Registry lookups plus the pairing state machine.
+    """Registry lookups plus the pairings.
 
-    Pairings move pending -> active -> revoked, never backwards.  `admits`
-    is purely time-based (a pending pairing whose activation time has come
-    admits frames even before `activate_due` promoted its status), so gate
-    decisions do not depend on how often bookkeeping ran.
+    `admits` is purely time-based: a pairing admits a frame at `t` when
+    `active_at <= t < revoked_at`, so nothing has to run at activation.
     """
 
     def __init__(
@@ -111,7 +107,6 @@ class Portal:
         registry: dict[str, PodRecord],
         rng: random.Random | None = None,
         activation_delay_h: tuple[float, float] = (1.0, 4.0),
-        log_sink: IO[str] | None = None,
     ) -> None:
         lo, hi = activation_delay_h
         if lo < 0 or hi < lo:
@@ -119,7 +114,7 @@ class Portal:
         self.registry = dict(registry)
         self.activation_delay_h = (lo, hi)
         self._rng = rng if rng is not None else random.Random(0)
-        self._log_sink = log_sink
+        self._log_sink: IO[str] | None = None
         self._pairings: dict[tuple[str, str], Pairing] = {}
 
     def set_log_sink(self, sink: IO[str] | None) -> None:
@@ -140,8 +135,9 @@ class Portal:
 
     # -- pairing lifecycle ---------------------------------------------------
 
-    def _log(self, entry: dict) -> None:
+    def _log(self, action: str, pod_id: str, device_id: str, t: float, **extra: float) -> None:
         if self._log_sink is not None:
+            entry = {"action": action, "t": t, "pod_id": pod_id, "device_id": device_id, **extra}
             self._log_sink.write(json.dumps(entry, sort_keys=True) + "\n")
 
     def pair(self, pod_id: str, device_id: str, t: float) -> Pairing:
@@ -155,54 +151,30 @@ class Portal:
         if not verdict.eligible:
             assert verdict.reason is not None
             raise IneligiblePodError(pod_id, verdict.reason)
-        key = (pod_id, device_id)
-        existing = self._pairings.get(key)
-        if existing is not None and existing.status is not PairingStatus.REVOKED:
-            raise DuplicatePairingError(
-                f"pairing {pod_id}<->{device_id} already {existing.status.value}"
-            )
+        return self._pair(pod_id, device_id, t)
+
+    def _pair(
+        self, pod_id: str, device_id: str, t: float, active_at: float | None = None
+    ) -> Pairing:
+        """`pair` past the eligibility check.  A replay passes the logged
+        `active_at`; the delay is drawn anyway, to keep the generator in step."""
+        existing = self._pairings.get((pod_id, device_id))
+        if existing is not None and existing.revoked_at is None:
+            raise DuplicatePairingError(f"pairing {pod_id}<->{device_id} already live")
         lo, hi = self.activation_delay_h
         delay_s = self._rng.uniform(lo * 3600.0, hi * 3600.0)
-        pairing = Pairing(pod_id, device_id, t, t + delay_s)
-        self._pairings[key] = pairing
-        self._log(
-            {
-                "action": "pair",
-                "t": t,
-                "pod_id": pod_id,
-                "device_id": device_id,
-                "active_at": pairing.active_at,
-            }
-        )
+        pairing = Pairing(pod_id, device_id, t, t + delay_s if active_at is None else active_at)
+        self._pairings[(pod_id, device_id)] = pairing
+        self._log("pair", pod_id, device_id, t, active_at=pairing.active_at)
         return pairing
-
-    def activate_due(self, t: float) -> list[Pairing]:
-        """Promote pending pairings whose activation time has passed."""
-        promoted = []
-        for pairing in self._pairings.values():
-            if pairing.status is PairingStatus.PENDING and t >= pairing.active_at:
-                pairing.status = PairingStatus.ACTIVE
-                promoted.append(pairing)
-                self._log(
-                    {
-                        "action": "activate",
-                        "t": pairing.active_at,
-                        "pod_id": pairing.pod_id,
-                        "device_id": pairing.device_id,
-                    }
-                )
-        return promoted
 
     def revoke(self, pod_id: str, device_id: str, t: float) -> Pairing:
         """End a pairing; frames at or after `t` no longer reach the device."""
         pairing = self._pairings.get((pod_id, device_id))
-        if pairing is None or pairing.status is PairingStatus.REVOKED:
+        if pairing is None or pairing.revoked_at is not None:
             raise KeyError(f"no live pairing {pod_id}<->{device_id}")
-        pairing.status = PairingStatus.REVOKED
         pairing.revoked_at = t
-        self._log(
-            {"action": "revoke", "t": t, "pod_id": pod_id, "device_id": device_id}
-        )
+        self._log("revoke", pod_id, device_id, t)
         return pairing
 
     # -- queries ---------------------------------------------------------
@@ -222,35 +194,45 @@ class Portal:
         return active_at <= t < revoked_at
 
 
-def replay_log(registry: dict[str, PodRecord], path: str) -> Portal:
-    """Rebuild portal pairing state from a transition log.
+def _time(entry: dict, key: str) -> float:
+    value = entry.get(key)
+    if type(value) is not float or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return value
+
+
+def replay_log(
+    registry: dict[str, PodRecord], path: str, rng: random.Random | None = None
+) -> Portal:
+    """Rebuild a portal from a transition log.
 
     Activation times are taken from the log, not re-drawn, so a replayed
-    portal admits exactly the same frames as the original.
+    portal admits exactly the same frames as the original.  Each replayed
+    `pair` still advances `rng` by one draw, so a portal replayed with the
+    generator the log was written with draws the delays that follow as the
+    original would have.
+
+    Raises:
+        ValueError: naming the file and line of a malformed entry.
     """
-    portal = Portal(registry)
+    portal = Portal(registry, rng)
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
-                action = entry["action"]
-                key = (entry["pod_id"], entry["device_id"])
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValueError(f"{path}:{line_no}: bad log entry: {exc}") from None
-            if action == "pair":
-                portal._pairings[key] = Pairing(
-                    key[0], key[1], entry["t"], entry["active_at"]
-                )
-            elif action == "activate":
-                pairing = portal._pairings[key]
-                pairing.status = PairingStatus.ACTIVE
-            elif action == "revoke":
-                pairing = portal._pairings[key]
-                pairing.status = PairingStatus.REVOKED
-                pairing.revoked_at = entry["t"]
-            else:
-                raise ValueError(f"{path}:{line_no}: unknown action {action!r}")
+                entry = json.loads(line, parse_int=float)  # so every number is a float
+                action = entry.get("action") if isinstance(entry, dict) else None
+                if action not in ("pair", "revoke"):
+                    raise ValueError(f"unknown action {action!r}")
+                pod_id, device_id = entry.get("pod_id"), entry.get("device_id")
+                if not isinstance(pod_id, str) or not isinstance(device_id, str):
+                    raise ValueError("pod_id and device_id must be strings")
+                if action == "pair":
+                    portal._pair(pod_id, device_id, _time(entry, "t"), _time(entry, "active_at"))
+                else:
+                    portal.revoke(pod_id, device_id, _time(entry, "t"))
+            except (ValueError, DuplicatePairingError, KeyError) as exc:
+                detail = exc.args[0] if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}:{line_no}: bad log entry: {detail}") from None
     return portal

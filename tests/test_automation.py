@@ -366,6 +366,16 @@ def test_load_dr_commands_csv(tmp_path):
     nan.write_text("t_start,t_end,p_limit_W,issuer\nnan,7200,2500,aggregator\n")
     with pytest.raises(ValueError, match="t_start < t_end"):
         load_dr_commands(nan)
+    # Every per-row error names its row.
+    rows = {
+        "3600,7200,abc,aggregator": "row 1: could not convert",
+        "7200,3600,2500,aggregator": "row 1: need t_start < t_end",
+    }
+    for row, message in rows.items():
+        bad_row = tmp_path / "bad_row.csv"
+        bad_row.write_text(f"t_start,t_end,p_limit_W,issuer\n0,10,100,aggregator\n{row}\n")
+        with pytest.raises(ValueError, match=message):
+            load_dr_commands(bad_row)
 
 
 def test_dr_command_validation():

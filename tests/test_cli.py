@@ -166,3 +166,49 @@ def test_portal_pair_revoke_round_trip(registry_csv, tmp_path, capsys):
     assert "revoked" in capsys.readouterr().out
     # And now pairing again is allowed; state persisted across invocations.
     assert main(args) == 0
+
+
+def test_portal_log_resumes_the_seed_stream(registry_csv, tmp_path, capsys):
+    # random.Random(5)'s first two uniform(3600, 14400) draws.
+    log = tmp_path / "portal.jsonl"
+    for device, active_at in (("dev1", 10327), ("dev2", 11611)):
+        args = ["portal", "pair", "--registry", str(registry_csv), "--log", str(log)]
+        assert main([*args, "--seed", "5", POD, device]) == 0
+        assert f"frames flow from t={active_at}\n" in capsys.readouterr().out
+
+
+def test_portal_bad_registry_exits_2(registry_csv, tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"pod_id,meter_generation,active\n{POD},third,true\n")
+    short = tmp_path / "short.csv"
+    short.write_text(f"pod_id,meter_generation,active\n{POD},second\n")
+    missing = tmp_path / "missing.csv"
+    cases = ((bad, "row 0: 'third'"), (short, "row 0: active"), (missing, "No such file"))
+    for registry, message in cases:
+        assert main(["portal", "eligibility", "--registry", str(registry), POD]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(registry) in err
+        assert "Traceback" not in err
+
+
+def test_portal_bad_log_exits_2(registry_csv, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"action": "pair", "t": "x"}\n')
+    # A directory cannot be read as a log.
+    for log, message in ((bad, f"{bad}:1: bad log entry"), (tmp_path, "Is a directory")):
+        args = ["portal", "pair", "--registry", str(registry_csv), "--log", str(log), POD, "d"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
+def test_portal_rejects_a_time_its_log_could_not_replay(registry_csv, tmp_path, capsys):
+    log = tmp_path / "portal.jsonl"
+    for t in ("nan", "inf"):
+        args = ["portal", "pair", "--registry", str(registry_csv), "--log", str(log), POD, "d"]
+        with pytest.raises(SystemExit) as exc_info:
+            main([*args, "--t", t])
+        assert exc_info.value.code == 2
+        assert f"argument --t: invalid _finite_time value: '{t}'" in capsys.readouterr().err
+    assert not log.exists()

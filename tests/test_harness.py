@@ -237,6 +237,7 @@ def _user(**fields):
         # Ints with more digits than Python prints (sys.get_int_max_str_digits).
         ({"duration_s": 10**5000}, "duration_s"),
         ({"seed": 10**5000}, "seed"),
+        ({"duration_s": 2**32}, "duration_s"),  # past the u32 frame timestamp
     ],
 )
 def test_malformed_fields_are_config_errors(overrides, field):

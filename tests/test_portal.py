@@ -12,7 +12,6 @@ from chain2sim.portal import (
     DuplicatePairingError,
     IneligiblePodError,
     MeterGeneration,
-    PairingStatus,
     PodRecord,
     Portal,
     load_registry,
@@ -42,21 +41,16 @@ def test_eligibility_reasons():
 def test_pairing_activates_after_delay():
     portal = make_portal()
     pairing = portal.pair("IT001E00000001", "dev1", t=0.0)
-    assert pairing.status is PairingStatus.PENDING
     assert 3600.0 <= pairing.active_at <= 4 * 3600.0
+    assert pairing.revoked_at is None
     assert not portal.admits("IT001E00000001", "dev1", pairing.active_at - 1.0)
-    # The gate is time-based: admission does not wait for bookkeeping.
     assert portal.admits("IT001E00000001", "dev1", pairing.active_at)
-    promoted = portal.activate_due(pairing.active_at)
-    assert promoted == [pairing]
-    assert pairing.status is PairingStatus.ACTIVE
-    assert portal.activate_due(pairing.active_at + 60.0) == []
+    assert portal.admits("IT001E00000001", "dev1", pairing.active_at + 60.0)
 
 
 def test_revocation_closes_the_gate():
     portal = make_portal()
     pairing = portal.pair("IT001E00000001", "dev1", t=0.0)
-    portal.activate_due(pairing.active_at)
     portal.revoke("IT001E00000001", "dev1", t=50_000.0)
     assert portal.admits("IT001E00000001", "dev1", 49_999.9)
     assert not portal.admits("IT001E00000001", "dev1", 50_000.0)
@@ -89,7 +83,7 @@ def test_revoking_a_pending_pairing_is_allowed():
     portal = make_portal()
     portal.pair("IT001E00000001", "dev1", 0.0)
     pairing = portal.revoke("IT001E00000001", "dev1", 10.0)
-    assert pairing.status is PairingStatus.REVOKED
+    assert pairing.revoked_at == 10.0
     assert not portal.admits("IT001E00000001", "dev1", pairing.active_at + 1)
     with pytest.raises(KeyError):
         portal.revoke("IT001E00000001", "dev1", 20.0)
@@ -98,15 +92,13 @@ def test_revoking_a_pending_pairing_is_allowed():
 @st.composite
 def pairing_cases(draw):
     """A portal holding one pair in a drawn state, with the window it must
-    give: unpaired, pending, active, or revoked (possibly before activation)."""
+    give: unpaired, paired, or revoked (possibly before activation)."""
     portal = make_portal(rng=random.Random(draw(st.integers(0, 2**32))))
-    state = draw(st.sampled_from(["unpaired", "pending", "active", "revoked"]))
+    state = draw(st.sampled_from(["unpaired", "paired", "revoked"]))
     if state == "unpaired":
         return portal, (math.inf, math.inf)
     pairing = portal.pair("IT001E00000001", "dev1", draw(st.floats(0.0, 1e7)))
-    if state == "active":
-        portal.activate_due(pairing.active_at)
-    if state != "revoked":
+    if state == "paired":
         return portal, (pairing.active_at, math.inf)
     revoked_at = draw(st.floats(0.0, 2e7))
     portal.revoke("IT001E00000001", "dev1", revoked_at)
@@ -147,15 +139,15 @@ def test_activation_window_is_configurable():
 
 def test_log_and_replay_round_trip(tmp_path):
     sink = io.StringIO()
-    portal = make_portal(log_sink=sink)
+    portal = make_portal()
+    portal.set_log_sink(sink)
     pairing = portal.pair("IT001E00000001", "dev1", 0.0)
-    portal.activate_due(pairing.active_at)
     portal.pair("IT001E00000001", "dev2", 100.0)
     portal.revoke("IT001E00000001", "dev1", 40_000.0)
 
     log = tmp_path / "portal.jsonl"
     log.write_text(sink.getvalue())
-    replayed = replay_log(REGISTRY, log)
+    replayed = replay_log(REGISTRY, log, random.Random(5))
 
     probes = [0.0, pairing.active_at, 39_999.0, 40_000.0, 90_000.0]
     for t in probes:
@@ -170,6 +162,10 @@ def test_log_and_replay_round_trip(tmp_path):
     # The replayed dev1 pairing is revoked, so it cannot be revoked again.
     with pytest.raises(KeyError):
         replayed.revoke("IT001E00000001", "dev1", 50_000.0)
+    # Replay advanced the generator past the logged pairings, so the next
+    # delay is the one the original portal draws next.
+    later = replayed.pair("IT001E00000001", "dev3", 50_000.0)
+    assert later.active_at == portal.pair("IT001E00000001", "dev3", 50_000.0).active_at
 
 
 def test_replay_rejects_garbage(tmp_path):
@@ -180,6 +176,28 @@ def test_replay_rejects_garbage(tmp_path):
     log.write_text("not json\n")
     with pytest.raises(ValueError, match="bad log entry"):
         replay_log(REGISTRY, log)
+
+    ids = '"pod_id": "IT001E00000001", "device_id": "d"'
+    pair = f'{{"action": "pair", "t": 0, "active_at": 5000, {ids}}}'
+    revoke = f'{{"action": "revoke", "t": 9000, {ids}}}'
+    # Each log ends in its one malformed line.
+    logs = [
+        ([f'{{"action": "pair", "active_at": 5000, {ids}}}'], "t must be a finite number"),
+        ([pair.replace('"t": 0', '"t": "x"')], "t must be a finite number"),
+        ([pair.replace('"t": 0', '"t": NaN')], "t must be a finite number"),
+        ([pair.replace("5000", "[5000]")], "active_at must be a finite number"),
+        ([pair.replace('"d"', "7")], "must be strings"),
+        (["[1, 2]"], "unknown action"),
+        ([pair, f'{{"action": "activate", "t": 5000, {ids}}}'], "unknown action"),
+        ([revoke], "no live pairing"),
+        ([pair, revoke, revoke], "no live pairing"),
+        ([pair, pair], "already live"),
+    ]
+    for lines, message in logs:
+        log.write_text("\n".join(lines) + "\n")
+        where = rf"bad\.jsonl:{len(lines)}: bad log entry: "
+        with pytest.raises(ValueError, match=where + ".*" + message):
+            replay_log(REGISTRY, log)
 
 
 def test_load_registry(tmp_path):
