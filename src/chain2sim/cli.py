@@ -24,11 +24,13 @@ import random
 import sys
 from dataclasses import replace
 
-from chain2sim import harness, portal as portal_mod, taxonomy
+from chain2sim import portal as portal_mod, taxonomy
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """`simulate` a scenario file or run the stock `campaign`."""
+    from chain2sim import harness  # brings numpy and yaml, which only runs need
+
     try:
         if args.command == "campaign":
             config = harness.default_campaign(

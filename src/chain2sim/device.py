@@ -1,9 +1,10 @@
 """User-device state machine: the receiving end of the telemetry link.
 
-The device pairs with exactly one POD.  Every frame it receives, a record
-as the meter built it or as `decode_frame` read it off the wire, goes
-through `on_frame`, which deduplicates by sequence number, updates the
-consumption picture, and raises user notifications:
+The device is built for one POD and reads its link as the link is: in
+order, each frame once.  Every frame it receives, a record as the meter
+built it or as `decode_frame` read it off the wire, goes through
+`on_frame`, which updates the consumption picture and raises user
+notifications:
 
     T1  fills the quarter-hour energy series (lost quarters stay as gaps,
         they are never interpolated),
@@ -12,21 +13,20 @@ consumption picture, and raises user notifications:
     T3  contractual exceedance start/end and the one-shot energy alarm,
     T4  logs supply events (interruption start/end, voltage events).
 
-Dedup keeps a high-water mark plus a `DEDUP_WINDOW`-deep out-of-order
-window: a frame older than the window is dropped and counted, never
-processed.  The channel is FIFO so in simulation only duplicates of
-replayed inputs ever hit the window path, but the device must survive
-arbitrary replays.
+The channel is FIFO and sends each frame once, so sequence numbers rise
+from frame to frame; the device keeps only the high-water mark, and a frame
+at or below it is a pipeline bug that raises.  There is no dedup window:
+it comes back with any channel that retransmits or reorders frames.
 
-Sequence gaps below the high-water mark are exactly the frames the channel
-lost (plus any still in flight); `seq_gaps` takes the meter's final
-sequence number to close that tail for end-of-run reconciliation.
+Sequence gaps below the high-water mark are exactly the frames the device
+never got: lost on the channel or gated by the pairing window.  `seq_gaps`
+takes the meter's final sequence number to close that tail for end-of-run
+reconciliation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 from chain2sim.frames import (
@@ -39,7 +39,6 @@ from chain2sim.frames import (
 from chain2sim.meter import OVERRUN_FACTOR, QUARTER_S, switchoff_remaining
 
 DAY_S = 86400
-DEDUP_WINDOW = 16  # how far below the high-water mark a late frame is still taken
 
 
 # -- Tariffs -------------------------------------------------------------------
@@ -102,24 +101,8 @@ class TariffSchedule:
 # -- Device --------------------------------------------------------------------
 
 
-class Disposition(str, Enum):
-    """What `on_frame` did with a frame; `Device.stats` counts each under
-    its value.  A `str` mix-in, so that a member hashes in C: the harness
-    keys every ledger increment on one.  Outputs use `.value`, never the
-    member's own format, which differs across Python versions."""
-
-    PROCESSED = "processed"
-    DUPLICATE = "duplicate"
-    TOO_OLD = "too_old"
-    UNPAIRED = "unpaired"
-
-
-_PROCESSED, _DUPLICATE, _TOO_OLD, _UNPAIRED = Disposition
-
-
 @dataclass(frozen=True)
 class DeviceConfig:
-    paired_pod: str
     pn_w: float | None = None  # contractual power, for plausibility checks
     alarm_limit_w: float | None = None  # user-set threshold for the power alarm
     tariff: TariffSchedule | None = None
@@ -168,52 +151,28 @@ class Device:
         self.notifications: list[Notification] = []
         self.stats: dict[str, int] = {
             "processed": 0,
-            "duplicate": 0,
-            "too_old": 0,
-            "unpaired": 0,
             "implausible_t1": 0,
         }
         self._high_water = 0
-        self._recent: set[int] = set()
         self._alarm_active = False  # user-limit excursion in progress
         self._cut_warning_active = False
         self._exceed_active = False
 
     # -- ingest ------------------------------------------------------------
 
-    def on_frame(self, frame: CompactFrame, t_arrive: float) -> Disposition:
-        """Ingest one received frame; returns how it was treated.  The
+    def on_frame(self, frame: CompactFrame) -> None:
+        """Ingest the next frame of the link.  Its `seq` must exceed every
+        earlier one; a repeated or older `seq` raises `ValueError`.  The
         payload must be of the class its frame type names, as the meter and
         `decode_frame` build it: the frame type picks the handler."""
-        if frame.pod_id != self.config.paired_pod:
-            self.stats["unpaired"] += 1
-            return _UNPAIRED
-        seq = frame.seq
-        high_water = self._high_water
-        recent = self._recent
-        if seq > high_water:
-            # The window is (high_water - DEDUP_WINDOW, high_water]; advancing
-            # the mark drops exactly the seqs that fall out of it.
-            floor = seq - DEDUP_WINDOW
-            if floor >= high_water:
-                recent.clear()
-            else:
-                for old in range(high_water - DEDUP_WINDOW + 1, floor + 1):
-                    recent.discard(old)
-            recent.add(seq)
-            self._high_water = seq
-        elif seq > high_water - DEDUP_WINDOW:
-            if seq in recent:
-                self.stats["duplicate"] += 1
-                return _DUPLICATE
-            recent.add(seq)
-        else:
-            self.stats["too_old"] += 1
-            return _TOO_OLD
-
+        if frame.seq <= self._high_water:
+            raise ValueError(
+                f"seq {frame.seq} at or below the last seq {self._high_water}: "
+                "the link repeated or reordered a frame"
+            )
+        self._high_water = frame.seq
         self.stats["processed"] += 1
         _HANDLERS[frame.frame_type](self, frame)
-        return _PROCESSED
 
     def _notify(self, t: float, kind: str, message: str) -> None:
         self.notifications.append(Notification(t, kind, message))
@@ -297,10 +256,6 @@ class Device:
             self._notify(t, "voltage_event", "voltage event on the supply")
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def high_water_seq(self) -> int:
-        return self._high_water
 
     def seq_gaps(self, final_seq: int | None = None) -> int:
         """Count of sequence numbers never processed.

@@ -34,12 +34,14 @@ keyed (frame type, day, disposition) that counts every frame the meter
 sends exactly once, under its final disposition.  The day is that of the
 observation the frame reports.  The disposition is `LinkOutcome.LOST` when
 the channel drops the frame, `LinkOutcome.GATED` when it arrives outside
-the pairing window, and otherwise the `Disposition` that `Device.on_frame`
-returns; a frame counts as received when it is processed.  At the end of a
-run each link's books must balance:
+the pairing window, and otherwise `LinkOutcome.PROCESSED`: the link is in
+order and sends each frame once, so `Device.on_frame` takes every frame the
+gate passes, with no dedup window (one comes back with any channel that
+retransmits or reorders).  A frame counts as received when it is processed.
+At the end of a run each link's books must balance:
 
     frames on the ledger = the meter's final sequence number
-    each device disposition on the ledger = the device's own count of it
+    processed on the ledger = the device's own processed count
     the device's sequence gaps = lost + gated
 
 A failure is a bug, not a statistic, and raises `ReconciliationError`,
@@ -82,7 +84,7 @@ from chain2sim.automation import (
     settlement_to_csv,
 )
 from chain2sim.channel import BernoulliLoss, Channel, ChannelConfig, GilbertElliottLoss
-from chain2sim.device import Device, DeviceConfig, Disposition, TariffSchedule, TariffWindow
+from chain2sim.device import Device, DeviceConfig, TariffSchedule, TariffWindow
 from chain2sim import frames
 from chain2sim.frames import CompactFrame, EnergyDirection, FrameType, SupplyEventKind
 
@@ -100,7 +102,6 @@ DAY_S = 86400
 FRAME_TYPE_NAMES = tuple(t.name for t in FrameType)  # in report order
 
 _T1 = FrameType.T1
-_PROCESSED = Disposition.PROCESSED
 
 
 class ConfigError(Exception):
@@ -666,15 +667,18 @@ def default_campaign(
 
 
 class LinkOutcome(str, Enum):
-    """The disposition of a frame that never reaches `Device.on_frame`.  A
-    `str` mix-in, like `Disposition`, for a C-level hash; its values differ
-    from every `Disposition` value, so no two ledger keys compare equal."""
+    """A frame's final disposition on its link.  The link is in order and
+    exactly once, so a frame delivered inside the pairing window is always
+    processed.  A `str` mix-in, so that a member hashes in C: every ledger
+    increment keys on one.  Outputs use `.value`, never the member's own
+    format, which differs across Python versions."""
 
+    PROCESSED = "processed"  # taken by `Device.on_frame`
     LOST = "lost"  # dropped by the channel
     GATED = "gated"  # delivered outside the pairing window
 
 
-_LOST, _GATED = LinkOutcome
+_PROCESSED, _LOST, _GATED = LinkOutcome
 
 
 class ReconciliationError(RuntimeError):
@@ -697,10 +701,9 @@ def _reconcile(pod_id: str, ledger: Counter, meter: Meter, device: Device) -> in
     sent = sum(counts.values())
     if sent != meter.last_seq:
         problems.append(f"sent {sent} != meter seq {meter.last_seq}")
-    for disposition in Disposition:
-        on_device = device.stats[disposition.value]
-        if counts[disposition] != on_device:
-            problems.append(f"{disposition.value} {counts[disposition]} != device {on_device}")
+    on_device = device.stats["processed"]
+    if counts[_PROCESSED] != on_device:
+        problems.append(f"processed {counts[_PROCESSED]} != device {on_device}")
     gaps = device.seq_gaps(final_seq=meter.last_seq)
     if gaps != counts[_LOST] + counts[_GATED]:
         problems.append(f"seq gaps {gaps} != lost {counts[_LOST]} + gated {counts[_GATED]}")
@@ -932,7 +935,7 @@ def _run_user(
     )
     meter = Meter(spec.pod_id, meter_config)
     link = Channel(config.channel, derive(config.seed, "channel", spec.pod_id))
-    device = Device(DeviceConfig(spec.pod_id, spec.pn_w, spec.alarm_limit_w, tariff=spec.tariff))
+    device = Device(DeviceConfig(spec.pn_w, spec.alarm_limit_w, tariff=spec.tariff))
 
     scheduled = _schedule_appliances(spec, config)
     power, arms = _grid_power(spec, config, profile, scheduled)
@@ -962,8 +965,9 @@ def _run_user(
         elif not active_at <= t_arrive < revoked_at:
             disposition = _GATED
         else:
-            disposition = on_frame(frame, t_arrive)
-            if processed_log is not None and disposition is _PROCESSED:
+            on_frame(frame)
+            disposition = _PROCESSED
+            if processed_log is not None:
                 processed_log.append((t_arrive, frame.seq))
         ledger[frame_type, day, disposition] += 1
 

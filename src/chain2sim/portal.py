@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO
 
+from chain2sim.frames import is_pod_id
+
 
 class MeterGeneration(Enum):
     FIRST = "first"
@@ -83,6 +85,8 @@ def load_registry(path: str) -> dict[str, PodRecord]:
             pod = row["pod_id"].strip()
             active = row["active"].strip().lower()
             try:
+                if not is_pod_id(pod):
+                    raise ValueError(f"pod_id must be 14 ASCII alphanumeric characters, got {pod!r}")
                 if pod in registry:
                     raise ValueError(f"duplicate pod_id {pod}")
                 if active not in ("true", "false"):

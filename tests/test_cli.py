@@ -1,8 +1,14 @@
 """The command-line front end, driven through main(argv)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from chain2sim import cli
 from chain2sim.cli import main
 from chain2sim.profiles import household_profile, profile_to_csv
 
@@ -124,6 +130,21 @@ def test_campaign_smoke(tmp_path, capsys):
     assert report.startswith("scope,key,frame_type,sent,received,success_rate")
 
 
+def test_cli_import_skips_numpy_and_yaml():
+    """Only the run commands need the harness; the taxonomy and portal
+    commands start without numpy and yaml."""
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, chain2sim.cli; print(sorted({'numpy', 'yaml'} & sys.modules.keys()))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_taxonomy_list_and_filters(capsys):
     assert main(["taxonomy", "list"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -182,8 +203,15 @@ def test_portal_bad_registry_exits_2(registry_csv, tmp_path, capsys):
     bad.write_text(f"pod_id,meter_generation,active\n{POD},third,true\n")
     short = tmp_path / "short.csv"
     short.write_text(f"pod_id,meter_generation,active\n{POD},second\n")
+    empty_pod = tmp_path / "empty_pod.csv"
+    empty_pod.write_text(f"pod_id,meter_generation,active\n{POD},second,true\n,second,true\n")
     missing = tmp_path / "missing.csv"
-    cases = ((bad, "row 0: 'third'"), (short, "row 0: active"), (missing, "No such file"))
+    cases = (
+        (bad, "row 0: 'third'"),
+        (short, "row 0: active"),
+        (empty_pod, "row 1: pod_id must be 14"),
+        (missing, "No such file"),
+    )
     for registry, message in cases:
         assert main(["portal", "eligibility", "--registry", str(registry), POD]) == 2
         err = capsys.readouterr().err

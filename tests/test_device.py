@@ -1,17 +1,8 @@
-"""Device-side ingest: dedup, plausibility, alarms, reconstruction, cost."""
+"""Device-side ingest: sequence order, plausibility, alarms, reconstruction, cost."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from chain2sim.device import (
-    DEDUP_WINDOW,
-    Device,
-    DeviceConfig,
-    Disposition,
-    TariffSchedule,
-    TariffWindow,
-)
+from chain2sim.device import Device, DeviceConfig, TariffSchedule, TariffWindow
 from chain2sim.frames import (
     CompactFrame,
     CrossingDirection,
@@ -26,12 +17,12 @@ from chain2sim.frames import (
 POD = "IT001E00000001"
 
 
-def t1(seq, ts, energy_wh, direction=EnergyDirection.WITHDRAWN, pod=POD):
-    return CompactFrame(FrameType.T1, pod, seq, ts, T1Payload((ts // 900 - 1) % 96, energy_wh, direction))
+def t1(seq, ts, energy_wh, direction=EnergyDirection.WITHDRAWN):
+    return CompactFrame(FrameType.T1, POD, seq, ts, T1Payload((ts // 900 - 1) % 96, energy_wh, direction))
 
 
-def t2(seq, ts, power_w, band=3, pod=POD):
-    return CompactFrame(FrameType.T2, pod, seq, ts, T2Payload(band, power_w, CrossingDirection.UP))
+def t2(seq, ts, power_w, band=3):
+    return CompactFrame(FrameType.T2, POD, seq, ts, T2Payload(band, power_w, CrossingDirection.UP))
 
 
 def t3(seq, ts, cause, value):
@@ -39,108 +30,32 @@ def t3(seq, ts, cause, value):
 
 
 def make_device(**kw) -> Device:
-    kw.setdefault("paired_pod", POD)
     return Device(DeviceConfig(**kw))
 
 
-# -- dedup window ----------------------------------------------------------------
+# -- sequence order ----------------------------------------------------------------
 
 
-def test_duplicate_and_reordered_frames():
+def test_repeated_seq_raises():
     dev = make_device()
-    assert dev.on_frame(t2(20, 0, 500), 1.0) is Disposition.PROCESSED
-    assert dev.on_frame(t2(20, 0, 500), 1.1) is Disposition.DUPLICATE
-    # Reordered but still inside the 16-frame window: accepted once.
-    assert dev.on_frame(t2(5, 0, 500), 1.2) is Disposition.PROCESSED
-    assert dev.on_frame(t2(5, 0, 500), 1.3) is Disposition.DUPLICATE
-    # Behind the window: refused outright.
-    assert dev.on_frame(t2(4, 0, 500), 1.4) is Disposition.TOO_OLD
-    assert dev.stats == {
-        "processed": 2,
-        "duplicate": 2,
-        "too_old": 1,
-        "unpaired": 0,
-        "implausible_t1": 0,
-    }
+    dev.on_frame(t1(1, 900, 300))
+    with pytest.raises(ValueError, match="seq 1 at or below the last seq 1"):
+        dev.on_frame(t1(1, 900, 300))
+    assert dev.stats["processed"] == 1  # the payload was not applied twice
 
 
-class _SetRebuildDedup:
-    """Reference dedup rule: a high-water mark plus the set of seqs seen in
-    the window, rebuilt from scratch whenever it outgrows the window."""
-
-    def __init__(self, window: int) -> None:
-        self.window = window
-        self.high_water = 0
-        self.recent: set[int] = set()
-        self.stats = {"processed": 0, "duplicate": 0, "too_old": 0, "unpaired": 0}
-
-    def feed(self, seq: int, paired: bool) -> Disposition:
-        if not paired:
-            self.stats["unpaired"] += 1
-            return Disposition.UNPAIRED
-        if seq > self.high_water:
-            self.high_water = seq
-            self.recent.add(seq)
-            floor = seq - self.window
-            if len(self.recent) > self.window:
-                self.recent = {s for s in self.recent if s > floor}
-        elif seq > self.high_water - self.window:
-            if seq in self.recent:
-                self.stats["duplicate"] += 1
-                return Disposition.DUPLICATE
-            self.recent.add(seq)
-        else:
-            self.stats["too_old"] += 1
-            return Disposition.TOO_OLD
-        self.stats["processed"] += 1
-        return Disposition.PROCESSED
-
-
-@given(data=st.data())
-def test_dedup_matches_the_set_rebuild_rule(data):
-    """Duplicates, reorders, stale frames, jumps and unpaired pods: the
-    incrementally trimmed window decides exactly as a full rebuild would."""
-    # Each frame's seq is the high-water mark plus a step.  A positive step
-    # advances the mark, a step in (-window, 0] repeats or reorders a seq
-    # inside the window, a lower one falls behind it.  The edges of the
-    # window are drawn on purpose: they are where a trim goes wrong.
-    window = DEDUP_WINDOW
-    edges = [-window, 1 - window, 0, 1, window - 1, window, window + 1]
-    step = st.one_of(st.sampled_from(edges), st.integers(-window - 2, 2))
-    steps = data.draw(st.lists(st.tuples(step, st.booleans()), min_size=30, max_size=150))
+def test_older_seq_raises():
     dev = make_device()
-    ref = _SetRebuildDedup(window)
-    for i, (step, paired) in enumerate(steps):
-        seq = max(0, ref.high_water + step)
-        frame = t2(seq, 0, 500, pod=POD if paired else "IT001E99999999")
-        assert dev.on_frame(frame, float(i)) is ref.feed(seq, paired)
-        assert len(dev._recent) <= window  # the window never outgrows itself
-    assert dev.stats == {**ref.stats, "implausible_t1": 0}
-    assert dev.high_water_seq == ref.high_water
-
-
-def test_duplicate_does_not_reapply_payload():
-    dev = make_device()
-    frame = t1(1, 900, 300)
-    dev.on_frame(frame, 1.0)
-    dev.quarters[0] = dev.quarters[0]  # sanity: record exists
-    dev.on_frame(frame, 2.0)
-    assert dev.stats["processed"] == 1
-    assert dev.stats["duplicate"] == 1
-
-
-def test_unpaired_pod_is_rejected():
-    dev = make_device()
-    verdict = dev.on_frame(t2(1, 0, 500, pod="IT001E99999999"), 1.0)
-    assert verdict is Disposition.UNPAIRED
-    assert dev.stats["unpaired"] == 1
-    assert dev.high_water_seq == 0
+    dev.on_frame(t2(20, 0, 500))
+    with pytest.raises(ValueError, match="seq 5 at or below the last seq 20"):
+        dev.on_frame(t2(5, 0, 500))
+    assert dev.stats == {"processed": 1, "implausible_t1": 0}
 
 
 def test_seq_gap_accounting():
     dev = make_device()
     for seq in (1, 2, 5):
-        dev.on_frame(t2(seq, 0, 500), float(seq))
+        dev.on_frame(t2(seq, 0, 500))
     assert dev.seq_gaps() == 2  # 3 and 4 never arrived
     assert dev.seq_gaps(final_seq=8) == 5  # plus 6, 7, 8 lost at the tail
     assert dev.seq_gaps(final_seq=3) == 2  # never below the high-water view
@@ -151,8 +66,8 @@ def test_seq_gap_accounting():
 
 def test_quarters_and_missing_slots():
     dev = make_device()
-    dev.on_frame(t1(1, 900, 250), 901.0)
-    dev.on_frame(t1(2, 2700, 100), 2701.0)
+    dev.on_frame(t1(1, 900, 250))
+    dev.on_frame(t1(2, 2700, 100))
     assert dev.quarters[0].energy_wh == 250
     assert dev.quarters[1800].energy_wh == 100
     assert sorted(dev.quarters) == [0, 1800]  # 900 and 2700 are gaps
@@ -160,8 +75,8 @@ def test_quarters_and_missing_slots():
 
 def test_implausible_quarter_is_quarantined():
     dev = make_device(pn_w=3000.0)  # plausibility cap: 1.5 * 3000 * 0.25 h = 1125 Wh
-    assert dev.on_frame(t1(1, 900, 1125), 901.0) is Disposition.PROCESSED
-    assert dev.on_frame(t1(2, 1800, 1126), 1801.0) is Disposition.PROCESSED
+    dev.on_frame(t1(1, 900, 1125))
+    dev.on_frame(t1(2, 1800, 1126))
     assert dev.quarters == {0: dev.quarters[0]}
     assert dev.stats["implausible_t1"] == 1
     assert any(n.kind == "implausible_reading" for n in dev.notifications)
@@ -174,20 +89,20 @@ def test_implausible_quarter_is_quarantined():
 
 def test_power_alarm_fires_once_per_excursion():
     dev = make_device(alarm_limit_w=2000.0)
-    dev.on_frame(t2(1, 10, 2500), 10.1)
-    dev.on_frame(t2(2, 20, 2800), 20.1)  # still in the same excursion
-    dev.on_frame(t2(3, 30, 1500), 30.1)  # back under the limit
-    dev.on_frame(t2(4, 40, 2100), 40.1)  # new excursion
+    dev.on_frame(t2(1, 10, 2500))
+    dev.on_frame(t2(2, 20, 2800))  # still in the same excursion
+    dev.on_frame(t2(3, 30, 1500))  # back under the limit
+    dev.on_frame(t2(4, 40, 2100))  # new excursion
     alarms = [n for n in dev.notifications if n.kind == "power_alarm"]
     assert [n.t for n in alarms] == [10, 40]
 
 
 def test_switchoff_warning_once_per_excursion():
     dev = make_device(pn_w=3000.0)
-    dev.on_frame(t2(1, 10, 4000), 10.1)
-    dev.on_frame(t2(2, 20, 4100), 20.1)
-    dev.on_frame(t2(3, 30, 3200), 30.1)  # below 1.1 * Pn: excursion over
-    dev.on_frame(t2(4, 40, 3400), 40.1)
+    dev.on_frame(t2(1, 10, 4000))
+    dev.on_frame(t2(2, 20, 4100))
+    dev.on_frame(t2(3, 30, 3200))  # below 1.1 * Pn: excursion over
+    dev.on_frame(t2(4, 40, 3400))
     warnings = [n for n in dev.notifications if n.kind == "switchoff_warning"]
     assert [n.t for n in warnings] == [10, 40]
     assert "771" in warnings[0].message  # 180 * 3000 / 700
@@ -195,21 +110,21 @@ def test_switchoff_warning_once_per_excursion():
 
 def test_t3_updates_power_state_and_notifies():
     dev = make_device(pn_w=3000.0, alarm_limit_w=2000.0)
-    dev.on_frame(t3(1, 100, ExceedanceCause.POWER_EXCEEDED, 3400), 100.1)
+    dev.on_frame(t3(1, 100, ExceedanceCause.POWER_EXCEEDED, 3400))
     # 3400 W is also over the user limit and over 1.1 * Pn.
     assert [(n.kind, n.message) for n in dev.notifications] == [
         ("contract_power_exceeded", "drawing 3400 W over contract"),
         ("power_alarm", "power 3400 W above set limit 2000 W"),
         ("switchoff_warning", "supply cut in 5400 s unless load drops below 3300 W"),
     ]
-    dev.on_frame(t3(2, 200, ExceedanceCause.RESTORED, 1800), 200.1)
+    dev.on_frame(t3(2, 200, ExceedanceCause.RESTORED, 1800))
     # 1800 W clears the power alarm, so the next excursion raises it again.
-    dev.on_frame(t2(3, 250, 2500), 250.1)
+    dev.on_frame(t2(3, 250, 2500))
     assert [(n.kind, n.message) for n in dev.notifications[3:]] == [
         ("power_restored", "back to 1800 W"),
         ("power_alarm", "power 2500 W above set limit 2000 W"),
     ]
-    dev.on_frame(t3(4, 300, ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED, 5000), 300.1)
+    dev.on_frame(t3(4, 300, ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED, 5000))
     assert dev.notifications[-1].kind == "energy_threshold"
 
 
@@ -225,8 +140,8 @@ def two_rate_tariff():
 
 def test_estimate_cost_skips_missing_quarters():
     dev = make_device(tariff=two_rate_tariff())
-    dev.on_frame(t1(1, 900, 1000), 901.0)  # 1 kWh at 0.10
-    dev.on_frame(t1(2, 44100, 500), 44101.0)  # 0.5 kWh at 0.30
+    dev.on_frame(t1(1, 900, 1000))  # 1 kWh at 0.10
+    dev.on_frame(t1(2, 44100, 500))  # 0.5 kWh at 0.30
     estimate = dev.estimate_cost(0, 86400)
     assert estimate.cost_eur == pytest.approx(1.0 * 0.10 + 0.5 * 0.30)
     assert estimate.income_eur == 0.0
@@ -237,7 +152,7 @@ def test_estimate_cost_skips_missing_quarters():
 
 def test_estimate_cost_feed_in_income():
     dev = make_device(tariff=two_rate_tariff())
-    dev.on_frame(t1(1, 900, 2000, direction=EnergyDirection.FED_IN), 901.0)
+    dev.on_frame(t1(1, 900, 2000, direction=EnergyDirection.FED_IN))
     estimate = dev.estimate_cost(0, 900 * 4)
     assert estimate.cost_eur == 0.0
     assert estimate.income_eur == pytest.approx(2.0 * 0.05)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from chain2sim.automation import DrCommand, Site, SiteLoad, dr_site_step, peak_shave_step
 from chain2sim.channel import BernoulliLoss, ChannelConfig
-from chain2sim.device import Disposition
 from chain2sim import frames
 from chain2sim.frames import SupplyEventKind, encode_frame
 from chain2sim.meter import Meter, MeterConfig
@@ -570,9 +569,6 @@ def test_revocation_stops_processing():
 
 
 def test_seq_gap_identity_per_user():
-    # Dispositions compare as their str values: no two may share one, or
-    # their ledger keys would merge.
-    assert len({*Disposition, *LinkOutcome}) == len(Disposition) + len(LinkOutcome)
     config = small_config(duration_s=8 * 3600)
     _, details = run(config, parallel=False, with_details=True)
     for result in details.user_results:
@@ -583,22 +579,24 @@ def test_seq_gap_identity_per_user():
 
 
 def test_unbalanced_books_raise_with_the_ledger(monkeypatch):
-    """A device that reports one frame as a duplicate while counting it as
-    processed breaks the books; the error carries the link's ledger."""
+    """A device that takes one frame without counting it breaks the books;
+    the error carries the link's ledger."""
     real = harness.Device.on_frame
 
-    def on_frame(self, frame, t_arrive):
-        disposition = real(self, frame, t_arrive)
-        return Disposition.DUPLICATE if frame.seq == 3 else disposition
+    def on_frame(self, frame):
+        real(self, frame)
+        if frame.seq == 3:
+            self.stats["processed"] -= 1
 
     monkeypatch.setattr(harness.Device, "on_frame", on_frame)
     config = small_config(users=(UserSpec(pod_id=POD1, pn_w=3000.0),), channel=ChannelConfig())
-    with pytest.raises(harness.ReconciliationError, match="duplicate 1 != device 0") as caught:
+    with pytest.raises(harness.ReconciliationError, match=r"processed (\d+) != device") as caught:
         run(config)
     ledger = caught.value.ledger
     assert caught.value.pod_id == POD1
-    assert {d for _, _, d in ledger} == {Disposition.PROCESSED, Disposition.DUPLICATE}
-    assert sum(n for (_, _, d), n in ledger.items() if d is Disposition.DUPLICATE) == 1
+    assert {d for _, _, d in ledger} == {LinkOutcome.PROCESSED}
+    processed = sum(ledger.values())
+    assert f"processed {processed} != device {processed - 1}" in str(caught.value)
 
 
 def test_outputs_written(tmp_path):

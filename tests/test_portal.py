@@ -224,6 +224,11 @@ def test_load_registry(tmp_path):
     with pytest.raises(ValueError, match="true/false"):
         load_registry(bad)
 
+    empty_pod = tmp_path / "empty_pod.csv"
+    empty_pod.write_text("pod_id,meter_generation,active\n,second,true\n")
+    with pytest.raises(ValueError, match="row 0: pod_id must be 14 ASCII alphanumeric characters, got ''"):
+        load_registry(empty_pod)
+
     headerless = tmp_path / "headerless.csv"
     headerless.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError, match="header"):
