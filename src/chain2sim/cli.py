@@ -29,7 +29,7 @@ from chain2sim import portal as portal_mod, taxonomy
 
 def _cmd_run(args: argparse.Namespace) -> int:
     """`simulate` a scenario file or run the stock `campaign`."""
-    from chain2sim import harness  # brings numpy and yaml, which only runs need
+    from chain2sim import harness  # brings numpy, which only runs need
 
     try:
         if args.command == "campaign":

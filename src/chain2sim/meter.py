@@ -34,14 +34,14 @@ can detect channel losses as sequence gaps regardless of frame type.
 `step_series(power, t0)` drives the meter over a whole power series and
 gives exactly what `step` gives when called for every tick: the same frames,
 the same exceptions and the same final state.  It runs `step` only at
-breakpoint ticks, where a frame can be emitted or the countdown can change:
+breakpoint ticks, where a frame can go out or the breaker or the limit can change:
 
     the first tick and the last;
     a band change;
-    a sample above the overrun reference, and the tick after one;
     an edge of power > pn_w;
     a tick that closes a quarter;
     the first tick whose cumulative energy reaches energy_threshold_wh;
+    the first tick that reaches the cut deadline the tick before it left;
     the tick where an emergency limit expires;
     a sample `step` rejects (it raises there).
 
@@ -51,7 +51,10 @@ rejected; with a limit armed the reference is the limit.  When a step opens
 the breaker or lets the limit expire, the rest of the series is analysed
 again from the next tick.  Between breakpoints the quarter and total energy
 advance by `np.cumsum`, which adds in sequence and so matches `step`'s `+=`
-bit for bit.
+bit for bit.  The cut deadline is computed on the ticks above the reference
+only, in `step`'s operation order: a running minimum over each run of them,
+the run at the first tick starting from the armed deadline.  A tick that
+quietly drops or tightens the deadline is therefore not stepped.
 """
 
 from __future__ import annotations
@@ -360,11 +363,12 @@ class Meter:
         while p.size:
             state = (self.supply_on, self._em_limit_w)
             start = 0  # the first tick of p not stepped yet
-            for i, p_i, quarter_ws, total_ws in self._breakpoints(p, t0):
+            for i, p_i, quarter_ws, total_ws, deadline in self._breakpoints(p, t0):
                 t = t0 + i * tick
                 if i > start:  # quiet ticks since the last step
                     self._quarter_acc_ws = quarter_ws
                     self._total_acc_ws = total_ws
+                    self._cut_deadline = None if deadline == math.inf else deadline
                     self._next_t = t
                 yield t, step(self, p_i, t)
                 start = i + 1
@@ -372,10 +376,13 @@ class Meter:
                     break  # a cut or an expiry: analyse again from the next tick
             p, t0 = p[start:], t0 + start * tick
 
-    def _breakpoints(self, p: np.ndarray, t0: int) -> list[tuple[int, float, float, float]]:
+    def _breakpoints(
+        self, p: np.ndarray, t0: int
+    ) -> list[tuple[int, float, float, float, float]]:
         """Breakpoint ticks of a non-empty `p` from the meter's current state,
-        as `(i, p[i], quarter_ws, total_ws)`, where the two accumulators are
-        their values just before tick i when tick i - 1 is quiet.
+        as `(i, p[i], quarter_ws, total_ws, deadline)`: when tick i - 1 is
+        quiet, the two accumulators and the cut deadline as they stand just
+        before tick i, an unarmed deadline as inf.
 
         The analysis holds while the breaker and the emergency limit stay as
         they are: an open breaker samples 0 W, and an armed limit is the
@@ -385,60 +392,82 @@ class Meter:
         cfg = self.config
         tick = cfg.tick_s
         pn = cfg.pn_w
-        if self.supply_on:
-            bad = np.flatnonzero(~(p >= 0.0) | (p == np.inf))
-        else:
-            bad = np.flatnonzero(p < 0.0)  # step takes NaN and inf with the breaker open
-        m = int(bad[0]) + 1 if bad.size else len(p)
-        x = p[:m] if self.supply_on else np.zeros(m)
         limit = self._em_limit_w
         with np.errstate(over="ignore", invalid="ignore"):
-            band = np.floor((10.0 * x) / pn)
+            # step rejects a negative sample and, with the breaker closed, one
+            # whose band is no int: NaN, inf, or one whose 10 * p overflows.
+            band = np.multiply(p, 10.0) if self.supply_on else np.zeros(len(p))
+            bad = np.flatnonzero((p < 0.0) | ~(band < np.inf))
+            m = int(bad[0]) + 1 if bad.size else len(p)
+            x = p[:m] if self.supply_on else np.zeros(m)
+            band = band[:m]
+            np.divide(band, pn, out=band)
+            np.floor(band, out=band)
             np.minimum(band, 10.0, out=band)
             over_pn = x > pn
-            over_ref = x > (OVERRUN_FACTOR * pn if limit is None else limit)
-            mask = over_ref.copy()
-            # The tick after an overrun clears its deadline or opens the breaker.
-            mask[1:] |= over_ref[:-1]
-            mask[1:] |= band[1:] != band[:-1]
+            mask = np.zeros(m, dtype=bool)
+            mask[1:] = band[1:] != band[:-1]
             mask[1:] |= over_pn[1:] != over_pn[:-1]
             mask[0] = mask[m - 1] = True
             if limit is not None:
                 expiry = bisect_left(range(t0, t0 + m * tick, tick), self._em_until)
                 mask[expiry : expiry + 1] = True  # nothing when it expires later
-            del band, over_pn, over_ref
+            del over_pn
+
+            # The cut countdown, on the ticks above the reference only.  Each
+            # arms `t + remaining`, in `step`'s operation order, and a run of
+            # them keeps the running minimum, from the armed deadline at tick 0.
+            scale, reference = (pn, OVERRUN_FACTOR * pn) if limit is None else (limit, limit)
+            over = np.flatnonzero(x > reference)
+            deadline = (t0 + over * tick) + SWITCHOFF_TAU_S * scale / (x[over] - reference)
+            if over.size and over[0] == 0 and self._cut_deadline is not None:
+                deadline[0] = min(deadline[0], self._cut_deadline)
+            runs = np.flatnonzero(np.diff(over, prepend=-2) != 1)
+            for a, b in zip(runs.tolist(), runs[1:].tolist() + [over.size]):
+                np.minimum.accumulate(deadline[a:b], out=deadline[a:b])
+            # The breaker opens at the first tick that reaches the deadline
+            # left by the tick before it.
+            due = np.flatnonzero(t0 + (over + 1) * tick >= deadline)
+            if due.size and over[due[0]] + 1 < m:
+                mask[over[due[0]] + 1] = True
             ticks_per_quarter = QUARTER_S // tick
             offset = (t0 % QUARTER_S) // tick
             mask[ticks_per_quarter - 1 - offset :: ticks_per_quarter] = True
 
             # Seed both running sums through their first element, which is
-            # the first `+=` the scalar step would make.
-            ws = x * tick
-            first = float(ws[0])
-            ws[0] = self._total_acc_ws + first
-            total = np.cumsum(ws)
-            ws[0] = self._quarter_acc_ws + first
+            # the first `+=` the scalar step would make.  `total` reuses the
+            # spent band and `quarter` is a view of rows: a fresh full-length
+            # array costs more in page faults than its arithmetic.
             rows = np.zeros(-(-(offset + m) // ticks_per_quarter) * ticks_per_quarter)
-            rows[offset : offset + m] = ws
-            del ws
+            quarter = rows[offset : offset + m]
+            np.multiply(x, tick, out=quarter)
+            first = float(quarter[0])
+            quarter[0] = self._total_acc_ws + first
+            total = np.cumsum(quarter, out=band)
+            quarter[0] = self._quarter_acc_ws + first
             by_quarter = rows.reshape(-1, ticks_per_quarter)  # a view of rows
             np.cumsum(by_quarter, axis=1, out=by_quarter)
-            quarter = rows[offset : offset + m]
 
             threshold = cfg.energy_threshold_wh
             if threshold is not None and not self._energy_alarm_sent:
-                reached = total / 3600.0 >= threshold
-                k = int(np.argmax(reached))
-                if reached[k]:
-                    mask[k] = True
+                # total never falls before the last tick, the only one that
+                # can hold a rejected sample, so the first to reach it bisects.
+                k = bisect_left(range(m - 1), True, key=lambda i: total[i] / 3600.0 >= threshold)
+                mask[k] = True  # k = m - 1, set already, if no earlier tick does
 
         idx = np.flatnonzero(mask)
         before = idx - 1  # wraps to -1 for tick 0, which is never set
+        # The deadline tick i - 1 leaves: its run minimum if it is above the
+        # reference, else none (inf).  `m` pads `over` past any tick.
+        j = np.searchsorted(over, before)
+        left = np.append(deadline, np.inf)[j]
+        left[np.append(over, m)[j] != before] = np.inf
         return list(
             zip(
                 idx.tolist(),
                 p[idx].tolist(),  # the real samples: step checks them
                 quarter[before].tolist(),
                 total[before].tolist(),
+                left.tolist(),
             )
         )

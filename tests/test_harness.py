@@ -436,6 +436,20 @@ def test_load_config_reads_yaml(tmp_path):
     assert len(config.users) == 1
 
 
+def test_harness_import_skips_yaml():
+    """Only `load_config` reads YAML, so a stock campaign starts without yaml."""
+    src = Path(harness.__file__).resolve().parents[1]
+    probe = "import sys, chain2sim.harness; print('yaml' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_default_campaign_shape():
     config = default_campaign(10, 2, 0.01)
     assert len(config.users) == 10

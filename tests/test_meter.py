@@ -503,6 +503,15 @@ def _drive_meter(case, use_series, injections=None, emitted=None):
 # negative sample is still rejected, while NaN and inf are taken.
 @example((60, 3000.0, None, [0.0, -5e-324, 0.0], [9000.0] * 3, 0, None))
 @example((60, 3000.0, None, [0.0, math.nan, math.inf, 0.0], [9000.0] * 3, 0, None))
+# A warm-up that ends mid-overrun arms the deadline t=450; the series, from
+# t=180, must cut there at t=480, not at the t=660 its own samples imply.
+@example((60, 3000.0, None, [4500.0] * 10, [4500.0] * 3, 0, None))
+# An overrun under a limit that expires at t=300, before its t=420 cut: the
+# countdown restarts against 1.1 Pn, a float just above 3300 W, so its
+# deadline lies just past t=2100 and the cut falls at t=2160.
+@example((60, 3000.0, None, [3600.0] * 40, [], 0, (2500.0, 5)))
+# A finite sample whose band overflows is rejected, even with no band change.
+@example((60, 3000.0, None, [4000.0, 1e308, 0.0], [], 0, None))
 def test_step_series_matches_the_per_tick_loop(case):
     assert _drive_meter(case, use_series=True) == _drive_meter(case, use_series=False)
 
@@ -574,3 +583,19 @@ def test_step_series_keeps_breakpoints_after_a_cut_and_under_a_limit(monkeypatch
     list(limited.step_series(day, 0))
     assert limited.emergency_limit_w is None
     assert len(calls) <= 110
+
+
+def test_step_series_steps_an_overrun_only_where_a_frame_can_go_out(monkeypatch):
+    """Ten minutes at 1.2 Pn, ten at 0.5 Pn, all day at 60 s: each overrun
+    ends 20 minutes before its 30-minute deadline, so `step_series` steps only
+    at the edges, the quarter closes and the first and last ticks."""
+    meter = make_meter(tick_s=60)
+    day = np.tile(np.repeat([3600.0, 1500.0], 10), 72)
+
+    calls = []
+    step = Meter.step
+    monkeypatch.setattr(Meter, "step", lambda self, p, t: calls.append(t // 60) or step(self, p, t))
+    list(meter.step_series(day, 0))
+    assert meter.supply_on
+    edges, closes = range(10, 1440, 10), range(14, 1440, 15)
+    assert calls == sorted({0, *edges, *closes, 1439})
