@@ -162,10 +162,17 @@ class ScheduleResult:
 EXHAUSTIVE_CAP = 2_000_000
 
 
-def _feasible_starts(app: Appliance, n_slots: int, slot_s: int) -> list[int]:
+def feasible_starts(app: Appliance, n_slots: int, slot_s: int) -> list[int]:
+    """The start slots at which `app`'s run fits inside both its own window
+    and the `n_slots` of the horizon; ValueError when there is none."""
     dur = len(app.profile_w)
     first = -(-app.earliest_start_s // slot_s)  # ceil division
     last = min(app.deadline_s // slot_s, n_slots) - dur
+    if first > last:
+        raise ValueError(
+            f"{app.id}: no feasible start in [{app.earliest_start_s}, "
+            f"{app.deadline_s}] for a {dur}-slot run"
+        )
     return list(range(first, last + 1))
 
 
@@ -212,12 +219,7 @@ def load_shift_schedule(
     starts_per_app: list[list[int]] = []
     costs_per_app: list[dict[int, float]] = []
     for app in apps:
-        starts = _feasible_starts(app, n_slots, slot_s)
-        if not starts:
-            raise ValueError(
-                f"{app.id}: no feasible start in [{app.earliest_start_s}, "
-                f"{app.deadline_s}] for a {len(app.profile_w)}-slot run"
-            )
+        starts = feasible_starts(app, n_slots, slot_s)
         starts_per_app.append(starts)
         costs_per_app.append({s: _start_cost(app, s, prices_eur_per_kwh, slot_s) for s in starts})
 

@@ -76,6 +76,7 @@ from chain2sim.automation import (
     Site,
     SiteLoad,
     dr_site_step,
+    feasible_starts,
     load_dr_commands,
     load_shift_schedule,
     mevu_settle,
@@ -385,8 +386,14 @@ def _parse_user(
             interruptible=read.choice(a, a_path, "interruptible", False, options=_FLAGS),
             controllable=read.choice(a, a_path, "controllable", True, options=_FLAGS),
         )
-        if None not in app.values():
-            appliances.append(read.build(a_path, Appliance, **app))
+        appliance = None if None in app.values() else read.build(a_path, Appliance, **app)
+        if appliance is None:
+            continue
+        if any(other.id == appliance.id for other in appliances):
+            read.fail(f"{a_path}.id", f"duplicate appliance id {appliance.id!r}")
+        # The scheduler's own rule, over the quarter-hour slots of the run.
+        elif read.build(a_path, feasible_starts, appliance, duration_s // QUARTER_S, QUARTER_S):
+            appliances.append(appliance)
     events: list[tuple[int, SupplyEventKind]] = []
     for j, pair in enumerate(read.items(user, path, "supply_events", ()) or ()):
         e_path = f"{path}.supply_events[{j}]"
@@ -588,7 +595,9 @@ def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
     m = read.mapping(raw, "", "mevu", None)
     if m is not None:
         members = read.items(m, "mevu", "members", ()) or ()
-        members = tuple(read.string(p, "mevu.members") for p in members) or tuple(sorted(seen_pods))
+        members = [read.string(p, "mevu.members") for p in members]
+        # A member that failed to read is already reported; skip it.
+        members = tuple(p for p in members if p is not None) or tuple(sorted(seen_pods))
         prices = {
             key: read.number(m, "mevu", key, 0.0)
             for key in ("capacity_offer_w", "energy_price_eur_per_wh", "capacity_price_eur_per_w_h")
@@ -692,9 +701,8 @@ class ReconciliationError(RuntimeError):
         self.ledger = ledger
 
 
-def _reconcile(pod_id: str, ledger: Counter, meter: Meter, device: Device) -> int:
-    """Check one link's books (see the module docstring); returns the
-    device's sequence gaps."""
+def _reconcile(pod_id: str, ledger: Counter, meter: Meter, device: Device) -> None:
+    """Check one link's books (see the module docstring)."""
     counts: Counter = Counter()  # disposition -> frames
     for (_, _, disposition), n in ledger.items():
         counts[disposition] += n
@@ -710,7 +718,6 @@ def _reconcile(pod_id: str, ledger: Counter, meter: Meter, device: Device) -> in
         problems.append(f"seq gaps {gaps} != lost {counts[_LOST]} + gated {counts[_GATED]}")
     if problems:
         raise ReconciliationError(pod_id, ledger, problems)
-    return gaps
 
 
 @dataclass
@@ -727,10 +734,10 @@ class TypeStats:
 
 @dataclass
 class UserResult:
+    """What the report and the settlement need of one finished user."""
+
     pod_id: str
     ledger: Counter  # (frame type, day, disposition) -> frames
-    seq_gaps: int
-    processed_log: list[tuple[float, int]] | None  # (arrival t, seq), with_details only
     profile_w: np.ndarray | None  # settlement baseline, MEVU members only
     actual_w: np.ndarray | None  # metered grid series, MEVU members only
 
@@ -921,7 +928,6 @@ def _run_user(
     config: ScenarioConfig,
     window: tuple[float, float],
     keep_actual: bool,
-    keep_log: bool,
     user_dir: str | None,
 ) -> UserResult:
     """Simulate one user's link start to finish, gating frames on the pairing
@@ -948,7 +954,6 @@ def _run_user(
     # What the grid supplied: zero at a tick with the breaker open, the grid
     # power otherwise.
     actual = power.copy() if keep_actual else None
-    processed_log: list[tuple[float, int]] | None = [] if keep_log else None
 
     transmit = link.transmit
     on_frame = device.on_frame
@@ -968,8 +973,6 @@ def _run_user(
         else:
             on_frame(frame)
             disposition = _PROCESSED
-            if processed_log is not None:
-                processed_log.append((t_arrive, frame.seq))
         ledger[frame_type, day, disposition] += 1
 
     # Split the series wherever something reaches into the meter: at a supply
@@ -992,17 +995,10 @@ def _run_user(
         if actual is not None:
             actual[opened:b] = 0.0
 
-    gaps = _reconcile(spec.pod_id, ledger, meter, device)
+    _reconcile(spec.pod_id, ledger, meter, device)
     if user_dir is not None:
         _write_user_files(user_dir, device, config.duration_s)
-    return UserResult(
-        pod_id=spec.pod_id,
-        ledger=ledger,
-        seq_gaps=gaps,
-        processed_log=processed_log,
-        profile_w=baseline,
-        actual_w=actual,
-    )
+    return UserResult(spec.pod_id, ledger, baseline, actual)
 
 
 def _write_user_files(user_dir: str, device: Device, duration_s: int) -> None:
@@ -1037,14 +1033,6 @@ def _write_user_files(user_dir: str, device: Device, duration_s: int) -> None:
 # -- Campaign runner --------------------------------------------------------------
 
 
-@dataclass
-class RunDetails:
-    """Raw per-user results plus the pairing windows the gate enforced."""
-
-    user_results: list[UserResult]
-    pairing_windows: dict[str, tuple[float, float | None]]  # pod -> (active_at, revoked_at)
-
-
 def _pairing_windows(config: ScenarioConfig) -> dict[str, tuple[float, float]]:
     """Each pod's `Portal.window`, fixed before any user runs."""
     registry = {s.pod_id: PodRecord(s.pod_id, MeterGeneration.SECOND, True) for s in config.users}
@@ -1061,12 +1049,9 @@ def _pairing_windows(config: ScenarioConfig) -> dict[str, tuple[float, float]]:
 
 
 def run(
-    config: ScenarioConfig,
-    out_dir: str | None = None,
-    parallel: bool = True,
-    with_details: bool = False,
-) -> CampaignReport | tuple[CampaignReport, RunDetails]:
-    """Run a scenario and reduce the per-user results into a report.
+    config: ScenarioConfig, out_dir: str | None = None, parallel: bool = True
+) -> CampaignReport:
+    """Run a scenario and reduce the per-user ledgers into its report.
 
     Users run one after another, in pod order, on the calling thread.  With
     `out_dir`, writes per-user series under `users/<pod>/` as each user
@@ -1074,8 +1059,6 @@ def run(
     flexibility cluster is configured.  A run that raises part-way leaves
     the `users/<pod>/` series of the users that finished before it and no
     report.  `parallel` is accepted for compatibility and has no effect.
-    `with_details=True` additionally returns the raw per-user results,
-    including each user's processed-frame log, for cross-checks.
     """
     windows = _pairing_windows(config)
     mevu_members = set(config.mevu.members) if config.mevu else set()
@@ -1085,7 +1068,6 @@ def run(
             config,
             windows[spec.pod_id],
             spec.pod_id in mevu_members,
-            with_details,
             None if out_dir is None else os.path.join(out_dir, "users", spec.pod_id),
         )
         for spec in sorted(config.users, key=lambda s: s.pod_id)
@@ -1131,9 +1113,6 @@ def run(
 
     if out_dir is not None:
         _write_outputs(out_dir, config, report, results)
-    if with_details:
-        pairings = {pod: (lo, None if hi == math.inf else hi) for pod, (lo, hi) in windows.items()}
-        return report, RunDetails(results, pairings)
     return report
 
 

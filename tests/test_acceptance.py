@@ -33,6 +33,7 @@ from chain2sim.frames import (
     decode_frame,
     encode_frame,
 )
+from chain2sim import harness
 from chain2sim.harness import default_campaign, run, summarize_daily
 from chain2sim.meter import Meter, MeterConfig, switchoff_remaining
 from chain2sim.profiles import PRESETS, household_profile
@@ -314,22 +315,21 @@ def test_criterion_11_taxonomy_dataset():
     assert classify("A.3").maturity == frozenset({Maturity.MEDIUM, Maturity.HIGH})
 
 
-def test_criterion_12_portal_gating():
+def test_criterion_12_portal_gating(device_arrivals):
     config = default_campaign(n_users=20, days=1, p_loss=0.01, tick_s=60, seed=13)
     users = tuple(
         replace(spec, revoke_at_s=43_200.0) if i % 4 == 0 else spec
         for i, spec in enumerate(config.users)
     )
     config = replace(config, users=users, pairing_mode="portal")
-    report, details = run(config, parallel=True, with_details=True)
+    report = run(config, parallel=True)
 
     assert report.gated_total > 0  # the gate actually did something
+    # The spy saw every processed frame; none arrived outside its pairing.
+    assert sum(map(len, device_arrivals.values())) == report.totals.received
+    windows = harness._pairing_windows(config)
     outside = 0
-    for result in details.user_results:
-        active_at, revoked_at = details.pairing_windows[result.pod_id]
-        for t_arrive, _seq in result.processed_log:
-            if t_arrive < active_at:
-                outside += 1
-            elif revoked_at is not None and t_arrive >= revoked_at:
-                outside += 1
+    for pod, arrivals in device_arrivals.items():
+        active_at, revoked_at = windows[pod]
+        outside += sum(not active_at <= t_arrive < revoked_at for t_arrive in arrivals)
     assert outside == 0

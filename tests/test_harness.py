@@ -1,6 +1,7 @@
 """Scenario config parsing and the end-to-end campaign runner."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -189,10 +190,15 @@ def test_profile_csv_error_names_the_listed_users_own_index(tmp_path):
 _BASE = {"duration_s": 3600, "fleet": {"count": 2}}
 _DROP = object()
 _BATTERY = {"capacity_wh": 2000, "p_charge_max_w": 1500, "p_discharge_max_w": 1500}
+_WASH = {"id": "a", "profile_w": [500]}  # one quarter-hour slot
 
 
 def _user(**fields):
     return {"users": [{"pod_id": POD1, "pn_w": 3000, **fields}]}
+
+
+def _appliances(*appliances, duration_s=86400):
+    return {"duration_s": duration_s, **_user(appliances=list(appliances))}
 
 
 @pytest.mark.parametrize(
@@ -237,6 +243,20 @@ def _user(**fields):
         ({"duration_s": 10**5000}, "duration_s"),
         ({"seed": 10**5000}, "seed"),
         ({"duration_s": 2**32}, "duration_s"),  # past the u32 frame timestamp
+        ({"mevu": {"members": [[1]]}}, "mevu.members"),
+        # Appliances the scheduler would reject at run time: a repeated id,
+        # and runs with no start slot inside their window and the run.
+        (_appliances(_WASH, _WASH), "users[0].appliances[1].id"),
+        (_appliances({**_WASH, "earliest_start_s": 86000}), "users[0].appliances[0]"),
+        (
+            _appliances({**_WASH, "earliest_start_s": 100, "deadline_s": 800}),
+            "users[0].appliances[0]",
+        ),
+        (
+            _appliances({**_WASH, "earliest_start_s": 10**30, "deadline_s": 10**31}),
+            "users[0].appliances[0]",
+        ),
+        (_appliances(_WASH, duration_s=600), "users[0].appliances[0]"),
     ],
 )
 def test_malformed_fields_are_config_errors(overrides, field):
@@ -392,20 +412,29 @@ def _run_encoding_every_frame(config):
     return report
 
 
+# Run times around the 1-day run, and one far past it.
+_WINDOW_S = st.integers(0, 90_000) | st.just(10**30)
+# Ids drawn from two, so that a second appliance may repeat the first's.
+_APPLIANCE = st.fixed_dictionaries(
+    {"id": st.sampled_from("ab"), "profile_w": st.lists(st.floats(0, 200_000), min_size=1, max_size=3)},
+    optional={"earliest_start_s": _WINDOW_S, "deadline_s": _WINDOW_S},
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     pn_w=st.floats(1000, 300_000),
     csv_peak_w=st.none() | st.floats(0, 400_000),
-    appliance_w=st.none() | st.floats(0, 200_000),
+    appliances=st.lists(_APPLIANCE, max_size=2),
     shave_limit_w=st.none() | st.floats(1, 400_000),
     threshold_wh=st.none() | st.floats(1, 10**6) | st.floats(2**32 - 10**7, 2**32 + 10**6),
 )
 def test_every_accepted_config_runs_to_completion(
-    pn_w, csv_peak_w, appliance_w, shave_limit_w, threshold_wh
+    pn_w, csv_peak_w, appliances, shave_limit_w, threshold_wh
 ):
     user = {"pod_id": POD1, "pn_w": pn_w, "energy_threshold_wh": threshold_wh}
-    if appliance_w is not None:
-        user["appliances"] = [{"id": "a", "profile_w": [appliance_w], "earliest_start_s": 3600}]
+    if appliances:
+        user["appliances"] = appliances
     if shave_limit_w is not None:
         user["battery"] = {"capacity_wh": 10**6, "p_charge_max_w": 10**6, "p_discharge_max_w": 10**6}
         user["peak_shave_limit_w"] = shave_limit_w
@@ -553,64 +582,84 @@ def test_daily_attribution_keeps_one_day_runs_in_day_zero():
     assert summarize_daily(report)[0][0] == 0
 
 
-def test_portal_mode_gates_frames_before_activation():
+def test_portal_mode_gates_frames_before_activation(device_arrivals):
     config = small_config(
         duration_s=6 * 3600,
         pairing_mode="portal",
         activation_delay_h=(1.0, 2.0),
         channel=ChannelConfig(),
     )
-    report, details = run(config, parallel=False, with_details=True)
+    report = run(config, parallel=False)
     assert report.gated_total > 0
     assert report.totals.received == report.totals.sent - report.gated_total
-    for result in details.user_results:
-        active_at, revoked_at = details.pairing_windows[result.pod_id]
+    windows = harness._pairing_windows(config)
+    for spec in config.users:
+        active_at, revoked_at = windows[spec.pod_id]
         assert 3600.0 <= active_at <= 2 * 3600.0
-        assert revoked_at is None
-        for t_arrive, _seq in result.processed_log:
-            assert t_arrive >= active_at
+        assert revoked_at == math.inf
+        assert device_arrivals[spec.pod_id]
+        assert all(t_arrive >= active_at for t_arrive in device_arrivals[spec.pod_id])
 
 
-def test_revocation_stops_processing():
+def test_revocation_stops_processing(device_arrivals):
     config = small_config(
         users=(UserSpec(pod_id=POD1, pn_w=3000.0, revoke_at_s=2 * 3600.0),),
         channel=ChannelConfig(),
     )
-    report, details = run(config, parallel=False, with_details=True)
-    (result,) = details.user_results
-    assert all(t < 2 * 3600.0 for t, _ in result.processed_log)
+    report = run(config, parallel=False)
+    assert device_arrivals[POD1]
+    assert all(t_arrive < 2 * 3600.0 for t_arrive in device_arrivals[POD1])
     assert report.gated_total > 0
 
 
-def test_seq_gap_identity_per_user():
-    config = small_config(duration_s=8 * 3600)
-    _, details = run(config, parallel=False, with_details=True)
-    for result in details.user_results:
-        undelivered = (LinkOutcome.LOST, LinkOutcome.GATED)
-        assert result.seq_gaps == sum(
-            n for (_, _, disposition), n in result.ledger.items() if disposition in undelivered
-        )
+def _meter_skips_seq_3(monkeypatch):
+    real = harness.Meter._emit
+
+    def emit(self, frame_type, t, payload):
+        if self.last_seq == 2:
+            self._seq += 1  # no frame ever carries seq 3
+        return real(self, frame_type, t, payload)
+
+    monkeypatch.setattr(harness.Meter, "_emit", emit)
+    # The missing seq is also a sequence gap that no frame's fate explains.
+    return lambda sent: [f"sent {sent} != meter seq {sent + 1}", "seq gaps 1 != lost 0 + gated 0"]
 
 
-def test_unbalanced_books_raise_with_the_ledger(monkeypatch):
-    """A device that takes one frame without counting it breaks the books;
-    the error carries the link's ledger."""
+def _device_misses_a_count(monkeypatch):
     real = harness.Device.on_frame
 
     def on_frame(self, frame):
         real(self, frame)
         if frame.seq == 3:
-            self.stats["processed"] -= 1
+            self.stats["processed"] -= 1  # takes the frame without counting it
 
     monkeypatch.setattr(harness.Device, "on_frame", on_frame)
+    # The device counts its gaps from its processed count, so it sees one more.
+    return lambda sent: [f"processed {sent} != device {sent - 1}", "seq gaps 1 != lost 0 + gated 0"]
+
+
+def _device_sees_one_more_gap(monkeypatch):
+    real = harness.Device.seq_gaps
+    monkeypatch.setattr(harness.Device, "seq_gaps", lambda self, **kw: real(self, **kw) + 1)
+    return lambda sent: ["seq gaps 1 != lost 0 + gated 0"]
+
+
+@pytest.mark.parametrize(
+    "break_book",
+    [_meter_skips_seq_3, _device_misses_a_count, _device_sees_one_more_gap],
+    ids=["sent", "processed", "seq_gaps"],
+)
+def test_unbalanced_books_raise_with_the_ledger(monkeypatch, break_book):
+    """A fault in any of the three books fails the run with that book's
+    message; the error carries the link's ledger."""
+    problems = break_book(monkeypatch)
     config = small_config(users=(UserSpec(pod_id=POD1, pn_w=3000.0),), channel=ChannelConfig())
-    with pytest.raises(harness.ReconciliationError, match=r"processed (\d+) != device") as caught:
+    with pytest.raises(harness.ReconciliationError) as caught:
         run(config)
     ledger = caught.value.ledger
     assert caught.value.pod_id == POD1
     assert {d for _, _, d in ledger} == {LinkOutcome.PROCESSED}
-    processed = sum(ledger.values())
-    assert f"processed {processed} != device {processed - 1}" in str(caught.value)
+    assert str(caught.value) == f"{POD1}: " + "; ".join(problems(sum(ledger.values())))
 
 
 def test_outputs_written(tmp_path):
@@ -889,10 +938,10 @@ def test_closed_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
         },
     }
     config = validate_config(raw)
-    _, details = run(config, out_dir=str(tmp_path / "series"), with_details=True)
-    results = {result.pod_id: result for result in details.user_results}
+    run(config, out_dir=str(tmp_path / "series"))
+    windows = harness._pairing_windows(config)
     for spec in config.users:
-        result = results[spec.pod_id]
+        result = harness._run_user(spec, config, windows[spec.pod_id], True, None)
         profile = harness._build_profile(spec, config)
         assert result.profile_w.tobytes() == profile.tobytes()
         scheduled = harness._schedule_appliances(spec, config)
