@@ -8,15 +8,16 @@ Four independent pieces, composable per scenario:
     MevuCluster + mevu_settle   aggregated flexibility settlement
 
 Everything here is a pure per-tick policy over explicit state; nothing
-touches frames or channels directly.  The harness feeds policy outputs
-into the meter as household power.
+touches a meter, frames or channels.  The harness feeds policy outputs
+into the meter as household power, and arms the meter's emergency limit
+itself at the first tick of an emergency window.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -409,7 +410,6 @@ class Site:
     loads: list[SiteLoad]
     battery: Battery | None = None
     base_load_w: float = 0.0
-    armed_emergency: tuple[float, float, float] | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -425,7 +425,6 @@ def dr_site_step(
     cmd: DrCommand | None,
     t: float,
     dt_s: float,
-    meter=None,
 ) -> DrStepResult:
     """One tick of demand response for one site.
 
@@ -433,25 +432,17 @@ def dr_site_step(
     site total drops to the limit, interruptible loads first, then by
     descending power, then by id; any residual excess goes to the battery.
     Curtailed loads stay off for the rest of the window and are restored on
-    the first tick after it.  An emergency command additionally arms the
-    meter's switch-off countdown against the commanded limit (once per
-    window) when a meter is passed in.
+    the first tick after it.  The issuer does not change the load policy;
+    an emergency window's limit on the meter is the caller's to arm.
     """
     in_window = cmd is not None and cmd.t_start <= t < cmd.t_end
     if not in_window:
         for load in site.loads:
             load.curtailed = False
-        site.armed_emergency = None
         total = site.base_load_w + sum(l.power_w for l in site.loads)
         return DrStepResult(total, (), 0.0, False)
 
     assert cmd is not None
-    if cmd.issuer is DrIssuer.EMERGENCY and meter is not None:
-        window_key = (cmd.t_start, cmd.t_end, cmd.p_limit_w)
-        if site.armed_emergency != window_key:
-            meter.arm_emergency_limit(cmd.p_limit_w, cmd.t_end)
-            site.armed_emergency = window_key
-
     total = site.base_load_w + sum(l.power_w for l in site.loads if not l.curtailed)
     candidates = sorted(
         (l for l in site.loads if l.controllable and not l.curtailed),

@@ -19,9 +19,7 @@ at or below it is a pipeline bug that raises.  There is no dedup window:
 it comes back with any channel that retransmits or reorders frames.
 
 Sequence gaps below the high-water mark are exactly the frames the device
-never got: lost on the channel or gated by the pairing window.  `seq_gaps`
-takes the meter's final sequence number to close that tail for end-of-run
-reconciliation.
+never got: lost on the channel or gated by the pairing window.
 """
 
 from __future__ import annotations
@@ -156,7 +154,6 @@ class Device:
         self._high_water = 0
         self._alarm_active = False  # user-limit excursion in progress
         self._cut_warning_active = False
-        self._exceed_active = False
 
     # -- ingest ------------------------------------------------------------
 
@@ -227,13 +224,11 @@ class Device:
         t = frame.timestamp
         cause = payload.cause
         if cause == ExceedanceCause.POWER_EXCEEDED:
-            self._exceed_active = True
             self._notify(
                 t, "contract_power_exceeded", f"drawing {payload.value} W over contract"
             )
             self._on_power_sample(t, float(payload.value))
         elif cause == ExceedanceCause.RESTORED:
-            self._exceed_active = False
             self._notify(t, "power_restored", f"back to {payload.value} W")
             self._on_power_sample(t, float(payload.value))
         else:
@@ -256,15 +251,6 @@ class Device:
             self._notify(t, "voltage_event", "voltage event on the supply")
 
     # -- queries -----------------------------------------------------------
-
-    def seq_gaps(self, final_seq: int | None = None) -> int:
-        """Count of sequence numbers never processed.
-
-        Up to the high-water mark by default; pass the meter's last sequence
-        number to also count losses with no later delivery behind them.
-        """
-        horizon = self._high_water if final_seq is None else max(final_seq, self._high_water)
-        return horizon - self.stats["processed"]
 
     def estimate_cost(self, start_s: int, end_s: int) -> CostEstimate:
         """Tariff cost (and feed-in income) of the stored quarters in a window.

@@ -42,7 +42,9 @@ At the end of a run each link's books must balance:
 
     frames on the ledger = the meter's final sequence number
     processed on the ledger = the device's own processed count
-    the device's sequence gaps = lost + gated
+
+The device's sequence gaps then equal lost + gated on their own: the
+meter's sequence has no gaps and the device never sees a seq past it.
 
 A failure is a bug, not a statistic, and raises `ReconciliationError`,
 which carries the link's ledger.
@@ -713,9 +715,6 @@ def _reconcile(pod_id: str, ledger: Counter, meter: Meter, device: Device) -> No
     on_device = device.stats["processed"]
     if counts[_PROCESSED] != on_device:
         problems.append(f"processed {counts[_PROCESSED]} != device {on_device}")
-    gaps = device.seq_gaps(final_seq=meter.last_seq)
-    if gaps != counts[_LOST] + counts[_GATED]:
-        problems.append(f"seq gaps {gaps} != lost {counts[_LOST]} + gated {counts[_GATED]}")
     if problems:
         raise ReconciliationError(pod_id, ledger, problems)
 
@@ -869,25 +868,17 @@ def _load_power(profile: np.ndarray, scheduled, tick: int) -> np.ndarray:
     return profile + np.repeat(slot_w, per_slot)[: len(profile)]
 
 
-class _ArmRecorder(dict):
-    """Stands in for the meter in `dr_site_step`: records each emergency
-    limit armed at tick index `i` as {i: (limit_w, until_s)}."""
-
-    i = 0
-
-    def arm_emergency_limit(self, limit_w: float, until_s: float) -> None:
-        self[self.i] = (limit_w, until_s)
-
-
 def _grid_power(
     spec: UserSpec, config: ScenarioConfig, profile: np.ndarray, scheduled
-) -> tuple[np.ndarray, _ArmRecorder]:
-    """The power the grid supplies at each tick, and the emergency limits
-    demand response arms.  Outside a DR window the grid takes household plus
-    appliance power, peak-shaved for a user with a limit and a battery;
-    inside one, what `dr_site_step` leaves (the battery then belongs to the
-    DR policy: recharging could breach the limit).  The battery state flows
-    through both in tick order.  Nothing here reads the meter back."""
+) -> tuple[np.ndarray, dict[int, tuple[float, float]]]:
+    """The power the grid supplies at each tick, and the emergency limits to
+    arm, as {tick index: (limit_w, until_s)}: an emergency window arms its
+    limit once, at its first tick.  Outside a DR window the grid takes
+    household plus appliance power, peak-shaved for a user with a limit and
+    a battery; inside one, what `dr_site_step` leaves (the battery then
+    belongs to the DR policy: recharging could breach the limit).  The
+    battery state flows through both in tick order.  Nothing here reads the
+    meter back."""
     tick = config.tick_s
     power = _load_power(profile, scheduled, tick)
     battery = spec.battery.build() if spec.battery else None
@@ -896,10 +887,13 @@ def _grid_power(
     shave_w = spec.peak_shave_limit_w if battery is not None else None
     ticks = range(0, len(power) * tick, tick)
     window: dict[int, DrCommand] = {}  # tick index -> the command open at it
+    arms = {}
     for cmd in config.dr_commands:
-        for i in range(bisect_left(ticks, cmd.t_start), bisect_left(ticks, cmd.t_end)):
+        first, end = bisect_left(ticks, cmd.t_start), bisect_left(ticks, cmd.t_end)
+        for i in range(first, end):
             window.setdefault(i, cmd)
-    arms = _ArmRecorder()
+        if cmd.issuer is DrIssuer.EMERGENCY and first < end:
+            arms[first] = (cmd.p_limit_w, cmd.t_end)
     if not window and shave_w is None:
         return power, arms
     if power is profile:  # the profile stays the settlement baseline
@@ -913,8 +907,7 @@ def _grid_power(
             for load, p in zip(site.loads, _appliance_power(scheduled, t // QUARTER_S)):
                 load.power_w = p
             site.base_load_w = float(profile[i])
-            arms.i = i
-            power[i] = dr_site_step(site, cmd, t, tick, arms).p_grid_w
+            power[i] = dr_site_step(site, cmd, t, tick).p_grid_w
             continue
         if i - 1 in window:  # restores the loads the window curtailed
             dr_site_step(site, None, t, tick)

@@ -149,8 +149,14 @@ def profile_from_csv(path: str) -> tuple[np.ndarray, int]:
         for row in reader:
             if not row:
                 continue
-            times.append(int(row[0]))
-            values.append(float(row[1]))
+            if len(row) < 2:
+                raise ValueError(f"{path}: row {len(times)}: need t_s and power_W, got {row}")
+            try:
+                t_s, power_w = int(row[0]), float(row[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {len(times)}: {exc}") from None
+            times.append(t_s)
+            values.append(power_w)
     if len(times) < 2:
         raise ValueError(f"{path}: need at least two samples")
     tick = times[1] - times[0]

@@ -309,35 +309,6 @@ def test_dr_battery_covers_residual_excess():
     assert result.p_grid_w == 1000.0
 
 
-class _ArmSpy:
-    def __init__(self):
-        self.calls = []
-
-    def arm_emergency_limit(self, limit_w, until_s):
-        self.calls.append((limit_w, until_s))
-
-
-def test_dr_emergency_arms_meter_once_per_window():
-    site = Site("s", loads=[SiteLoad("x", 100.0)])
-    meter = _ArmSpy()
-    cmd = DrCommand(2000.0, 0.0, 300.0, issuer=DrIssuer.EMERGENCY)
-    for t in (0.0, 60.0, 120.0):
-        dr_site_step(site, cmd, t, 60.0, meter=meter)
-    assert meter.calls == [(2000.0, 300.0)]
-    dr_site_step(site, cmd, 400.0, 60.0, meter=meter)  # window over
-    cmd2 = DrCommand(2000.0, 500.0, 800.0, issuer=DrIssuer.EMERGENCY)
-    dr_site_step(site, cmd2, 500.0, 60.0, meter=meter)
-    assert len(meter.calls) == 2
-
-
-def test_dr_aggregator_never_touches_meter():
-    site = Site("s", loads=[SiteLoad("x", 100.0)])
-    meter = _ArmSpy()
-    cmd = DrCommand(2000.0, 0.0, 300.0, issuer=DrIssuer.AGGREGATOR)
-    dr_site_step(site, cmd, 0.0, 60.0, meter=meter)
-    assert meter.calls == []
-
-
 def test_load_dr_commands_csv(tmp_path):
     path = tmp_path / "cmds.csv"
     path.write_text(

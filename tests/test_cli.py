@@ -62,6 +62,19 @@ def test_simulate_reports_unreadable_yaml_as_a_config_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_simulate_rejects_a_profile_csv_row_with_one_field(tmp_path, capsys):
+    (tmp_path / "prof.csv").write_text("t_s,power_W\n0\n60,100\n")
+    config = tmp_path / "scenario.yaml"
+    config.write_text(
+        f"duration_s: 3600\nusers:\n  - pod_id: {POD}\n    pn_w: 3000\n    profile_csv: prof.csv\n"
+    )
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    field = f"users[0].profile_csv: {tmp_path / 'prof.csv'}: row 0: "
+    assert err.startswith(f"invalid config:\n  {field}")
+    assert "Traceback" not in err
+
+
 def test_simulate_rejects_configs_that_overflow_the_wire_format(tmp_path, capsys):
     # A 2 MW contract's quarters exceed the 65535 Wh a T1 frame carries.
     config = tmp_path / "big.yaml"

@@ -86,3 +86,13 @@ def test_csv_requires_uniform_grid_from_zero(tmp_path):
     path.write_text("t_s,power_W\n60,100\n120,100\n")
     with pytest.raises(ValueError, match="start at 0|uniform"):
         profile_from_csv(path)
+    # A short row or a field that does not parse is named by its row.
+    for rows, message in [
+        ("0\n60,100\n", "row 0: need t_s and power_W, got ['0']"),
+        ("0,100\nx,5\n", "row 1: invalid literal for int() with base 10: 'x'"),
+        ("0,100\n60,high\n", "row 1: could not convert string to float: 'high'"),
+    ]:
+        path.write_text("t_s,power_W\n" + rows)
+        with pytest.raises(ValueError) as exc_info:
+            profile_from_csv(path)
+        assert str(exc_info.value) == f"{path}: {message}"
