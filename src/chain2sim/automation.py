@@ -410,6 +410,7 @@ class Site:
     loads: list[SiteLoad]
     battery: Battery | None = None
     base_load_w: float = 0.0
+    command: DrCommand | None = None  # the window the curtailed loads are off for
 
 
 @dataclass(frozen=True)
@@ -431,19 +432,21 @@ def dr_site_step(
     Inside the command window, controllable loads are curtailed until the
     site total drops to the limit, interruptible loads first, then by
     descending power, then by id; any residual excess goes to the battery.
-    Curtailed loads stay off for the rest of the window and are restored on
-    the first tick after it.  The issuer does not change the load policy;
-    an emergency window's limit on the meter is the caller's to arm.
+    Curtailed loads stay off until a call outside the window or with another
+    command, so a window that starts where the last one ends curtails afresh.
+    The issuer does not change the load policy; an emergency window's limit
+    on the meter is the caller's to arm.
     """
     in_window = cmd is not None and cmd.t_start <= t < cmd.t_end
-    if not in_window:
+    if not in_window or cmd is not site.command:
         for load in site.loads:
             load.curtailed = False
-        total = site.base_load_w + sum(l.power_w for l in site.loads)
+        site.command = cmd if in_window else None
+    total = site.base_load_w + sum(l.power_w for l in site.loads if not l.curtailed)
+    if not in_window:
         return DrStepResult(total, (), 0.0, False)
 
     assert cmd is not None
-    total = site.base_load_w + sum(l.power_w for l in site.loads if not l.curtailed)
     candidates = sorted(
         (l for l in site.loads if l.controllable and not l.curtailed),
         key=lambda l: (not l.interruptible, -l.power_w, l.id),

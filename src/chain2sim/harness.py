@@ -65,7 +65,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -596,9 +596,12 @@ def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
     mevu = None
     m = read.mapping(raw, "", "mevu", None)
     if m is not None:
-        members = read.items(m, "mevu", "members", ()) or ()
-        members = [read.string(p, "mevu.members") for p in members]
-        # A member that failed to read is already reported; skip it.
+        listed = read.items(m, "mevu", "members", None)
+        if listed is not None and not listed:
+            read.fail("mevu.members", "must not be empty")
+        members = [read.string(p, "mevu.members") for p in listed or ()]
+        # A member that failed to read is already reported; skip it.  With
+        # none left (or none listed), the members are every user.
         members = tuple(p for p in members if p is not None) or tuple(sorted(seen_pods))
         prices = {
             key: read.number(m, "mevu", key, 0.0)
@@ -743,89 +746,61 @@ class UserResult:
 
 @dataclass
 class CampaignReport:
+    """Frame counts per scope, each map keyed by frame type name and "all"."""
+
     config_summary: str
     per_type: dict[str, TypeStats]
     per_day: dict[int, dict[str, TypeStats]]
     per_user: dict[str, dict[str, TypeStats]]
-    totals: TypeStats
     lost_total: int
     gated_total: int
+
+    @property
+    def totals(self) -> TypeStats:
+        return self.per_type["all"]
 
     def to_csv_text(self) -> str:
         """Render the machine-readable report; stable byte-for-byte."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["scope", "key", "frame_type", "sent", "received", "success_rate"])
-
-        def emit(scope: str, key: str, ftype: str, stats: TypeStats) -> None:
-            if stats.sent == 0:
-                return
-            writer.writerow(
-                [scope, key, ftype, stats.sent, stats.received, f"{stats.success_rate:.6f}"]
-            )
-
-        for ftype in FRAME_TYPE_NAMES:
-            emit("aggregate", "", ftype, self.per_type.get(ftype, TypeStats()))
-        emit("aggregate", "", "all", self.totals)
-        for day in sorted(self.per_day):
-            for ftype in FRAME_TYPE_NAMES:
-                emit("daily", str(day), ftype, self.per_day[day].get(ftype, TypeStats()))
-            emit("daily", str(day), "all", _sum_stats(self.per_day[day].values()))
-        for pod in sorted(self.per_user):
-            for ftype in FRAME_TYPE_NAMES:
-                emit("user", pod, ftype, self.per_user[pod].get(ftype, TypeStats()))
-            emit("user", pod, "all", _sum_stats(self.per_user[pod].values()))
+        scopes = [
+            ("aggregate", "", self.per_type),
+            *(("daily", str(day), self.per_day[day]) for day in sorted(self.per_day)),
+            *(("user", pod, self.per_user[pod]) for pod in sorted(self.per_user)),
+        ]
+        for scope, key, stats_map in scopes:
+            for ftype in (*FRAME_TYPE_NAMES, "all"):
+                stats = stats_map.get(ftype)
+                if stats is not None and stats.sent:
+                    rate = f"{stats.success_rate:.6f}"
+                    writer.writerow([scope, key, ftype, stats.sent, stats.received, rate])
         return buf.getvalue()
 
     def to_table_text(self) -> str:
         """Human-readable summary: per-type totals and the daily breakdown."""
+
+        def row(label: str, stats: TypeStats) -> str:
+            rate = (stats.success_rate or 0) * 100
+            return f"{label}{stats.sent:>10}{stats.received:>10}  {rate:10.4f} %"
+
         lines = [self.config_summary, ""]
         lines.append(f"{'Frame type':<12}{'Sent':>10}{'Received':>10}  Success rate")
-        for ftype in FRAME_TYPE_NAMES:
-            stats = self.per_type.get(ftype)
-            if not stats or stats.sent == 0:
-                continue
-            lines.append(
-                f"{ftype:<12}{stats.sent:>10}{stats.received:>10}  {stats.success_rate * 100:10.4f} %"
-            )
-        lines.append(
-            f"{'all':<12}{self.totals.sent:>10}{self.totals.received:>10}  "
-            f"{(self.totals.success_rate or 0) * 100:10.4f} %"
-        )
-        lines.append("")
-        lines.append("Daily success rate (all frame types):")
-        for day, stats in summarize_daily(self):
-            lines.append(
-                f"  day {day:<4}{stats.sent:>10}{stats.received:>10}  "
-                f"{(stats.success_rate or 0) * 100:10.4f} %"
-            )
+        for ftype in (*FRAME_TYPE_NAMES, "all"):
+            stats = self.per_type.get(ftype, TypeStats())
+            if stats.sent or ftype == "all":
+                lines.append(row(f"{ftype:<12}", stats))
+        lines += ["", "Daily success rate (all frame types):"]
+        lines += [row(f"  day {day:<4}", self.per_day[day]["all"]) for day in sorted(self.per_day)]
         lines.append("")
         lines.append(
             f"Frames lost on the channel: {self.lost_total}; withheld by pairing gate: {self.gated_total}"
         )
-        worst = None
-        for pod, stats_map in sorted(self.per_user.items()):
-            rate = _sum_stats(stats_map.values()).success_rate
-            if rate is not None and (worst is None or rate < worst[1]):
-                worst = (pod, rate)
+        rated = [(pod, stats["all"].success_rate) for pod, stats in sorted(self.per_user.items())]
+        worst = min((r for r in rated if r[1] is not None), key=lambda r: r[1], default=None)
         if worst is not None:
             lines.append(f"Worst user: {worst[0]} at {worst[1] * 100:.4f} %")
         return "\n".join(lines) + "\n"
-
-
-def _sum_stats(stats: Iterable[TypeStats]) -> TypeStats:
-    total = TypeStats()
-    for s in stats:
-        total.sent += s.sent
-        total.received += s.received
-    return total
-
-
-def summarize_daily(report: CampaignReport) -> list[tuple[int, TypeStats]]:
-    """Per-day totals across frame types, day order."""
-    return [
-        (day, _sum_stats(report.per_day[day].values())) for day in sorted(report.per_day)
-    ]
 
 
 # -- Per-user pipeline -------------------------------------------------------------
@@ -898,9 +873,8 @@ def _grid_power(
         return power, arms
     if power is profile:  # the profile stays the settlement baseline
         power = profile.copy()
-    # Without shaving, only window ticks and the tick after a window change.
-    after = {i + 1 for i in window if i + 1 < len(power)}
-    for i in range(len(power)) if shave_w is not None else sorted({*window, *after}):
+    # Without shaving, only window ticks change.
+    for i in range(len(power)) if shave_w is not None else sorted(window):
         t = i * tick
         cmd = window.get(i)
         if cmd is not None:
@@ -909,10 +883,7 @@ def _grid_power(
             site.base_load_w = float(profile[i])
             power[i] = dr_site_step(site, cmd, t, tick).p_grid_w
             continue
-        if i - 1 in window:  # restores the loads the window curtailed
-            dr_site_step(site, None, t, tick)
-        if shave_w is not None:
-            power[i] = peak_shave_step(float(power[i]), shave_w, battery, tick).p_grid_w
+        power[i] = peak_shave_step(float(power[i]), shave_w, battery, tick).p_grid_w
     return power, arms
 
 
@@ -1066,24 +1037,21 @@ def run(
         for spec in sorted(config.users, key=lambda s: s.pod_id)
     ]
 
-    per_type: dict[str, TypeStats] = {}
+    # The one place frames are summed: per scope, by frame type and as "all".
+    per_type: dict[str, TypeStats] = {"all": TypeStats()}
     per_day: dict[int, dict[str, TypeStats]] = {}
     per_user: dict[str, dict[str, TypeStats]] = {}
     by_disposition: Counter = Counter()
     for result in results:
-        user_map = per_user.setdefault(result.pod_id, {})
+        user_map = per_user.setdefault(result.pod_id, {"all": TypeStats()})
         for (frame_type, day, disposition), count in result.ledger.items():
-            name = frame_type.name
             received = count if disposition is _PROCESSED else 0
-            for stats in (
-                per_type.setdefault(name, TypeStats()),
-                per_day.setdefault(day, {}).setdefault(name, TypeStats()),
-                user_map.setdefault(name, TypeStats()),
-            ):
-                stats.sent += count
-                stats.received += received
+            for stats_map in (per_type, per_day.setdefault(day, {}), user_map):
+                for key in (frame_type.name, "all"):
+                    stats = stats_map.setdefault(key, TypeStats())
+                    stats.sent += count
+                    stats.received += received
             by_disposition[disposition] += count
-    totals = _sum_stats(per_type.values())
 
     loss = config.channel.loss
     loss_text = "lossless"
@@ -1099,7 +1067,6 @@ def run(
         per_type=per_type,
         per_day=per_day,
         per_user=per_user,
-        totals=totals,
         lost_total=by_disposition[_LOST],
         gated_total=by_disposition[_GATED],
     )

@@ -31,7 +31,6 @@ from chain2sim.harness import (
     default_campaign,
     load_config,
     run,
-    summarize_daily,
     validate_config,
 )
 from chain2sim.profiles import household_profile, profile_to_csv
@@ -265,6 +264,7 @@ def _appliances(*appliances, duration_s=86400):
             "users[0].appliances[0]",
         ),
         (_appliances(_WASH, duration_s=600), "users[0].appliances[0]"),
+        ({"mevu": {"members": []}}, "mevu.members"),  # an empty list selects no one
     ],
 )
 def test_malformed_fields_are_config_errors(overrides, field):
@@ -534,9 +534,7 @@ def test_run_reconciles_sent_received_lost():
     assert report.gated_total == 0  # pre_active mode
     assert report.totals.sent > 0
     # Per-user aggregation sums to the campaign totals.
-    per_user_sent = sum(
-        s.sent for stats in report.per_user.values() for s in stats.values()
-    )
+    per_user_sent = sum(stats["all"].sent for stats in report.per_user.values())
     assert per_user_sent == report.totals.sent
 
 
@@ -603,7 +601,7 @@ def test_daily_attribution_keeps_one_day_runs_in_day_zero():
     report = run(config, parallel=False)
     assert set(report.per_day) == {0}
     assert report.per_day[0]["T1"].sent == 96
-    assert summarize_daily(report)[0][0] == 0
+    assert report.per_day[0]["all"].sent == report.totals.sent
 
 
 def test_portal_mode_gates_frames_before_activation(device_arrivals):
@@ -753,6 +751,27 @@ def test_report_csv_shape():
     sent, received, rate = agg_all.split(",")[3:]
     assert int(sent) == report.totals.sent
     assert float(rate) == pytest.approx(report.totals.success_rate, abs=1e-6)
+
+
+def test_report_csv_all_rows_sum_their_frame_types():
+    """In every scope of report.csv (the aggregate, each day, each user) the
+    "all" row carries the sum of the scope's frame-type rows, on a lossy,
+    portal-gated run over several days."""
+    config = small_config(
+        duration_s=2 * 86400, tick_s=300, pairing_mode="portal", activation_delay_h=(1.0, 6.0)
+    )
+    report = run(config, parallel=False)
+    assert report.lost_total > 0 and report.gated_total > 0
+    parts: Counter = Counter()
+    alls: Counter = Counter()
+    for line in report.to_csv_text().splitlines()[1:]:
+        scope, key, ftype, sent, received, _ = line.split(",")
+        book = alls if ftype == "all" else parts
+        book[scope, key, "sent"] += int(sent)
+        book[scope, key, "received"] += int(received)
+    assert alls == parts
+    scopes = {(scope, key) for scope, key, _ in alls}
+    assert scopes == {("aggregate", ""), ("daily", "0"), ("daily", "1"), ("user", POD1), ("user", POD2)}
 
 
 def _per_tick_series(calls):
@@ -935,7 +954,8 @@ def test_closed_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
             {"pod_id": pods[3], "pn_w": 3000, "battery": battery, "peak_shave_limit_w": 600},
         ],
         "dr_commands": [
-            # Back to back: curtailments carry from one window to the next.
+            # Back to back: the second window restores what the first
+            # curtailed, then curtails to its own limit.
             {"p_limit_w": 1200, "t_start": 36000, "t_end": 39600},
             {"p_limit_w": 1000, "t_start": 39600, "t_end": 41400, "issuer": "emergency"},
             {"p_limit_w": 1500, "t_start": 49980.5, "t_end": 54000},
@@ -1026,3 +1046,23 @@ def test_grid_power_arms_each_emergency_window_once(commands, shave):
     emergency = {(c.p_limit_w, c.t_end) for c in commands if c.issuer is DrIssuer.EMERGENCY}
     assert set(arms.values()) <= emergency
     assert len(set(arms.values())) == len(arms)
+
+
+def test_a_touching_dr_window_restores_what_the_last_one_curtailed():
+    """A window that starts where the last one ends runs the loads that one
+    curtailed under its own limit, as a window after a gap does."""
+    user = {
+        "pod_id": POD1,
+        "pn_w": 6000,
+        "appliances": [{"id": "ev", "profile_w": [2000] * 8, "earliest_start_s": 36000}],
+    }
+    config = validate_config({"days": 1, "tick_s": 900, "seed": 3, "users": [user]})
+    (spec,) = config.users
+    scheduled = harness._schedule_appliances(spec, config)
+    assert [start for _, start in scheduled] == [36000 // 900]  # on [36000, 43200)
+    profile = np.full(96, 1000.0)
+    for gap in (0.0, 900.0):
+        commands = (DrCommand(500.0, 36000.0, 37800.0), DrCommand(5000.0, 37800.0 + gap, 43200.0))
+        power, _ = harness._grid_power(spec, replace(config, dr_commands=commands), profile, scheduled)
+        assert power[36000 // 900 : 37800 // 900].tolist() == [1000.0] * 2  # curtailed in A
+        assert power[int(37800 + gap) // 900 : 43200 // 900].tolist() == [3000.0] * int(6 - gap // 900)

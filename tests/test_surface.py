@@ -20,6 +20,8 @@ ALLOWED = {
     "Meter.cut_deadline": "countdown state that the property tests read",
     "Meter.emergency_limit_w": "emergency-limit state that the property tests read",
     "Portal.admits": "resolved by name by the benchmark's tracer (perfbench/tracer.py)",
+    "CampaignReport.totals": "the run's totals, which the benchmark's worker reads "
+    "(perfbench/worker.py): per_type[\"all\"]",
 }
 
 
