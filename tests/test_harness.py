@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chain2sim.automation import DrCommand, DrIssuer, Site, SiteLoad, dr_site_step, peak_shave_step
@@ -34,6 +34,7 @@ from chain2sim.harness import (
     validate_config,
 )
 from chain2sim.profiles import household_profile, profile_to_csv
+from reference import run_reference
 
 POD1 = "IT001E00000001"
 POD2 = "IT001E00000002"
@@ -427,32 +428,41 @@ _APPLIANCE = st.fixed_dictionaries(
     {"id": st.sampled_from("ab"), "profile_w": st.lists(st.floats(0, 200_000), min_size=1, max_size=3)},
     optional={"earliest_start_s": _WINDOW_S, "deadline_s": _WINDOW_S},
 )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
+# A user's drawn fields, as keyword arguments of `_drawn_user`.
+_USER_FIELDS = dict(
     pn_w=st.floats(1000, 300_000),
     csv_peak_w=st.none() | st.floats(0, 400_000),
     appliances=st.lists(_APPLIANCE, max_size=2),
     shave_limit_w=st.none() | st.floats(1, 400_000),
     threshold_wh=st.none() | st.floats(1, 10**6) | st.floats(2**32 - 10**7, 2**32 + 10**6),
 )
-def test_every_accepted_config_runs_to_completion(
-    pn_w, csv_peak_w, appliances, shave_limit_w, threshold_wh
+
+
+def _drawn_user(
+    pod, pn_w, csv_peak_w, appliances, shave_limit_w, threshold_wh, tmp, tick_s, duration_s
 ):
-    user = {"pod_id": POD1, "pn_w": pn_w, "energy_threshold_wh": threshold_wh}
+    """A raw user of the drawn fields.  A CSV profile, written into `tmp`,
+    holds the peak in one quarter and a tenth of it elsewhere."""
+    user = {"pod_id": pod, "pn_w": pn_w, "energy_threshold_wh": threshold_wh}
     if appliances:
         user["appliances"] = appliances
     if shave_limit_w is not None:
         user["battery"] = {"capacity_wh": 10**6, "p_charge_max_w": 10**6, "p_discharge_max_w": 10**6}
         user["peak_shave_limit_w"] = shave_limit_w
-    raw = {"days": 1, "tick_s": 900, "users": [user]}
+    if csv_peak_w is not None:
+        power = np.full(duration_s // tick_s, csv_peak_w / 10)
+        power[40 * 900 // tick_s : 41 * 900 // tick_s] = csv_peak_w
+        profile_to_csv(Path(tmp, f"{pod}.csv"), power, tick_s)
+        user["profile_csv"] = f"{pod}.csv"
+    return user
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_USER_FIELDS)
+def test_every_accepted_config_runs_to_completion(**fields):
     with tempfile.TemporaryDirectory() as tmp:
-        if csv_peak_w is not None:  # the peak in one quarter, a tenth of it elsewhere
-            power = np.full(96, csv_peak_w / 10)
-            power[40] = csv_peak_w
-            profile_to_csv(Path(tmp, "p.csv"), power, 900)
-            user["profile_csv"] = "p.csv"
+        user = _drawn_user(POD1, **fields, tmp=tmp, tick_s=900, duration_s=86400)
+        raw = {"days": 1, "tick_s": 900, "users": [user]}
         try:
             config = validate_config(raw, base_dir=tmp)
         except ConfigError:
@@ -1066,3 +1076,96 @@ def test_a_touching_dr_window_restores_what_the_last_one_curtailed():
         power, _ = harness._grid_power(spec, replace(config, dr_commands=commands), profile, scheduled)
         assert power[36000 // 900 : 37800 // 900].tolist() == [1000.0] * 2  # curtailed in A
         assert power[int(37800 + gap) // 900 : 43200 // 900].tolist() == [3000.0] * int(6 - gap // 900)
+
+
+_LOSS = (
+    st.none()
+    | st.fixed_dictionaries({"model": st.just("bernoulli"), "p_loss": st.floats(0, 1)})
+    | st.fixed_dictionaries(
+        {
+            "model": st.just("gilbert_elliott"),
+            **dict.fromkeys(("p_good_to_bad", "p_bad_to_good", "loss_good", "loss_bad"), st.floats(0, 1)),
+        }
+    )
+)
+
+
+_SMALL_APPLIANCES = st.lists(
+    st.fixed_dictionaries(
+        {"id": st.sampled_from("ab"), "profile_w": st.lists(st.floats(0, 5000), min_size=1, max_size=3)},
+        optional={"earliest_start_s": st.integers(0, 80_000)},
+    ),
+    max_size=2,
+    unique_by=lambda app: app["id"],
+)
+
+
+@st.composite
+def _scenarios(draw):
+    """Scenario parts for the oracle: one or two users drawn as for
+    `test_every_accepted_config_runs_to_completion`, with alarms, supply
+    events, a revocation and a feed-in meter; a loss model, a pairing mode
+    and demand-response windows; 1 or 2 days at a coarse tick.  A 1 bit/s
+    link with a long processing delay is still busy when the next tick
+    sends, so the channel cannot batch the frames of a tick."""
+    days, tick = draw(st.integers(1, 2)), draw(st.sampled_from([300, 900]))
+    duration = days * 86400
+    users = []
+    for pod in (POD1, POD2)[: draw(st.integers(1, 2))]:
+        fields = {name: draw(strategy) for name, strategy in _USER_FIELDS.items()}
+        # Mostly contracts and appliances that validation accepts.
+        fields["pn_w"] = draw(st.sampled_from([1500.0, 3000.0, 6000.0]) | st.just(fields["pn_w"]))
+        fields["appliances"] = draw(st.just(fields["appliances"]) | _SMALL_APPLIANCES)
+        extra = {
+            "alarm_limit_w": draw(st.none() | st.floats(100, 20_000)),
+            "revoke_at_s": draw(st.none() | st.just(0) | st.floats(0, 1.2 * duration)),
+            "direction": draw(st.sampled_from(["withdrawn", "fed_in"])),
+            "supply_events": draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, duration // tick - 1).map(lambda i: i * tick),
+                        st.sampled_from(["interruption_start", "interruption_end", "voltage_event"]),
+                    ),
+                    max_size=3,
+                )
+            ),
+        }
+        users.append((pod, fields, extra))
+    rate, delay = draw(st.sampled_from([(4800.0, 0.05), (1.0, 0.05), (4800.0, 400.0)]))
+    top = {
+        "days": days,
+        "tick_s": tick,
+        "seed": draw(st.integers(0, 2**32)),
+        "channel": {"loss": draw(_LOSS), "rate_bps": rate, "proc_delay_s": delay},
+        "pairing": draw(
+            st.sampled_from([{}, {"mode": "portal"}, {"mode": "portal", "activation_delay_h": [0, 0.5]}])
+        ),
+    }
+    if draw(st.booleans()):  # settle every user: the run keeps the metered series
+        top["mevu"] = {"capacity_offer_w": 500, "window": [0, duration]}
+    return top, users, draw(_dr_windows())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scenarios())
+def test_run_writes_what_the_reference_writes(tmp_path_factory, scenario):
+    """`harness.run` writes, byte for byte, the output tree of the slow model
+    (`tests/reference.py`): every tick stepped, every frame through the wire
+    codec, the scalar channel, the gate and `Device.on_frame`."""
+    top, users, commands = scenario
+    tmp = tmp_path_factory.mktemp("oracle")
+    raw = {
+        **top,
+        "users": [
+            {**_drawn_user(pod, **fields, tmp=tmp, tick_s=top["tick_s"], duration_s=top["days"] * 86400), **extra}
+            for pod, fields, extra in users
+        ],
+    }
+    try:
+        config = validate_config(raw, base_dir=str(tmp))
+    except ConfigError:
+        assume(False)
+    config = replace(config, dr_commands=commands)
+    run(config, out_dir=str(tmp / "run"))
+    run_reference(config, out_dir=str(tmp / "reference"))
+    assert _tree(tmp / "run") == _tree(tmp / "reference")
