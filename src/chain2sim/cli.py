@@ -136,7 +136,7 @@ def _cmd_portal(args: argparse.Namespace) -> int:
             return 0
         try:
             pairing = gate.revoke(args.pod, args.device, args.t)
-        except KeyError as exc:
+        except (KeyError, ValueError) as exc:
             print(exc.args[0], file=sys.stderr)
             return 2
         print(f"pairing revoked at t={pairing.revoked_at:.0f}")

@@ -416,7 +416,7 @@ def _parse_user(
         tariff=_parse_tariff(read, user, path),
         battery=battery,
         peak_shave_limit_w=read.number(user, path, "peak_shave_limit_w", None, gt=0),
-        revoke_at_s=read.number(user, path, "revoke_at_s", None),
+        revoke_at_s=read.number(user, path, "revoke_at_s", None, ge=0),  # paired at 0
         direction=read.choice(
             user, path, "direction", EnergyDirection.WITHDRAWN, options=EnergyDirection
         ),

@@ -173,10 +173,17 @@ class Portal:
         return pairing
 
     def revoke(self, pod_id: str, device_id: str, t: float) -> Pairing:
-        """End a pairing; frames at or after `t` no longer reach the device."""
+        """End a pairing; frames at or after `t` no longer reach the device.
+
+        Raises:
+            KeyError: no live pairing of the pair.
+            ValueError: `t` is before the pairing was requested.
+        """
         pairing = self._pairings.get((pod_id, device_id))
         if pairing is None or pairing.revoked_at is not None:
             raise KeyError(f"no live pairing {pod_id}<->{device_id}")
+        if t < pairing.requested_at:
+            raise ValueError(f"revoke at {t} is before the pairing request at {pairing.requested_at}")
         pairing.revoked_at = t
         self._log("revoke", pod_id, device_id, t)
         return pairing

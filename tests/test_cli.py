@@ -196,6 +196,9 @@ def test_portal_pair_revoke_round_trip(registry_csv, tmp_path, capsys):
         "portal", "revoke", "--registry", str(registry_csv), "--log", str(log),
         POD, "dev1", "--t", "9000",
     ]
+    # A revocation before the request is refused, and the log stays replayable.
+    assert main([*revoke[:-1], "-5"]) == 2
+    assert "before the pairing request" in capsys.readouterr().err
     assert main(revoke) == 0
     assert "revoked" in capsys.readouterr().out
     # And now pairing again is allowed; state persisted across invocations.

@@ -266,6 +266,7 @@ def _appliances(*appliances, duration_s=86400):
         ),
         (_appliances(_WASH, duration_s=600), "users[0].appliances[0]"),
         ({"mevu": {"members": []}}, "mevu.members"),  # an empty list selects no one
+        (_user(revoke_at_s=-5), "users[0].revoke_at_s"),  # before the pairing at 0
     ],
 )
 def test_malformed_fields_are_config_errors(overrides, field):

@@ -89,6 +89,15 @@ def test_revoking_a_pending_pairing_is_allowed():
         portal.revoke("IT001E00000001", "dev1", 20.0)
 
 
+def test_revoking_before_the_request_is_refused():
+    portal = make_portal()
+    portal.pair("IT001E00000001", "dev1", 100.0)
+    with pytest.raises(ValueError, match="before"):
+        portal.revoke("IT001E00000001", "dev1", 99.5)
+    pairing = portal.revoke("IT001E00000001", "dev1", 100.0)
+    assert pairing.revoked_at == 100.0
+
+
 @st.composite
 def pairing_cases(draw):
     """A portal holding one pair in a drawn state, with the window it must
@@ -100,7 +109,7 @@ def pairing_cases(draw):
     pairing = portal.pair("IT001E00000001", "dev1", draw(st.floats(0.0, 1e7)))
     if state == "paired":
         return portal, (pairing.active_at, math.inf)
-    revoked_at = draw(st.floats(0.0, 2e7))
+    revoked_at = draw(st.floats(pairing.requested_at, 2e7))
     portal.revoke("IT001E00000001", "dev1", revoked_at)
     return portal, (pairing.active_at, revoked_at)
 
