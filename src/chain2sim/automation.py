@@ -461,7 +461,9 @@ def dr_site_step(
     if total > cmd.p_limit_w and site.battery is not None:
         discharge = site.battery.discharge(total - cmd.p_limit_w, dt_s)
     curtailed = tuple(l.id for l in site.loads if l.curtailed)
-    return DrStepResult(total - discharge, curtailed, discharge, True)
+    # Loads and base load are never negative: a total below zero is the
+    # rounding left by the subtractions above.
+    return DrStepResult(max(total - discharge, 0.0), curtailed, discharge, True)
 
 
 def load_dr_commands(path: str) -> list[DrCommand]:

@@ -22,15 +22,28 @@ Two loss models:
 
 All randomness comes from a per-link `random.Random` seeded at
 construction, so a link replays identically for the same seed.
+
+`transmit` puts one frame on the link; `arrivals` puts a block of frame rows
+(see `frames`) on it and gives what `transmit` gives for each row in turn.
+The frames of one send time form a group that serializes back to back, so
+`arrivals` adds the serialization times one position of the groups at a
+time, in the scalar order.  It needs the link idle again by each group's
+send time, as it is whenever a tick's frames serialize within the tick;
+otherwise it sends the block through `transmit`.  The loss draws come from
+the same generator in the same order: one per frame for Bernoulli loss, two
+per frame for Gilbert-Elliott.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
 
-from chain2sim.frames import FrameType, frame_bits
+import numpy as np
+
+from chain2sim.frames import TIMESTAMP, TYPE, FrameType, frame_bits
 
 # Frame type (member or equal value) -> encoded length in bits.
 _FRAME_BITS = {t: frame_bits(t) for t in FrameType}
@@ -77,22 +90,25 @@ class ChannelConfig:
             raise ValueError(f"proc_delay_s must be >= 0, got {self.proc_delay_s}")
 
 
-def _loss_draw(loss: LossModel | None, rng: random.Random) -> Callable[[], bool] | None:
-    """The per-frame loss draw of one link: returns True to drop the frame.
-    None for a lossless link, which draws nothing."""
+def _loss_draw(loss: LossModel | None, rng: random.Random) -> Callable[[int], list[bool]] | None:
+    """The loss draws of one link: for the next k frames, in send order,
+    whether the channel drops each.  None for a lossless link, which draws
+    nothing."""
     if loss is None:
         return None
     draw = rng.random
     if isinstance(loss, BernoulliLoss):
         p_loss = loss.p_loss
-        return lambda: draw() < p_loss
+        return lambda k: [draw() < p_loss for _ in range(k)]
     bad = False  # the link starts in the good state
 
-    def gilbert_elliott() -> bool:
+    def gilbert_elliott(k: int) -> list[bool]:
         nonlocal bad
-        dropped = draw() < (loss.loss_bad if bad else loss.loss_good)
-        if draw() < (loss.p_bad_to_good if bad else loss.p_good_to_bad):
-            bad = not bad
+        dropped = []
+        for _ in range(k):
+            dropped.append(draw() < (loss.loss_bad if bad else loss.loss_good))
+            if draw() < (loss.p_bad_to_good if bad else loss.p_good_to_bad):
+                bad = not bad
         return dropped
 
     return gilbert_elliott
@@ -120,6 +136,38 @@ class Channel:
         finish = (t_send if t_send > busy else busy) + tx_s
         self._busy_until = finish
         dropped = self._dropped
-        if dropped is not None and dropped():
+        if dropped is not None and dropped(1)[0]:
             return None
         return finish + self._proc_delay_s
+
+    def arrivals(self, rows: np.ndarray) -> np.ndarray:
+        """Put a block of frame rows on the link, in row order, each sent at
+        its timestamp; returns the arrival time of each, NaN where the loss
+        model drops it.  Equal to `transmit` for each row in turn."""
+        n = len(rows)
+        if not n:
+            return np.zeros(0)
+        types, sent = rows[:, TYPE], rows[:, TIMESTAMP]
+        if not (1 <= types.min() and types.max() <= len(FrameType)):
+            raise ValueError(f"unknown frame type in {sorted(set(types.tolist()))}")
+        tx = np.array([0.0, *(self._tx_s[t] for t in FrameType)])[types]
+        finish = sent + tx
+        # Each row's position within its group of one send time.
+        first = np.flatnonzero(np.diff(sent, prepend=-1) != 0)
+        position = np.arange(n) - np.repeat(first, np.diff(first, append=n))
+        for k in range(1, int(position.max()) + 1):
+            at = np.flatnonzero(position == k)
+            finish[at] = finish[at - 1] + tx[at]
+        busy = np.append(self._busy_until, finish[first[1:] - 1])
+        if (busy > sent[first]).any():  # a group starts before the link is idle
+            return np.array(
+                [
+                    math.nan if (t := self.transmit(ft, ts)) is None else t
+                    for ft, ts in zip(types.tolist(), sent.tolist())
+                ]
+            )
+        self._busy_until = float(finish[-1])
+        arrive = finish + self._proc_delay_s
+        if self._dropped is not None:
+            arrive[self._dropped(n)] = math.nan
+        return arrive

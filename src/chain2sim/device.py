@@ -1,10 +1,11 @@
 """User-device state machine: the receiving end of the telemetry link.
 
 The device is built for one POD and reads its link as the link is: in
-order, each frame once.  Every frame it receives, a record as the meter
-built it or as `decode_frame` read it off the wire, goes through
-`on_frame`, which updates the consumption picture and raises user
-notifications:
+order, each frame once.  It takes a frame record, as the meter built it or
+as `decode_frame` read it off the wire, through `on_frame`, and a block of
+frame rows (see `frames`) through `ingest`, which gives what `on_frame`
+gives for each row in turn.  Each frame updates the consumption picture and
+raises user notifications:
 
     T1  fills the quarter-hour energy series (lost quarters stay as gaps,
         they are never interpolated),
@@ -20,6 +21,14 @@ it comes back with any channel that retransmits or reorders frames.
 
 Sequence gaps below the high-water mark are exactly the frames the device
 never got: lost on the channel or gated by the pairing window.
+
+`ingest` reads a block in numpy: quarters from the T1 rows, with the
+implausible-energy test as a mask; the power alarm and the cut warning as
+the rising edges of their tests over the power samples (T2 and the
+power-cause T3 rows, in seq order), each flag carried over from the block
+before.  It merges the notifications of a block by seq, and within a frame
+puts the frame's own notification before the alarm and the warning, as
+`on_frame` raises them.
 """
 
 from __future__ import annotations
@@ -27,7 +36,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from chain2sim.frames import (
+    DIRECTION,
+    KEY,
+    SEQ,
+    TIMESTAMP,
+    TYPE,
+    VALUE,
     CompactFrame,
     EnergyDirection,
     ExceedanceCause,
@@ -141,6 +158,31 @@ class CostEstimate:
         return self.quarters_observed / self.quarters_expected
 
 
+# Notification kind -> its message, formatted with the values of the frame.
+_MESSAGES = {
+    "implausible_reading": "discarded quarter energy {} Wh (Pn {:.0f} W)",
+    "power_alarm": "power {:.0f} W above set limit {:.0f} W",
+    "switchoff_warning": "supply cut in {:.0f} s unless load drops below {:.0f} W",
+    "contract_power_exceeded": "drawing {} W over contract",
+    "power_restored": "back to {} W",
+    "energy_threshold": "cumulative energy reached {} Wh",
+    "supply_interrupted": "supply interrupted",
+    "supply_restored": "supply restored after {} s",
+    "voltage_event": "voltage event on the supply",
+}
+_T3_KINDS = {
+    ExceedanceCause.POWER_EXCEEDED: "contract_power_exceeded",
+    ExceedanceCause.RESTORED: "power_restored",
+    ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED: "energy_threshold",
+}
+_T4_KINDS = {
+    SupplyEventKind.INTERRUPTION_START: "supply_interrupted",
+    SupplyEventKind.INTERRUPTION_END: "supply_restored",
+    SupplyEventKind.VOLTAGE_EVENT: "voltage_event",
+}
+_DIRECTIONS = tuple(EnergyDirection)  # indexed by value
+
+
 class Device:
     def __init__(self, config: DeviceConfig) -> None:
         self.config = config
@@ -162,17 +204,84 @@ class Device:
         earlier one; a repeated or older `seq` raises `ValueError`.  The
         payload must be of the class its frame type names, as the meter and
         `decode_frame` build it: the frame type picks the handler."""
-        if frame.seq <= self._high_water:
-            raise ValueError(
-                f"seq {frame.seq} at or below the last seq {self._high_water}: "
-                "the link repeated or reordered a frame"
-            )
+        self._check_seq(self._high_water, frame.seq)
         self._high_water = frame.seq
         self.stats["processed"] += 1
         _HANDLERS[frame.frame_type](self, frame)
 
-    def _notify(self, t: float, kind: str, message: str) -> None:
-        self.notifications.append(Notification(t, kind, message))
+    def ingest(self, rows: np.ndarray) -> None:
+        """Ingest the next frames of the link, a block of frame rows (see
+        `frames`) in link order: equal to `on_frame` for each in turn.  The
+        seqs must rise past every earlier one; if one does not, the block
+        raises `ValueError` and none of it is taken."""
+        if not len(rows):
+            return
+        seq = rows[:, SEQ]
+        fallen = np.flatnonzero(np.diff(seq, prepend=self._high_water) <= 0)
+        if fallen.size:
+            i = int(fallen[0])
+            self._check_seq(self._high_water if i == 0 else int(seq[i - 1]), int(seq[i]))
+        self._high_water = int(seq[-1])
+        self.stats["processed"] += len(rows)
+        cfg = self.config
+        types, key = rows[:, TYPE], rows[:, KEY]
+        notes = []  # (seq, order within the frame, t, kind, values)
+
+        t1 = rows[types == FrameType.T1]
+        implausible = np.zeros(len(t1), dtype=bool)
+        if cfg.pn_w is not None:
+            implausible = t1[:, VALUE] > 1.5 * cfg.pn_w * (QUARTER_S / 3600.0)
+            self.stats["implausible_t1"] += int(implausible.sum())
+            for s, t, e in t1[implausible][:, [SEQ, TIMESTAMP, VALUE]].tolist():
+                notes.append((s, 0, t, "implausible_reading", (e, cfg.pn_w)))
+        for s, t, d, e in t1[~implausible][:, [SEQ, TIMESTAMP, DIRECTION, VALUE]].tolist():
+            self.quarters[t - QUARTER_S] = QuarterRecord(e, _DIRECTIONS[d], s)
+
+        for s, t, cause, v in rows[types == FrameType.T3][:, [SEQ, TIMESTAMP, KEY, VALUE]].tolist():
+            notes.append((s, 0, t, _T3_KINDS[cause], (v,)))
+        for s, t, event, d in rows[types == FrameType.T4][:, [SEQ, TIMESTAMP, KEY, VALUE]].tolist():
+            event = SupplyEventKind(event)
+            duration = d if event is SupplyEventKind.INTERRUPTION_END else None
+            self.event_log.append(SupplyEvent(t, event, duration))
+            notes.append((s, 0, t, _T4_KINDS[event], (duration,)))
+
+        # The power samples, T2 and the power-cause T3, in link order: the
+        # alarm and the cut warning rise where their test turns true, each
+        # carried over from the block before.
+        sampled = (types == FrameType.T2) | (
+            (types == FrameType.T3) & (key != ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED)
+        )
+        samples = rows[sampled][:, [SEQ, TIMESTAMP, VALUE]]
+        if cfg.alarm_limit_w is not None and len(samples):
+            limit = cfg.alarm_limit_w
+            above = samples[:, 2] > limit
+            for s, t, p in samples[_rises(above, self._alarm_active)].tolist():
+                notes.append((s, 1, t, "power_alarm", (float(p), limit)))
+            self._alarm_active = bool(above[-1])
+        if cfg.pn_w is not None and len(samples):
+            pn, reference = cfg.pn_w, OVERRUN_FACTOR * cfg.pn_w
+            above = samples[:, 2] > reference  # where switchoff_remaining is not None
+            for s, t, p in samples[_rises(above, self._cut_warning_active)].tolist():
+                eta = switchoff_remaining(float(p), pn)
+                notes.append((s, 2, t, "switchoff_warning", (eta, reference)))
+            self._cut_warning_active = bool(above[-1])
+
+        notes.sort(key=lambda note: note[:2])
+        self.notifications.extend(
+            Notification(t, kind, _MESSAGES[kind].format(*values))
+            for _, _, t, kind, values in notes
+        )
+
+    @staticmethod
+    def _check_seq(last: int, seq: int) -> None:
+        if seq <= last:
+            raise ValueError(
+                f"seq {seq} at or below the last seq {last}: "
+                "the link repeated or reordered a frame"
+            )
+
+    def _notify(self, t: float, kind: str, *values) -> None:
+        self.notifications.append(Notification(t, kind, _MESSAGES[kind].format(*values)))
 
     def _on_t1(self, frame: CompactFrame) -> None:
         payload = frame.payload
@@ -181,11 +290,7 @@ class Device:
             # Well-formed but physically impossible for this contract; keep
             # it out of the series rather than poison cost estimates.
             self.stats["implausible_t1"] += 1
-            self._notify(
-                frame.timestamp,
-                "implausible_reading",
-                f"discarded quarter energy {payload.energy_wh} Wh (Pn {pn:.0f} W)",
-            )
+            self._notify(frame.timestamp, "implausible_reading", payload.energy_wh, pn)
             return
         quarter_start = frame.timestamp - QUARTER_S
         self.quarters[quarter_start] = QuarterRecord(
@@ -201,54 +306,27 @@ class Device:
         if limit is not None:
             if power_w > limit and not self._alarm_active:
                 self._alarm_active = True
-                self._notify(
-                    t, "power_alarm", f"power {power_w:.0f} W above set limit {limit:.0f} W"
-                )
+                self._notify(t, "power_alarm", power_w, limit)
             elif power_w <= limit:
                 self._alarm_active = False
         if cfg.pn_w is not None:
             eta = switchoff_remaining(power_w, cfg.pn_w)  # the meter's countdown law
             if eta is not None and not self._cut_warning_active:
                 self._cut_warning_active = True
-                self._notify(
-                    t,
-                    "switchoff_warning",
-                    f"supply cut in {eta:.0f} s unless load drops below "
-                    f"{OVERRUN_FACTOR * cfg.pn_w:.0f} W",
-                )
+                self._notify(t, "switchoff_warning", eta, OVERRUN_FACTOR * cfg.pn_w)
             elif eta is None:
                 self._cut_warning_active = False
 
     def _on_t3(self, frame: CompactFrame) -> None:
         payload = frame.payload
-        t = frame.timestamp
-        cause = payload.cause
-        if cause == ExceedanceCause.POWER_EXCEEDED:
-            self._notify(
-                t, "contract_power_exceeded", f"drawing {payload.value} W over contract"
-            )
-            self._on_power_sample(t, float(payload.value))
-        elif cause == ExceedanceCause.RESTORED:
-            self._notify(t, "power_restored", f"back to {payload.value} W")
-            self._on_power_sample(t, float(payload.value))
-        else:
-            self._notify(
-                t, "energy_threshold", f"cumulative energy reached {payload.value} Wh"
-            )
+        self._notify(frame.timestamp, _T3_KINDS[payload.cause], payload.value)
+        if payload.cause != ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED:
+            self._on_power_sample(frame.timestamp, float(payload.value))
 
     def _on_t4(self, frame: CompactFrame) -> None:
         payload = frame.payload
-        t = frame.timestamp
-        kind = payload.event
-        self.event_log.append(SupplyEvent(t, kind, payload.duration_s))
-        if kind == SupplyEventKind.INTERRUPTION_START:
-            self._notify(t, "supply_interrupted", "supply interrupted")
-        elif kind == SupplyEventKind.INTERRUPTION_END:
-            self._notify(
-                t, "supply_restored", f"supply restored after {payload.duration_s} s"
-            )
-        else:
-            self._notify(t, "voltage_event", "voltage event on the supply")
+        self.event_log.append(SupplyEvent(frame.timestamp, payload.event, payload.duration_s))
+        self._notify(frame.timestamp, _T4_KINDS[payload.event], payload.duration_s)
 
     # -- queries -----------------------------------------------------------
 
@@ -282,6 +360,14 @@ class Device:
                 income += kwh * feed_in
         expected = (end_s - start_s) // QUARTER_S
         return CostEstimate(cost, income, expected, observed)
+
+
+def _rises(flags: np.ndarray, before: bool) -> np.ndarray:
+    """Where a non-empty `flags` turns true, `before` coming before the first."""
+    rises = flags.copy()
+    rises[1:] &= ~flags[:-1]
+    rises[0] &= not before
+    return rises
 
 
 # Frame type -> the method that ingests a processed frame of that type.

@@ -36,6 +36,17 @@ byte streams are fully reproducible.  All functions here are pure.
 The frame records (`CompactFrame` and the payloads) are slotted value
 records, built once and never changed: they compare by type and fields, and
 are not hashable.
+
+A run carries its frames as rows instead: one row of integers per frame,
+laid out by the column indices below (`frame_row`).  Every payload has at
+most three fields, so a row holds
+
+    TYPE, SEQ, TIMESTAMP   the header (the pod is the link's own)
+    KEY                    quarter, band, cause or event
+    DIRECTION              energy or crossing direction
+    VALUE                  energy, power, value or duration
+
+A field the type lacks reads 0, and so does a T4 duration of None.
 """
 
 from __future__ import annotations
@@ -207,6 +218,29 @@ _BODY = {
     t: struct.Struct(_HEADER + "".join(code for _, code, _ in fields.values()))
     for t, (_, fields) in _LAYOUT.items()
 }
+
+
+# The columns of a frame row (see the module docstring), and the column of
+# each payload field per frame type.
+TYPE, SEQ, TIMESTAMP, KEY, DIRECTION, VALUE = range(6)
+ROW_WIDTH = 6
+_ROW_COLUMNS = {
+    t: {
+        name: DIRECTION if name == "direction" else KEY if i == 0 else VALUE
+        for i, name in enumerate(fields)
+    }
+    for t, (_, fields) in _LAYOUT.items()
+}
+
+
+def frame_row(frame: CompactFrame) -> list[int]:
+    """The row of a frame: its header and payload fields as plain integers
+    in the row columns, the pod left out."""
+    row = [int(frame.frame_type), frame.seq, frame.timestamp, 0, 0, 0]
+    payload = frame.payload
+    for name, column in _ROW_COLUMNS[frame.frame_type].items():
+        row[column] = int(getattr(payload, name) or 0)
+    return row
 
 
 def field_max(frame_type: FrameType, field: str) -> int:

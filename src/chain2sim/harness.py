@@ -3,7 +3,7 @@
 A scenario is a fleet of independent user pipelines advanced over a common
 tick grid:
 
-    profile -> (DR curtailment) -> (peak shaving) -> meter.step
+    profile -> (DR curtailment) -> (peak shaving) -> meter
             -> channel -> pairing gate -> device
 
 Users never interact (demand-response commands are broadcast but applied
@@ -14,20 +14,24 @@ list.
 
 The meter never feeds back into power: demand response reaches it only by
 arming an emergency limit, and supply events are injected.  So each user's
-grid power series is built up front, and `Meter.step_series` steps only the
-ticks where a frame can be emitted, over pieces split at those injections.
-Each frame goes through the channel to the device as soon as it is sent.
-The device sees the same frames in the same order as a receiver that waits
-for each arrival: the link is FIFO (arrival times rise in send order) and
-nothing reads the device during a run.  The gate is the user's pairing
-window from the portal, fixed before any user runs.
+grid power series is built up front, and `Meter.emit_rows` runs it over
+pieces split at those injections.
 
-Frames travel as records: the device gets the meter's own `CompactFrame`.
-The channel drops whole frames and never damages a bit, so a wire image
-would decode back to an equal record; nothing changes a frame, and the
-device copies out only values.  `validate_config` checks up front that every
-frame fits its wire fields, and the codec in `frames` stays the tested wire
-format.
+Frames travel as rows of integers (see `frames`), one block per link, each
+stage taking the whole block in one numpy pass: the meter emits the rows
+(a supply event's frames become rows where they are injected),
+`Channel.arrivals` gives each one's arrival time, the gate is a mask on
+those times, and `Device.ingest` takes the rows the gate passes.  The
+device sees the same frames in the same order as a receiver that waits for
+each arrival: the link is FIFO (arrival times rise in send order) and
+nothing reads the device during a run.  The gate is the user's pairing
+window from the portal, fixed before any user runs.  The channel drops
+whole frames and never damages a bit, so a wire image would decode back to
+the same values; `validate_config` checks up front that every frame fits
+its wire fields, and the codec in `frames` stays the tested wire format.
+The scalar path (`Meter.step`, `encode_frame` and `decode_frame`,
+`Channel.transmit`, `Device.on_frame`) is the reference the tests hold this
+run to, frame by frame.
 
 Statistics follow one frame end to end, on one ledger per link: a Counter
 keyed (frame type, day, disposition) that counts every frame the meter
@@ -35,7 +39,7 @@ sends exactly once, under its final disposition.  The day is that of the
 observation the frame reports.  The disposition is `LinkOutcome.LOST` when
 the channel drops the frame, `LinkOutcome.GATED` when it arrives outside
 the pairing window, and otherwise `LinkOutcome.PROCESSED`: the link is in
-order and sends each frame once, so `Device.on_frame` takes every frame the
+order and sends each frame once, so `Device.ingest` takes every frame the
 gate passes, with no dedup window (one comes back with any channel that
 retransmits or reorders).  A frame counts as received when it is processed.
 At the end of a run each link's books must balance:
@@ -88,13 +92,13 @@ from chain2sim.automation import (
 from chain2sim.channel import BernoulliLoss, Channel, ChannelConfig, GilbertElliottLoss
 from chain2sim.device import Device, DeviceConfig, TariffSchedule, TariffWindow
 from chain2sim import frames
-from chain2sim.frames import CompactFrame, EnergyDirection, FrameType, SupplyEventKind
+from chain2sim.frames import EnergyDirection, FrameType, SupplyEventKind
 
-# The run carries frames as records and calls no codec.  These two names stay
+# The run carries frames as rows and calls no codec.  These two names stay
 # bound here because the benchmark's span tracer (perfbench/tracer.py) wraps
 # `chain2sim.harness:encode_frame` and `:decode_frame` by name.
 from chain2sim.frames import decode_frame, encode_frame  # noqa: F401
-from chain2sim.meter import QUARTER_S, Meter, MeterConfig
+from chain2sim.meter import QUARTER_S, Meter, MeterConfig, frame_rows
 from chain2sim.portal import MeterGeneration, PodRecord, Portal
 from chain2sim.profiles import PRESETS, household_profile, profile_from_csv, profile_peak_w
 from chain2sim.seeds import derive
@@ -688,12 +692,13 @@ class LinkOutcome(str, Enum):
     increment keys on one.  Outputs use `.value`, never the member's own
     format, which differs across Python versions."""
 
-    PROCESSED = "processed"  # taken by `Device.on_frame`
+    PROCESSED = "processed"  # taken by the device
     LOST = "lost"  # dropped by the channel
     GATED = "gated"  # delivered outside the pairing window
 
 
-_PROCESSED, _LOST, _GATED = LinkOutcome
+_OUTCOMES = tuple(LinkOutcome)
+_PROCESSED, _LOST, _GATED = _OUTCOMES
 
 
 class ReconciliationError(RuntimeError):
@@ -720,6 +725,23 @@ def _reconcile(pod_id: str, ledger: Counter, meter: Meter, device: Device) -> No
         problems.append(f"processed {counts[_PROCESSED]} != device {on_device}")
     if problems:
         raise ReconciliationError(pod_id, ledger, problems)
+
+
+def _ledger(rows: np.ndarray, outcome: np.ndarray) -> Counter:
+    """A link's ledger from its frame rows and the index of each one's
+    disposition in `LinkOutcome`.  A T1 counts on the day of the quarter it
+    closes, which ends at its timestamp; any other frame on the day of its
+    timestamp."""
+    types = rows[:, frames.TYPE]
+    day = (rows[:, frames.TIMESTAMP] - (types == _T1)) // DAY_S
+    counts = np.bincount((day * 8 + types) * 4 + outcome)
+    keys = np.flatnonzero(counts)
+    return Counter(
+        {
+            (FrameType(key // 4 % 8), key // 32, _OUTCOMES[key % 4]): count
+            for key, count in zip(keys.tolist(), counts[keys].tolist())
+        }
+    )
 
 
 @dataclass
@@ -913,51 +935,32 @@ def _run_user(
     del profile
     events = deque(spec.supply_events)
 
-    ledger: Counter = Counter()
-    active_at, revoked_at = window
     # What the grid supplied: zero at a tick with the breaker open, the grid
     # power otherwise.
     actual = power.copy() if keep_actual else None
 
-    transmit = link.transmit
-    on_frame = device.on_frame
-
-    def send(frame: CompactFrame) -> None:
-        frame_type = frame.frame_type
-        ts = frame.timestamp
-        # T1 reports the quarter that ENDS at its timestamp; attribute it to
-        # the day containing that quarter, not the day the boundary tick
-        # falls in.
-        day = (ts - 1) // DAY_S if frame_type is _T1 else ts // DAY_S
-        t_arrive = transmit(frame_type, ts)
-        if t_arrive is None:
-            disposition = _LOST
-        elif not active_at <= t_arrive < revoked_at:
-            disposition = _GATED
-        else:
-            on_frame(frame)
-            disposition = _PROCESSED
-        ledger[frame_type, day, disposition] += 1
-
     # Split the series wherever something reaches into the meter: at a supply
     # event and at an emergency limit armed.  The meter itself finds the tick
     # where a limit expires.
+    blocks = []
     cuts = sorted({0, n, *arms, *(t // tick for t, _ in events if 0 <= t < config.duration_s)})
     for a, b in zip(cuts, cuts[1:]):
         t = a * tick
         while events and events[0][0] == t:
-            for frame in meter.apply_supply_event(t, events.popleft()[1]):
-                send(frame)
+            blocks.append(frame_rows(meter.apply_supply_event(t, events.popleft()[1])))
         if a in arms:
             meter.arm_emergency_limit(*arms[a])
-        opened = b  # only a supply event closes the breaker, so it stays open to b
-        for t, frames in meter.step_series(power[a:b], t):
-            for frame in frames:
-                send(frame)
-            if opened == b and not meter.supply_on:
-                opened = t // tick
-        if actual is not None:
-            actual[opened:b] = 0.0
+        blocks.extend(meter.emit_rows(power[a:b], t))
+        if actual is not None and not meter.supply_on:
+            # Only a supply event closes the breaker, so it stays open to b.
+            actual[max(a, meter.interrupted_at // tick) : b] = 0.0
+
+    rows = blocks[0] if len(blocks) == 1 else np.concatenate([frame_rows([]), *blocks])
+    t_arrive = link.arrivals(rows)
+    active_at, revoked_at = window
+    processed = (active_at <= t_arrive) & (t_arrive < revoked_at)  # NaN, a lost frame, fails
+    device.ingest(rows[processed])
+    ledger = _ledger(rows, np.where(processed, 0, np.where(np.isnan(t_arrive), 1, 2)))
 
     _reconcile(spec.pod_id, ledger, meter, device)
     if user_dir is not None:

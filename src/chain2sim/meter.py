@@ -31,30 +31,34 @@ with no tolerance factor on the limit itself.
 All frames share one gapless sequence counter starting at 1, so a receiver
 can detect channel losses as sequence gaps regardless of frame type.
 
-`step_series(power, t0)` drives the meter over a whole power series and
-gives exactly what `step` gives when called for every tick: the same frames,
-the same exceptions and the same final state.  It runs `step` only at
-breakpoint ticks, where a frame can go out or the breaker or the limit can change:
+`emit_rows(power, t0)` drives the meter over a whole power series and
+gives, as blocks of frame rows (see `frames`), exactly what `step` gives
+when called for every tick: the same frames in the same order, the same
+exceptions and the same final state.  It computes in numpy the rows of each
+stretch where the breaker and the emergency limit stay as they are:
 
-    the first tick and the last;
-    a band change;
-    an edge of power > pn_w;
-    a tick that closes a quarter;
-    the first tick whose cumulative energy reaches energy_threshold_wh;
-    the first tick that reaches the cut deadline the tick before it left;
+    T2  one row per band passed: `np.repeat` over the band changes, the
+        first against the band the meter holds;
+    T3  the edges of power > pn_w, and the one-shot energy alarm at the
+        first tick whose cumulative energy reaches energy_threshold_wh;
+    T1  a row per quarter close, from a per-quarter `np.cumsum`.
+
+Within a tick the order is T2, T3 (power, then energy), T1; values round
+half to even with `np.rint`, as `round` does; seqs continue the count.  The
+stretch reads the state it starts from: with the breaker open the meter
+samples 0 W, so only quarter closes emit, and only a negative sample is
+rejected; with a limit armed the reference is the limit.  `step` itself
+takes the ticks that end a stretch:
+
+    the tick that reaches the cut deadline the tick before it left;
     the tick where an emergency limit expires;
     a sample `step` rejects (it raises there).
 
-The analysis reads the state it starts from: with the breaker open the meter
-samples 0 W, so only quarter closes break, and only a negative sample is
-rejected; with a limit armed the reference is the limit.  When a step opens
-the breaker or lets the limit expire, the rest of the series is analysed
-again from the next tick.  Between breakpoints the quarter and total energy
-advance by `np.cumsum`, which adds in sequence and so matches `step`'s `+=`
-bit for bit.  The cut deadline is computed on the ticks above the reference
-only, in `step`'s operation order: a running minimum over each run of them,
-the run at the first tick starting from the armed deadline.  A tick that
-quietly drops or tightens the deadline is therefore not stepped.
+The quarter and total energy advance by `np.cumsum`, which adds in sequence
+and so matches `step`'s `+=` bit for bit.  The cut deadline is computed on
+the ticks above the reference only, in `step`'s operation order: a running
+minimum over each run of them, the run at the first tick starting from the
+armed deadline.
 """
 
 from __future__ import annotations
@@ -67,6 +71,13 @@ from typing import Iterator
 import numpy as np
 
 from chain2sim.frames import (
+    DIRECTION,
+    KEY,
+    ROW_WIDTH,
+    SEQ,
+    TIMESTAMP,
+    TYPE,
+    VALUE,
     CompactFrame,
     CrossingDirection,
     EnergyDirection,
@@ -77,6 +88,7 @@ from chain2sim.frames import (
     T2Payload,
     T3Payload,
     T4Payload,
+    frame_row,
 )
 
 QUARTER_S = 900
@@ -174,6 +186,12 @@ class Meter:
     def last_seq(self) -> int:
         """Sequence number of the most recently emitted frame (0 if none)."""
         return self._seq
+
+    @property
+    def interrupted_at(self) -> int | None:
+        """When the supply interruption in progress began; None with the
+        supply on."""
+        return self._interruption_started_at
 
     @property
     def cut_deadline(self) -> float | None:
@@ -345,74 +363,62 @@ class Meter:
             )
         return frames
 
-    def step_series(
-        self, power: np.ndarray, t0: int
-    ) -> Iterator[tuple[int, list[CompactFrame]]]:
-        """Advance over `power[i]` at ticks `t0 + i * tick_s`.
+    def emit_rows(self, power: np.ndarray, t0: int) -> Iterator[np.ndarray]:
+        """Advance over `power[i]` at ticks `t0 + i * tick_s`, yielding the
+        frames emitted as blocks of rows (see `frames`), in send order.
 
-        Yields `(t, frames)` for each breakpoint tick (see the module
-        docstring); every other tick emits nothing.  The result equals calling
-        `step(power[i], t0 + i * tick_s)` for every i.  Inject supply events
-        or arm an emergency limit only before a call, never between yields:
-        to inject at a later tick, split the series there.
+        The rows are those of the frames `step(power[i], t0 + i * tick_s)`
+        returns for every i, and the exceptions and the final state are
+        `step`'s too.  Inject supply events or arm an emergency limit only
+        before a call, never between yields: to inject at a later tick,
+        split the series there.  A frame value past the int64 range raises
+        OverflowError; validation keeps every value inside its wire field.
         """
         p = np.asarray(power, dtype=np.float64)
         tick = self.config.tick_s
         # Through the class, so a wrapper installed on Meter.step sees every call.
         step = Meter.step
         while p.size:
-            state = (self.supply_on, self._em_limit_w)
-            start = 0  # the first tick of p not stepped yet
-            for i, p_i, quarter_ws, total_ws, deadline in self._breakpoints(p, t0):
-                t = t0 + i * tick
-                if i > start:  # quiet ticks since the last step
-                    self._quarter_acc_ws = quarter_ws
-                    self._total_acc_ws = total_ws
-                    self._cut_deadline = None if deadline == math.inf else deadline
-                    self._next_t = t
-                yield t, step(self, p_i, t)
-                start = i + 1
-                if (self.supply_on, self._em_limit_w) != state:
-                    break  # a cut or an expiry: analyse again from the next tick
-            p, t0 = p[start:], t0 + start * tick
+            stop, rows = self._rows(p, t0)
+            if len(rows):
+                yield rows
+            if stop == len(p):
+                return
+            t = t0 + stop * tick
+            rows = frame_rows(step(self, float(p[stop]), t))
+            if len(rows):
+                yield rows
+            p, t0 = p[stop + 1 :], t + tick
 
-    def _breakpoints(
-        self, p: np.ndarray, t0: int
-    ) -> list[tuple[int, float, float, float, float]]:
-        """Breakpoint ticks of a non-empty `p` from the meter's current state,
-        as `(i, p[i], quarter_ws, total_ws, deadline)`: when tick i - 1 is
-        quiet, the two accumulators and the cut deadline as they stand just
-        before tick i, an unarmed deadline as inf.
+    def _rows(self, p: np.ndarray, t0: int) -> tuple[int, np.ndarray]:
+        """The frame rows of the ticks of a non-empty `p` before the first
+        tick `step` must take, and that tick's index (len(p) if none).  The
+        meter is left in the state that tick starts from.
 
-        The analysis holds while the breaker and the emergency limit stay as
-        they are: an open breaker samples 0 W, and an armed limit is the
-        overrun reference until the tick where it expires.  It ends at the
-        first sample `step` rejects.
+        `step` takes the ticks where the breaker or the limit changes (the
+        cut falls due, or the emergency limit expires), a sample it rejects
+        (it raises there), and a first tick that does not follow the last
+        one stepped (it raises too).  Before that tick an open breaker
+        samples 0 W, and an armed limit is the overrun reference.
         """
         cfg = self.config
         tick = cfg.tick_s
         pn = cfg.pn_w
         limit = self._em_limit_w
+        armed = self._cut_deadline
+        if (
+            (t0 % tick != 0 if self._next_t is None else t0 != self._next_t)
+            or (limit is not None and t0 >= self._em_until)
+            or (armed is not None and t0 >= armed and self.supply_on)
+        ):
+            return 0, _NO_ROWS
         with np.errstate(over="ignore", invalid="ignore"):
             # step rejects a negative sample and, with the breaker closed, one
             # whose band is no int: NaN, inf, or one whose 10 * p overflows.
             band = np.multiply(p, 10.0) if self.supply_on else np.zeros(len(p))
             bad = np.flatnonzero((p < 0.0) | ~(band < np.inf))
-            m = int(bad[0]) + 1 if bad.size else len(p)
+            m = int(bad[0]) if bad.size else len(p)
             x = p[:m] if self.supply_on else np.zeros(m)
-            band = band[:m]
-            np.divide(band, pn, out=band)
-            np.floor(band, out=band)
-            np.minimum(band, 10.0, out=band)
-            over_pn = x > pn
-            mask = np.zeros(m, dtype=bool)
-            mask[1:] = band[1:] != band[:-1]
-            mask[1:] |= over_pn[1:] != over_pn[:-1]
-            mask[0] = mask[m - 1] = True
-            if limit is not None:
-                expiry = bisect_left(range(t0, t0 + m * tick, tick), self._em_until)
-                mask[expiry : expiry + 1] = True  # nothing when it expires later
-            del over_pn
 
             # The cut countdown, on the ticks above the reference only.  Each
             # arms `t + remaining`, in `step`'s operation order, and a run of
@@ -420,54 +426,135 @@ class Meter:
             scale, reference = (pn, OVERRUN_FACTOR * pn) if limit is None else (limit, limit)
             over = np.flatnonzero(x > reference)
             deadline = (t0 + over * tick) + SWITCHOFF_TAU_S * scale / (x[over] - reference)
-            if over.size and over[0] == 0 and self._cut_deadline is not None:
-                deadline[0] = min(deadline[0], self._cut_deadline)
+            if over.size and over[0] == 0 and armed is not None:
+                deadline[0] = min(deadline[0], armed)
             runs = np.flatnonzero(np.diff(over, prepend=-2) != 1)
             for a, b in zip(runs.tolist(), runs[1:].tolist() + [over.size]):
                 np.minimum.accumulate(deadline[a:b], out=deadline[a:b])
             # The breaker opens at the first tick that reaches the deadline
-            # left by the tick before it.
+            # left by the tick before it; the limit expires at the first tick
+            # at or past its end.
             due = np.flatnonzero(t0 + (over + 1) * tick >= deadline)
-            if due.size and over[due[0]] + 1 < m:
-                mask[over[due[0]] + 1] = True
+            stop = min(m, int(over[due[0]]) + 1) if due.size else m
+            if limit is not None:
+                stop = bisect_left(range(t0, t0 + stop * tick, tick), self._em_until)
+            if stop == 0:
+                return 0, _NO_ROWS
+            x = x[:stop]
+
+            # T2: one row per band passed, in crossing order.
+            band = band[:stop]
+            np.divide(band, pn, out=band)
+            np.floor(band, out=band)
+            np.minimum(band, 10.0, out=band)
+            moved = _changes(band, self._band)
+            new, old = band[moved], band[moved - 1]
+            if moved.size and moved[0] == 0:
+                old[0] = self._band
+            count = np.abs(new - old).astype(np.int64)
+            crossing = np.repeat(moved, count)
+            k = np.arange(len(crossing)) - np.repeat(np.cumsum(count) - count, count)
+            up, first = np.repeat(new > old, count), np.repeat(old.astype(np.int64), count)
+            last_band = int(band[-1])
+
+            # T3: the edges of power > Pn.
+            over_pn = x > pn
+            edges = _changes(over_pn, self._over_pn)
+
+            # Energy.  Seed both running sums through their first element,
+            # which is the first `+=` the scalar step would make.  `total`
+            # reuses the spent band and `quarter` is a view of `acc`: a fresh
+            # full-length array costs more in page faults than its arithmetic.
             ticks_per_quarter = QUARTER_S // tick
             offset = (t0 % QUARTER_S) // tick
-            mask[ticks_per_quarter - 1 - offset :: ticks_per_quarter] = True
-
-            # Seed both running sums through their first element, which is
-            # the first `+=` the scalar step would make.  `total` reuses the
-            # spent band and `quarter` is a view of rows: a fresh full-length
-            # array costs more in page faults than its arithmetic.
-            rows = np.zeros(-(-(offset + m) // ticks_per_quarter) * ticks_per_quarter)
-            quarter = rows[offset : offset + m]
+            acc = np.zeros(-(-(offset + stop) // ticks_per_quarter) * ticks_per_quarter)
+            quarter = acc[offset : offset + stop]
             np.multiply(x, tick, out=quarter)
-            first = float(quarter[0])
-            quarter[0] = self._total_acc_ws + first
+            head = float(quarter[0])
+            quarter[0] = self._total_acc_ws + head
             total = np.cumsum(quarter, out=band)
-            quarter[0] = self._quarter_acc_ws + first
-            by_quarter = rows.reshape(-1, ticks_per_quarter)  # a view of rows
+            quarter[0] = self._quarter_acc_ws + head
+            by_quarter = acc.reshape(-1, ticks_per_quarter)  # a view of acc
             np.cumsum(by_quarter, axis=1, out=by_quarter)
+            closes = np.arange(ticks_per_quarter - 1 - offset, stop, ticks_per_quarter)
+            t_close = t0 + (closes + 1) * tick
 
+            alarm = np.zeros(0, np.int64)
             threshold = cfg.energy_threshold_wh
             if threshold is not None and not self._energy_alarm_sent:
-                # total never falls before the last tick, the only one that
-                # can hold a rejected sample, so the first to reach it bisects.
-                k = bisect_left(range(m - 1), True, key=lambda i: total[i] / 3600.0 >= threshold)
-                mask[k] = True  # k = m - 1, set already, if no earlier tick does
+                # total never falls, so the first tick to reach it bisects.
+                first_alarm = bisect_left(
+                    range(stop), True, key=lambda i: total[i] / 3600.0 >= threshold
+                )
+                alarm = np.arange(first_alarm, min(first_alarm + 1, stop))
 
-        idx = np.flatnonzero(mask)
-        before = idx - 1  # wraps to -1 for tick 0, which is never set
-        # The deadline tick i - 1 leaves: its run minimum if it is above the
-        # reference, else none (inf).  `m` pads `over` past any tick.
-        j = np.searchsorted(over, before)
-        left = np.append(deadline, np.inf)[j]
-        left[np.append(over, m)[j] != before] = np.inf
-        return list(
-            zip(
-                idx.tolist(),
-                p[idx].tolist(),  # the real samples: step checks them
-                quarter[before].tolist(),
-                total[before].tolist(),
-                left.tolist(),
+            # Per kind of frame, in its order within a tick: the ticks, then
+            # the type, timestamp, key, direction and value of each row.
+            rows = _block(
+                (
+                    (crossing, _T2, t0 + crossing * tick, np.where(up, first + 1 + k, first - k),
+                     np.where(up, _UP, _DOWN), x[crossing]),
+                    (edges, _T3, t0 + edges * tick,
+                     np.where(over_pn[edges], _POWER_EXCEEDED, _RESTORED), 0, x[edges]),
+                    (alarm, _T3, t0 + alarm * tick, _ENERGY_THRESHOLD_EXCEEDED, 0,
+                     total[alarm] / 3600.0),
+                    (closes, _T1, t_close, (t_close // QUARTER_S - 1) % QUARTERS_PER_DAY,
+                     cfg.direction, quarter[closes] / 3600.0),
+                ),
+                self._seq,
             )
-        )
+
+        last = stop - 1
+        j = int(np.searchsorted(over, last))
+        self._seq += len(rows)
+        self._next_t = t0 + stop * tick
+        self._band = last_band
+        self._over_pn = bool(over_pn[last])
+        self._cut_deadline = float(deadline[j]) if j < over.size and over[j] == last else None
+        self._quarter_acc_ws = 0.0 if closes.size and closes[-1] == last else float(quarter[last])
+        self._total_acc_ws = float(total[last])
+        self._energy_alarm_sent |= bool(alarm.size)
+        return stop, rows
+
+
+_NO_ROWS = np.zeros((0, ROW_WIDTH), dtype=np.int64)
+_NO_ROWS.flags.writeable = False
+
+
+def frame_rows(frames: list[CompactFrame]) -> np.ndarray:
+    """The rows of frame records (see `frames`), as one block."""
+    return np.array([frame_row(f) for f in frames], dtype=np.int64).reshape(-1, ROW_WIDTH)
+
+
+def _changes(values: np.ndarray, before) -> np.ndarray:
+    """The indices where a non-empty `values` differs from the value before
+    it, `before` coming before the first."""
+    moved = np.flatnonzero(values[1:] != values[:-1]) + 1
+    return moved if values[0] == before else np.concatenate(([0], moved))
+
+
+def _block(kinds, seq: int) -> np.ndarray:
+    """The rows of frames given per kind as (ticks, type, timestamp, key,
+    direction, value), the kinds in their order within a tick, each kind in
+    tick order: merged by tick, each kind's own order kept, and numbered
+    from seq + 1.  Each field is an array over the kind's ticks or one value
+    for all; values round half to even, as `round` does."""
+    ticks = [kind[0] for kind in kinds]
+    rows = np.empty((sum(map(len, ticks)), ROW_WIDTH), dtype=np.int64)
+    value = np.empty(len(rows))
+    for r, (own, *fields) in enumerate(kinds):
+        # A row follows the rows of earlier ticks, and of its own tick those
+        # of earlier kinds and the earlier ones of its own kind.
+        at = np.arange(len(own))
+        for s, other in enumerate(ticks):
+            if s != r:
+                at += np.searchsorted(other, own, side="right" if s < r else "left")
+        for column, field in zip((TYPE, TIMESTAMP, KEY, DIRECTION), fields):
+            rows[at, column] = field
+        value[at] = fields[-1]
+    np.rint(value, out=value)
+    if not (np.abs(value) < 2.0**63).all():
+        raise OverflowError("a frame value past the int64 range of a frame row")
+    rows[:, VALUE] = value
+    rows[:, SEQ] = np.arange(seq + 1, seq + 1 + len(rows))
+    return rows

@@ -5,12 +5,14 @@ the run one PASS/FAIL line per criterion is printed, so the verdicts are
 visible even with output capture on.
 """
 
+import math
 import re
 from collections import defaultdict
 
 import pytest
 
 from chain2sim import harness
+from chain2sim.frames import SEQ
 
 _PATTERN = re.compile(r"test_criterion_(\d+)_([a-z0-9_]+)")
 _RESULTS: dict[int, tuple[str, str]] = {}
@@ -43,24 +45,33 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def device_arrivals(monkeypatch):
     """Pod -> the arrival time of each frame the device takes in a run,
-    observed through the classes.  The run hands a frame to `Device.on_frame`
-    right after `Channel.transmit` gives its arrival time, or not at all."""
+    observed through the block entry points: the run puts a link's frame
+    rows on `Channel.arrivals`, then hands the ones it lets through to
+    `Device.ingest`, one user after another in `harness._run_user`."""
     arrivals = defaultdict(list)
-    arriving = None  # the arrival time of the frame on the link now
-    transmit, on_frame = harness.Channel.transmit, harness.Device.on_frame
+    pod = None  # the user running now
+    on_link = {}  # seq -> arrival time of each frame of that user's link
+    run_user, send, ingest = harness._run_user, harness.Channel.arrivals, harness.Device.ingest
 
-    def spy_transmit(self, frame_type, t_send):
-        nonlocal arriving
-        arriving = transmit(self, frame_type, t_send)
-        return arriving
+    def spy_run_user(spec, *args):
+        nonlocal pod
+        pod = spec.pod_id
+        on_link.clear()
+        return run_user(spec, *args)
 
-    def spy_on_frame(self, frame):
-        nonlocal arriving
-        t_arrive, arriving = arriving, None
-        assert t_arrive is not None, "the device took a frame the channel did not deliver"
-        arrivals[frame.pod_id].append(t_arrive)
-        return on_frame(self, frame)
+    def spy_arrivals(self, rows):
+        t_arrive = send(self, rows)
+        on_link.update(zip(rows[:, SEQ].tolist(), t_arrive.tolist()))
+        return t_arrive
 
-    monkeypatch.setattr(harness.Channel, "transmit", spy_transmit)
-    monkeypatch.setattr(harness.Device, "on_frame", spy_on_frame)
+    def spy_ingest(self, rows):
+        for seq in rows[:, SEQ].tolist():
+            t_arrive = on_link.pop(seq)
+            assert not math.isnan(t_arrive), "the device took a frame the channel did not deliver"
+            arrivals[pod].append(t_arrive)
+        return ingest(self, rows)
+
+    monkeypatch.setattr(harness, "_run_user", spy_run_user)
+    monkeypatch.setattr(harness.Channel, "arrivals", spy_arrivals)
+    monkeypatch.setattr(harness.Device, "ingest", spy_ingest)
     return arrivals

@@ -300,6 +300,15 @@ def test_dr_curtailed_loads_stay_off_then_restore():
     assert not any(l.curtailed for l in site.loads)
 
 
+def test_dr_curtailing_every_load_leaves_no_negative_power():
+    """Taking each curtailed load off the running total can leave a rounding
+    residue below zero, which the meter would reject part-way through a run."""
+    site = Site("s", loads=[SiteLoad("b", 3656.3094872094466), SiteLoad("a", 440.0)])
+    result = dr_site_step(site, DrCommand(300.0, 0.0, 1800.5), 0.0, 300.0)
+    assert result.curtailed_ids == ("b", "a")
+    assert result.p_grid_w == 0.0
+
+
 def test_dr_battery_covers_residual_excess():
     bat = Battery(5000.0, 3000.0, 3000.0, soc_wh=5000.0)
     site = Site("s", loads=[SiteLoad("hob", 1000.0, controllable=False)], battery=bat, base_load_w=500.0)

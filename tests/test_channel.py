@@ -1,8 +1,12 @@
 """Link timing, serialization, loss statistics, replay determinism."""
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chain2sim.channel import (
     BernoulliLoss,
@@ -10,7 +14,7 @@ from chain2sim.channel import (
     ChannelConfig,
     GilbertElliottLoss,
 )
-from chain2sim.frames import FrameType
+from chain2sim.frames import ROW_WIDTH, TIMESTAMP, TYPE, FrameType
 
 
 def test_idle_link_arrival_time():
@@ -104,3 +108,45 @@ def test_config_validation():
         ChannelConfig(rate_bps=0.0)
     with pytest.raises(ValueError, match="proc_delay_s"):
         ChannelConfig(proc_delay_s=-1.0)
+
+
+_LOSSES = st.none() | st.builds(BernoulliLoss, st.floats(0, 1)) | st.builds(
+    GilbertElliottLoss, *[st.floats(0, 1)] * 4
+)
+
+
+@st.composite
+def _blocks(draw):
+    """A link and blocks of frame rows in send order: each block a run of
+    send times, several frames to a time, at rates and spacings where a
+    tick's frames may or may not serialize before the next send time."""
+    config = ChannelConfig(
+        rate_bps=draw(st.sampled_from([4800.0, 300.0, 10.0])),
+        proc_delay_s=draw(st.sampled_from([0.05, 0.0, 30.0])),
+        loss=draw(_LOSSES),
+    )
+    blocks, t = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        rows = []
+        for _ in range(draw(st.integers(0, 12))):
+            t += draw(st.sampled_from([0, 1, 60, 900]))
+            for _ in range(draw(st.integers(1, 4))):
+                rows.append([draw(st.sampled_from(FrameType)), 0, t, 0, 0, 0])
+        blocks.append(np.array(rows, dtype=np.int64).reshape(-1, ROW_WIDTH))
+    return config, draw(st.integers(0, 2**32)), blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks())
+def test_arrivals_equal_transmitting_each_row(case):
+    """A block on the link gives, bit for bit, the arrival times of sending
+    its rows one by one (NaN for a lost frame), and leaves the link in the
+    same state: the same busy time and the same loss draws to come."""
+    config, seed, blocks = case
+    one, block = Channel(config, seed), Channel(config, seed)
+    for rows in blocks:
+        want = [one.transmit(t, ts) for t, ts in rows[:, [TYPE, TIMESTAMP]].tolist()]
+        got = block.arrivals(rows).tolist()
+        assert [None if math.isnan(t) else t for t in got] == want
+    assert block._busy_until == one._busy_until
+    assert block.transmit(FrameType.T1, 10**6) == one.transmit(FrameType.T1, 10**6)

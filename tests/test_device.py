@@ -1,6 +1,8 @@
 """Device-side ingest: sequence order, plausibility, alarms, reconstruction, cost."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chain2sim.device import Device, DeviceConfig, TariffSchedule, TariffWindow
 from chain2sim.frames import (
@@ -9,10 +11,13 @@ from chain2sim.frames import (
     EnergyDirection,
     ExceedanceCause,
     FrameType,
+    SupplyEventKind,
     T1Payload,
     T2Payload,
     T3Payload,
+    T4Payload,
 )
+from chain2sim.meter import frame_rows
 
 POD = "IT001E00000001"
 
@@ -31,6 +36,77 @@ def t3(seq, ts, cause, value):
 
 def make_device(**kw) -> Device:
     return Device(DeviceConfig(**kw))
+
+
+# -- one frame at a time or one block -------------------------------------------------
+
+_PAYLOADS = {
+    FrameType.T1: st.builds(
+        T1Payload, st.integers(0, 95), st.integers(0, 6000), st.sampled_from(EnergyDirection)
+    ),
+    FrameType.T2: st.builds(
+        T2Payload, st.integers(0, 10), st.integers(0, 9000), st.sampled_from(CrossingDirection)
+    ),
+    FrameType.T3: st.builds(T3Payload, st.sampled_from(ExceedanceCause), st.integers(0, 9000)),
+    FrameType.T4: st.sampled_from(SupplyEventKind).flatmap(
+        lambda event: st.builds(
+            T4Payload,
+            st.just(event),
+            st.integers(0, 10**6) if event is SupplyEventKind.INTERRUPTION_END else st.none(),
+        )
+    ),
+}
+
+
+@st.composite
+def _links(draw):
+    """A device set-up and the frames of a link with rising seqs and
+    times, cut into blocks."""
+    config = DeviceConfig(
+        pn_w=draw(st.none() | st.sampled_from([3000.0, 4500.0])),
+        alarm_limit_w=draw(st.none() | st.floats(100, 6000)),
+    )
+    frames, seq, ts = [], 0, 0
+    for frame_type in draw(st.lists(st.sampled_from(FrameType), max_size=40)):
+        seq += draw(st.integers(1, 3))
+        ts += draw(st.sampled_from([0, 60, 900]))
+        frames.append(CompactFrame(frame_type, POD, seq, ts, draw(_PAYLOADS[frame_type])))
+    cuts = sorted(draw(st.sets(st.integers(0, len(frames)), max_size=5)) | {0, len(frames)})
+    return config, [frames[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _state(device):
+    return (
+        device.quarters,
+        device.event_log,
+        device.notifications,
+        device.stats,
+        device._high_water,
+        device._alarm_active,
+        device._cut_warning_active,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_links())
+def test_ingesting_blocks_equals_taking_one_frame_at_a_time(link):
+    config, blocks = link
+    one, block = Device(config), Device(config)
+    for frames in blocks:
+        for frame in frames:
+            one.on_frame(frame)
+        block.ingest(frame_rows(frames))
+    assert _state(block) == _state(one)
+
+
+def test_a_block_with_a_fallen_seq_is_refused_whole():
+    dev = make_device()
+    dev.ingest(frame_rows([t2(1, 0, 500)]))
+    with pytest.raises(ValueError, match="seq 3 at or below the last seq 4"):
+        dev.ingest(frame_rows([t2(4, 60, 600), t2(3, 120, 700)]))
+    with pytest.raises(ValueError, match="seq 1 at or below the last seq 1"):
+        dev.ingest(frame_rows([t2(1, 60, 600)]))
+    assert dev.stats["processed"] == 1
 
 
 # -- sequence order ----------------------------------------------------------------

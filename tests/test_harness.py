@@ -13,14 +13,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chain2sim.automation import DrCommand, DrIssuer, Site, SiteLoad, dr_site_step, peak_shave_step
+from chain2sim.automation import DrCommand, DrIssuer
 from chain2sim.channel import BernoulliLoss, ChannelConfig
 from chain2sim import frames
-from chain2sim.frames import SupplyEventKind, encode_frame
-from chain2sim.meter import Meter, MeterConfig
+from chain2sim.frames import SEQ, SupplyEventKind, encode_frame
 from chain2sim import harness
 from chain2sim.harness import (
     ConfigError,
@@ -34,7 +33,8 @@ from chain2sim.harness import (
     validate_config,
 )
 from chain2sim.profiles import household_profile, profile_to_csv
-from reference import run_reference
+import reference
+from reference import per_tick_loop, run_reference
 
 POD1 = "IT001E00000001"
 POD2 = "IT001E00000002"
@@ -397,28 +397,22 @@ def test_wire_limits_are_checked_before_the_run(tmp_path):
 
 
 def _run_encoding_every_frame(config):
-    """`run(config)`, with every frame the meters emit also put through
-    `encode_frame`, which raises on a value past its wire field.  The run
-    itself carries frames as records, so without this such a value would
-    land in the outputs unnoticed."""
-    step_series, apply_supply_event = Meter.step_series, Meter.apply_supply_event
+    """`run(config)`, checked against the reference run, which puts every
+    frame the meters emit through `encode_frame`: it raises on a value past
+    its wire field.  The run itself carries frames as rows of integers, so
+    without this such a value would land in the outputs unnoticed."""
     encoded = []
 
-    def encode_all(frames):
-        encoded.extend(encode_frame(frame) for frame in frames)
-        return frames
-
-    def series(self, power, t0):
-        for t, frames in step_series(self, power, t0):
-            yield t, encode_all(frames)
+    def encode(frame):
+        encoded.append(encode_frame(frame))
+        return encoded[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Meter, "step_series", series)
-        patch.setattr(
-            Meter, "apply_supply_event", lambda self, t, kind: encode_all(apply_supply_event(self, t, kind))
-        )
-        report = run(config)
+        patch.setattr(reference, "encode_frame", encode)
+        want = run_reference(config)
+    report = run(config)
     assert len(encoded) == report.totals.sent
+    assert report.to_csv_text() == want.to_csv_text()
     return report
 
 
@@ -529,7 +523,7 @@ def test_default_campaign_shape():
 
 
 def test_run_computes_no_crc(monkeypatch):
-    """Frames travel from meter to device as records: the run encodes and
+    """Frames travel from meter to device as rows: the run encodes and
     decodes none of them."""
     calls = []
     crc16 = frames.crc16
@@ -646,26 +640,29 @@ def test_revocation_stops_processing(device_arrivals):
 
 
 def _meter_skips_seq_3(monkeypatch):
-    real = harness.Meter._emit
+    real = harness.Meter.emit_rows
 
-    def emit(self, frame_type, t, payload):
-        if self.last_seq == 2:
-            self._seq += 1  # no frame ever carries seq 3
-        return real(self, frame_type, t, payload)
+    def emit_rows(self, power, t0):
+        for rows in real(self, power, t0):
+            seq = rows[:, SEQ]
+            if seq[0] <= 3 <= seq[-1]:  # no frame ever carries seq 3
+                seq[seq >= 3] += 1
+                self._seq += 1
+            yield rows
 
-    monkeypatch.setattr(harness.Meter, "_emit", emit)
+    monkeypatch.setattr(harness.Meter, "emit_rows", emit_rows)
     return lambda sent: [f"sent {sent} != meter seq {sent + 1}"]
 
 
 def _device_misses_a_count(monkeypatch):
-    real = harness.Device.on_frame
+    real = harness.Device.ingest
 
-    def on_frame(self, frame):
-        real(self, frame)
-        if frame.seq == 3:
+    def ingest(self, rows):
+        real(self, rows)
+        if 3 in rows[:, SEQ]:
             self.stats["processed"] -= 1  # takes the frame without counting it
 
-    monkeypatch.setattr(harness.Device, "on_frame", on_frame)
+    monkeypatch.setattr(harness.Device, "ingest", ingest)
     return lambda sent: [f"processed {sent} != device {sent - 1}"]
 
 
@@ -785,28 +782,16 @@ def test_report_csv_all_rows_sum_their_frame_types():
     assert scopes == {("aggregate", ""), ("daily", "0"), ("daily", "1"), ("user", POD1), ("user", POD2)}
 
 
-def _per_tick_series(calls):
-    """A stand-in for Meter.step_series that steps every tick, as the oracle."""
-
-    def per_tick(meter, power, t0):
-        calls.append(meter.pod_id)
-        tick_s = meter.config.tick_s
-        for i, p in enumerate(np.asarray(power).tolist()):
-            yield t0 + i * tick_s, meter.step(p, t0 + i * tick_s)
-
-    return per_tick
-
-
 def _tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_open_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
-    """Breakpoint stepping gives the same output tree as stepping every tick,
-    for plain users with appliances, a CSV profile (one that trips the
-    breaker) and an energy threshold, settled as a flexibility cluster.  A
-    third run makes every user a demand-response site whose window opens
-    after the run, which must change nothing."""
+def test_open_loop_users_match_the_per_tick_loop(tmp_path):
+    """The run gives the output tree of the reference run, for plain users
+    with appliances, a CSV profile (one that trips the breaker) and an
+    energy threshold, settled as a flexibility cluster.  A third run makes
+    every user a demand-response site whose window opens after the run,
+    which must change nothing."""
     tick = 60
     duration = 2 * 86400
     profile = household_profile(np.random.default_rng(11), 3000.0, duration, tick_s=tick)
@@ -841,70 +826,23 @@ def test_open_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
     }
     config = validate_config(raw, base_dir=str(tmp_path))
     run(config, out_dir=str(tmp_path / "series"))
-
-    calls = []
-    monkeypatch.setattr(harness.Meter, "step_series", _per_tick_series(calls))
-    run(config, out_dir=str(tmp_path / "per_tick"))
-    assert sorted(calls) == pods
+    run_reference(config, out_dir=str(tmp_path / "per_tick"))
     series = _tree(tmp_path / "series")
     assert series == _tree(tmp_path / "per_tick")
     # A DR command that opens after the run makes every user a DR site, which
-    # goes through step_series like any user, without changing any power.
+    # the meter takes like any user, without changing any power.
     late = replace(config, dr_commands=(DrCommand(1000.0, duration, duration + 900),))
-    calls.clear()
     run(late, out_dir=str(tmp_path / "closed_loop"))
-    assert sorted(calls) == pods
     assert series == _tree(tmp_path / "closed_loop")
     events = series[Path("users", pods[1], "events.csv")].decode()
     assert "interruption_start" in events
 
 
-def _per_tick_loop(spec, config):
-    """A user's grid power, emergency arms and metered series as a loop over
-    every tick finds them: supply events, then the emergency arm on the first
-    tick an emergency command is open, then `dr_site_step` (with no command
-    outside a window), then peak shaving outside windows, then `Meter.step`.
-    Arms are recorded as {tick index: (limit_w, until_s)}."""
-    tick = config.tick_s
-    profile = harness._build_profile(spec, config)
-    scheduled = harness._schedule_appliances(spec, config)
-    battery = spec.battery.build() if spec.battery else None
-    loads = [SiteLoad(a.id, 0.0, a.interruptible, a.controllable) for a, _ in scheduled]
-    site = Site(spec.pod_id, loads, battery)
-    threshold = spec.energy_threshold_wh
-    meter = Meter(spec.pod_id, MeterConfig(spec.pn_w, energy_threshold_wh=threshold, tick_s=tick))
-    arms = {}
-    grid, actual = [], []
-    last_cmd = None
-    for i, p_house in enumerate(profile.tolist()):
-        t = i * tick
-        for _, kind in (e for e in spec.supply_events if e[0] == t):
-            meter.apply_supply_event(t, kind)
-        slot = t // 900
-        for load, (app, start) in zip(site.loads, scheduled):
-            k = slot - start
-            load.power_w = app.profile_w[k] if 0 <= k < len(app.profile_w) else 0.0
-        site.base_load_w = p_house
-        cmd = next((c for c in config.dr_commands if c.t_start <= t < c.t_end), None)
-        if cmd is not None and cmd.issuer is DrIssuer.EMERGENCY and cmd is not last_cmd:
-            arms[i] = (cmd.p_limit_w, cmd.t_end)
-            meter.arm_emergency_limit(cmd.p_limit_w, cmd.t_end)
-        last_cmd = cmd
-        result = dr_site_step(site, cmd, t, tick)
-        p = result.p_grid_w
-        if battery is not None and spec.peak_shave_limit_w is not None and not result.in_window:
-            p = peak_shave_step(p, spec.peak_shave_limit_w, battery, tick).p_grid_w
-        meter.step(p, t)
-        grid.append(p)
-        actual.append(p if meter.supply_on else 0.0)
-    return np.array(grid), arms, np.array(actual)
-
-
 def test_closed_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
     """Users with demand response, peak shaving and supply events: the grid
-    power built up front equals a loop over every tick, and stepping the
-    meter over pieces split at events and emergency arms gives the same
-    output tree as stepping every tick."""
+    power built up front equals a loop over every tick, and running the
+    meter over pieces split at events and emergency arms gives the output
+    tree of the reference run."""
     tick = 60
     duration = 2 * 86400
     battery = {"capacity_wh": 3000, "p_charge_max_w": 1500, "p_discharge_max_w": 1500}
@@ -991,16 +929,20 @@ def test_closed_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
         assert result.profile_w.tobytes() == profile.tobytes()
         scheduled = harness._schedule_appliances(spec, config)
         power, arms = harness._grid_power(spec, config, profile, scheduled)
-        want_power, want_arms, want_actual = _per_tick_loop(spec, config)
+        want_power, want_arms, want_actual = per_tick_loop(spec, config)
         assert power.tobytes() == want_power.tobytes()
         assert arms == want_arms == {39600 // tick: (1000.0, 41400.0)}
         assert result.actual_w.tobytes() == want_actual.tobytes()
 
     calls = []
-    monkeypatch.setattr(harness.Meter, "step_series", _per_tick_series(calls))
-    run(config, out_dir=str(tmp_path / "per_tick"))
+    emit_rows = harness.Meter.emit_rows
+    monkeypatch.setattr(
+        harness.Meter, "emit_rows", lambda self, *a: calls.append(self.pod_id) or emit_rows(self, *a)
+    )
+    run(config, out_dir=str(tmp_path / "pieces"))
+    run_reference(config, out_dir=str(tmp_path / "per_tick"))
     series = _tree(tmp_path / "series")
-    assert series == _tree(tmp_path / "per_tick")
+    assert series == _tree(tmp_path / "pieces") == _tree(tmp_path / "per_tick")
     # Pieces start at 0, at each event and at the arm (39600); the meter finds
     # the limit's expiry inside its piece.
     assert Counter(calls) == {pods[0]: 3, pods[1]: 5, pods[2]: 3, pods[3]: 2}
@@ -1051,7 +993,7 @@ def test_grid_power_arms_each_emergency_window_once(commands, shave):
     profile = harness._build_profile(spec, config)
     scheduled = harness._schedule_appliances(spec, config)
     power, arms = harness._grid_power(spec, config, profile, scheduled)
-    want_power, want_arms, _ = _per_tick_loop(spec, config)
+    want_power, want_arms, _ = per_tick_loop(spec, config)
     assert power.tobytes() == want_power.tobytes()
     assert arms == want_arms
     emergency = {(c.p_limit_w, c.t_end) for c in commands if c.issuer is DrIssuer.EMERGENCY}
@@ -1119,7 +1061,14 @@ def _scenarios(draw):
         fields["appliances"] = draw(st.just(fields["appliances"]) | _SMALL_APPLIANCES)
         extra = {
             "alarm_limit_w": draw(st.none() | st.floats(100, 20_000)),
-            "revoke_at_s": draw(st.none() | st.just(0) | st.floats(0, 1.2 * duration)),
+            # Or exactly when a T1 sent at a quarter close reaches the device
+            # over an idle 4800 bit/s link: the gate must refuse it.
+            "revoke_at_s": draw(
+                st.none()
+                | st.just(0)
+                | st.floats(0, 1.2 * duration)
+                | st.integers(1, duration // 900).map(lambda q: q * 900 + 240 / 4800 + 0.05)
+            ),
             "direction": draw(st.sampled_from(["withdrawn", "fed_in"])),
             "supply_events": draw(
                 st.lists(
@@ -1149,17 +1098,57 @@ def _scenarios(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(_scenarios())
+# A DR window that curtails every load of a user with no household load: the
+# subtractions leave a grid power of -4.5e-13 W unless dr_site_step clamps it.
+@example(
+    scenario=(
+        {"days": 1, "tick_s": 300, "seed": 0, "channel": {"loss": None}, "pairing": {}},
+        [
+            (
+                POD1,
+                {
+                    "pn_w": 1500.0,
+                    "csv_peak_w": 0.0,
+                    "appliances": [
+                        {"id": "b", "profile_w": [0.0, 3656.3094872094466]},
+                        {"id": "a", "profile_w": [440.0], "earliest_start_s": 1},
+                    ],
+                    "shave_limit_w": None,
+                    "threshold_wh": None,
+                },
+                {},
+            )
+        ],
+        (DrCommand(300.0, 0.0, 1800.5),),
+    )
+)
+# The T1 closing the first quarter reaches the device exactly at revoke_at_s,
+# over an idle default link, so the gate must refuse it.
+@example(
+    scenario=(
+        {"days": 1, "tick_s": 900, "seed": 0, "channel": {}, "pairing": {}},
+        [
+            (
+                POD1,
+                dict.fromkeys(("csv_peak_w", "shave_limit_w", "threshold_wh"), None)
+                | {"pn_w": 3000.0, "appliances": []},
+                {"revoke_at_s": 900 + 240 / 4800 + 0.05},
+            )
+        ],
+        (),
+    )
+)
 def test_run_writes_what_the_reference_writes(tmp_path_factory, scenario):
     """`harness.run` writes, byte for byte, the output tree of the slow model
     (`tests/reference.py`): every tick stepped, every frame through the wire
     codec, the scalar channel, the gate and `Device.on_frame`."""
     top, users, commands = scenario
     tmp = tmp_path_factory.mktemp("oracle")
+    run_s = {"tick_s": top["tick_s"], "duration_s": top["days"] * 86400}
     raw = {
         **top,
         "users": [
-            {**_drawn_user(pod, **fields, tmp=tmp, tick_s=top["tick_s"], duration_s=top["days"] * 86400), **extra}
-            for pod, fields, extra in users
+            {**_drawn_user(pod, **fields, tmp=tmp, **run_s), **extra} for pod, fields, extra in users
         ],
     }
     try:
@@ -1169,4 +1158,6 @@ def test_run_writes_what_the_reference_writes(tmp_path_factory, scenario):
     config = replace(config, dr_commands=commands)
     run(config, out_dir=str(tmp / "run"))
     run_reference(config, out_dir=str(tmp / "reference"))
-    assert _tree(tmp / "run") == _tree(tmp / "reference")
+    got, want = _tree(tmp / "run"), _tree(tmp / "reference")
+    assert sorted(got) == sorted(want)
+    assert [str(path) for path in want if got[path] != want[path]] == []

@@ -8,6 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chain2sim.frames import (
+    ROW_WIDTH,
+    SEQ,
+    TIMESTAMP,
+    TYPE,
     CompactFrame,
     CrossingDirection,
     EnergyDirection,
@@ -27,6 +31,7 @@ from chain2sim.meter import (
     QUARTERS_PER_DAY,
     Meter,
     MeterConfig,
+    frame_rows,
     switchoff_remaining,
 )
 
@@ -388,7 +393,7 @@ def test_config_validation(kw):
         MeterConfig(**kw)
 
 
-# -- step_series against the per-tick loop -------------------------------------------
+# -- emit_rows against the per-tick loop -------------------------------------------
 
 TICK_DIVISORS = [d for d in range(1, 61) if QUARTER_S % d == 0]
 
@@ -435,14 +440,15 @@ def series_cases(draw):
     return tick, pn, threshold, powers, warmup, t0, emergency
 
 
-def _drive_meter(case, use_series, injections=None, emitted=None):
-    """Drive a meter over the case's series; return the described frames, the
+def _drive_meter(case, use_rows, injections=None, emitted=None):
+    """Drive a meter over the case's series; return its frames as rows, the
     error raised, if any, and the final state.  `injections` maps a series
     tick index to `(kind, limit)`: before that tick, the supply event `kind`
     and then an emergency `(limit_w, ticks)` armed for that many ticks, each
     optional.  The series is split there, and each piece stepped in one
-    `step_series` call or tick by tick.  A list passed as `emitted` receives
-    every frame of the series and of the supply events."""
+    `emit_rows` call or tick by tick with `step`.  A list passed as
+    `emitted` receives every frame record `step` and the supply events
+    emit."""
     tick, pn, threshold, powers, warmup, t0, emergency = case
     injections = injections or {}
     meter = make_meter(pn_w=pn, tick_s=tick, energy_threshold_wh=threshold)
@@ -451,12 +457,12 @@ def _drive_meter(case, use_series, injections=None, emitted=None):
     start = t0 + len(warmup) * tick
     if emergency is not None:
         meter.arm_emergency_limit(emergency[0], until_s=start + emergency[1] * tick)
-    described = []
+    rows = []
     emitted = [] if emitted is None else emitted
 
     def take(frames):
         emitted.extend(frames)
-        described.extend(describe_frame(f) for f in frames)
+        rows.extend(frame_rows(frames).tolist())
 
     error = None
     cuts = sorted({0, len(powers), *injections})
@@ -468,15 +474,17 @@ def _drive_meter(case, use_series, injections=None, emitted=None):
                 take(meter.apply_supply_event(t_a, kind))
             if limit is not None:
                 meter.arm_emergency_limit(limit[0], until_s=t_a + limit[1] * tick)
-            if use_series:
-                for t, frames in meter.step_series(np.array(powers[a:b]), t_a):
-                    take(frames)
-                    assert all(f.timestamp in (t, t + tick) for f in frames)
+            if use_rows:
+                for block in meter.emit_rows(np.array(powers[a:b]), t_a):
+                    assert block.dtype == np.int64 and block.shape[1:] == (ROW_WIDTH,)
+                    rows.extend(block.tolist())
             else:
                 for i, p in enumerate(powers[a:b]):
                     take(meter.step(p, t_a + i * tick))
     except (ValueError, OverflowError) as exc:
         error = (type(exc), str(exc))
+    # The channel groups frames by send time: it needs them in time order.
+    assert [row[TIMESTAMP] for row in rows] == sorted(row[TIMESTAMP] for row in rows)
     state = (
         meter.last_seq,
         meter._quarter_acc_ws,
@@ -489,7 +497,7 @@ def _drive_meter(case, use_series, injections=None, emitted=None):
         meter._energy_alarm_sent,
         meter.emergency_limit_w,
     )
-    return described, error, state
+    return rows, error, state
 
 
 @settings(max_examples=300, deadline=None)
@@ -512,8 +520,8 @@ def _drive_meter(case, use_series, injections=None, emitted=None):
 @example((60, 3000.0, None, [3600.0] * 40, [], 0, (2500.0, 5)))
 # A finite sample whose band overflows is rejected, even with no band change.
 @example((60, 3000.0, None, [4000.0, 1e308, 0.0], [], 0, None))
-def test_step_series_matches_the_per_tick_loop(case):
-    assert _drive_meter(case, use_series=True) == _drive_meter(case, use_series=False)
+def test_emit_rows_matches_the_per_tick_loop(case):
+    assert _drive_meter(case, use_rows=True) == _drive_meter(case, use_rows=False)
 
 
 @st.composite
@@ -530,7 +538,7 @@ def split_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(split_cases())
-def test_step_series_split_at_injections_matches_the_per_tick_loop(split_case):
+def test_emit_rows_split_at_injections_matches_the_per_tick_loop(split_case):
     case, injections = split_case
     assert _drive_meter(case, True, injections) == _drive_meter(case, False, injections)
 
@@ -548,12 +556,13 @@ RECORD_FIELDS = {
 @settings(max_examples=200, deadline=None)
 @given(split_cases())
 def test_emitted_frames_are_their_own_wire_image(split_case):
-    """The run hands the meter's records to the device without encoding
-    them, so each must be exactly what decoding its wire image gives: equal
-    to it, with plain ints and enum members in the same fields."""
+    """The reference run hands `step`'s records to the device after a trip
+    through the wire, and the run turns the records of a cut into rows: each
+    must be exactly what decoding its wire image gives, equal to it, with
+    plain ints and enum members in the same fields."""
     case, injections = split_case
     emitted = []
-    _drive_meter(case, True, injections, emitted)
+    _drive_meter(case, False, injections, emitted)
     for frame in emitted:
         assert decode_frame(encode_frame(frame)) == frame
         for record in (frame, frame.payload):
@@ -564,38 +573,40 @@ def test_emitted_frames_are_their_own_wire_image(split_case):
                 )
 
 
-def test_step_series_keeps_breakpoints_after_a_cut_and_under_a_limit(monkeypatch):
-    """An open breaker or an armed limit does not make `step_series` step
-    every tick: one quiet day at 60 s is 1440 ticks."""
-    day = np.full(1440, 500.0)
-    cut = make_meter(tick_s=60)
-    drive(cut, [9000.0] * 3)  # the third tick opens the breaker
-    assert not cut.supply_on
-    limited = make_meter(tick_s=60)
-    limited.arm_emergency_limit(1000.0, until_s=600.0)  # expires at tick 10
-
+def test_emit_rows_steps_only_a_cut_and_an_expiry(monkeypatch):
+    """`emit_rows` leaves to `step` only the ticks where the breaker or the
+    limit changes: a cut, or the expiry of a limit.  An open breaker or an
+    armed limit does not make it step a quiet day at 60 s (1440 ticks)."""
     calls = []
     step = Meter.step
     monkeypatch.setattr(Meter, "step", lambda self, p, t: calls.append(t) or step(self, p, t))
-    list(cut.step_series(day, 180))
-    assert len(calls) <= 98  # the first and last ticks and 96 quarter closes
+    cut = make_meter(tick_s=60)
+    list(cut.emit_rows(np.full(3, 9000.0), 0))
+    assert calls == [120] and not cut.supply_on  # the third tick opens the breaker
     calls.clear()
-    list(limited.step_series(day, 0))
+    day = np.full(1440, 500.0)
+    list(cut.emit_rows(day, 180))
+    assert calls == []
+    limited = make_meter(tick_s=60)
+    limited.arm_emergency_limit(1000.0, until_s=600.0)  # expires at tick 10
+    list(limited.emit_rows(day, 0))
     assert limited.emergency_limit_w is None
-    assert len(calls) <= 110
+    assert calls == [600]
 
 
-def test_step_series_steps_an_overrun_only_where_a_frame_can_go_out(monkeypatch):
+def test_emit_rows_steps_no_overrun_that_ends_before_its_cut(monkeypatch):
     """Ten minutes at 1.2 Pn, ten at 0.5 Pn, all day at 60 s: each overrun
-    ends 20 minutes before its 30-minute deadline, so `step_series` steps only
-    at the edges, the quarter closes and the first and last ticks."""
+    ends 20 minutes before its 30-minute deadline, so no tick needs `step`.
+    The rows hold both edges of each of the 72 overruns, and 96 quarters."""
     meter = make_meter(tick_s=60)
     day = np.tile(np.repeat([3600.0, 1500.0], 10), 72)
 
     calls = []
     step = Meter.step
     monkeypatch.setattr(Meter, "step", lambda self, p, t: calls.append(t // 60) or step(self, p, t))
-    list(meter.step_series(day, 0))
+    rows = np.concatenate(list(meter.emit_rows(day, 0)))
     assert meter.supply_on
-    edges, closes = range(10, 1440, 10), range(14, 1440, 15)
-    assert calls == sorted({0, *edges, *closes, 1439})
+    assert calls == []
+    types = rows[:, TYPE].tolist()
+    assert (types.count(FrameType.T3), types.count(FrameType.T1)) == (2 * 72, 96)
+    assert rows[:, SEQ].tolist() == list(range(1, len(rows) + 1))
