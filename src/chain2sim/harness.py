@@ -688,8 +688,8 @@ def default_campaign(
 class LinkOutcome(str, Enum):
     """A frame's final disposition on its link.  The link is in order and
     exactly once, so a frame delivered inside the pairing window is always
-    processed.  A `str` mix-in, so that a member hashes in C: every ledger
-    increment keys on one.  Outputs use `.value`, never the member's own
+    processed.  A `str` mix-in, so that a member hashes in C: the ledgers
+    and their fold key on one.  Outputs use `.value`, never the member's own
     format, which differs across Python versions."""
 
     PROCESSED = "processed"  # taken by the device
@@ -960,6 +960,7 @@ def _run_user(
     active_at, revoked_at = window
     processed = (active_at <= t_arrive) & (t_arrive < revoked_at)  # NaN, a lost frame, fails
     device.ingest(rows[processed])
+    # Each frame's index in LinkOutcome: processed, lost or gated.
     ledger = _ledger(rows, np.where(processed, 0, np.where(np.isnan(t_arrive), 1, 2)))
 
     _reconcile(spec.pod_id, ledger, meter, device)

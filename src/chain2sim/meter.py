@@ -411,7 +411,7 @@ class Meter:
             or (limit is not None and t0 >= self._em_until)
             or (armed is not None and t0 >= armed and self.supply_on)
         ):
-            return 0, _NO_ROWS
+            return 0, frame_rows([])
         with np.errstate(over="ignore", invalid="ignore"):
             # step rejects a negative sample and, with the breaker closed, one
             # whose band is no int: NaN, inf, or one whose 10 * p overflows.
@@ -439,7 +439,7 @@ class Meter:
             if limit is not None:
                 stop = bisect_left(range(t0, t0 + stop * tick, tick), self._em_until)
             if stop == 0:
-                return 0, _NO_ROWS
+                return 0, frame_rows([])
             x = x[:stop]
 
             # T2: one row per band passed, in crossing order.
@@ -515,10 +515,6 @@ class Meter:
         self._total_acc_ws = float(total[last])
         self._energy_alarm_sent |= bool(alarm.size)
         return stop, rows
-
-
-_NO_ROWS = np.zeros((0, ROW_WIDTH), dtype=np.int64)
-_NO_ROWS.flags.writeable = False
 
 
 def frame_rows(frames: list[CompactFrame]) -> np.ndarray:

@@ -35,7 +35,7 @@ from chain2sim.meter import Meter, MeterConfig
 from chain2sim.seeds import derive
 
 
-def per_tick_loop(spec, config, meter=None, send=None):
+def per_tick_loop(spec, config, send=None):
     """A user's grid power, emergency arms and metered series as a loop over
     every tick finds them: supply events, then the emergency arm on the first
     tick an emergency command is open, then `dr_site_step` (with no command
@@ -49,8 +49,8 @@ def per_tick_loop(spec, config, meter=None, send=None):
     battery = spec.battery.build() if spec.battery else None
     loads = [SiteLoad(a.id, 0.0, a.interruptible, a.controllable) for a, _ in scheduled]
     site = Site(spec.pod_id, loads, battery)
-    if meter is None:
-        meter = Meter(spec.pod_id, MeterConfig(spec.pn_w, spec.energy_threshold_wh, tick))
+    threshold = spec.energy_threshold_wh
+    meter = Meter(spec.pod_id, MeterConfig(spec.pn_w, threshold, tick, spec.direction))
     send = send or (lambda frame: None)
     arms = {}
     grid, actual = [], []
@@ -83,10 +83,6 @@ def per_tick_loop(spec, config, meter=None, send=None):
 
 def _reference_user(spec, config, window, keep_actual, user_dir):
     """`harness._run_user`, one tick and one frame at a time."""
-    meter = Meter(
-        spec.pod_id,
-        MeterConfig(spec.pn_w, spec.energy_threshold_wh, config.tick_s, spec.direction),
-    )
     link = Channel(config.channel, derive(config.seed, "channel", spec.pod_id))
     device = Device(DeviceConfig(spec.pn_w, spec.alarm_limit_w, tariff=spec.tariff))
     active_at, revoked_at = window
@@ -96,8 +92,8 @@ def _reference_user(spec, config, window, keep_actual, user_dir):
         received = decode_frame(encode_frame(frame))
         assert received == frame, f"{frame} does not survive its wire image"
         ts = received.timestamp
-        # A T1 counts on the day of the quarter it closes.
-        day = (ts - 1) // harness.DAY_S if received.frame_type is FrameType.T1 else ts // harness.DAY_S
+        # A T1 counts on the day of the quarter it closes, which ends at ts.
+        day = (ts - 1 if received.frame_type is FrameType.T1 else ts) // harness.DAY_S
         t_arrive = link.transmit(received.frame_type, ts)
         if t_arrive is None:
             outcome = harness.LinkOutcome.LOST
@@ -108,7 +104,7 @@ def _reference_user(spec, config, window, keep_actual, user_dir):
             outcome = harness.LinkOutcome.PROCESSED
         ledger[received.frame_type, day, outcome] += 1
 
-    _, _, actual = per_tick_loop(spec, config, meter, send)
+    _, _, actual = per_tick_loop(spec, config, send)
     if user_dir is not None:
         harness._write_user_files(user_dir, device, config.duration_s)
     baseline = harness._build_profile(spec, config) if keep_actual else None
