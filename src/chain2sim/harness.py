@@ -107,6 +107,10 @@ DAY_S = 86400
 
 FRAME_TYPE_NAMES = tuple(t.name for t in FrameType)  # in report order
 
+# One encoder for every notification line; `json.dumps` builds a new one per
+# call.
+_JSON = json.JSONEncoder(sort_keys=True)
+
 _T1 = FrameType.T1
 
 
@@ -992,10 +996,7 @@ def _write_user_files(user_dir: str, device: Device, duration_s: int) -> None:
     if device.notifications:
         with open(os.path.join(user_dir, "notifications.jsonl"), "w", newline="") as fh:
             for n in device.notifications:
-                fh.write(
-                    json.dumps({"t": n.t, "kind": n.kind, "message": n.message}, sort_keys=True)
-                    + "\n"
-                )
+                fh.write(_JSON.encode({"t": n.t, "kind": n.kind, "message": n.message}) + "\n")
 
 
 # -- Campaign runner --------------------------------------------------------------

@@ -137,8 +137,8 @@ class MeterConfig:
     direction: EnergyDirection = EnergyDirection.WITHDRAWN
 
     def __post_init__(self) -> None:
-        if self.pn_w <= 0:
-            raise ValueError(f"pn_w must be positive, got {self.pn_w}")
+        if not (math.isfinite(self.pn_w) and self.pn_w > 0):
+            raise ValueError(f"pn_w must be positive and finite, got {self.pn_w}")
         if self.energy_threshold_wh is not None and self.energy_threshold_wh <= 0:
             raise ValueError(
                 f"energy_threshold_wh must be positive, got {self.energy_threshold_wh}"

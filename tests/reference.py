@@ -32,7 +32,53 @@ from chain2sim.channel import Channel
 from chain2sim.device import Device, DeviceConfig
 from chain2sim.frames import FrameType, decode_frame, encode_frame
 from chain2sim.meter import Meter, MeterConfig
+from chain2sim.profiles import (
+    _SOFT_CAP,
+    OVERRUN_GAP_S,
+    OVERRUN_MAX_S,
+    OVERRUN_WINDOW_S,
+    PRESETS,
+)
 from chain2sim.seeds import derive
+
+
+def scalar_profile(rng, pn_w, duration_s, tick_s=1, preset="B"):
+    """`household_profile` as numpy's scalar draws make it, one `integers`,
+    `uniform` or `random` call at a time (arguments already valid)."""
+    ps = PRESETS[preset]
+    n = duration_s // tick_s
+    power = np.empty(n, dtype=np.float64)
+
+    # Base load, redrawn segment by segment.
+    i = 0
+    while i < n:
+        seg = max(1, int(rng.integers(ps.segment_lo_s, ps.segment_hi_s + 1)) // tick_s)
+        power[i : i + seg] = pn_w * rng.uniform(ps.base_lo, ps.base_hi)
+        i += seg
+
+    # Appliance pulses, added then capped.
+    expected = ps.pulses_per_hour * duration_s / 3600.0
+    for _ in range(int(rng.poisson(expected))):
+        dur = max(1, int(rng.integers(ps.pulse_lo_s, ps.pulse_hi_s + 1)) // tick_s)
+        start = int(rng.integers(0, n))
+        power[start : start + dur] += pn_w * rng.uniform(ps.pulse_lo, ps.pulse_hi)
+    np.minimum(power, _SOFT_CAP * pn_w, out=power)
+
+    # Overrun episodes: at most one per window, placed so that consecutive
+    # episodes keep at least OVERRUN_GAP_S of sub-reference load between them.
+    window_ticks = OVERRUN_WINDOW_S // tick_s
+    margin_ticks = -((OVERRUN_MAX_S + OVERRUN_GAP_S) // -tick_s)
+    dur_lo = max(1, 60 // tick_s)
+    dur_hi = max(1, OVERRUN_MAX_S // tick_s)
+    for ws in range(0, n - window_ticks + 1, window_ticks):
+        if rng.random() >= ps.overrun_prob:
+            continue
+        start = ws + int(rng.integers(0, window_ticks - margin_ticks + 1))
+        dur = int(rng.integers(dur_lo, dur_hi + 1))
+        power[start : start + dur] = pn_w * rng.uniform(
+            ps.overrun_peak_lo, ps.overrun_peak_hi
+        )
+    return power
 
 
 def per_tick_loop(spec, config, send=None):

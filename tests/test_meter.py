@@ -382,6 +382,8 @@ def test_first_step_must_be_tick_aligned():
     "kw",
     [
         {"pn_w": 0.0},
+        {"pn_w": float("nan")},
+        {"pn_w": float("inf")},
         {"pn_w": 3000.0, "tick_s": 7},
         {"pn_w": 3000.0, "energy_threshold_wh": 0.0},
         {"pn_w": 3000.0, "tick_s": 0},

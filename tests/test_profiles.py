@@ -1,8 +1,12 @@
-"""Synthetic household profiles: texture invariants and CSV round-trip."""
+"""Synthetic household profiles: texture invariants, the raw-word replay of
+numpy's scalar draws and CSV round-trip."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from chain2sim import profiles
 from chain2sim.frames import FrameType
 from chain2sim.meter import Meter, MeterConfig
 from chain2sim.profiles import (
@@ -11,6 +15,7 @@ from chain2sim.profiles import (
     profile_from_csv,
     profile_to_csv,
 )
+from reference import scalar_profile
 
 
 def test_profile_shape_and_positivity():
@@ -60,12 +65,91 @@ def test_profiles_never_trip_the_breaker(preset):
 
 def test_profile_validation():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="pn_w"):
-        household_profile(rng, 0.0, 3600)
+    for pn_w in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="pn_w"):
+            household_profile(rng, pn_w, 3600)
     with pytest.raises(ValueError, match="multiple"):
         household_profile(rng, 3000.0, 100, tick_s=60)
     with pytest.raises(ValueError, match="preset"):
         household_profile(rng, 3000.0, 3600, preset="Z")
+
+
+def _next_draws(rng):
+    """The draws after a profile: a 32-bit integer, which reads a buffered
+    half-word if one is left, then a double."""
+    return int(rng.integers(0, 2**32)), rng.random()
+
+
+def _assert_replays_the_reference(make_rng, pn_w, duration_s, tick_s, preset):
+    rng, ref = make_rng(), make_rng()
+    power = household_profile(rng, pn_w, duration_s, tick_s, preset)
+    want = scalar_profile(ref, pn_w, duration_s, tick_s, preset)
+    assert power.tobytes() == want.tobytes()
+    assert _next_draws(rng) == _next_draws(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    preset=st.sampled_from(sorted(PRESETS)),
+    tick_s=st.integers(1, 900),
+    ticks=st.integers(1, 12000),
+    pn_w=st.floats(100.0, 20000.0),
+)
+@example(seed=0, preset="B", tick_s=900, ticks=1, pn_w=3000.0)  # start draws nothing
+@example(seed=1, preset="E", tick_s=60, ticks=10080, pn_w=4500.0)  # a campaign week
+def test_household_profile_replays_the_scalar_draws(seed, preset, tick_s, ticks, pn_w):
+    """The profile and the generator's state after it are what numpy's
+    scalar draws give (tests/reference.py)."""
+    _assert_replays_the_reference(
+        lambda: np.random.default_rng(seed), pn_w, tick_s * ticks, tick_s, preset
+    )
+
+
+def test_replay_starts_from_a_buffered_half_word():
+    def make_rng():
+        rng = np.random.default_rng(21)
+        rng.integers(0, 10)  # leaves the high half of its word buffered
+        return rng
+
+    for tick_s in (1, 60, 900):
+        _assert_replays_the_reference(make_rng, 3000.0, 86400, tick_s, "C")
+
+
+@pytest.fixture
+def replayed_blocks(monkeypatch):
+    """The spans of each block of rounds that fell back to drawing one by
+    one, after a bounded draw hit Lemire's rejection."""
+    spans = []
+    replay = profiles._Stream._replay
+
+    def spy(self, count, block_spans):
+        spans.append(block_spans)
+        return replay(self, count, block_spans)
+
+    monkeypatch.setattr(profiles._Stream, "_replay", spy)
+    return spans
+
+
+# Found by scanning PCG64(0)'s raw words for a half-word that the segment
+# draw (preset B, span 2700) or the pulse start (86400 ticks, span 86399)
+# rejects, then placing the generator so the block reads it.
+@pytest.mark.parametrize(
+    "advance, tick_s, block",
+    [(3671689, 60, (2700,)), (81935, 1, (780, 86399))],
+    ids=["segments", "pulses"],
+)
+def test_replay_falls_back_on_a_rejection(replayed_blocks, advance, tick_s, block):
+    def make_rng():
+        return np.random.Generator(np.random.PCG64(0).advance(advance))
+
+    _assert_replays_the_reference(make_rng, 3000.0, 86400, tick_s, "B")
+    assert replayed_blocks == [block]
+
+
+def test_only_pcg64_generators_are_replayed():
+    with pytest.raises(TypeError, match="PCG64"):
+        household_profile(np.random.Generator(np.random.MT19937(0)), 3000.0, 3600)
 
 
 def test_csv_round_trip(tmp_path):
