@@ -124,8 +124,8 @@ def peak_shave_step(
 class Appliance:
     """A shiftable appliance run.
 
-    `profile_w` is the power drawn in each slot once started; the run is
-    contiguous and non-preemptive.  `earliest_start_s` and `deadline_s`
+    `profile_w` is the power drawn in each `SLOT_S` slot once started; the
+    run is contiguous and non-preemptive.  `earliest_start_s` and `deadline_s`
     bound the run in scenario seconds: it may not start before the former
     and must have finished by the latter.
     """
@@ -162,13 +162,16 @@ class ScheduleResult:
 # Most start combinations `load_shift_schedule` searches exhaustively.
 EXHAUSTIVE_CAP = 2_000_000
 
+# The scheduler's slot: the quarter hour, over which the meter reports energy.
+SLOT_S = 900
 
-def feasible_starts(app: Appliance, n_slots: int, slot_s: int) -> list[int]:
+
+def feasible_starts(app: Appliance, n_slots: int) -> list[int]:
     """The start slots at which `app`'s run fits inside both its own window
     and the `n_slots` of the horizon; ValueError when there is none."""
     dur = len(app.profile_w)
-    first = -(-app.earliest_start_s // slot_s)  # ceil division
-    last = min(app.deadline_s // slot_s, n_slots) - dur
+    first = -(-app.earliest_start_s // SLOT_S)  # ceil division
+    last = min(app.deadline_s // SLOT_S, n_slots) - dur
     if first > last:
         raise ValueError(
             f"{app.id}: no feasible start in [{app.earliest_start_s}, "
@@ -177,10 +180,8 @@ def feasible_starts(app: Appliance, n_slots: int, slot_s: int) -> list[int]:
     return list(range(first, last + 1))
 
 
-def _start_cost(
-    app: Appliance, start: int, prices: Sequence[float], slot_s: int
-) -> float:
-    kwh_per_slot = slot_s / 3600.0 / 1000.0
+def _start_cost(app: Appliance, start: int, prices: Sequence[float]) -> float:
+    kwh_per_slot = SLOT_S / 3600.0 / 1000.0
     return sum(
         p * kwh_per_slot * prices[start + k] for k, p in enumerate(app.profile_w)
     )
@@ -190,10 +191,9 @@ def load_shift_schedule(
     appliances: Sequence[Appliance],
     prices_eur_per_kwh: Sequence[float],
     grid_limit_w: float | None = None,
-    *,
-    slot_s: int = 900,
 ) -> ScheduleResult:
-    """Choose one start slot per appliance minimizing total energy cost.
+    """Choose one start slot per appliance, of `SLOT_S` each, minimizing
+    total energy cost.
 
     Exhaustive search (branch and bound) when the combination count fits
     under `EXHAUSTIVE_CAP`, which covers any desk-scale instance; larger
@@ -220,17 +220,15 @@ def load_shift_schedule(
     starts_per_app: list[list[int]] = []
     costs_per_app: list[dict[int, float]] = []
     for app in apps:
-        starts = feasible_starts(app, n_slots, slot_s)
+        starts = feasible_starts(app, n_slots)
         starts_per_app.append(starts)
-        costs_per_app.append({s: _start_cost(app, s, prices_eur_per_kwh, slot_s) for s in starts})
+        costs_per_app.append({s: _start_cost(app, s, prices_eur_per_kwh) for s in starts})
 
     combos = 1
     for starts in starts_per_app:
         combos *= len(starts)
     if combos > EXHAUSTIVE_CAP:
-        return _greedy_schedule(
-            apps, starts_per_app, costs_per_app, grid_limit_w, n_slots, slot_s
-        )
+        return _greedy_schedule(apps, starts_per_app, costs_per_app, grid_limit_w, n_slots)
 
     # Lower bound for pruning: cheapest remaining placement per appliance.
     min_rest = [0.0] * (len(apps) + 1)
@@ -278,9 +276,7 @@ def load_shift_schedule(
             optimal=True,
             method="exhaustive",
         )
-    return _least_excess_schedule(
-        apps, starts_per_app, costs_per_app, grid_limit_w, n_slots, slot_s
-    )
+    return _least_excess_schedule(apps, starts_per_app, costs_per_app, grid_limit_w, n_slots)
 
 
 def _placement_excess(
@@ -288,18 +284,17 @@ def _placement_excess(
     starts: Sequence[int],
     limit_w: float,
     n_slots: int,
-    slot_s: int,
 ) -> tuple[float, list[int]]:
     load = [0.0] * n_slots
     for app, s in zip(apps, starts):
         for k, p in enumerate(app.profile_w):
             load[s + k] += p
-    excess_wh = sum(max(0.0, l - limit_w) for l in load) * slot_s / 3600.0
+    excess_wh = sum(max(0.0, l - limit_w) for l in load) * SLOT_S / 3600.0
     slots = [i for i, l in enumerate(load) if l > limit_w]
     return excess_wh, slots
 
 
-def _least_excess_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots, slot_s):
+def _least_excess_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots):
     # No combination satisfies the limit: report the least-bad one so the
     # caller can see exactly where and by how much it fails.
     best: tuple[float, float, tuple[int, ...]] | None = None
@@ -308,7 +303,7 @@ def _least_excess_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots
     def walk(i: int, picked: list[int]) -> None:
         nonlocal best, best_slots
         if i == len(apps):
-            excess, slots = _placement_excess(apps, picked, limit_w, n_slots, slot_s)
+            excess, slots = _placement_excess(apps, picked, limit_w, n_slots)
             cost = sum(costs_per_app[j][s] for j, s in enumerate(picked))
             key = (excess, cost, tuple(picked))
             if best is None or key < best:
@@ -333,7 +328,7 @@ def _least_excess_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots
     )
 
 
-def _greedy_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots, slot_s):
+def _greedy_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots):
     load = [0.0] * n_slots
     placed: dict[str, int] = {}
     total = 0.0

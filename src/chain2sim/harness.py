@@ -33,15 +33,17 @@ The scalar path (`Meter.step`, `encode_frame` and `decode_frame`,
 `Channel.transmit`, `Device.on_frame`) is the reference the tests hold this
 run to, frame by frame.
 
-Statistics follow one frame end to end, on one ledger per link: a Counter
-keyed (frame type, day, disposition) that counts every frame the meter
-sends exactly once, under its final disposition.  The day is that of the
-observation the frame reports.  The disposition is `LinkOutcome.LOST` when
-the channel drops the frame, `LinkOutcome.GATED` when it arrives outside
-the pairing window, and otherwise `LinkOutcome.PROCESSED`: the link is in
-order and sends each frame once, so `Device.ingest` takes every frame the
-gate passes, with no dedup window (one comes back with any channel that
-retransmits or reorders).  A frame counts as received when it is processed.
+Statistics follow one frame end to end, on one ledger per link: an int
+array of frames per (day, frame type, disposition), which counts every
+frame the meter sends exactly once, under its final disposition.  Every
+link of a run has the same shape, a row for each day the run starts.  The
+day is that of the observation the frame reports.  The disposition, the
+index on the last axis, is `LinkOutcome.LOST` when the channel drops the
+frame, `LinkOutcome.GATED` when it arrives outside the pairing window, and
+otherwise `LinkOutcome.PROCESSED`: the link is in order and sends each
+frame once, so `Device.ingest` takes every frame the gate passes, with no
+dedup window (one comes back with any channel that retransmits or
+reorders).  A frame counts as received when it is processed.
 At the end of a run each link's books must balance:
 
     frames on the ledger = the meter's final sequence number
@@ -68,7 +70,7 @@ import sys
 from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import MISSING, dataclass, field, fields, replace
-from enum import Enum
+from enum import IntEnum
 from typing import Any, Sequence
 
 import numpy as np
@@ -402,7 +404,7 @@ def _parse_user(
         if any(other.id == appliance.id for other in appliances):
             read.fail(f"{a_path}.id", f"duplicate appliance id {appliance.id!r}")
         # The scheduler's own rule, over the quarter-hour slots of the run.
-        elif read.build(a_path, feasible_starts, appliance, duration_s // QUARTER_S, QUARTER_S):
+        elif read.build(a_path, feasible_starts, appliance, duration_s // QUARTER_S):
             appliances.append(appliance)
     events: list[tuple[int, SupplyEventKind]] = []
     for j, pair in enumerate(read.items(user, path, "supply_events", ()) or ()):
@@ -689,63 +691,55 @@ def default_campaign(
 # -- Statistics -----------------------------------------------------------------
 
 
-class LinkOutcome(str, Enum):
-    """A frame's final disposition on its link.  The link is in order and
-    exactly once, so a frame delivered inside the pairing window is always
-    processed.  A `str` mix-in, so that a member hashes in C: the ledgers
-    and their fold key on one.  Outputs use `.value`, never the member's own
-    format, which differs across Python versions."""
+class LinkOutcome(IntEnum):
+    """A frame's final disposition on its link, and its index on the last
+    axis of a ledger.  The link is in order and exactly once, so a frame
+    delivered inside the pairing window is always processed."""
 
-    PROCESSED = "processed"  # taken by the device
-    LOST = "lost"  # dropped by the channel
-    GATED = "gated"  # delivered outside the pairing window
-
-
-_OUTCOMES = tuple(LinkOutcome)
-_PROCESSED, _LOST, _GATED = _OUTCOMES
+    PROCESSED = 0  # taken by the device
+    LOST = 1  # dropped by the channel
+    GATED = 2  # delivered outside the pairing window
 
 
 class ReconciliationError(RuntimeError):
     """A link's books do not balance: a bug in the pipeline, not a statistic.
-    Carries the pod and its ledger, (frame type, day, disposition) -> frames."""
+    Carries the pod and its ledger, frames per (day, frame type, disposition)."""
 
-    def __init__(self, pod_id: str, ledger: Counter, problems: list[str]) -> None:
+    def __init__(self, pod_id: str, ledger: np.ndarray, problems: list[str]) -> None:
         super().__init__(f"{pod_id}: " + "; ".join(problems))
         self.pod_id = pod_id
         self.ledger = ledger
 
 
-def _reconcile(pod_id: str, ledger: Counter, meter: Meter, device: Device) -> None:
+def _reconcile(pod_id: str, ledger: np.ndarray, meter: Meter, device: Device) -> None:
     """Check one link's books (see the module docstring)."""
-    counts: Counter = Counter()  # disposition -> frames
-    for (_, _, disposition), n in ledger.items():
-        counts[disposition] += n
     problems = []
-    sent = sum(counts.values())
+    sent = int(ledger.sum())
     if sent != meter.last_seq:
         problems.append(f"sent {sent} != meter seq {meter.last_seq}")
+    processed = int(ledger[..., LinkOutcome.PROCESSED].sum())
     on_device = device.stats["processed"]
-    if counts[_PROCESSED] != on_device:
-        problems.append(f"processed {counts[_PROCESSED]} != device {on_device}")
+    if processed != on_device:
+        problems.append(f"processed {processed} != device {on_device}")
     if problems:
         raise ReconciliationError(pod_id, ledger, problems)
 
 
-def _ledger(rows: np.ndarray, outcome: np.ndarray) -> Counter:
-    """A link's ledger from its frame rows and the index of each one's
-    disposition in `LinkOutcome`.  A T1 counts on the day of the quarter it
-    closes, which ends at its timestamp; any other frame on the day of its
-    timestamp."""
+def _ledger_shape(duration_s: int) -> tuple[int, int, int]:
+    """(days, frame types, dispositions): a row for each day the run starts."""
+    return -(-duration_s // DAY_S), len(FrameType), len(LinkOutcome)
+
+
+def _ledger(rows: np.ndarray, outcome: np.ndarray, duration_s: int) -> np.ndarray:
+    """A link's ledger, frames per (day, frame type, disposition), from its
+    frame rows and each one's `LinkOutcome`.  A T1 counts on the day of the
+    quarter it closes, which ends at its timestamp; any other frame on the
+    day of its timestamp."""
+    shape = _ledger_shape(duration_s)
     types = rows[:, frames.TYPE]
     day = (rows[:, frames.TIMESTAMP] - (types == _T1)) // DAY_S
-    counts = np.bincount((day * 8 + types) * 4 + outcome)
-    keys = np.flatnonzero(counts)
-    return Counter(
-        {
-            (FrameType(key // 4 % 8), key // 32, _OUTCOMES[key % 4]): count
-            for key, count in zip(keys.tolist(), counts[keys].tolist())
-        }
-    )
+    key = (day * shape[1] + types - 1) * shape[2] + outcome
+    return np.bincount(key, minlength=math.prod(shape)).reshape(shape)
 
 
 @dataclass
@@ -760,12 +754,21 @@ class TypeStats:
         return self.received / self.sent
 
 
+def _stats(counts: np.ndarray) -> dict[str, TypeStats]:
+    """The map of a block of frames per (frame type, disposition): each frame
+    type that sent any, by name, and "all"."""
+    sent, received = counts.sum(1).tolist(), counts[:, LinkOutcome.PROCESSED].tolist()
+    stats = {name: TypeStats(s, r) for name, s, r in zip(FRAME_TYPE_NAMES, sent, received) if s}
+    stats["all"] = TypeStats(sum(sent), sum(received))
+    return stats
+
+
 @dataclass
 class UserResult:
     """What the report and the settlement need of one finished user."""
 
     pod_id: str
-    ledger: Counter  # (frame type, day, disposition) -> frames
+    ledger: np.ndarray  # frames per (day, frame type, disposition)
     profile_w: np.ndarray | None  # settlement baseline, MEVU members only
     actual_w: np.ndarray | None  # metered grid series, MEVU members only
 
@@ -846,7 +849,7 @@ def _schedule_appliances(spec: UserSpec, config: ScenarioConfig) -> list[tuple[A
         return []
     n_slots = config.duration_s // QUARTER_S
     prices = [0.0] * n_slots if spec.tariff is None else spec.tariff.slot_prices(n_slots)
-    result = load_shift_schedule(spec.appliances, prices, slot_s=QUARTER_S)
+    result = load_shift_schedule(spec.appliances, prices)
     return [(app, result.starts[app.id]) for app in spec.appliances]
 
 
@@ -964,8 +967,8 @@ def _run_user(
     active_at, revoked_at = window
     processed = (active_at <= t_arrive) & (t_arrive < revoked_at)  # NaN, a lost frame, fails
     device.ingest(rows[processed])
-    # Each frame's index in LinkOutcome: processed, lost or gated.
-    ledger = _ledger(rows, np.where(processed, 0, np.where(np.isnan(t_arrive), 1, 2)))
+    unprocessed = np.where(np.isnan(t_arrive), LinkOutcome.LOST, LinkOutcome.GATED)
+    ledger = _ledger(rows, np.where(processed, LinkOutcome.PROCESSED, unprocessed), config.duration_s)
 
     _reconcile(spec.pod_id, ledger, meter, device)
     if user_dir is not None:
@@ -1042,21 +1045,9 @@ def run(
         for spec in sorted(config.users, key=lambda s: s.pod_id)
     ]
 
-    # The one place frames are summed: per scope, by frame type and as "all".
-    per_type: dict[str, TypeStats] = {"all": TypeStats()}
-    per_day: dict[int, dict[str, TypeStats]] = {}
-    per_user: dict[str, dict[str, TypeStats]] = {}
-    by_disposition: Counter = Counter()
-    for result in results:
-        user_map = per_user.setdefault(result.pod_id, {"all": TypeStats()})
-        for (frame_type, day, disposition), count in result.ledger.items():
-            received = count if disposition is _PROCESSED else 0
-            for stats_map in (per_type, per_day.setdefault(day, {}), user_map):
-                for key in (frame_type.name, "all"):
-                    stats = stats_map.setdefault(key, TypeStats())
-                    stats.sent += count
-                    stats.received += received
-            by_disposition[disposition] += count
+    # The one place frames are summed: the run's ledger, whose blocks give
+    # each scope's map; a day without frames has none.
+    total = sum((r.ledger for r in results), np.zeros(_ledger_shape(config.duration_s), int))
 
     loss = config.channel.loss
     loss_text = "lossless"
@@ -1069,11 +1060,11 @@ def run(
             f"Scenario: {len(config.users)} users, {config.duration_s} s at "
             f"tick {config.tick_s} s, seed {config.seed}, {loss_text}"
         ),
-        per_type=per_type,
-        per_day=per_day,
-        per_user=per_user,
-        lost_total=by_disposition[_LOST],
-        gated_total=by_disposition[_GATED],
+        per_type=_stats(total.sum(0)),
+        per_day={day: _stats(total[day]) for day in np.flatnonzero(total.sum((1, 2))).tolist()},
+        per_user={r.pod_id: _stats(r.ledger.sum(0)) for r in results},
+        lost_total=int(total[..., LinkOutcome.LOST].sum()),
+        gated_total=int(total[..., LinkOutcome.GATED].sum()),
     )
 
     if out_dir is not None:

@@ -216,6 +216,10 @@ def household_profile(
         raise ValueError(
             f"duration_s={duration_s} must be a positive multiple of tick_s={tick_s}"
         )
+    if tick_s > OVERRUN_WINDOW_S:
+        raise ValueError(
+            f"tick_s={tick_s} must not exceed the {OVERRUN_WINDOW_S} s overrun window"
+        )
     try:
         ps = PRESETS[preset]
     except KeyError:

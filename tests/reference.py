@@ -22,7 +22,6 @@ writes, byte for byte.
 from __future__ import annotations
 
 import contextlib
-from collections import Counter
 
 import numpy as np
 
@@ -132,7 +131,8 @@ def _reference_user(spec, config, window, keep_actual, user_dir):
     link = Channel(config.channel, derive(config.seed, "channel", spec.pod_id))
     device = Device(DeviceConfig(spec.pn_w, spec.alarm_limit_w, tariff=spec.tariff))
     active_at, revoked_at = window
-    ledger: Counter = Counter()
+    days = -(-config.duration_s // harness.DAY_S)
+    ledger = np.zeros((days, len(FrameType), len(harness.LinkOutcome)), dtype=np.int64)
 
     def send(frame):
         received = decode_frame(encode_frame(frame))
@@ -148,7 +148,7 @@ def _reference_user(spec, config, window, keep_actual, user_dir):
         else:
             device.on_frame(received)
             outcome = harness.LinkOutcome.PROCESSED
-        ledger[received.frame_type, day, outcome] += 1
+        ledger[day, received.frame_type - 1, outcome] += 1
 
     _, _, actual = per_tick_loop(spec, config, send)
     if user_dir is not None:

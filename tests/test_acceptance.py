@@ -235,7 +235,7 @@ def test_criterion_09_load_shifting_optimality():
         prices = [rng.choice([0.08, 0.15, 0.22, 0.35]) for _ in range(n_slots)]
         limit = rng.choice([None, 3500.0])
 
-        result = load_shift_schedule(apps, prices, limit, slot_s=slot_s)
+        result = load_shift_schedule(apps, prices, limit)
 
         # Independent exhaustive enumeration over the same start sets.
         apps_sorted = sorted(apps, key=lambda a: a.id)

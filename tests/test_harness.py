@@ -26,6 +26,7 @@ from chain2sim.harness import (
     LinkOutcome,
     MevuSpec,
     ScenarioConfig,
+    TypeStats,
     UserSpec,
     default_campaign,
     load_config,
@@ -678,8 +679,25 @@ def test_unbalanced_books_raise_with_the_ledger(monkeypatch, break_book):
         run(config)
     ledger = caught.value.ledger
     assert caught.value.pod_id == POD1
-    assert {d for _, _, d in ledger} == {LinkOutcome.PROCESSED}
-    assert str(caught.value) == f"{POD1}: " + "; ".join(problems(sum(ledger.values())))
+    assert ledger.sum() == ledger[..., LinkOutcome.PROCESSED].sum() > 0
+    assert str(caught.value) == f"{POD1}: " + "; ".join(problems(int(ledger.sum())))
+
+
+def test_a_link_that_sends_nothing_reports_no_day(tmp_path):
+    """A user who draws no power for 600 s crosses no band and closes no
+    quarter, so the meter sends nothing: the books balance on an empty
+    ledger, and the report holds zero totals and no day."""
+    profile_to_csv(tmp_path / "zero.csv", np.zeros(10), 60)
+    user = {"pod_id": POD1, "pn_w": 3000, "profile_csv": "zero.csv"}
+    raw = {"duration_s": 600, "tick_s": 60, "users": [user]}
+    config = validate_config(raw, base_dir=str(tmp_path))
+    report = run(config, out_dir=str(tmp_path / "out"))
+    assert (report.totals.sent, report.totals.received) == (0, 0)
+    assert report.per_day == {}
+    assert report.per_user == {POD1: {"all": TypeStats(0, 0)}}
+    csv_text = (tmp_path / "out" / "report.csv").read_text()
+    assert csv_text == "scope,key,frame_type,sent,received,success_rate\n"
+    assert "Frames lost on the channel: 0; withheld by pairing gate: 0" in report.to_table_text()
 
 
 def test_outputs_written(tmp_path):

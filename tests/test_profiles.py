@@ -70,6 +70,9 @@ def test_profile_validation():
             household_profile(rng, pn_w, 3600)
     with pytest.raises(ValueError, match="multiple"):
         household_profile(rng, 3000.0, 100, tick_s=60)
+    with pytest.raises(ValueError, match="tick_s=3600 must not exceed the 1800 s overrun window"):
+        household_profile(rng, 3000.0, 7200, tick_s=3600)
+    household_profile(rng, 3000.0, 7200, tick_s=1800)  # one tick per window
     with pytest.raises(ValueError, match="preset"):
         household_profile(rng, 3000.0, 3600, preset="Z")
 
