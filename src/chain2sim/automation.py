@@ -107,7 +107,7 @@ def peak_shave_step(
     battery cannot cover the excess, the result reports `deficit_w > 0` and
     the grid power simply exceeds the limit.
     """
-    if limit_w <= 0:
+    if not limit_w > 0:  # NaN too
         raise ValueError(f"limit_w must be positive, got {limit_w}")
     if p_load_w > limit_w:
         given = battery.discharge(p_load_w - limit_w, dt_s)

@@ -853,22 +853,23 @@ def _schedule_appliances(spec: UserSpec, config: ScenarioConfig) -> list[tuple[A
     return [(app, result.starts[app.id]) for app in spec.appliances]
 
 
-def _appliance_power(scheduled, slot: int) -> list[float]:
-    """The power of each scheduled appliance in quarter-hour `slot`."""
-    return [
-        app.profile_w[slot - start] if 0 <= slot - start < len(app.profile_w) else 0.0
-        for app, start in scheduled
-    ]
+def _appliance_table(scheduled, n_slots: int) -> np.ndarray:
+    """Each scheduled appliance's power in each quarter-hour slot, as a
+    (slots x appliances) array: row `s` holds slot `s`, in appliance order.
+    The scheduler fits every run inside the slots."""
+    table = np.zeros((n_slots, len(scheduled)))
+    for j, (app, start) in enumerate(scheduled):
+        table[start : start + len(app.profile_w), j] = app.profile_w
+    return table
 
 
-def _load_power(profile: np.ndarray, scheduled, tick: int) -> np.ndarray:
-    """Household plus appliance power per tick: the appliance sum of each
-    slot, in appliance order, added to every tick of the slot."""
-    if not scheduled:
+def _load_power(profile: np.ndarray, table: np.ndarray, per_slot: int) -> np.ndarray:
+    """Household plus appliance power per tick: each slot's row of `table`,
+    summed in appliance order as `dr_site_step` sums a site's loads, added to
+    every tick of the slot."""
+    if not table.size:
         return profile
-    per_slot = QUARTER_S // tick
-    n_slots = -(-len(profile) // per_slot)
-    slot_w = np.array([sum(_appliance_power(scheduled, s)) for s in range(n_slots)], dtype=float)
+    slot_w = np.array([sum(row) for row in table.tolist()])
     return profile + np.repeat(slot_w, per_slot)[: len(profile)]
 
 
@@ -882,14 +883,25 @@ def _grid_power(
     a battery; inside one, what `dr_site_step` leaves (the battery then
     belongs to the DR policy: recharging could breach the limit).  The
     battery state flows through both in tick order.  Nothing here reads the
-    meter back."""
+    meter back.
+
+    Only the ticks where the battery can move are stepped: every window
+    tick, and every other tick but two idle states, where `Battery.charge`
+    and `Battery.discharge` give 0 W and leave the state of charge as it
+    is: exactly full with the load at or under the limit, and exactly empty
+    with it over.  From an idle tick the walk jumps to the next tick that
+    can wake the battery, a window tick or a load across the limit; the
+    ticks it passes keep their load."""
     tick = config.tick_s
-    power = _load_power(profile, scheduled, tick)
+    per_slot = QUARTER_S // tick
+    table = _appliance_table(scheduled, -(-len(profile) // per_slot))
+    power = _load_power(profile, table, per_slot)
     battery = spec.battery.build() if spec.battery else None
     loads = [SiteLoad(app.id, 0.0, app.interruptible, app.controllable) for app, _ in scheduled]
     site = Site(spec.pod_id, loads, battery)  # demand-response state, shared battery
     shave_w = spec.peak_shave_limit_w if battery is not None else None
-    ticks = range(0, len(power) * tick, tick)
+    n = len(power)
+    ticks = range(0, n * tick, tick)
     window: dict[int, DrCommand] = {}  # tick index -> the command open at it
     arms = {}
     for cmd in config.dr_commands:
@@ -902,17 +914,43 @@ def _grid_power(
         return power, arms
     if power is profile:  # the profile stays the settlement baseline
         power = profile.copy()
-    # Without shaving, only window ticks change.
-    for i in range(len(power)) if shave_w is not None else sorted(window):
+
+    def dr_tick(i: int, cmd: DrCommand) -> float:
         t = i * tick
+        for load, p in zip(site.loads, table[t // QUARTER_S].tolist()):
+            load.power_w = p
+        site.base_load_w = float(profile[i])
+        return dr_site_step(site, cmd, t, tick).p_grid_w
+
+    if shave_w is None:  # only window ticks change
+        for i in sorted(window):
+            power[i] = dr_tick(i, window[i])
+        return power, arms
+    if not shave_w > 0:  # raises: an idle run might never reach its check
+        peak_shave_step(0.0, shave_w, battery, tick)
+    # Tick n, past the run, ends every jump.
+    in_window = np.zeros(n + 1, bool)
+    in_window[[*window, n]] = True
+    over = np.append(power > shave_w, False)
+    wake_full = np.flatnonzero(over | in_window)  # where a full battery can discharge
+    wake_empty = np.flatnonzero(~over | in_window)  # where an empty one can charge
+    over = over.tolist()
+    full_wh = battery.capacity_wh
+    i = 0
+    while i < n:
         cmd = window.get(i)
         if cmd is not None:
-            for load, p in zip(site.loads, _appliance_power(scheduled, t // QUARTER_S)):
-                load.power_w = p
-            site.base_load_w = float(profile[i])
-            power[i] = dr_site_step(site, cmd, t, tick).p_grid_w
-            continue
-        power[i] = peak_shave_step(float(power[i]), shave_w, battery, tick).p_grid_w
+            power[i] = dr_tick(i, cmd)
+            i += 1
+        elif over[i] and battery.soc_wh == 0.0:
+            i = int(wake_empty[wake_empty.searchsorted(i)])
+        elif not over[i] and battery.soc_wh == full_wh:
+            j = int(wake_full[wake_full.searchsorted(i)])
+            power[i:j] += 0.0  # -0.0 + 0.0 is +0.0, as in the step
+            i = j
+        else:
+            power[i] = peak_shave_step(float(power[i]), shave_w, battery, tick).p_grid_w
+            i += 1
     return power, arms
 
 
@@ -1031,7 +1069,17 @@ def run(
     flexibility cluster is configured.  A run that raises part-way leaves
     the `users/<pod>/` series of the users that finished before it and no
     report.  `parallel` is accepted for compatibility and has no effect.
+
+    Raises:
+        ValueError: before any user runs, for a user whose `profile_csv`
+            was never read (a `UserSpec` built without `validate_config`).
     """
+    for spec in config.users:
+        if spec.profile_csv is not None and spec.profile_w is None:
+            raise ValueError(
+                f"{spec.pod_id}: profile_csv {spec.profile_csv!r} was never read; "
+                "build the config with validate_config or load_config"
+            )
     windows = _pairing_windows(config)
     mevu_members = set(config.mevu.members) if config.mevu else set()
     results = [

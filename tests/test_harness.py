@@ -16,12 +16,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chain2sim.automation import DrCommand, DrIssuer
+from chain2sim.automation import DrCommand, DrIssuer, peak_shave_step
 from chain2sim.channel import BernoulliLoss, ChannelConfig
 from chain2sim import frames
 from chain2sim.frames import SEQ, SupplyEventKind, encode_frame
 from chain2sim import harness
 from chain2sim.harness import (
+    BatterySpec,
     ConfigError,
     LinkOutcome,
     MevuSpec,
@@ -1037,6 +1038,106 @@ def test_a_touching_dr_window_restores_what_the_last_one_curtailed():
         power, _ = harness._grid_power(spec, replace(config, dr_commands=commands), profile, scheduled)
         assert power[36000 // 900 : 37800 // 900].tolist() == [1000.0] * 2  # curtailed in A
         assert power[int(37800 + gap) // 900 : 43200 // 900].tolist() == [3000.0] * int(6 - gap // 900)
+
+
+_SHAVE_W = 1000.0
+# Load levels about the shaving limit: both zeros, well under and well over
+# it, exactly at it and an ulp either side.
+_LEVELS = st.sampled_from(
+    [0.0, -0.0, 400.0, math.nextafter(_SHAVE_W, 0), _SHAVE_W, math.nextafter(_SHAVE_W, 2e3), 1600.0]
+) | st.floats(0, 4000)
+
+
+@st.composite
+def _load_stretches(draw):
+    """A load series in stretches of one level, long enough on 60 s ticks
+    for a battery to fill or empty exactly and then idle."""
+    stretches = draw(st.lists(st.tuples(_LEVELS, st.integers(1, 120)), min_size=1, max_size=8))
+    return np.concatenate([np.full(k, level) for level, k in stretches])
+
+
+def _shaving_user(loads, capacity_wh, charge_w, discharge_w, efficiency, start):
+    """A Python-built user with `loads` as its profile, shaving at _SHAVE_W
+    with a battery `start` (a fraction of its capacity) full, and its run."""
+    battery = BatterySpec(capacity_wh, charge_w, discharge_w, efficiency, capacity_wh * start)
+    spec = UserSpec(
+        POD1, 6000.0, profile_csv="loads.csv", profile_w=loads, battery=battery,
+        peak_shave_limit_w=_SHAVE_W,
+    )
+    return spec, ScenarioConfig(duration_s=len(loads) * 60, tick_s=60, seed=1, users=(spec,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    loads=_load_stretches(),
+    capacity_wh=st.sampled_from([60.0, 100.0, 250.0]),
+    charge_w=st.sampled_from([600.0, 1200.0, 3000.0]),
+    discharge_w=st.sampled_from([600.0, 1500.0]),
+    efficiency=st.sampled_from([1.0, 0.81, 0.9]),
+    start=st.sampled_from([0.0, 0.5, 1.0]),
+    commands=_dr_windows(),
+)
+# Full, then empty, then full again across a window; -0.0 loads while full.
+@example(
+    loads=np.repeat([-0.0, 1600.0, 1600.0, 400.0, -0.0], 60), capacity_wh=100.0, charge_w=1200.0,
+    discharge_w=1500.0, efficiency=1.0, start=1.0,
+    commands=(DrCommand(300.0, 9000.0, 10800.0),),
+)
+# Recharged to one ulp short of full: not idle, so stepped on.
+@example(
+    loads=np.repeat([1600.0, 0.0], [3, 30]), capacity_wh=60.0, charge_w=1200.0, discharge_w=600.0,
+    efficiency=0.9, start=1.0, commands=(),
+)
+def test_idle_battery_skips_match_the_per_tick_loop(
+    loads, capacity_wh, charge_w, discharge_w, efficiency, start, commands
+):
+    """The grid power of a peak-shaving user, whose walk skips the ticks
+    where its battery is exactly full under the limit or exactly empty over
+    it, equals that of the per-tick loop, bit for bit."""
+    spec, config = _shaving_user(loads, capacity_wh, charge_w, discharge_w, efficiency, start)
+    config = replace(config, dr_commands=commands)
+    power, arms = harness._grid_power(spec, config, loads, [])
+    want_power, want_arms, _ = per_tick_loop(spec, config)
+    assert power.tobytes() == want_power.tobytes()
+    assert arms == want_arms
+
+
+@pytest.mark.parametrize("start, moves", [(1.0, 10), (0.0, 8)])
+def test_peak_shaving_steps_only_where_the_battery_moves(monkeypatch, start, moves):
+    """Over a day on which the battery idles, exactly full under the limit or
+    exactly empty over it, but for four ticks across the limit, peak shaving
+    is stepped on just the ticks where the battery draws or gives power."""
+    idle_w, other_w = (400.0, 1600.0) if start else (1600.0, 400.0)
+    loads = np.full(1440, idle_w)
+    loads[[300, 301, 302, 900]] = other_w
+    spec, config = _shaving_user(loads, 1000.0, 1200.0, 1500.0, 0.9, start)
+    battery, moved = spec.battery.build(), 0
+    for p in loads.tolist():
+        result = peak_shave_step(p, _SHAVE_W, battery, 60)
+        moved += result.p_charge_w > 0 or result.p_discharge_w > 0
+    calls = []
+    spy = lambda *args: calls.append(args) or peak_shave_step(*args)  # noqa: E731
+    monkeypatch.setattr(harness, "peak_shave_step", spy)
+    harness._grid_power(spec, config, loads, [])
+    assert len(calls) == moved == moves
+
+
+@pytest.mark.parametrize("limit_w", [0.0, -100.0, math.nan])
+def test_a_shave_limit_that_is_not_positive_raises(limit_w):
+    """A Python-built user's limit meets `peak_shave_step`'s check, even
+    when the battery, empty under a load over the limit, never moves."""
+    spec = UserSpec(POD1, 3000.0, battery=BatterySpec(1000.0, 1000.0, 1000.0), peak_shave_limit_w=limit_w)
+    with pytest.raises(ValueError, match="limit_w must be positive"):
+        run(ScenarioConfig(duration_s=3600, tick_s=60, seed=1, users=(spec,)))
+
+
+def test_run_refuses_a_profile_csv_that_was_never_read(tmp_path):
+    """A Python-built user with `profile_csv` but no samples is refused
+    before the first user runs, naming the pod and the field."""
+    users = (UserSpec(POD1, 3000.0), UserSpec(POD2, 3000.0, profile_csv="p.csv"))
+    with pytest.raises(ValueError, match=f"{POD2}: profile_csv 'p.csv' was never read"):
+        run(ScenarioConfig(duration_s=3600, tick_s=60, seed=1, users=users), out_dir=str(tmp_path))
+    assert not any(tmp_path.iterdir())
 
 
 _LOSS = (
