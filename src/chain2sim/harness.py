@@ -886,12 +886,11 @@ def _grid_power(
     meter back.
 
     Only the ticks where the battery can move are stepped: every window
-    tick, and every other tick but two idle states, where `Battery.charge`
-    and `Battery.discharge` give 0 W and leave the state of charge as it
-    is: exactly full with the load at or under the limit, and exactly empty
-    with it over.  From an idle tick the walk jumps to the next tick that
-    can wake the battery, a window tick or a load across the limit; the
-    ticks it passes keep their load."""
+    tick, and every other tick but those where the battery is exactly full
+    with the load at or under the limit.  There `Battery.charge` gives 0 W
+    and leaves the state of charge as it is, so from such a tick the walk
+    jumps to the next window tick or load over the limit, and the ticks it
+    passes keep their load."""
     tick = config.tick_s
     per_slot = QUARTER_S // tick
     table = _appliance_table(scheduled, -(-len(profile) // per_slot))
@@ -932,8 +931,7 @@ def _grid_power(
     in_window = np.zeros(n + 1, bool)
     in_window[[*window, n]] = True
     over = np.append(power > shave_w, False)
-    wake_full = np.flatnonzero(over | in_window)  # where a full battery can discharge
-    wake_empty = np.flatnonzero(~over | in_window)  # where an empty one can charge
+    wake = np.flatnonzero(over | in_window)  # where a full battery can discharge
     over = over.tolist()
     full_wh = battery.capacity_wh
     i = 0
@@ -942,10 +940,8 @@ def _grid_power(
         if cmd is not None:
             power[i] = dr_tick(i, cmd)
             i += 1
-        elif over[i] and battery.soc_wh == 0.0:
-            i = int(wake_empty[wake_empty.searchsorted(i)])
         elif not over[i] and battery.soc_wh == full_wh:
-            j = int(wake_full[wake_full.searchsorted(i)])
+            j = int(wake[wake.searchsorted(i)])
             power[i:j] += 0.0  # -0.0 + 0.0 is +0.0, as in the step
             i = j
         else:
@@ -1072,13 +1068,21 @@ def run(
 
     Raises:
         ValueError: before any user runs, for a user whose `profile_csv`
-            was never read (a `UserSpec` built without `validate_config`).
+            was never read, or whose samples do not cover the run (a
+            `UserSpec` built without `validate_config`).
     """
     for spec in config.users:
-        if spec.profile_csv is not None and spec.profile_w is None:
+        if spec.profile_csv is None:
+            continue
+        if spec.profile_w is None:
             raise ValueError(
                 f"{spec.pod_id}: profile_csv {spec.profile_csv!r} was never read; "
                 "build the config with validate_config or load_config"
+            )
+        if len(spec.profile_w) < config.duration_s // config.tick_s:
+            raise ValueError(
+                f"{spec.pod_id}: profile_csv {spec.profile_csv!r} covers "
+                f"{len(spec.profile_w) * config.tick_s} s, need {config.duration_s} s"
             )
     windows = _pairing_windows(config)
     mevu_members = set(config.mevu.members) if config.mevu else set()

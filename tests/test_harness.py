@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chain2sim.automation import DrCommand, DrIssuer, peak_shave_step
+from chain2sim.automation import Appliance, DrCommand, DrIssuer, peak_shave_step
 from chain2sim.channel import BernoulliLoss, ChannelConfig
 from chain2sim import frames
 from chain2sim.frames import SEQ, SupplyEventKind, encode_frame
@@ -1092,8 +1092,8 @@ def test_idle_battery_skips_match_the_per_tick_loop(
     loads, capacity_wh, charge_w, discharge_w, efficiency, start, commands
 ):
     """The grid power of a peak-shaving user, whose walk skips the ticks
-    where its battery is exactly full under the limit or exactly empty over
-    it, equals that of the per-tick loop, bit for bit."""
+    where its battery is exactly full under the limit, equals that of the
+    per-tick loop, bit for bit, batteries that empty included."""
     spec, config = _shaving_user(loads, capacity_wh, charge_w, discharge_w, efficiency, start)
     config = replace(config, dr_commands=commands)
     power, arms = harness._grid_power(spec, config, loads, [])
@@ -1102,15 +1102,13 @@ def test_idle_battery_skips_match_the_per_tick_loop(
     assert arms == want_arms
 
 
-@pytest.mark.parametrize("start, moves", [(1.0, 10), (0.0, 8)])
-def test_peak_shaving_steps_only_where_the_battery_moves(monkeypatch, start, moves):
-    """Over a day on which the battery idles, exactly full under the limit or
-    exactly empty over it, but for four ticks across the limit, peak shaving
-    is stepped on just the ticks where the battery draws or gives power."""
-    idle_w, other_w = (400.0, 1600.0) if start else (1600.0, 400.0)
-    loads = np.full(1440, idle_w)
-    loads[[300, 301, 302, 900]] = other_w
-    spec, config = _shaving_user(loads, 1000.0, 1200.0, 1500.0, 0.9, start)
+def test_peak_shaving_steps_only_where_the_battery_moves(monkeypatch):
+    """Over a day on which the battery idles exactly full under the limit
+    but for four ticks over it, peak shaving is stepped on just the ticks
+    where the battery draws or gives power."""
+    loads = np.full(1440, 400.0)
+    loads[[300, 301, 302, 900]] = 1600.0
+    spec, config = _shaving_user(loads, 1000.0, 1200.0, 1500.0, 0.9, 1.0)
     battery, moved = spec.battery.build(), 0
     for p in loads.tolist():
         result = peak_shave_step(p, _SHAVE_W, battery, 60)
@@ -1119,23 +1117,40 @@ def test_peak_shaving_steps_only_where_the_battery_moves(monkeypatch, start, mov
     spy = lambda *args: calls.append(args) or peak_shave_step(*args)  # noqa: E731
     monkeypatch.setattr(harness, "peak_shave_step", spy)
     harness._grid_power(spec, config, loads, [])
-    assert len(calls) == moved == moves
+    assert len(calls) == moved == 10
 
 
 @pytest.mark.parametrize("limit_w", [0.0, -100.0, math.nan])
 def test_a_shave_limit_that_is_not_positive_raises(limit_w):
     """A Python-built user's limit meets `peak_shave_step`'s check, even
-    when the battery, empty under a load over the limit, never moves."""
-    spec = UserSpec(POD1, 3000.0, battery=BatterySpec(1000.0, 1000.0, 1000.0), peak_shave_limit_w=limit_w)
+    when the battery, full with no load over the limit, never moves."""
+    battery = BatterySpec(1000.0, 1000.0, 1000.0, soc_wh=1000.0)
+    spec = UserSpec(
+        POD1, 3000.0, profile_csv="zeros.csv", profile_w=np.zeros(60), battery=battery,
+        peak_shave_limit_w=limit_w,
+    )
     with pytest.raises(ValueError, match="limit_w must be positive"):
         run(ScenarioConfig(duration_s=3600, tick_s=60, seed=1, users=(spec,)))
 
 
-def test_run_refuses_a_profile_csv_that_was_never_read(tmp_path):
-    """A Python-built user with `profile_csv` but no samples is refused
-    before the first user runs, naming the pod and the field."""
-    users = (UserSpec(POD1, 3000.0), UserSpec(POD2, 3000.0, profile_csv="p.csv"))
-    with pytest.raises(ValueError, match=f"{POD2}: profile_csv 'p.csv' was never read"):
+@pytest.mark.parametrize(
+    "profile_w, message",
+    [
+        (None, "profile_csv 'p.csv' was never read"),
+        (np.zeros(10), "profile_csv 'p.csv' covers 600 s, need 3600 s"),
+    ],
+    ids=["unread", "short"],
+)
+def test_run_refuses_a_profile_csv_that_was_never_read(tmp_path, profile_w, message):
+    """A Python-built user with `profile_csv` but no samples, or too few to
+    cover the run, is refused before the first user runs, naming the pod
+    and the field."""
+    late = Appliance("late", (500.0,), earliest_start_s=1800, deadline_s=3600)  # slot 2
+    users = (
+        UserSpec(POD1, 3000.0),
+        UserSpec(POD2, 3000.0, profile_csv="p.csv", profile_w=profile_w, appliances=(late,)),
+    )
+    with pytest.raises(ValueError, match=f"{POD2}: {message}"):
         run(ScenarioConfig(duration_s=3600, tick_s=60, seed=1, users=users), out_dir=str(tmp_path))
     assert not any(tmp_path.iterdir())
 
