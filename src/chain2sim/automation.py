@@ -195,16 +195,20 @@ def load_shift_schedule(
     """Choose one start slot per appliance, of `SLOT_S` each, minimizing
     total energy cost.
 
-    Exhaustive search (branch and bound) when the combination count fits
-    under `EXHAUSTIVE_CAP`, which covers any desk-scale instance; larger
-    instances fall back to a per-appliance greedy pass and the result is
-    labeled `optimal=False`.  Ties on cost are broken toward the earliest
-    start, appliance ids considered in sorted order.
+    Without a `grid_limit_w` the appliances do not interact, so one
+    per-appliance pass, each taking its cheapest start, is the optimum.
+    Ties on cost are broken toward the earliest start, appliance ids
+    considered in sorted order.
 
     With a `grid_limit_w`, the summed appliance power must stay at or below
-    the limit in every slot.  If no combination satisfies it, the result has
-    `feasible=False` and carries the combination with the least total excess
-    energy together with the slots where it still violates the limit.
+    the limit in every slot.  The search is then exhaustive (branch and
+    bound) when the combination count fits under `EXHAUSTIVE_CAP`, which
+    covers any desk-scale instance; larger instances fall back to the
+    per-appliance pass, which keeps clear of the limit where it can, and
+    the result is labeled `optimal=False`.  If no combination satisfies the
+    limit, the result has `feasible=False` and carries the combination with
+    the least total excess energy together with the slots where it still
+    violates the limit.
 
     Raises:
         ValueError: an appliance admits no feasible start at all (its own
@@ -227,7 +231,7 @@ def load_shift_schedule(
     combos = 1
     for starts in starts_per_app:
         combos *= len(starts)
-    if combos > EXHAUSTIVE_CAP:
+    if grid_limit_w is None or combos > EXHAUSTIVE_CAP:
         return _greedy_schedule(apps, starts_per_app, costs_per_app, grid_limit_w, n_slots)
 
     # Lower bound for pruning: cheapest remaining placement per appliance.
@@ -252,14 +256,8 @@ def load_shift_schedule(
             return
         profile = apps[i].profile_w
         for s in starts_per_app[i]:
-            if grid_limit_w is not None:
-                ok = True
-                for k, p in enumerate(profile):
-                    if load[s + k] + p > grid_limit_w:
-                        ok = False
-                        break
-                if not ok:
-                    continue
+            if any(load[s + k] + p > grid_limit_w for k, p in enumerate(profile)):
+                continue
             for k, p in enumerate(profile):
                 load[s + k] += p
             chosen[i] = s
@@ -329,6 +327,9 @@ def _least_excess_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots
 
 
 def _greedy_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots):
+    # Each appliance in id order takes the start with the least excess over
+    # the limit, then the least cost, then the earliest: with no limit, each
+    # one's cheapest start, which is the optimum.
     load = [0.0] * n_slots
     placed: dict[str, int] = {}
     total = 0.0
@@ -358,7 +359,7 @@ def _greedy_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots):
         placed,
         total,
         feasible=feasible,
-        optimal=False,
+        optimal=limit_w is None,
         method="greedy",
         offending_slots=tuple(sorted(offending)),
     )

@@ -80,6 +80,7 @@ from chain2sim.automation import (
     Battery,
     DrCommand,
     DrIssuer,
+    DrStepResult,
     MevuCluster,
     Site,
     SiteLoad,
@@ -431,6 +432,8 @@ def _parse_user(
             user, path, "direction", EnergyDirection.WITHDRAWN, options=EnergyDirection
         ),
     )
+    if spec["peak_shave_limit_w"] is not None and user.get("battery") is None:
+        read.fail(f"{path}.peak_shave_limit_w", "needs a battery to shave with")
     if len(read.errors) > mark:
         return None
     spec = UserSpec(appliances=tuple(appliances), supply_events=tuple(sorted(events)), **spec)
@@ -873,6 +876,26 @@ def _load_power(profile: np.ndarray, table: np.ndarray, per_slot: int) -> np.nda
     return profile + np.repeat(slot_w, per_slot)[: len(profile)]
 
 
+def _dr_runs(
+    commands: Sequence[DrCommand], n: int, tick: int
+) -> tuple[dict[int, tuple[int, DrCommand]], dict[int, tuple[float, float]]]:
+    """The runs of the `n` ticks that one command holds, as {first tick:
+    (end tick, command)}, the command listed first holding an overlap; and
+    the emergency limits to arm, as {tick index: (limit_w, until_s)}."""
+    ticks = range(0, n * tick, tick)
+    holder = np.full(n, -1)  # the index of the command open at each tick
+    arms = {}
+    for k in reversed(range(len(commands))):
+        cmd = commands[k]
+        first, end = bisect_left(ticks, cmd.t_start), bisect_left(ticks, cmd.t_end)
+        holder[first:end] = k
+        if cmd.issuer is DrIssuer.EMERGENCY and first < end:
+            arms[first] = (cmd.p_limit_w, cmd.t_end)
+    bounds = [0, *(np.flatnonzero(np.diff(holder)) + 1).tolist(), n]
+    runs = {a: (b, commands[holder[a]]) for a, b in zip(bounds, bounds[1:]) if holder[a] >= 0}
+    return runs, arms
+
+
 def _grid_power(
     spec: UserSpec, config: ScenarioConfig, profile: np.ndarray, scheduled
 ) -> tuple[np.ndarray, dict[int, tuple[float, float]]]:
@@ -885,12 +908,20 @@ def _grid_power(
     battery state flows through both in tick order.  Nothing here reads the
     meter back.
 
-    Only the ticks where the battery can move are stepped: every window
-    tick, and every other tick but those where the battery is exactly full
-    with the load at or under the limit.  There `Battery.charge` gives 0 W
-    and leaves the state of charge as it is, so from such a tick the walk
-    jumps to the next window tick or load over the limit, and the ticks it
-    passes keep their load."""
+    Only the ticks where a policy can act are stepped.  Each command's run
+    of window ticks steps its first tick, which restores what an earlier
+    window curtailed.  After it, a tick whose household plus uncurtailed
+    load is at or under the limit curtails nothing and discharges nothing:
+    it takes that total, summed in numpy in `dr_site_step`'s order (the
+    uncurtailed loads in appliance order, then the household), and only the
+    ticks over the limit are stepped; the totals are summed again only when
+    a step curtails another load.  Once every controllable load is curtailed,
+    a site without a battery has nothing left to act with, and the rest of
+    the window takes the totals too.  Outside windows, a battery exactly full
+    with the load at or under the limit neither charges nor discharges
+    (`Battery.charge` gives 0 W), so from such a tick the walk jumps to the
+    next window or load over the limit, and the ticks it passes keep their
+    load."""
     tick = config.tick_s
     per_slot = QUARTER_S // tick
     table = _appliance_table(scheduled, -(-len(profile) // per_slot))
@@ -900,46 +931,67 @@ def _grid_power(
     site = Site(spec.pod_id, loads, battery)  # demand-response state, shared battery
     shave_w = spec.peak_shave_limit_w if battery is not None else None
     n = len(power)
-    ticks = range(0, n * tick, tick)
-    window: dict[int, DrCommand] = {}  # tick index -> the command open at it
-    arms = {}
-    for cmd in config.dr_commands:
-        first, end = bisect_left(ticks, cmd.t_start), bisect_left(ticks, cmd.t_end)
-        for i in range(first, end):
-            window.setdefault(i, cmd)
-        if cmd.issuer is DrIssuer.EMERGENCY and first < end:
-            arms[first] = (cmd.p_limit_w, cmd.t_end)
-    if not window and shave_w is None:
+    runs, arms = _dr_runs(config.dr_commands, n, tick) if config.dr_commands else ({}, {})
+    if not runs and shave_w is None:
         return power, arms
-    if power is profile:  # the profile stays the settlement baseline
-        power = profile.copy()
+    if power is profile:  # a copy: the profile stays the settlement baseline
+        power = profile + 0.0  # -0.0 + 0.0 is +0.0, as `dr_site_step` sums a site
 
-    def dr_tick(i: int, cmd: DrCommand) -> float:
+    def dr_tick(i: int, cmd: DrCommand) -> DrStepResult:
         t = i * tick
         for load, p in zip(site.loads, table[t // QUARTER_S].tolist()):
             load.power_w = p
         site.base_load_w = float(profile[i])
-        return dr_site_step(site, cmd, t, tick).p_grid_w
+        result = dr_site_step(site, cmd, t, tick)
+        power[i] = result.p_grid_w
+        return result
 
-    if shave_w is None:  # only window ticks change
-        for i in sorted(window):
-            power[i] = dr_tick(i, window[i])
+    def uncurtailed(i: int, end: int) -> np.ndarray:
+        """Household plus uncurtailed load at ticks i..end-1."""
+        lo = i // per_slot
+        slot_w = np.zeros(-(-end // per_slot) - lo)  # as the step's sum, even with no load
+        for load, column in zip(site.loads, table[lo : lo + len(slot_w)].T):
+            if not load.curtailed:
+                slot_w = slot_w + column
+        return profile[i:end] + np.repeat(slot_w, per_slot)[i - lo * per_slot : end - lo * per_slot]
+
+    def dr_run(first: int, end: int, cmd: DrCommand) -> None:
+        step = dr_tick(first, cmd)
+        i = first + 1
+        while i < end:
+            total = uncurtailed(i, end)
+            power[i:end] = np.where(total < 0.0, 0.0, total)  # max(total, 0.0), as the step
+            if battery is None and not any(
+                load.controllable and not load.curtailed for load in site.loads
+            ):
+                return  # over the limit too, a step has nothing to curtail or discharge
+            ticks_over = (i + np.flatnonzero(~(total <= cmd.p_limit_w))).tolist()  # NaN steps too
+            curtailed, i = step.curtailed_ids, end
+            for k in ticks_over:
+                step = dr_tick(k, cmd)
+                if step.curtailed_ids != curtailed:  # the totals past k change
+                    i = k + 1
+                    break
+
+    if shave_w is None:
+        for first, (end, cmd) in runs.items():
+            dr_run(first, end, cmd)
         return power, arms
     if not shave_w > 0:  # raises: an idle run might never reach its check
         peak_shave_step(0.0, shave_w, battery, tick)
     # Tick n, past the run, ends every jump.
-    in_window = np.zeros(n + 1, bool)
-    in_window[[*window, n]] = True
+    run_starts = np.zeros(n + 1, bool)
+    run_starts[[*runs, n]] = True
     over = np.append(power > shave_w, False)
-    wake = np.flatnonzero(over | in_window)  # where a full battery can discharge
+    wake = np.flatnonzero(over | run_starts)  # where a full battery can discharge
     over = over.tolist()
     full_wh = battery.capacity_wh
     i = 0
     while i < n:
-        cmd = window.get(i)
-        if cmd is not None:
-            power[i] = dr_tick(i, cmd)
-            i += 1
+        run = runs.get(i)
+        if run is not None:
+            dr_run(i, *run)
+            i = run[0]
         elif not over[i] and battery.soc_wh == full_wh:
             j = int(wake[wake.searchsorted(i)])
             power[i:j] += 0.0  # -0.0 + 0.0 is +0.0, as in the step

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chain2sim.automation import (
@@ -18,6 +18,7 @@ from chain2sim.automation import (
     Site,
     SiteLoad,
     dr_site_step,
+    feasible_starts,
     load_dr_commands,
     load_shift_schedule,
     mevu_settle,
@@ -237,10 +238,48 @@ def test_large_instances_fall_back_to_greedy():
     # 96**4 = 84.9M start combinations, over the exhaustive search's cap.
     apps = [Appliance(f"a{i}", (100.0,), 0, 96 * 900) for i in range(4)]
     assert 96**4 > EXHAUSTIVE_CAP
-    result = load_shift_schedule(apps, [0.1] * 96)
+    result = load_shift_schedule(apps, [0.1] * 96, grid_limit_w=250.0)
     assert result.method == "greedy"
     assert not result.optimal
     assert result.feasible
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_slots=st.integers(1, 8),
+    runs=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([0.0, 500.0, 1000.0, 2000.0]), min_size=1, max_size=3),
+            st.integers(0, 7),
+            st.integers(1, 8),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    prices=st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.15]), min_size=8, max_size=8),
+)
+def test_an_unlimited_schedule_takes_each_cheapest_start(n_slots, runs, prices):
+    """With no grid limit each appliance takes its first cheapest start, and
+    that schedule is the brute-force minimum, labeled optimal."""
+    prices = prices[:n_slots]
+    apps = []
+    for i, (profile, first, length) in enumerate(runs):
+        start = min(first, n_slots - len(profile))
+        assume(start >= 0)
+        deadline = min(start + max(length, len(profile)), n_slots) * 900
+        apps.append(Appliance(f"app{i}", tuple(profile), start * 900, deadline))
+    result = load_shift_schedule(apps, prices)
+    assert result.feasible and result.optimal
+    kwh_per_slot = 900 / 3600.0 / 1000.0
+    costs = []  # per appliance in id order, {start: cost} in start order
+    for app in apps:
+        profile = list(enumerate(app.profile_w))
+        costs.append(
+            {s: sum(p * kwh_per_slot * prices[s + k] for k, p in profile) for s in feasible_starts(app, n_slots)}
+        )
+    assert [result.starts[app.id] for app in apps] == [min(c, key=c.get) for c in costs]
+    combos = itertools.product(*(c.values() for c in costs))
+    assert result.total_cost_eur == min(sum(combo) for combo in combos)
 
 
 def test_appliance_validation():

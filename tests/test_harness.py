@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chain2sim.automation import Appliance, DrCommand, DrIssuer, peak_shave_step
+from chain2sim.automation import Appliance, DrCommand, DrIssuer, dr_site_step, peak_shave_step
 from chain2sim.channel import BernoulliLoss, ChannelConfig
 from chain2sim import frames
 from chain2sim.frames import SEQ, SupplyEventKind, encode_frame
@@ -269,6 +269,7 @@ def _appliances(*appliances, duration_s=86400):
         (_appliances(_WASH, duration_s=600), "users[0].appliances[0]"),
         ({"mevu": {"members": []}}, "mevu.members"),  # an empty list selects no one
         (_user(revoke_at_s=-5), "users[0].revoke_at_s"),  # before the pairing at 0
+        (_user(peak_shave_limit_w=2000), "users[0].peak_shave_limit_w"),  # no battery
     ],
 )
 def test_malformed_fields_are_config_errors(overrides, field):
@@ -1131,6 +1132,99 @@ def test_a_shave_limit_that_is_not_positive_raises(limit_w):
     )
     with pytest.raises(ValueError, match="limit_w must be positive"):
         run(ScenarioConfig(duration_s=3600, tick_s=60, seed=1, users=(spec,)))
+
+
+# Demand-response limits about the load of _LEVELS plus appliances, so that
+# ticks over and under a limit interleave inside a window; some equal a load.
+_DR_LIMITS = st.sampled_from([300.0, 1000.0, 1400.0, 2400.0])
+_FOUR_HOURS = 4 * 3600
+
+
+def _dr_scenario(loads, apps=(), commands=(), **shave):
+    """A Python-built user with `loads` as its 60 s profile over four hours,
+    its appliances and DR `commands`, and its run."""
+    spec = UserSpec(POD1, 6000.0, profile_csv="loads.csv", profile_w=loads, appliances=tuple(apps), **shave)
+    return spec, ScenarioConfig(_FOUR_HOURS, 60, 1, (spec,), dr_commands=tuple(commands))
+
+
+@st.composite
+def _dr_scenarios(draw):
+    """Household load in stretches, up to three appliances at their earliest
+    quarter in the first two hours (0 W slots and interruptible ones among
+    them), DR windows that may touch or fall between ticks, and maybe a
+    battery that shaves at _SHAVE_W."""
+    loads = np.resize(draw(_load_stretches()), _FOUR_HOURS // 60)
+    apps = []
+    for j in range(draw(st.integers(0, 3))):
+        # Small inexact powers, where the order of a sum shows.
+        power = st.sampled_from([0.0, 400.0, 1000.0, 2500.0]) | st.floats(0, 600)
+        profile = tuple(draw(st.lists(power, min_size=1, max_size=4)))
+        start_s = draw(st.integers(0, 4)) * 900
+        flags = draw(st.booleans()), draw(st.booleans())  # interruptible, controllable
+        apps.append(Appliance(f"app{j}", profile, start_s, _FOUR_HOURS, *flags))
+    commands, t = [], 0.0
+    for _ in range(draw(st.integers(1, 4))):
+        t += draw(st.sampled_from([0.0, 30.5, 60.0, 900.0]) | st.floats(0, 3600))
+        length = draw(st.sampled_from([60.0, 90.0, 900.0, 2700.5]) | st.floats(1, 7200))
+        commands.append(DrCommand(draw(_DR_LIMITS), t, t + length, draw(st.sampled_from(DrIssuer))))
+        t += length
+    shave = {}
+    if draw(st.booleans()):
+        battery = BatterySpec(250.0, 1200.0, 1500.0, 0.9, draw(st.sampled_from([0.0, 125.0, 250.0])))
+        shave = {"battery": battery, "peak_shave_limit_w": _SHAVE_W}
+    return _dr_scenario(loads, apps, commands, **shave)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dr_scenarios())
+# Two touching windows over a 0 W interruptible appliance, which the first
+# tick over the limit curtails while it draws nothing.
+@example(
+    _dr_scenario(
+        np.repeat([400.0, 1600.0, 400.0, 1600.0], 60),
+        [Appliance("idle", (0.0, 0.0), 0, _FOUR_HOURS, True), Appliance("ev", (1000.0,) * 8, 0, _FOUR_HOURS)],
+        [DrCommand(1500.0, 1800.0, 5400.0), DrCommand(900.0, 5400.0, 9000.0, DrIssuer.EMERGENCY)],
+    )
+)
+# Three loads whose sum rounds by its order: 0.1 + 0.2 + 0.3 is not 0.3 + 0.2 + 0.1.
+@example(
+    _dr_scenario(
+        np.zeros(240),
+        [Appliance(name, (p,), 0, _FOUR_HOURS) for name, p in zip("abc", (0.1, 0.2, 0.3))],
+        [DrCommand(300.0, 0.0, 900.0)],
+    )
+)
+# A negative household load, which only a Python-built profile can hold and
+# the meter refuses, inside a window: the step takes it to 0 W.
+@example(_dr_scenario(np.repeat([100.0, -250.0, 100.0], 80), commands=[DrCommand(300.0, 3600.0, 10800.0)]))
+def test_dr_window_skips_match_the_per_tick_loop(scenario):
+    """The grid power and arms built up front equal those of the per-tick
+    loop, bit for bit, while `dr_site_step` runs only at the first tick of
+    each window and at the ticks where the load it sees is over the limit."""
+    spec, config = scenario
+    scheduled = harness._schedule_appliances(spec, config)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        spy = lambda *args: calls.append(args) or dr_site_step(*args)  # noqa: E731
+        patch.setattr(harness, "dr_site_step", spy)
+        power, arms = harness._grid_power(spec, config, spec.profile_w, scheduled)
+    firsts = overs = 0
+
+    def counted(site, cmd, t, dt_s):
+        nonlocal firsts, overs
+        if cmd is not None and cmd is site.command:
+            loads_w = sum(load.power_w for load in site.loads if not load.curtailed)
+            overs += not site.base_load_w + loads_w <= cmd.p_limit_w
+        else:
+            firsts += cmd is not None and cmd.t_start <= t < cmd.t_end
+        return dr_site_step(site, cmd, t, dt_s)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference, "dr_site_step", counted)
+        want_power, want_arms, _ = per_tick_loop(spec, config)
+    assert power.tobytes() == want_power.tobytes()
+    assert arms == want_arms
+    assert len(calls) <= overs + firsts
 
 
 @pytest.mark.parametrize(
