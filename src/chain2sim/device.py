@@ -1,11 +1,11 @@
 """User-device state machine: the receiving end of the telemetry link.
 
 The device is built for one POD and reads its link as the link is: in
-order, each frame once.  It takes a frame record, as the meter built it or
-as `decode_frame` read it off the wire, through `on_frame`, and a block of
-frame rows (see `frames`) through `ingest`, which gives what `on_frame`
-gives for each row in turn.  Each frame updates the consumption picture and
-raises user notifications:
+order, each frame once.  It takes a block of frame rows (see `frames`)
+through `ingest`, and one frame record, as the meter built it or as
+`decode_frame` read it off the wire, through `on_frame`, which ingests the
+frame's row.  Each frame updates the consumption picture and raises user
+notifications:
 
     T1  fills the quarter-hour energy series (lost quarters stay as gaps,
         they are never interpolated),
@@ -27,8 +27,9 @@ implausible-energy test as a mask; the power alarm and the cut warning as
 the rising edges of their tests over the power samples (T2 and the
 power-cause T3 rows, in seq order), each flag carried over from the block
 before.  It merges the notifications of a block by seq, and within a frame
-puts the frame's own notification before the alarm and the warning, as
-`on_frame` raises them.
+puts the frame's own notification before the alarm and the warning.  The
+per-frame rules that a device taking one frame at a time applies live in
+`tests/reference.py:ScalarDevice`, the reference the tests hold `ingest` to.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from chain2sim.frames import (
     FrameType,
     SupplyEventKind,
 )
-from chain2sim.meter import OVERRUN_FACTOR, QUARTER_S, switchoff_remaining
+from chain2sim.meter import OVERRUN_FACTOR, QUARTER_S, frame_rows, switchoff_remaining
 
 DAY_S = 86400
 
@@ -108,9 +109,9 @@ class TariffSchedule:
                 return w.price_eur_per_kwh
         raise AssertionError("windows partition the day")  # unreachable
 
-    def slot_prices(self, n_slots: int, slot_s: int = 900) -> list[float]:
-        """Per-slot price vector for the scheduler, slot k priced at its start."""
-        return [self.price_at(k * slot_s) for k in range(n_slots)]
+    def slot_prices(self, n_slots: int) -> list[float]:
+        """Per-quarter price vector for the scheduler, slot k priced at its start."""
+        return [self.price_at(k * QUARTER_S) for k in range(n_slots)]
 
 
 # -- Device --------------------------------------------------------------------
@@ -118,7 +119,7 @@ class TariffSchedule:
 
 @dataclass(frozen=True)
 class DeviceConfig:
-    pn_w: float | None = None  # contractual power, for plausibility checks
+    pn_w: float  # contractual power, for plausibility checks and the cut warning
     alarm_limit_w: float | None = None  # user-set threshold for the power alarm
     tariff: TariffSchedule | None = None
 
@@ -134,7 +135,6 @@ class Notification:
 class QuarterRecord:
     energy_wh: int
     direction: EnergyDirection
-    seq: int
 
 
 @dataclass(frozen=True)
@@ -200,20 +200,17 @@ class Device:
     # -- ingest ------------------------------------------------------------
 
     def on_frame(self, frame: CompactFrame) -> None:
-        """Ingest the next frame of the link.  Its `seq` must exceed every
-        earlier one; a repeated or older `seq` raises `ValueError`.  The
-        payload must be of the class its frame type names, as the meter and
-        `decode_frame` build it: the frame type picks the handler."""
-        self._check_seq(self._high_water, frame.seq)
-        self._high_water = frame.seq
-        self.stats["processed"] += 1
-        _HANDLERS[frame.frame_type](self, frame)
+        """Ingest the next frame of the link: `ingest` of its row.  Its `seq`
+        must exceed every earlier one; a repeated or older `seq` raises
+        `ValueError`."""
+        self.ingest(frame_rows([frame]))
 
     def ingest(self, rows: np.ndarray) -> None:
         """Ingest the next frames of the link, a block of frame rows (see
-        `frames`) in link order: equal to `on_frame` for each in turn.  The
-        seqs must rise past every earlier one; if one does not, the block
-        raises `ValueError` and none of it is taken."""
+        `frames`) in link order: equal to taking them one frame at a time,
+        as `tests/reference.py:ScalarDevice` does.  The seqs must rise past
+        every earlier one; if one does not, the block raises `ValueError`
+        and none of it is taken."""
         if not len(rows):
             return
         seq = rows[:, SEQ]
@@ -227,15 +224,16 @@ class Device:
         types, key = rows[:, TYPE], rows[:, KEY]
         notes = []  # (seq, order within the frame, t, kind, values)
 
+        # A quarter over what the contract can draw is well-formed but
+        # physically impossible; it stays out of the series rather than
+        # poison cost estimates.
         t1 = rows[types == FrameType.T1]
-        implausible = np.zeros(len(t1), dtype=bool)
-        if cfg.pn_w is not None:
-            implausible = t1[:, VALUE] > 1.5 * cfg.pn_w * (QUARTER_S / 3600.0)
-            self.stats["implausible_t1"] += int(implausible.sum())
-            for s, t, e in t1[implausible][:, [SEQ, TIMESTAMP, VALUE]].tolist():
-                notes.append((s, 0, t, "implausible_reading", (e, cfg.pn_w)))
-        for s, t, d, e in t1[~implausible][:, [SEQ, TIMESTAMP, DIRECTION, VALUE]].tolist():
-            self.quarters[t - QUARTER_S] = QuarterRecord(e, _DIRECTIONS[d], s)
+        implausible = t1[:, VALUE] > 1.5 * cfg.pn_w * (QUARTER_S / 3600.0)
+        self.stats["implausible_t1"] += int(implausible.sum())
+        for s, t, e in t1[implausible][:, [SEQ, TIMESTAMP, VALUE]].tolist():
+            notes.append((s, 0, t, "implausible_reading", (e, cfg.pn_w)))
+        for t, d, e in t1[~implausible][:, [TIMESTAMP, DIRECTION, VALUE]].tolist():
+            self.quarters[t - QUARTER_S] = QuarterRecord(e, _DIRECTIONS[d])
 
         for s, t, cause, v in rows[types == FrameType.T3][:, [SEQ, TIMESTAMP, KEY, VALUE]].tolist():
             notes.append((s, 0, t, _T3_KINDS[cause], (v,)))
@@ -258,7 +256,7 @@ class Device:
             for s, t, p in samples[_rises(above, self._alarm_active)].tolist():
                 notes.append((s, 1, t, "power_alarm", (float(p), limit)))
             self._alarm_active = bool(above[-1])
-        if cfg.pn_w is not None and len(samples):
+        if len(samples):
             pn, reference = cfg.pn_w, OVERRUN_FACTOR * cfg.pn_w
             above = samples[:, 2] > reference  # where switchoff_remaining is not None
             for s, t, p in samples[_rises(above, self._cut_warning_active)].tolist():
@@ -279,54 +277,6 @@ class Device:
                 f"seq {seq} at or below the last seq {last}: "
                 "the link repeated or reordered a frame"
             )
-
-    def _notify(self, t: float, kind: str, *values) -> None:
-        self.notifications.append(Notification(t, kind, _MESSAGES[kind].format(*values)))
-
-    def _on_t1(self, frame: CompactFrame) -> None:
-        payload = frame.payload
-        pn = self.config.pn_w
-        if pn is not None and payload.energy_wh > 1.5 * pn * (QUARTER_S / 3600.0):
-            # Well-formed but physically impossible for this contract; keep
-            # it out of the series rather than poison cost estimates.
-            self.stats["implausible_t1"] += 1
-            self._notify(frame.timestamp, "implausible_reading", payload.energy_wh, pn)
-            return
-        quarter_start = frame.timestamp - QUARTER_S
-        self.quarters[quarter_start] = QuarterRecord(
-            payload.energy_wh, payload.direction, frame.seq
-        )
-
-    def _on_t2(self, frame: CompactFrame) -> None:
-        self._on_power_sample(frame.timestamp, float(frame.payload.power_w))
-
-    def _on_power_sample(self, t: int, power_w: float) -> None:
-        cfg = self.config
-        limit = cfg.alarm_limit_w
-        if limit is not None:
-            if power_w > limit and not self._alarm_active:
-                self._alarm_active = True
-                self._notify(t, "power_alarm", power_w, limit)
-            elif power_w <= limit:
-                self._alarm_active = False
-        if cfg.pn_w is not None:
-            eta = switchoff_remaining(power_w, cfg.pn_w)  # the meter's countdown law
-            if eta is not None and not self._cut_warning_active:
-                self._cut_warning_active = True
-                self._notify(t, "switchoff_warning", eta, OVERRUN_FACTOR * cfg.pn_w)
-            elif eta is None:
-                self._cut_warning_active = False
-
-    def _on_t3(self, frame: CompactFrame) -> None:
-        payload = frame.payload
-        self._notify(frame.timestamp, _T3_KINDS[payload.cause], payload.value)
-        if payload.cause != ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED:
-            self._on_power_sample(frame.timestamp, float(payload.value))
-
-    def _on_t4(self, frame: CompactFrame) -> None:
-        payload = frame.payload
-        self.event_log.append(SupplyEvent(frame.timestamp, payload.event, payload.duration_s))
-        self._notify(frame.timestamp, _T4_KINDS[payload.event], payload.duration_s)
 
     # -- queries -----------------------------------------------------------
 
@@ -369,11 +319,3 @@ def _rises(flags: np.ndarray, before: bool) -> np.ndarray:
     rises[0] &= not before
     return rises
 
-
-# Frame type -> the method that ingests a processed frame of that type.
-_HANDLERS = {
-    FrameType.T1: Device._on_t1,
-    FrameType.T2: Device._on_t2,
-    FrameType.T3: Device._on_t3,
-    FrameType.T4: Device._on_t4,
-}

@@ -30,8 +30,8 @@ whole frames and never damages a bit, so a wire image would decode back to
 the same values; `validate_config` checks up front that every frame fits
 its wire fields, and the codec in `frames` stays the tested wire format.
 The scalar path (`Meter.step`, `encode_frame` and `decode_frame`,
-`Channel.transmit`, `Device.on_frame`) is the reference the tests hold this
-run to, frame by frame.
+`Channel.transmit`, and the per-frame device `tests/reference.py:ScalarDevice`)
+is the reference the tests hold this run to, frame by frame.
 
 Statistics follow one frame end to end, on one ledger per link: an int
 array of frames per (day, frame type, disposition), which counts every
@@ -468,7 +468,9 @@ def _check_profile_csv(
         return spec, None
     if len(power) * tick_s < duration_s:
         read.fail(path, f"covers {len(power) * tick_s} s, need {duration_s} s")
-    used = power[: duration_s // tick_s]
+    # The sum makes a -0.0 sample +0.0, as `dr_site_step` sums a site, so a
+    # user the run does not step meters what the per-tick loop meters.
+    used = power[: duration_s // tick_s] + 0.0
     bad = np.flatnonzero(~(used >= 0.0) | (used == np.inf))
     if bad.size:
         row = int(bad[0])
@@ -993,9 +995,7 @@ def _grid_power(
             dr_run(i, *run)
             i = run[0]
         elif not over[i] and battery.soc_wh == full_wh:
-            j = int(wake[wake.searchsorted(i)])
-            power[i:j] += 0.0  # -0.0 + 0.0 is +0.0, as in the step
-            i = j
+            i = int(wake[wake.searchsorted(i)])
         else:
             power[i] = peak_shave_step(float(power[i]), shave_w, battery, tick).p_grid_w
             i += 1

@@ -10,13 +10,18 @@ and every frame would:
     wire         every frame through `encode_frame`, then `decode_frame`;
     channel      the scalar `Channel.transmit`, one frame at a time;
     gate         the pairing window tested on each arrival;
-    device       `Device.on_frame`, one frame at a time.
+    device       `ScalarDevice`, one frame at a time.
 
 Only the per-user pipeline differs from `harness.run`: the reference runs
 `harness.run` with its per-user step swapped for the loop above, so the
 pairing windows, the report's fold of the ledgers and every output writer
 are the harness's own.  The output tree must then equal the one `harness.run`
 writes, byte for byte.
+
+`ScalarDevice` is the device's rules frame by frame, and `Device.ingest`
+must match it on any block of rows; `scalar_profile` and `per_tick_loop`
+are the same kind of reference for the profile generator and the grid
+power built up front.
 """
 
 from __future__ import annotations
@@ -28,9 +33,18 @@ import numpy as np
 from chain2sim import harness
 from chain2sim.automation import DrIssuer, Site, SiteLoad, dr_site_step, peak_shave_step
 from chain2sim.channel import Channel
-from chain2sim.device import Device, DeviceConfig
-from chain2sim.frames import FrameType, decode_frame, encode_frame
-from chain2sim.meter import Meter, MeterConfig
+from chain2sim.device import (
+    _MESSAGES,
+    _T3_KINDS,
+    _T4_KINDS,
+    Device,
+    DeviceConfig,
+    Notification,
+    QuarterRecord,
+    SupplyEvent,
+)
+from chain2sim.frames import ExceedanceCause, FrameType, decode_frame, encode_frame
+from chain2sim.meter import OVERRUN_FACTOR, QUARTER_S, Meter, MeterConfig, switchoff_remaining
 from chain2sim.profiles import (
     _SOFT_CAP,
     OVERRUN_GAP_S,
@@ -126,10 +140,75 @@ def per_tick_loop(spec, config, send=None):
     return np.array(grid), arms, np.array(actual)
 
 
+class ScalarDevice(Device):
+    """`Device` taking one frame record at a time, each frame type by its
+    own handler: the per-frame rules that `Device.ingest` applies to a block
+    of rows in numpy."""
+
+    def on_frame(self, frame):
+        self._check_seq(self._high_water, frame.seq)
+        self._high_water = frame.seq
+        self.stats["processed"] += 1
+        _HANDLERS[frame.frame_type](self, frame)
+
+    def _notify(self, t, kind, *values):
+        self.notifications.append(Notification(t, kind, _MESSAGES[kind].format(*values)))
+
+    def _on_t1(self, frame):
+        payload = frame.payload
+        pn = self.config.pn_w
+        if payload.energy_wh > 1.5 * pn * (QUARTER_S / 3600.0):
+            self.stats["implausible_t1"] += 1
+            self._notify(frame.timestamp, "implausible_reading", payload.energy_wh, pn)
+            return
+        self.quarters[frame.timestamp - QUARTER_S] = QuarterRecord(
+            payload.energy_wh, payload.direction
+        )
+
+    def _on_t2(self, frame):
+        self._on_power_sample(frame.timestamp, float(frame.payload.power_w))
+
+    def _on_power_sample(self, t, power_w):
+        cfg = self.config
+        limit = cfg.alarm_limit_w
+        if limit is not None:
+            if power_w > limit and not self._alarm_active:
+                self._alarm_active = True
+                self._notify(t, "power_alarm", power_w, limit)
+            elif power_w <= limit:
+                self._alarm_active = False
+        eta = switchoff_remaining(power_w, cfg.pn_w)  # the meter's countdown law
+        if eta is not None and not self._cut_warning_active:
+            self._cut_warning_active = True
+            self._notify(t, "switchoff_warning", eta, OVERRUN_FACTOR * cfg.pn_w)
+        elif eta is None:
+            self._cut_warning_active = False
+
+    def _on_t3(self, frame):
+        payload = frame.payload
+        self._notify(frame.timestamp, _T3_KINDS[payload.cause], payload.value)
+        if payload.cause != ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED:
+            self._on_power_sample(frame.timestamp, float(payload.value))
+
+    def _on_t4(self, frame):
+        payload = frame.payload
+        self.event_log.append(SupplyEvent(frame.timestamp, payload.event, payload.duration_s))
+        self._notify(frame.timestamp, _T4_KINDS[payload.event], payload.duration_s)
+
+
+# Frame type -> the handler of a processed frame of that type.
+_HANDLERS = {
+    FrameType.T1: ScalarDevice._on_t1,
+    FrameType.T2: ScalarDevice._on_t2,
+    FrameType.T3: ScalarDevice._on_t3,
+    FrameType.T4: ScalarDevice._on_t4,
+}
+
+
 def _reference_user(spec, config, window, keep_actual, user_dir):
     """`harness._run_user`, one tick and one frame at a time."""
     link = Channel(config.channel, derive(config.seed, "channel", spec.pod_id))
-    device = Device(DeviceConfig(spec.pn_w, spec.alarm_limit_w, tariff=spec.tariff))
+    device = ScalarDevice(DeviceConfig(spec.pn_w, spec.alarm_limit_w, tariff=spec.tariff))
     active_at, revoked_at = window
     days = -(-config.duration_s // harness.DAY_S)
     ledger = np.zeros((days, len(FrameType), len(harness.LinkOutcome)), dtype=np.int64)

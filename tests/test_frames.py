@@ -258,7 +258,7 @@ def test_payloads_of_different_types_never_compare_equal():
         T3Payload(ExceedanceCause.POWER_EXCEEDED, 3500),
         T4Payload(SupplyEventKind.INTERRUPTION_START),
         CompactFrame(FrameType.T1, "IT001E00000001", 1, 900, T1Payload(0, 5)),
-        QuarterRecord(5, EnergyDirection.WITHDRAWN, 1),
+        QuarterRecord(5, EnergyDirection.WITHDRAWN),
     ],
     ids=lambda record: type(record).__name__,
 )

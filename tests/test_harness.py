@@ -975,6 +975,23 @@ def test_closed_loop_users_match_the_per_tick_loop(tmp_path, monkeypatch):
     assert Path("settlement.csv") in series
 
 
+def test_negative_zero_csv_samples_meter_as_the_per_tick_loop(tmp_path):
+    """Validation accepts a -0.0 sample (it is >= 0).  A user with no DR
+    window and no shaving battery is not stepped, yet its grid power and
+    supplied power equal the per-tick loop's in bytes: +0.0, as
+    `dr_site_step` sums a site."""
+    profile_to_csv(tmp_path / "neg.csv", np.full(60, -0.0), 60)
+    user = {"pod_id": POD1, "pn_w": 3000, "profile_csv": "neg.csv"}
+    config = validate_config({"duration_s": 3600, "tick_s": 60, "users": [user]}, str(tmp_path))
+    spec = config.users[0]
+    power, _ = harness._grid_power(spec, config, harness._build_profile(spec, config), [])
+    result = harness._run_user(spec, config, harness._pairing_windows(config)[POD1], True, None)
+    want_power, _, want_actual = per_tick_loop(spec, config)
+    assert want_power.tobytes() == np.zeros(60).tobytes()
+    assert power.tobytes() == want_power.tobytes()
+    assert result.actual_w.tobytes() == want_actual.tobytes()
+
+
 @st.composite
 def _dr_windows(draw):
     """Windows that do not overlap, on a 900 s tick: each starts a drawn gap
@@ -1369,7 +1386,8 @@ def _scenarios(draw):
 def test_run_writes_what_the_reference_writes(tmp_path_factory, scenario):
     """`harness.run` writes, byte for byte, the output tree of the slow model
     (`tests/reference.py`): every tick stepped, every frame through the wire
-    codec, the scalar channel, the gate and `Device.on_frame`."""
+    codec, the scalar channel, the gate and the per-frame device
+    `ScalarDevice`."""
     top, users, commands = scenario
     tmp = tmp_path_factory.mktemp("oracle")
     run_s = {"tick_s": top["tick_s"], "duration_s": top["days"] * 86400}

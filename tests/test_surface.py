@@ -17,8 +17,8 @@ ALLOWED = {
     "frame_from_description": "reads the text format of tests/data/golden_frames.txt",
     "validate_dataset": "the catalogue invariants that acceptance criterion 11 checks",
     "profile_to_csv": "the only writer of the profile CSV format that profile_from_csv reads",
-    "Device.on_frame": "the one-frame device of the reference run (tests/reference.py), "
-    "and a layer the benchmark's tracer wraps (perfbench/tracer.py TARGETS)",
+    "Device.on_frame": "a layer the benchmark's tracer wraps (perfbench/tracer.py TARGETS); "
+    "goes when ROADMAP item 1 re-bases the tracer on Device.ingest",
     "Meter.cut_deadline": "countdown state that the property tests read",
     "Meter.emergency_limit_w": "emergency-limit state that the property tests read",
     "Portal.admits": "resolved by name by the benchmark's tracer (perfbench/tracer.py)",
