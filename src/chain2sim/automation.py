@@ -23,6 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from chain2sim.frames import QUARTER_S
+
 # -- Storage -------------------------------------------------------------------
 
 
@@ -88,7 +90,7 @@ class Battery:
         return p
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PeakShaveResult:
     p_grid_w: float
     p_charge_w: float
@@ -124,7 +126,7 @@ def peak_shave_step(
 class Appliance:
     """A shiftable appliance run.
 
-    `profile_w` is the power drawn in each `SLOT_S` slot once started; the
+    `profile_w` is the power drawn in each quarter-hour slot once started; the
     run is contiguous and non-preemptive.  `earliest_start_s` and `deadline_s`
     bound the run in scenario seconds: it may not start before the former
     and must have finished by the latter.
@@ -162,16 +164,13 @@ class ScheduleResult:
 # Most start combinations `load_shift_schedule` searches exhaustively.
 EXHAUSTIVE_CAP = 2_000_000
 
-# The scheduler's slot: the quarter hour, over which the meter reports energy.
-SLOT_S = 900
-
 
 def feasible_starts(app: Appliance, n_slots: int) -> list[int]:
     """The start slots at which `app`'s run fits inside both its own window
     and the `n_slots` of the horizon; ValueError when there is none."""
     dur = len(app.profile_w)
-    first = -(-app.earliest_start_s // SLOT_S)  # ceil division
-    last = min(app.deadline_s // SLOT_S, n_slots) - dur
+    first = -(-app.earliest_start_s // QUARTER_S)  # ceil division
+    last = min(app.deadline_s // QUARTER_S, n_slots) - dur
     if first > last:
         raise ValueError(
             f"{app.id}: no feasible start in [{app.earliest_start_s}, "
@@ -181,7 +180,7 @@ def feasible_starts(app: Appliance, n_slots: int) -> list[int]:
 
 
 def _start_cost(app: Appliance, start: int, prices: Sequence[float]) -> float:
-    kwh_per_slot = SLOT_S / 3600.0 / 1000.0
+    kwh_per_slot = QUARTER_S / 3600.0 / 1000.0
     return sum(
         p * kwh_per_slot * prices[start + k] for k, p in enumerate(app.profile_w)
     )
@@ -192,8 +191,8 @@ def load_shift_schedule(
     prices_eur_per_kwh: Sequence[float],
     grid_limit_w: float | None = None,
 ) -> ScheduleResult:
-    """Choose one start slot per appliance, of `SLOT_S` each, minimizing
-    total energy cost.
+    """Choose one start slot per appliance, a slot being the quarter hour
+    (`QUARTER_S`) the meter reports energy over, minimizing total energy cost.
 
     Without a `grid_limit_w` the appliances do not interact, so one
     per-appliance pass, each taking its cheapest start, is the optimum.
@@ -287,7 +286,7 @@ def _placement_excess(
     for app, s in zip(apps, starts):
         for k, p in enumerate(app.profile_w):
             load[s + k] += p
-    excess_wh = sum(max(0.0, l - limit_w) for l in load) * SLOT_S / 3600.0
+    excess_wh = sum(max(0.0, l - limit_w) for l in load) * QUARTER_S / 3600.0
     slots = [i for i, l in enumerate(load) if l > limit_w]
     return excess_wh, slots
 
@@ -409,7 +408,7 @@ class Site:
     command: DrCommand | None = None  # the window the curtailed loads are off for
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DrStepResult:
     p_grid_w: float
     curtailed_ids: tuple[str, ...]

@@ -40,8 +40,10 @@ from typing import Iterable
 import numpy as np
 
 from chain2sim.frames import (
+    DAY_S,
     DIRECTION,
     KEY,
+    QUARTER_S,
     SEQ,
     TIMESTAMP,
     TYPE,
@@ -51,10 +53,9 @@ from chain2sim.frames import (
     ExceedanceCause,
     FrameType,
     SupplyEventKind,
+    frame_rows,
 )
-from chain2sim.meter import OVERRUN_FACTOR, QUARTER_S, frame_rows, switchoff_remaining
-
-DAY_S = 86400
+from chain2sim.meter import OVERRUN_FACTOR, switchoff_remaining
 
 
 # -- Tariffs -------------------------------------------------------------------

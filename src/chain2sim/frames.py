@@ -38,8 +38,8 @@ records, built once and never changed: they compare by type and fields, and
 are not hashable.
 
 A run carries its frames as rows instead: one row of integers per frame,
-laid out by the column indices below (`frame_row`).  Every payload has at
-most three fields, so a row holds
+laid out by the column indices below (`frame_row`; `frame_rows` makes a
+block of them).  Every payload has at most three fields, so a row holds
 
     TYPE, SEQ, TIMESTAMP   the header (the pod is the link's own)
     KEY                    quarter, band, cause or event
@@ -63,6 +63,10 @@ POD_ID_LEN = 14
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
 TIMESTAMP_MAX = _U32  # the header's timestamp, seconds since the scenario epoch
+
+# A T1 frame reports a quarter hour, indexed within its day.
+QUARTER_S = 900
+DAY_S = 86400
 
 
 class FrameType(IntEnum):
@@ -191,7 +195,7 @@ class CompactFrame:
 # in the record, zero on the wire and absent from the text.
 _LAYOUT: dict[FrameType, tuple[type, dict[str, tuple[str, str, int | type[IntEnum]]]]] = {
     FrameType.T1: (T1Payload, {
-        "quarter_index": ("quarter", "B", 95),
+        "quarter_index": ("quarter", "B", DAY_S // QUARTER_S - 1),
         "direction": ("direction", "B", EnergyDirection),
         "energy_wh": ("energy_wh", "H", _U16),
     }),
@@ -241,6 +245,13 @@ def frame_row(frame: CompactFrame) -> list[int]:
     for name, column in _ROW_COLUMNS[frame.frame_type].items():
         row[column] = int(getattr(payload, name) or 0)
     return row
+
+
+def frame_rows(frames: list[CompactFrame]):
+    """The rows of frame records, as one int64 numpy block."""
+    import numpy as np  # here, not at the top: the portal and the CLI import this module
+
+    return np.array([frame_row(f) for f in frames], dtype=np.int64).reshape(-1, ROW_WIDTH)
 
 
 def field_max(frame_type: FrameType, field: str) -> int:

@@ -25,7 +25,9 @@ those times, and `Device.ingest` takes the rows the gate passes.  The
 device sees the same frames in the same order as a receiver that waits for
 each arrival: the link is FIFO (arrival times rise in send order) and
 nothing reads the device during a run.  The gate is the user's pairing
-window from the portal, fixed before any user runs.  The channel drops
+window from the portal, fixed before any user runs: each pod activates
+after a delay the portal draws from `ScenarioConfig.activation_delay_h`,
+(0, 0) when the scenario pairs its pods pre-active.  The channel drops
 whole frames and never damages a bit, so a wire image would decode back to
 the same values; `validate_config` checks up front that every frame fits
 its wire fields, and the codec in `frames` stays the tested wire format.
@@ -95,18 +97,16 @@ from chain2sim.automation import (
 from chain2sim.channel import BernoulliLoss, Channel, ChannelConfig, GilbertElliottLoss
 from chain2sim.device import Device, DeviceConfig, TariffSchedule, TariffWindow
 from chain2sim import frames
-from chain2sim.frames import EnergyDirection, FrameType, SupplyEventKind
+from chain2sim.frames import DAY_S, QUARTER_S, EnergyDirection, FrameType, SupplyEventKind
 
 # The run carries frames as rows and calls no codec.  These two names stay
 # bound here because the benchmark's span tracer (perfbench/tracer.py) wraps
 # `chain2sim.harness:encode_frame` and `:decode_frame` by name.
 from chain2sim.frames import decode_frame, encode_frame  # noqa: F401
-from chain2sim.meter import QUARTER_S, Meter, MeterConfig, frame_rows
+from chain2sim.meter import Meter, MeterConfig
 from chain2sim.portal import MeterGeneration, PodRecord, Portal
 from chain2sim.profiles import PRESETS, household_profile, profile_from_csv, profile_peak_w
 from chain2sim.seeds import derive
-
-DAY_S = 86400
 
 FRAME_TYPE_NAMES = tuple(t.name for t in FrameType)  # in report order
 
@@ -182,8 +182,7 @@ class ScenarioConfig:
     seed: int
     users: tuple[UserSpec, ...]
     channel: ChannelConfig = ChannelConfig()
-    pairing_mode: str = "pre_active"  # or "portal" (delayed activation)
-    activation_delay_h: tuple[float, float] = (1.0, 4.0)
+    activation_delay_h: tuple[float, float] = (0.0, 0.0)  # hours; (0, 0) pairs pre-active
     dr_commands: tuple[DrCommand, ...] = ()
     mevu: MevuSpec | None = None
 
@@ -197,7 +196,8 @@ def load_config(path: str) -> ScenarioConfig:
 
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's loader where pyyaml has it: the same documents, faster.
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     # OSError: an unreadable file; ValueError: say, an int too long to parse.
     except (OSError, yaml.YAMLError, ValueError) as exc:
         raise ConfigError([f"{path}: {exc}"]) from None
@@ -546,6 +546,8 @@ def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
     delay = read.numbers(pairing, "pairing", "activation_delay_h", (1.0, 4.0), size=2)
     if delay is not None:  # the portal owns the activation window rule
         read.build("pairing.activation_delay_h", Portal, {}, activation_delay_h=delay)
+    if mode == "pre_active":  # checked all the same, but every pod pairs at once
+        delay = (0.0, 0.0)
 
     users: list[UserSpec] = []
     fleet = read.mapping(raw, "", "fleet", None)
@@ -641,7 +643,6 @@ def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
         seed=seed,
         users=tuple(users),
         channel=channel,
-        pairing_mode=mode,
         activation_delay_h=delay,
         dr_commands=tuple(command for _, command in dr),
         mevu=mevu,
@@ -868,14 +869,20 @@ def _appliance_table(scheduled, n_slots: int) -> np.ndarray:
     return table
 
 
-def _load_power(profile: np.ndarray, table: np.ndarray, per_slot: int) -> np.ndarray:
-    """Household plus appliance power per tick: each slot's row of `table`,
-    summed in appliance order as `dr_site_step` sums a site's loads, added to
-    every tick of the slot."""
-    if not table.size:
-        return profile
-    slot_w = np.array([sum(row) for row in table.tolist()])
-    return profile + np.repeat(slot_w, per_slot)[: len(profile)]
+def _site_power(
+    profile: np.ndarray, table: np.ndarray, per_slot: int, loads, start: int, end: int
+) -> np.ndarray:
+    """Household plus uncurtailed appliance power at ticks start..end-1,
+    summed as `dr_site_step` sums a site: in each slot's row of `table`, the
+    columns of the loads not curtailed, in order from 0.0, then the sum added
+    to every tick of the slot.  A new array, so a -0.0 sample becomes +0.0."""
+    lo = start // per_slot
+    slot_w = np.zeros(-(-end // per_slot) - lo)
+    for load, column in zip(loads, table[lo : lo + len(slot_w)].T):
+        if not load.curtailed:
+            slot_w = slot_w + column
+    slot_ticks = np.repeat(slot_w, per_slot)[start - lo * per_slot : end - lo * per_slot]
+    return profile[start:end] + slot_ticks
 
 
 def _dr_runs(
@@ -914,8 +921,7 @@ def _grid_power(
     of window ticks steps its first tick, which restores what an earlier
     window curtailed.  After it, a tick whose household plus uncurtailed
     load is at or under the limit curtails nothing and discharges nothing:
-    it takes that total, summed in numpy in `dr_site_step`'s order (the
-    uncurtailed loads in appliance order, then the household), and only the
+    it takes that total, `_site_power` of the uncurtailed loads, and only the
     ticks over the limit are stepped; the totals are summed again only when
     a step curtails another load.  Once every controllable load is curtailed,
     a site without a battery has nothing left to act with, and the rest of
@@ -927,17 +933,17 @@ def _grid_power(
     tick = config.tick_s
     per_slot = QUARTER_S // tick
     table = _appliance_table(scheduled, -(-len(profile) // per_slot))
-    power = _load_power(profile, table, per_slot)
     battery = spec.battery.build() if spec.battery else None
     loads = [SiteLoad(app.id, 0.0, app.interruptible, app.controllable) for app, _ in scheduled]
     site = Site(spec.pod_id, loads, battery)  # demand-response state, shared battery
     shave_w = spec.peak_shave_limit_w if battery is not None else None
-    n = len(power)
+    n = len(profile)
     runs, arms = _dr_runs(config.dr_commands, n, tick) if config.dr_commands else ({}, {})
+    if not (scheduled or runs) and shave_w is None:
+        return profile, arms  # nothing to add or step: the profile itself, no copy
+    power = _site_power(profile, table, per_slot, loads, 0, n)  # the profile stays the baseline
     if not runs and shave_w is None:
         return power, arms
-    if power is profile:  # a copy: the profile stays the settlement baseline
-        power = profile + 0.0  # -0.0 + 0.0 is +0.0, as `dr_site_step` sums a site
 
     def dr_tick(i: int, cmd: DrCommand) -> DrStepResult:
         t = i * tick
@@ -948,20 +954,11 @@ def _grid_power(
         power[i] = result.p_grid_w
         return result
 
-    def uncurtailed(i: int, end: int) -> np.ndarray:
-        """Household plus uncurtailed load at ticks i..end-1."""
-        lo = i // per_slot
-        slot_w = np.zeros(-(-end // per_slot) - lo)  # as the step's sum, even with no load
-        for load, column in zip(site.loads, table[lo : lo + len(slot_w)].T):
-            if not load.curtailed:
-                slot_w = slot_w + column
-        return profile[i:end] + np.repeat(slot_w, per_slot)[i - lo * per_slot : end - lo * per_slot]
-
     def dr_run(first: int, end: int, cmd: DrCommand) -> None:
         step = dr_tick(first, cmd)
         i = first + 1
         while i < end:
-            total = uncurtailed(i, end)
+            total = _site_power(profile, table, per_slot, site.loads, i, end)
             power[i:end] = np.where(total < 0.0, 0.0, total)  # max(total, 0.0), as the step
             if battery is None and not any(
                 load.controllable and not load.curtailed for load in site.loads
@@ -1040,7 +1037,7 @@ def _run_user(
     for a, b in zip(cuts, cuts[1:]):
         t = a * tick
         while events and events[0][0] == t:
-            blocks.append(frame_rows(meter.apply_supply_event(t, events.popleft()[1])))
+            blocks.append(frames.frame_rows(meter.apply_supply_event(t, events.popleft()[1])))
         if a in arms:
             meter.arm_emergency_limit(*arms[a])
         blocks.extend(meter.emit_rows(power[a:b], t))
@@ -1048,7 +1045,7 @@ def _run_user(
             # Only a supply event closes the breaker, so it stays open to b.
             actual[max(a, meter.interrupted_at // tick) : b] = 0.0
 
-    rows = blocks[0] if len(blocks) == 1 else np.concatenate([frame_rows([]), *blocks])
+    rows = blocks[0] if len(blocks) == 1 else np.concatenate([frames.frame_rows([]), *blocks])
     t_arrive = link.arrivals(rows)
     active_at, revoked_at = window
     processed = (active_at <= t_arrive) & (t_arrive < revoked_at)  # NaN, a lost frame, fails
@@ -1095,8 +1092,7 @@ def _pairing_windows(config: ScenarioConfig) -> dict[str, tuple[float, float]]:
     """Each pod's `Portal.window`, fixed before any user runs."""
     registry = {s.pod_id: PodRecord(s.pod_id, MeterGeneration.SECOND, True) for s in config.users}
     rng = random.Random(derive(config.seed, "portal"))
-    delay_h = (0.0, 0.0) if config.pairing_mode == "pre_active" else config.activation_delay_h
-    portal = Portal(registry, rng=rng, activation_delay_h=delay_h)
+    portal = Portal(registry, rng=rng, activation_delay_h=config.activation_delay_h)
     device_ids = {spec.pod_id: f"dev-{spec.pod_id}" for spec in config.users}
     # Pair in pod order so activation delays are independent of config order.
     for spec in sorted(config.users, key=lambda s: s.pod_id):

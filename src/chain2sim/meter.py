@@ -26,7 +26,9 @@ reference: while armed, the countdown uses
 
     remaining = SWITCHOFF_TAU_S * limit_w / (power - limit_w)
 
-with no tolerance factor on the limit itself.
+with no tolerance factor on the limit itself.  `switchoff_remaining` is
+this law, for either reference: `step` calls it, and the device's cut
+warning calls it too.
 
 All frames share one gapless sequence counter starting at 1, so a receiver
 can detect channel losses as sequence gaps regardless of frame type.
@@ -71,8 +73,10 @@ from typing import Iterator
 import numpy as np
 
 from chain2sim.frames import (
+    DAY_S,
     DIRECTION,
     KEY,
+    QUARTER_S,
     ROW_WIDTH,
     SEQ,
     TIMESTAMP,
@@ -88,11 +92,10 @@ from chain2sim.frames import (
     T2Payload,
     T3Payload,
     T4Payload,
-    frame_row,
+    frame_rows,
 )
 
-QUARTER_S = 900
-QUARTERS_PER_DAY = 96
+QUARTERS_PER_DAY = DAY_S // QUARTER_S
 OVERRUN_FACTOR = 1.1  # tolerated fraction of pn_w before the cut countdown arms
 SWITCHOFF_TAU_S = 180.0  # time constant of the cut countdown (s)
 
@@ -192,14 +195,6 @@ class Meter:
         """When the supply interruption in progress began; None with the
         supply on."""
         return self._interruption_started_at
-
-    @property
-    def cut_deadline(self) -> float | None:
-        return self._cut_deadline
-
-    @property
-    def emergency_limit_w(self) -> float | None:
-        return self._em_limit_w
 
     # -- emergency limit ---------------------------------------------------
 
@@ -305,16 +300,11 @@ class Meter:
                 frames.append(self._emit(_T2, t, T2Payload(k, power_int, direction)))
             self._band = new_band
 
-        # Overrun countdown against the active reference.  The default
-        # reference is switchoff_remaining() inlined.
-        if self._em_limit_w is not None:
-            remaining = switchoff_remaining(p_eff, self._em_limit_w, overrun_factor=1.0)
+        # Overrun countdown against the active reference.
+        if self._em_limit_w is None:
+            remaining = switchoff_remaining(p_eff, pn)
         else:
-            reference = OVERRUN_FACTOR * pn
-            if p_eff <= reference:
-                remaining = None
-            else:
-                remaining = SWITCHOFF_TAU_S * pn / (p_eff - reference)
+            remaining = switchoff_remaining(p_eff, self._em_limit_w, overrun_factor=1.0)
         if remaining is None:
             self._cut_deadline = None
         else:
@@ -515,11 +505,6 @@ class Meter:
         self._total_acc_ws = float(total[last])
         self._energy_alarm_sent |= bool(alarm.size)
         return stop, rows
-
-
-def frame_rows(frames: list[CompactFrame]) -> np.ndarray:
-    """The rows of frame records (see `frames`), as one block."""
-    return np.array([frame_row(f) for f in frames], dtype=np.int64).reshape(-1, ROW_WIDTH)
 
 
 def _changes(values: np.ndarray, before) -> np.ndarray:

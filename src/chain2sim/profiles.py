@@ -286,15 +286,6 @@ def profile_peak_w(pn_w: float, preset: str = "B") -> float:
     return max(_SOFT_CAP, PRESETS[preset].overrun_peak_hi) * pn_w
 
 
-def profile_to_csv(path: str, power_w: np.ndarray, tick_s: int) -> None:
-    """Write a profile as `t_s,power_W` rows, one per tick."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "power_W"])
-        for i, p in enumerate(power_w):
-            writer.writerow([i * tick_s, f"{p:.3f}"])
-
-
 def profile_from_csv(path: str) -> tuple[np.ndarray, int]:
     """Read a `t_s,power_W` file back; returns (power array, tick seconds).
 

@@ -21,12 +21,14 @@ writes, byte for byte.
 `ScalarDevice` is the device's rules frame by frame, and `Device.ingest`
 must match it on any block of rows; `scalar_profile` and `per_tick_loop`
 are the same kind of reference for the profile generator and the grid
-power built up front.
+power built up front.  `profile_to_csv` writes the profile CSV format that
+`profile_from_csv` reads, for scenarios that bring their own profile.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 
 import numpy as np
 
@@ -43,8 +45,15 @@ from chain2sim.device import (
     QuarterRecord,
     SupplyEvent,
 )
-from chain2sim.frames import ExceedanceCause, FrameType, decode_frame, encode_frame
-from chain2sim.meter import OVERRUN_FACTOR, QUARTER_S, Meter, MeterConfig, switchoff_remaining
+from chain2sim.frames import (
+    DAY_S,
+    QUARTER_S,
+    ExceedanceCause,
+    FrameType,
+    decode_frame,
+    encode_frame,
+)
+from chain2sim.meter import OVERRUN_FACTOR, Meter, MeterConfig, switchoff_remaining
 from chain2sim.profiles import (
     _SOFT_CAP,
     OVERRUN_GAP_S,
@@ -53,6 +62,15 @@ from chain2sim.profiles import (
     PRESETS,
 )
 from chain2sim.seeds import derive
+
+
+def profile_to_csv(path, power_w, tick_s):
+    """Write a profile as `t_s,power_W` rows, one per tick."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t_s", "power_W"])
+        for i, p in enumerate(power_w):
+            writer.writerow([i * tick_s, f"{p:.3f}"])
 
 
 def scalar_profile(rng, pn_w, duration_s, tick_s=1, preset="B"):
@@ -210,7 +228,7 @@ def _reference_user(spec, config, window, keep_actual, user_dir):
     link = Channel(config.channel, derive(config.seed, "channel", spec.pod_id))
     device = ScalarDevice(DeviceConfig(spec.pn_w, spec.alarm_limit_w, tariff=spec.tariff))
     active_at, revoked_at = window
-    days = -(-config.duration_s // harness.DAY_S)
+    days = -(-config.duration_s // DAY_S)
     ledger = np.zeros((days, len(FrameType), len(harness.LinkOutcome)), dtype=np.int64)
 
     def send(frame):
@@ -218,7 +236,7 @@ def _reference_user(spec, config, window, keep_actual, user_dir):
         assert received == frame, f"{frame} does not survive its wire image"
         ts = received.timestamp
         # A T1 counts on the day of the quarter it closes, which ends at ts.
-        day = (ts - 1 if received.frame_type is FrameType.T1 else ts) // harness.DAY_S
+        day = (ts - 1 if received.frame_type is FrameType.T1 else ts) // DAY_S
         t_arrive = link.transmit(received.frame_type, ts)
         if t_arrive is None:
             outcome = harness.LinkOutcome.LOST

@@ -321,7 +321,7 @@ def test_criterion_12_portal_gating(device_arrivals):
         replace(spec, revoke_at_s=43_200.0) if i % 4 == 0 else spec
         for i, spec in enumerate(config.users)
     )
-    config = replace(config, users=users, pairing_mode="portal")
+    config = replace(config, users=users, activation_delay_h=(1.0, 4.0))
     report = run(config, parallel=True)
 
     assert report.gated_total > 0  # the gate actually did something

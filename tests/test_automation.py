@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -121,9 +122,13 @@ def test_peak_shave_limit_must_be_positive():
 
 
 def _oracle_schedule(apps, prices, limit_w, slot_s=900):
-    """Brute-force reference: full product enumeration, same tie-break."""
+    """Brute-force reference over every start combination: the least
+    (excess Wh over the limit, cost, starts in id order), each summed in the
+    scheduler's order, and the slots over the limit under it."""
     apps = sorted(apps, key=lambda a: a.id)
     n = len(prices)
+    limit_w = math.inf if limit_w is None else limit_w
+    kwh_per_slot = slot_s / 3600.0 / 1000.0
     per_app = []
     for app in apps:
         dur = len(app.profile_w)
@@ -133,22 +138,14 @@ def _oracle_schedule(apps, prices, limit_w, slot_s=900):
     best = None
     for combo in itertools.product(*per_app):
         load = [0.0] * n
-        ok = True
+        cost = 0.0
         for app, s in zip(apps, combo):
             for k, p in enumerate(app.profile_w):
                 load[s + k] += p
-                if limit_w is not None and load[s + k] > limit_w:
-                    ok = False
-        if not ok:
-            continue
-        cost = 0.0
-        for app, s in zip(apps, combo):
-            cost += sum(
-                p * slot_s / 3600.0 / 1000.0 * prices[s + k]
-                for k, p in enumerate(app.profile_w)
-            )
-        if best is None or (cost, combo) < best:
-            best = (cost, combo)
+            cost += sum(p * kwh_per_slot * prices[s + k] for k, p in enumerate(app.profile_w))
+        excess = sum(max(0.0, w - limit_w) for w in load) * slot_s / 3600.0
+        if best is None or (excess, cost, combo) < best[0]:
+            best = (excess, cost, combo), tuple(i for i, w in enumerate(load) if w > limit_w)
     return best
 
 
@@ -178,12 +175,11 @@ def test_schedule_matches_bruteforce_on_random_instances():
     checked = 0
     for _ in range(60):
         apps, prices, limit = _random_instance(rng)
-        expected = _oracle_schedule(apps, prices, limit)
+        (excess, cost, combo), _ = _oracle_schedule(apps, prices, limit)
         result = load_shift_schedule(apps, prices, limit)
-        if expected is None:
+        if excess:
             assert not result.feasible
             continue
-        cost, combo = expected
         assert result.feasible and result.optimal
         assert result.total_cost_eur == pytest.approx(cost)
         ordered = [result.starts[a.id] for a in sorted(apps, key=lambda a: a.id)]
@@ -226,6 +222,38 @@ def test_infeasible_limit_reports_least_excess():
     assert not result.feasible
     assert result.offending_slots  # at least one overloaded slot identified
     assert len(result.offending_slots) == 1  # best case overlaps a single slot
+    # Every start of b overlaps a by 250 Wh at the same cost: the earliest.
+    assert result.starts == {"a": 0, "b": 0}
+    assert result.offending_slots == (0,)
+
+
+def test_limited_schedule_is_the_least_excess_then_cheapest():
+    """Under a grid limit the schedule is the brute-force minimum of (excess
+    energy, cost, starts in id order): the cheapest schedule within the
+    limit when there is one, else the least excess with the slots still over
+    it; on random instances with inexact powers, most of them infeasible."""
+    rng = random.Random(2027)
+    outcomes = Counter()
+    while outcomes[False] < 150:
+        n_slots = rng.randrange(3, 9)
+        apps = []
+        for i in range(rng.randrange(1, 4)):
+            dur = rng.randrange(1, min(3, n_slots) + 1)
+            first = rng.randrange(0, n_slots - dur + 1)
+            end = rng.randrange(first + dur, n_slots + 1)
+            profile = tuple(round(rng.uniform(100.0, 2500.0), 3) for _ in range(dur))
+            apps.append(Appliance(f"app{i}", profile, first * 900, end * 900))
+        prices = [rng.choice([0.1, 0.13, 0.2, 0.27]) for _ in range(n_slots)]
+        limit = round(rng.uniform(500.0, 3000.0), 3)
+        (excess, cost, starts), over = _oracle_schedule(apps, prices, limit)
+        result = load_shift_schedule(apps, prices, grid_limit_w=limit)
+        assert tuple(result.starts[f"app{i}"] for i in range(len(apps))) == starts
+        assert result.total_cost_eur == cost
+        assert result.offending_slots == over
+        assert (result.feasible, result.optimal) == (excess == 0.0, excess == 0.0)
+        assert result.method == "exhaustive"
+        outcomes[result.feasible] += 1
+    assert outcomes[True] > 0
 
 
 def test_appliance_with_no_window_raises():

@@ -10,7 +10,8 @@ import pytest
 
 from chain2sim import cli
 from chain2sim.cli import main
-from chain2sim.profiles import household_profile, profile_to_csv
+from chain2sim.profiles import household_profile
+from reference import profile_to_csv
 
 POD = "IT001E00000001"
 

@@ -16,8 +16,8 @@ from chain2sim.frames import (
     T2Payload,
     T3Payload,
     T4Payload,
+    frame_rows,
 )
-from chain2sim.meter import frame_rows
 from reference import ScalarDevice
 
 POD = "IT001E00000001"

@@ -34,9 +34,9 @@ from chain2sim.harness import (
     run,
     validate_config,
 )
-from chain2sim.profiles import household_profile, profile_to_csv
+from chain2sim.profiles import household_profile
 import reference
-from reference import per_tick_loop, run_reference
+from reference import per_tick_loop, profile_to_csv, run_reference
 
 POD1 = "IT001E00000001"
 POD2 = "IT001E00000002"
@@ -105,7 +105,10 @@ def test_validate_config_full_yaml(tmp_path):
         },
     }
     config = validate_config(raw, base_dir=str(tmp_path))
-    assert config.pairing_mode == "portal"
+    assert config.activation_delay_h == (0.5, 1.0)
+    # A pre-active pod pairs at once, whatever window the file gives.
+    pre_active = {**raw, "pairing": {"mode": "pre_active", "activation_delay_h": [0.5, 1.0]}}
+    assert validate_config(pre_active, base_dir=str(tmp_path)).activation_delay_h == (0.0, 0.0)
     assert config.users[0].profile_csv == str(tmp_path / "prof.csv")
     assert config.users[0].tariff.price_at(0) == 0.25
     assert config.users[1].direction.name == "FED_IN"
@@ -615,7 +618,6 @@ def test_daily_attribution_keeps_one_day_runs_in_day_zero():
 def test_portal_mode_gates_frames_before_activation(device_arrivals):
     config = small_config(
         duration_s=6 * 3600,
-        pairing_mode="portal",
         activation_delay_h=(1.0, 2.0),
         channel=ChannelConfig(),
     )
@@ -786,7 +788,7 @@ def test_report_csv_all_rows_sum_their_frame_types():
     "all" row carries the sum of the scope's frame-type rows, on a lossy,
     portal-gated run over several days."""
     config = small_config(
-        duration_s=2 * 86400, tick_s=300, pairing_mode="portal", activation_delay_h=(1.0, 6.0)
+        duration_s=2 * 86400, tick_s=300, activation_delay_h=(1.0, 6.0)
     )
     report = run(config, parallel=False)
     assert report.lost_total > 0 and report.gated_total > 0

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chain2sim.frames import (
+    QUARTER_S,
     ROW_WIDTH,
     SEQ,
     TIMESTAMP,
@@ -25,15 +26,9 @@ from chain2sim.frames import (
     decode_frame,
     describe_frame,
     encode_frame,
-)
-from chain2sim.meter import (
-    QUARTER_S,
-    QUARTERS_PER_DAY,
-    Meter,
-    MeterConfig,
     frame_rows,
-    switchoff_remaining,
 )
+from chain2sim.meter import QUARTERS_PER_DAY, Meter, MeterConfig, switchoff_remaining
 
 POD = "IT001E00000001"
 
@@ -239,7 +234,7 @@ def test_overrun_leads_to_cut_at_formula_time():
     assert t4[0].payload.event is SupplyEventKind.INTERRUPTION_START
     assert t4[0].timestamp == math.ceil(expected)
     assert not meter.supply_on
-    assert meter.cut_deadline is None
+    assert meter._cut_deadline is None
 
 
 def test_power_after_cut_reads_zero():
@@ -254,9 +249,9 @@ def test_power_after_cut_reads_zero():
 def test_recovery_before_deadline_clears_countdown():
     meter = make_meter(pn_w=3000.0)
     drive(meter, [4000.0] * 10)
-    assert meter.cut_deadline is not None
+    assert meter._cut_deadline is not None
     meter.step(3300.0, 10)
-    assert meter.cut_deadline is None
+    assert meter._cut_deadline is None
     frames = drive(meter, [3300.0] * 1000, t0=11)
     assert not any(f.frame_type is FrameType.T4 for f in frames)
     assert meter.supply_on
@@ -265,13 +260,13 @@ def test_recovery_before_deadline_clears_countdown():
 def test_deadline_keeps_earliest_candidate():
     meter = make_meter(pn_w=3000.0)
     meter.step(3400.0, 0)
-    slow = meter.cut_deadline
+    slow = meter._cut_deadline
     meter.step(6000.0, 1)
-    fast = meter.cut_deadline
+    fast = meter._cut_deadline
     assert fast < slow
     meter.step(3400.0, 2)
     # Easing off without clearing the overrun must not push the cut back out.
-    assert meter.cut_deadline == fast
+    assert meter._cut_deadline == fast
 
 
 def test_cut_emits_band_and_restore_frames_in_order():
@@ -315,7 +310,7 @@ def test_emergency_limit_tightens_reference():
     meter = make_meter(pn_w=3000.0)
     meter.arm_emergency_limit(2000.0, until_s=10_000)
     meter.step(3000.0, 0)  # legal against Pn, over the armed limit
-    assert meter.cut_deadline == pytest.approx(180.0 * 2000.0 / 1000.0)
+    assert meter._cut_deadline == pytest.approx(180.0 * 2000.0 / 1000.0)
     frames = drive(meter, [3000.0] * 360, t0=1)
     t4 = [f for f in frames if f.frame_type is FrameType.T4]
     assert len(t4) == 1 and t4[0].timestamp == 360
@@ -325,20 +320,20 @@ def test_emergency_limit_expires():
     meter = make_meter(pn_w=3000.0)
     meter.arm_emergency_limit(2000.0, until_s=5)
     drive(meter, [3000.0] * 5)
-    assert meter.cut_deadline is not None
+    assert meter._cut_deadline is not None
     meter.step(3000.0, 5)  # expired: 3000 W is fine against 1.1 * 3000
-    assert meter.emergency_limit_w is None
-    assert meter.cut_deadline is None
+    assert meter._em_limit_w is None
+    assert meter._cut_deadline is None
 
 
 def test_arming_drops_existing_deadline():
     meter = make_meter(pn_w=3000.0)
     drive(meter, [4000.0] * 5)
-    assert meter.cut_deadline is not None
+    assert meter._cut_deadline is not None
     meter.arm_emergency_limit(5000.0, until_s=1000)
-    assert meter.cut_deadline is None
+    assert meter._cut_deadline is None
     meter.step(4000.0, 5)  # under the armed limit: no countdown at all
-    assert meter.cut_deadline is None
+    assert meter._cut_deadline is None
 
 
 @pytest.mark.parametrize("limit_w, until_s", [(math.nan, 1000), (2000.0, math.nan)])
@@ -346,7 +341,7 @@ def test_arming_rejects_nan(limit_w, until_s):
     meter = make_meter(pn_w=3000.0)
     with pytest.raises(ValueError, match="limit_w|until_s"):
         meter.arm_emergency_limit(limit_w, until_s=until_s)
-    assert meter.emergency_limit_w is None
+    assert meter._em_limit_w is None
     drive(meter, [9000.0] * 6000)  # 9 kW on 3 kW: the unarmed meter cuts
     assert not meter.supply_on
 
@@ -493,11 +488,11 @@ def _drive_meter(case, use_rows, injections=None, emitted=None):
         meter._total_acc_ws,
         meter._band,
         meter._next_t,
-        meter.cut_deadline,
+        meter._cut_deadline,
         meter.supply_on,
         meter._over_pn,
         meter._energy_alarm_sent,
-        meter.emergency_limit_w,
+        meter._em_limit_w,
     )
     return rows, error, state
 
@@ -592,7 +587,7 @@ def test_emit_rows_steps_only_a_cut_and_an_expiry(monkeypatch):
     limited = make_meter(tick_s=60)
     limited.arm_emergency_limit(1000.0, until_s=600.0)  # expires at tick 10
     list(limited.emit_rows(day, 0))
-    assert limited.emergency_limit_w is None
+    assert limited._em_limit_w is None
     assert calls == [600]
 
 

@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 from chain2sim import profiles
 from chain2sim.frames import FrameType
 from chain2sim.meter import Meter, MeterConfig
-from chain2sim.profiles import (
-    PRESETS,
-    household_profile,
-    profile_from_csv,
-    profile_to_csv,
-)
-from reference import scalar_profile
+from chain2sim.profiles import PRESETS, household_profile, profile_from_csv
+from reference import profile_to_csv, scalar_profile
 
 
 def test_profile_shape_and_positivity():

@@ -1,6 +1,7 @@
 """Every public function, class, method and property in the package has a
 caller in the package itself, or a stated reason to exist without one, and
-every public attribute a class sets on `self` has a reader there."""
+every public attribute a class sets on `self` has a reader there.  Every
+public constant has one owner: one module assigns it, the others import it."""
 
 import ast
 from collections import Counter
@@ -16,11 +17,8 @@ ALLOWED = {
     "describe_frame": "writes the text format of tests/data/golden_frames.txt",
     "frame_from_description": "reads the text format of tests/data/golden_frames.txt",
     "validate_dataset": "the catalogue invariants that acceptance criterion 11 checks",
-    "profile_to_csv": "the only writer of the profile CSV format that profile_from_csv reads",
     "Device.on_frame": "a layer the benchmark's tracer wraps (perfbench/tracer.py TARGETS); "
     "goes when ROADMAP item 1 re-bases the tracer on Device.ingest",
-    "Meter.cut_deadline": "countdown state that the property tests read",
-    "Meter.emergency_limit_w": "emergency-limit state that the property tests read",
     "Portal.admits": "resolved by name by the benchmark's tracer (perfbench/tracer.py)",
     "CampaignReport.totals": "the run's totals, which the benchmark's worker reads "
     "(perfbench/worker.py): per_type[\"all\"]",
@@ -122,3 +120,27 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert sorted(uncalled - ALLOWED.keys()) == [], "delete these, or give them a caller"
     # An entry that gained a caller or no longer exists must leave the list.
     assert sorted(ALLOWED.keys() - uncalled) == [], "stale allowlist entries"
+
+
+def _constants(tree: ast.Module):
+    """The public constants a module assigns at its top level: names in
+    upper case, also as one of several targets (`A, B = ...`)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Name) and sub.id.isupper() and not sub.id.startswith("_"):
+                    yield sub.id
+
+
+def test_each_constant_is_assigned_in_one_module():
+    owners: dict[str, set[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in _constants(ast.parse(path.read_text(), str(path))):
+            owners.setdefault(name, set()).add(path.stem)
+    assert {name: sorted(m) for name, m in owners.items() if len(m) > 1} == {}
