@@ -142,7 +142,7 @@ class Appliance:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("appliance id must be non-empty")
-        if not self.profile_w or any(p < 0 for p in self.profile_w):
+        if not self.profile_w or not all(p >= 0 for p in self.profile_w):  # NaN too
             raise ValueError(f"{self.id}: profile must be non-empty, powers >= 0")
         if self.earliest_start_s < 0 or self.deadline_s <= self.earliest_start_s:
             raise ValueError(
@@ -276,52 +276,90 @@ def load_shift_schedule(
     return _least_excess_schedule(apps, starts_per_app, costs_per_app, grid_limit_w, n_slots)
 
 
-def _placement_excess(
+def _excess_sum(
     apps: Sequence[Appliance],
     starts: Sequence[int],
     limit_w: float,
     n_slots: int,
-) -> tuple[float, list[int]]:
+) -> tuple[float, list[float]]:
+    """The summed power over the limit, in W x slots, of the appliances
+    placed at `starts` (the first len(starts) of `apps`), and the load."""
     load = [0.0] * n_slots
     for app, s in zip(apps, starts):
         for k, p in enumerate(app.profile_w):
             load[s + k] += p
-    excess_wh = sum(max(0.0, l - limit_w) for l in load) * QUARTER_S / 3600.0
-    slots = [i for i, l in enumerate(load) if l > limit_w]
-    return excess_wh, slots
+    return sum(max(0.0, l - limit_w) for l in load), load
+
+
+def _exact_sums(values: Sequence[float], n_slots: int) -> bool:
+    """Whether every sum of the least-excess walk over these powers is exact:
+    each a finite multiple of one power of two, with the walk's largest sum,
+    n_slots + 1 times their total, within 53 bits of that unit."""
+    if not all(map(math.isfinite, values)):
+        return False
+    ratios = [float(v).as_integer_ratio() for v in values]
+    unit = max(d for _, d in ratios)  # 1 / the unit, a power of two
+    return (n_slots + 1) * sum(abs(n) * (unit // d) for n, d in ratios) < 2**53
 
 
 def _least_excess_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots):
-    # No combination satisfies the limit: report the least-bad one so the
-    # caller can see exactly where and by how much it fails.
+    # No combination satisfies the limit: report the least (excess, cost,
+    # starts) so the caller can see exactly where and by how much it fails.
+    # The walk tries each appliance's starts cheapest first, and skips a
+    # prefix when no completion can beat the best key so far.  Both bounds
+    # hold in the float arithmetic of the key, as powers are >= 0:
+    #   excess  the prefix's own excess sum only grows as loads are added.
+    #           Each appliance still to place then adds at least its own
+    #           excess over max(limit, 0), counted only when every sum is
+    #           exact: otherwise a sum could round below the bound;
+    #   cost    the prefix's cost, summed on with each later appliance's
+    #           cheapest start;
+    # and a tie on both goes to the least starts, so a prefix past the best
+    # one's loses it.
+    n = len(apps)
+    rest = [0.0] * (n + 1)  # the excess sum that apps i.. add at least
+    if _exact_sums([limit_w, *(p for app in apps for p in app.profile_w)], n_slots):
+        floor = max(limit_w, 0.0)
+        for i in range(n - 1, -1, -1):
+            rest[i] = rest[i + 1] + sum(max(0.0, p - floor) for p in apps[i].profile_w)
+    tries = [
+        sorted(starts, key=lambda s: (costs[s], s))
+        for starts, costs in zip(starts_per_app, costs_per_app)
+    ]
+    cheapest = [costs[starts[0]] for starts, costs in zip(tries, costs_per_app)]
     best: tuple[float, float, tuple[int, ...]] | None = None
-    best_slots: list[int] = []
+    best_load: list[float] = []
 
-    def walk(i: int, picked: list[int]) -> None:
-        nonlocal best, best_slots
-        if i == len(apps):
-            excess, slots = _placement_excess(apps, picked, limit_w, n_slots)
-            cost = sum(costs_per_app[j][s] for j, s in enumerate(picked))
-            key = (excess, cost, tuple(picked))
+    def walk(i: int, picked: list[int], cost: float) -> None:
+        nonlocal best, best_load
+        total, load = _excess_sum(apps, picked, limit_w, n_slots)
+        if i == n:
+            key = (total * QUARTER_S / 3600.0, cost, tuple(picked))
             if best is None or key < best:
-                best = key
-                best_slots = slots
+                best, best_load = key, load
             return
-        for s in starts_per_app[i]:
+        if best is not None:
+            cost_bound = cost
+            for c in cheapest[i:]:
+                cost_bound += c
+            bound = ((total + rest[i]) * QUARTER_S / 3600.0, cost_bound, tuple(picked))
+            if bound > (best[0], best[1], best[2][:i]):
+                return
+        for s in tries[i]:
             picked.append(s)
-            walk(i + 1, picked)
+            walk(i + 1, picked, cost + costs_per_app[i][s])
             picked.pop()
 
-    walk(0, [])
+    walk(0, [], 0.0)
     assert best is not None
-    excess, cost, starts = best
+    _, cost, starts = best
     return ScheduleResult(
         {app.id: s for app, s in zip(apps, starts)},
         cost,
         feasible=False,
         optimal=False,
         method="exhaustive",
-        offending_slots=tuple(best_slots),
+        offending_slots=tuple(i for i, l in enumerate(best_load) if l > limit_w),
     )
 
 

@@ -21,7 +21,10 @@ Two loss models:
                         transition probabilities after every frame
 
 All randomness comes from a per-link `random.Random` seeded at
-construction, so a link replays identically for the same seed.
+construction, so a link replays identically for the same seed.  `transmit`
+draws from it one `random()` at a time; `arrivals` draws a block's values in
+numpy from one `getrandbits` of the same words, bit for bit what as many
+`random()` calls give, and leaves the generator where they would.
 
 `transmit` puts one frame on the link; `arrivals` puts a block of frame rows
 (see `frames`) on it and gives what `transmit` gives for each row in turn.
@@ -31,7 +34,8 @@ time, in the scalar order.  It needs the link idle again by each group's
 send time, as it is whenever a tick's frames serialize within the tick;
 otherwise it sends the block through `transmit`.  The loss draws come from
 the same generator in the same order: one per frame for Bernoulli loss, two
-per frame for Gilbert-Elliott.
+per frame for Gilbert-Elliott, whose state `arrivals` walks from flip to
+flip.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -90,28 +93,13 @@ class ChannelConfig:
             raise ValueError(f"proc_delay_s must be >= 0, got {self.proc_delay_s}")
 
 
-def _loss_draw(loss: LossModel | None, rng: random.Random) -> Callable[[int], list[bool]] | None:
-    """The loss draws of one link: for the next k frames, in send order,
-    whether the channel drops each.  None for a lossless link, which draws
-    nothing."""
-    if loss is None:
-        return None
-    draw = rng.random
-    if isinstance(loss, BernoulliLoss):
-        p_loss = loss.p_loss
-        return lambda k: [draw() < p_loss for _ in range(k)]
-    bad = False  # the link starts in the good state
-
-    def gilbert_elliott(k: int) -> list[bool]:
-        nonlocal bad
-        dropped = []
-        for _ in range(k):
-            dropped.append(draw() < (loss.loss_bad if bad else loss.loss_good))
-            if draw() < (loss.p_bad_to_good if bad else loss.p_good_to_bad):
-                bad = not bad
-        return dropped
-
-    return gilbert_elliott
+def _uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """The next `n` values of `rng.random()`, from one draw of their words.
+    `random()` makes a double of the generator's next two 32-bit words a, b
+    as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, and `getrandbits(64 * n)` takes
+    the same 2n words, the first in the lowest bits."""
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), "<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
 
 
 class Channel:
@@ -119,11 +107,50 @@ class Channel:
 
     def __init__(self, config: ChannelConfig, seed: int) -> None:
         self.config = config
-        self._dropped = _loss_draw(config.loss, random.Random(seed))
+        self._loss = config.loss
+        self._rng = random.Random(seed)
+        self._bad = False  # Gilbert-Elliott: the link starts in the good state
         # Frame type (member or equal value) -> serialization time.
         self._tx_s = {t: bits / config.rate_bps for t, bits in _FRAME_BITS.items()}
         self._proc_delay_s = config.proc_delay_s
         self._busy_until = 0.0
+
+    def _dropped(self) -> bool:
+        """The loss draw of the next frame: whether the channel drops it."""
+        loss, draw = self._loss, self._rng.random
+        if isinstance(loss, BernoulliLoss):
+            return draw() < loss.p_loss
+        bad = self._bad
+        dropped = draw() < (loss.loss_bad if bad else loss.loss_good)
+        if draw() < (loss.p_bad_to_good if bad else loss.p_good_to_bad):
+            self._bad = not bad
+        return dropped
+
+    def _dropped_block(self, n: int) -> np.ndarray:
+        """`_dropped` of each of the next `n` frames, from the same draws."""
+        loss = self._loss
+        if isinstance(loss, BernoulliLoss):
+            return _uniforms(self._rng, n) < loss.p_loss
+        uniforms = _uniforms(self._rng, 2 * n)
+        u_loss, u_flip = uniforms[0::2], uniforms[1::2]
+        # The frames whose flip draw turns the state, from good and from bad.
+        flips = (
+            np.flatnonzero(u_flip < loss.p_good_to_bad),
+            np.flatnonzero(u_flip < loss.p_bad_to_good),
+        )
+        bad = np.zeros(n, dtype=bool)
+        i, state = 0, self._bad
+        while i < n:
+            at = flips[state]
+            k = at.searchsorted(i)
+            if k == len(at):
+                bad[i:] = state
+                break
+            j = int(at[k]) + 1  # the first frame past the flip
+            bad[i:j] = state
+            i, state = j, not state
+        self._bad = state
+        return u_loss < np.where(bad, loss.loss_bad, loss.loss_good)
 
     def transmit(self, frame_type: FrameType, t_send: float) -> float | None:
         """Put one frame on the link; returns its arrival time at the
@@ -135,8 +162,7 @@ class Channel:
         busy = self._busy_until
         finish = (t_send if t_send > busy else busy) + tx_s
         self._busy_until = finish
-        dropped = self._dropped
-        if dropped is not None and dropped(1)[0]:
+        if self._loss is not None and self._dropped():
             return None
         return finish + self._proc_delay_s
 
@@ -168,6 +194,6 @@ class Channel:
             )
         self._busy_until = float(finish[-1])
         arrive = finish + self._proc_delay_s
-        if self._dropped is not None:
-            arrive[self._dropped(n)] = math.nan
+        if self._loss is not None:
+            arrive[self._dropped_block(n)] = math.nan
         return arrive

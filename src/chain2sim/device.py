@@ -26,16 +26,22 @@ never got: lost on the channel or gated by the pairing window.
 implausible-energy test as a mask; the power alarm and the cut warning as
 the rising edges of their tests over the power samples (T2 and the
 power-cause T3 rows, in seq order), each flag carried over from the block
-before.  It merges the notifications of a block by seq, and within a frame
-puts the frame's own notification before the alarm and the warning.  The
-per-frame rules that a device taking one frame at a time applies live in
-`tests/reference.py:ScalarDevice`, the reference the tests hold `ingest` to.
+before.  The state is int columns, one block per `ingest`: (quarter start,
+energy, direction) per plausible T1, and (time, kind, value) per note, the
+notes of a block sorted by seq and, within a frame, the frame's own note
+before the alarm and the warning.  A message is formatted only when it is
+read, from the note's kind and value and the device's `pn_w`, alarm limit
+and `switchoff_remaining`.  The run's writer reads `quarter_energy_wh`,
+`event_log` and `notes`; `quarters` and `notifications` are read-only
+views of the columns as records.  The per-frame rules that a device taking
+one frame at a time applies live in `tests/reference.py:ScalarDevice`, the
+reference the tests hold `ingest` to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -125,9 +131,8 @@ class DeviceConfig:
     tariff: TariffSchedule | None = None
 
 
-@dataclass(frozen=True)
-class Notification:
-    t: float
+class Notification(NamedTuple):
+    t: int
     kind: str
     message: str
 
@@ -181,19 +186,30 @@ _T4_KINDS = {
     SupplyEventKind.INTERRUPTION_END: "supply_restored",
     SupplyEventKind.VOLTAGE_EVENT: "voltage_event",
 }
+# A note stores its kind as the index in `_KINDS`.
+_KINDS = tuple(_MESSAGES)
+_IMPLAUSIBLE, _ALARM, _WARNING = map(
+    _KINDS.index, ("implausible_reading", "power_alarm", "switchoff_warning")
+)
+# Cause or event, indexed by value -> the kind of its frame's note.
+_T3_CODES = np.array([_KINDS.index(_T3_KINDS[c]) for c in ExceedanceCause])
+_T4_CODES = np.array([_KINDS.index(_T4_KINDS[e]) for e in SupplyEventKind])
+_EVENTS = {_KINDS.index(kind): event for event, kind in _T4_KINDS.items()}
+_IS_EVENT = np.array([kind in _EVENTS for kind in range(len(_KINDS))])  # indexed by kind
 _DIRECTIONS = tuple(EnergyDirection)  # indexed by value
 
 
 class Device:
     def __init__(self, config: DeviceConfig) -> None:
         self.config = config
-        self.quarters: dict[int, QuarterRecord] = {}  # quarter start s -> record
-        self.event_log: list[SupplyEvent] = []
-        self.notifications: list[Notification] = []
         self.stats: dict[str, int] = {
             "processed": 0,
             "implausible_t1": 0,
         }
+        # Blocks of int columns, in link order: (quarter start s, energy Wh,
+        # direction) per plausible T1, and (t, kind, value) per note.
+        self._quarter_rows: list[np.ndarray] = []
+        self._note_rows: list[np.ndarray] = []
         self._high_water = 0
         self._alarm_active = False  # user-limit excursion in progress
         self._cut_warning_active = False
@@ -223,7 +239,9 @@ class Device:
         self.stats["processed"] += len(rows)
         cfg = self.config
         types, key = rows[:, TYPE], rows[:, KEY]
-        notes = []  # (seq, order within the frame, t, kind, values)
+        # Each note as (seq, order within the frame, t, kind, value): the
+        # frame's own note comes first, then the alarm, then the warning.
+        notes = []
 
         # A quarter over what the contract can draw is well-formed but
         # physically impossible; it stays out of the series rather than
@@ -231,18 +249,14 @@ class Device:
         t1 = rows[types == FrameType.T1]
         implausible = t1[:, VALUE] > 1.5 * cfg.pn_w * (QUARTER_S / 3600.0)
         self.stats["implausible_t1"] += int(implausible.sum())
-        for s, t, e in t1[implausible][:, [SEQ, TIMESTAMP, VALUE]].tolist():
-            notes.append((s, 0, t, "implausible_reading", (e, cfg.pn_w)))
-        for t, d, e in t1[~implausible][:, [TIMESTAMP, DIRECTION, VALUE]].tolist():
-            self.quarters[t - QUARTER_S] = QuarterRecord(e, _DIRECTIONS[d])
-
-        for s, t, cause, v in rows[types == FrameType.T3][:, [SEQ, TIMESTAMP, KEY, VALUE]].tolist():
-            notes.append((s, 0, t, _T3_KINDS[cause], (v,)))
-        for s, t, event, d in rows[types == FrameType.T4][:, [SEQ, TIMESTAMP, KEY, VALUE]].tolist():
-            event = SupplyEventKind(event)
-            duration = d if event is SupplyEventKind.INTERRUPTION_END else None
-            self.event_log.append(SupplyEvent(t, event, duration))
-            notes.append((s, 0, t, _T4_KINDS[event], (duration,)))
+        notes.append(_notes(t1[implausible], 0, _IMPLAUSIBLE))
+        quarters = t1[~implausible][:, [TIMESTAMP, VALUE, DIRECTION]]
+        quarters[:, 0] -= QUARTER_S
+        self._quarter_rows.append(quarters)
+        t3 = rows[types == FrameType.T3]
+        notes.append(_notes(t3, 0, _T3_CODES[t3[:, KEY]]))
+        t4 = rows[types == FrameType.T4]
+        notes.append(_notes(t4, 0, _T4_CODES[t4[:, KEY]]))
 
         # The power samples, T2 and the power-cause T3, in link order: the
         # alarm and the cut warning rise where their test turns true, each
@@ -250,26 +264,19 @@ class Device:
         sampled = (types == FrameType.T2) | (
             (types == FrameType.T3) & (key != ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED)
         )
-        samples = rows[sampled][:, [SEQ, TIMESTAMP, VALUE]]
+        samples = rows[sampled]
         if cfg.alarm_limit_w is not None and len(samples):
-            limit = cfg.alarm_limit_w
-            above = samples[:, 2] > limit
-            for s, t, p in samples[_rises(above, self._alarm_active)].tolist():
-                notes.append((s, 1, t, "power_alarm", (float(p), limit)))
+            above = samples[:, VALUE] > cfg.alarm_limit_w
+            notes.append(_notes(samples[_rises(above, self._alarm_active)], 1, _ALARM))
             self._alarm_active = bool(above[-1])
         if len(samples):
-            pn, reference = cfg.pn_w, OVERRUN_FACTOR * cfg.pn_w
-            above = samples[:, 2] > reference  # where switchoff_remaining is not None
-            for s, t, p in samples[_rises(above, self._cut_warning_active)].tolist():
-                eta = switchoff_remaining(float(p), pn)
-                notes.append((s, 2, t, "switchoff_warning", (eta, reference)))
+            # Where switchoff_remaining is not None.
+            above = samples[:, VALUE] > OVERRUN_FACTOR * cfg.pn_w
+            notes.append(_notes(samples[_rises(above, self._cut_warning_active)], 2, _WARNING))
             self._cut_warning_active = bool(above[-1])
 
-        notes.sort(key=lambda note: note[:2])
-        self.notifications.extend(
-            Notification(t, kind, _MESSAGES[kind].format(*values))
-            for _, _, t, kind, values in notes
-        )
+        notes = np.concatenate(notes)
+        self._note_rows.append(notes[np.lexsort((notes[:, 1], notes[:, 0])), 2:])
 
     @staticmethod
     def _check_seq(last: int, seq: int) -> None:
@@ -278,6 +285,71 @@ class Device:
                 f"seq {seq} at or below the last seq {last}: "
                 "the link repeated or reordered a frame"
             )
+
+    # -- state -------------------------------------------------------------
+
+    @property
+    def quarters(self) -> dict[int, QuarterRecord]:
+        """The quarter series so far, {quarter start s: record}, read-only;
+        a quarter reported twice holds its last report.  Lost quarters are
+        gaps."""
+        return {
+            q: QuarterRecord(e, _DIRECTIONS[d])
+            for q, e, d in _joined(self._quarter_rows).tolist()
+        }
+
+    def quarter_energy_wh(self, n: int) -> np.ndarray:
+        """The energy of the `n` quarters from t = 0 on, -1 for a gap."""
+        q, energy = _joined(self._quarter_rows)[:, :2].T
+        k, offset = np.divmod(q, QUARTER_S)
+        on_grid = np.flatnonzero((offset == 0) & (0 <= k) & (k < n))
+        last = np.full(n, -1)  # the row of each quarter's last report
+        np.maximum.at(last, k[on_grid], on_grid)
+        series = np.full(n, -1, dtype=np.int64)
+        reported = last >= 0
+        series[reported] = energy[last[reported]]
+        return series
+
+    @property
+    def event_log(self) -> list[SupplyEvent]:
+        """The supply events so far, in link order, read-only."""
+        notes = _joined(self._note_rows)
+        events = []
+        for t, kind, v in notes[_IS_EVENT[notes[:, 1]]].tolist():
+            event = _EVENTS[kind]
+            duration = v if event is SupplyEventKind.INTERRUPTION_END else None
+            events.append(SupplyEvent(t, event, duration))
+        return events
+
+    @property
+    def notifications(self) -> list[Notification]:
+        """`notes` as records, read-only."""
+        return list(map(Notification, *self.notes()))
+
+    def notes(self) -> tuple[list[int], list[str], list[str]]:
+        """The notifications so far, in link order, as three columns: the
+        time, kind and message of each.  The messages are formatted here,
+        from each note's kind and value and the device's configuration."""
+        t, kinds, values = _joined(self._note_rows).T
+        messages = np.empty(len(t), dtype=object)
+        for kind in range(len(_KINDS)):
+            at = kinds == kind
+            if at.any():
+                messages[at] = self._messages(kind, values[at].tolist())
+        return t.tolist(), [_KINDS[k] for k in kinds.tolist()], messages.tolist()
+
+    def _messages(self, kind: int, values: list[int]) -> list[str]:
+        """The messages of the notes of one kind, given their values."""
+        message = _MESSAGES[_KINDS[kind]].format
+        pn, limit = self.config.pn_w, self.config.alarm_limit_w
+        if kind == _IMPLAUSIBLE:
+            return [message(v, pn) for v in values]
+        if kind == _ALARM:
+            return [message(float(p), limit) for p in values]
+        if kind == _WARNING:
+            reference = OVERRUN_FACTOR * pn
+            return [message(switchoff_remaining(float(p), pn), reference) for p in values]
+        return list(map(message, values))
 
     # -- queries -----------------------------------------------------------
 
@@ -298,8 +370,9 @@ class Device:
         cost = 0.0
         income = 0.0
         observed = 0
+        quarters = self.quarters
         for q in range(start_s, end_s, QUARTER_S):
-            record = self.quarters.get(q)
+            record = quarters.get(q)
             if record is None:
                 continue
             observed += 1
@@ -311,6 +384,21 @@ class Device:
                 income += kwh * feed_in
         expected = (end_s - start_s) // QUARTER_S
         return CostEstimate(cost, income, expected, observed)
+
+
+def _notes(rows: np.ndarray, order: int, kind) -> np.ndarray:
+    """The notes that `rows` raise, as (seq, order, t, kind, value) rows."""
+    notes = np.empty((len(rows), 5), dtype=np.int64)
+    notes[:, 0], notes[:, 1], notes[:, 2] = rows[:, SEQ], order, rows[:, TIMESTAMP]
+    notes[:, 3], notes[:, 4] = kind, rows[:, VALUE]
+    return notes
+
+
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    """The rows of `blocks` as one block, which then replaces them."""
+    if len(blocks) != 1:
+        blocks[:] = [np.concatenate(blocks) if blocks else np.zeros((0, 3), dtype=np.int64)]
+    return blocks[0]
 
 
 def _rises(flags: np.ndarray, before: bool) -> np.ndarray:

@@ -64,7 +64,6 @@ import contextlib
 import csv
 import functools
 import io
-import json
 import math
 import os
 import random
@@ -73,6 +72,7 @@ from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import IntEnum
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 import numpy as np
@@ -109,10 +109,6 @@ from chain2sim.profiles import PRESETS, household_profile, profile_from_csv, pro
 from chain2sim.seeds import derive
 
 FRAME_TYPE_NAMES = tuple(t.name for t in FrameType)  # in report order
-
-# One encoder for every notification line; `json.dumps` builds a new one per
-# call.
-_JSON = json.JSONEncoder(sort_keys=True)
 
 _T1 = FrameType.T1
 
@@ -1061,28 +1057,37 @@ def _run_user(
 
 def _write_user_files(user_dir: str, device: Device, duration_s: int) -> None:
     """Write the per-user output files: the quarter series always, the
-    supply events and notifications only when there are any."""
+    supply events and notifications only when there are any.  Each line is
+    what `csv.writer` writes for its row, and a notification line what
+    `json` writes for {"kind", "message", "t"} with sorted keys."""
     os.makedirs(user_dir, exist_ok=True)
-    with open(os.path.join(user_dir, "quarters.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["quarter_start_s", "energy_Wh", "flag"])
-        for q in range(0, duration_s - duration_s % QUARTER_S, QUARTER_S):
-            record = device.quarters.get(q)
-            if record is None:
-                writer.writerow([q, "", "missing"])
-            else:
-                writer.writerow([q, record.energy_wh, "ok"])
-    if device.event_log:
-        with open(os.path.join(user_dir, "events.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["t_s", "event", "duration_s"])
-            for event in device.event_log:
-                duration = "" if event.duration_s is None else event.duration_s
-                writer.writerow([event.t, event.kind.name.lower(), duration])
-    if device.notifications:
-        with open(os.path.join(user_dir, "notifications.jsonl"), "w", newline="") as fh:
-            for n in device.notifications:
-                fh.write(_JSON.encode({"t": n.t, "kind": n.kind, "message": n.message}) + "\n")
+    energy = device.quarter_energy_wh(duration_s // QUARTER_S).tolist()
+    lines = ["quarter_start_s,energy_Wh,flag\n"]
+    lines += [
+        f"{k * QUARTER_S},{e},ok\n" if e >= 0 else f"{k * QUARTER_S},,missing\n"
+        for k, e in enumerate(energy)
+    ]
+    _write_lines(os.path.join(user_dir, "quarters.csv"), lines)
+    events = device.event_log
+    if events:
+        lines = ["t_s,event,duration_s\n"]
+        for event in events:
+            duration = "" if event.duration_s is None else event.duration_s
+            lines.append(f"{event.t},{event.kind.name.lower()},{duration}\n")
+        _write_lines(os.path.join(user_dir, "events.csv"), lines)
+    times, kinds, messages = device.notes()
+    if times:
+        text = encode_basestring_ascii  # a JSON string, as `json` writes it
+        lines = [
+            f'{{"kind": {text(kind)}, "message": {text(message)}, "t": {t}}}\n'
+            for t, kind, message in zip(times, kinds, messages)
+        ]
+        _write_lines(os.path.join(user_dir, "notifications.jsonl"), lines)
+
+
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(lines))
 
 
 # -- Campaign runner --------------------------------------------------------------

@@ -10,18 +10,21 @@ and every frame would:
     wire         every frame through `encode_frame`, then `decode_frame`;
     channel      the scalar `Channel.transmit`, one frame at a time;
     gate         the pairing window tested on each arrival;
-    device       `ScalarDevice`, one frame at a time.
+    device       `ScalarDevice`, one frame at a time;
+    user files   `write_user_files`, row by row through `csv.writer` and
+                 `json`, from the device's records.
 
 Only the per-user pipeline differs from `harness.run`: the reference runs
 `harness.run` with its per-user step swapped for the loop above, so the
-pairing windows, the report's fold of the ledgers and every output writer
-are the harness's own.  The output tree must then equal the one `harness.run`
-writes, byte for byte.
+pairing windows, the report's fold of the ledgers and the run-wide output
+writers are the harness's own.  The output tree must then equal the one
+`harness.run` writes, byte for byte.
 
 `ScalarDevice` is the device's rules frame by frame, and `Device.ingest`
 must match it on any block of rows; `scalar_profile` and `per_tick_loop`
 are the same kind of reference for the profile generator and the grid
-power built up front.  `profile_to_csv` writes the profile CSV format that
+power built up front, and `least_excess_walk` for the scheduler's pruned
+walk when no start combination meets a grid limit.  `profile_to_csv` writes the profile CSV format that
 `profile_from_csv` reads, for scenarios that bring their own profile.
 """
 
@@ -29,11 +32,21 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
+import json
+import os
 
 import numpy as np
 
 from chain2sim import harness
-from chain2sim.automation import DrIssuer, Site, SiteLoad, dr_site_step, peak_shave_step
+from chain2sim.automation import (
+    DrIssuer,
+    ScheduleResult,
+    Site,
+    SiteLoad,
+    dr_site_step,
+    peak_shave_step,
+)
 from chain2sim.channel import Channel
 from chain2sim.device import (
     _MESSAGES,
@@ -158,13 +171,23 @@ def per_tick_loop(spec, config, send=None):
     return np.array(grid), arms, np.array(actual)
 
 
-class ScalarDevice(Device):
+class ScalarDevice:
     """`Device` taking one frame record at a time, each frame type by its
-    own handler: the per-frame rules that `Device.ingest` applies to a block
-    of rows in numpy."""
+    own handler, with its state as records: the per-frame rules that
+    `Device.ingest` applies to a block of rows in numpy."""
+
+    def __init__(self, config):
+        self.config = config
+        self.quarters = {}  # quarter start s -> QuarterRecord
+        self.event_log = []
+        self.notifications = []
+        self.stats = {"processed": 0, "implausible_t1": 0}
+        self._high_water = 0
+        self._alarm_active = False
+        self._cut_warning_active = False
 
     def on_frame(self, frame):
-        self._check_seq(self._high_water, frame.seq)
+        Device._check_seq(self._high_water, frame.seq)
         self._high_water = frame.seq
         self.stats["processed"] += 1
         _HANDLERS[frame.frame_type](self, frame)
@@ -223,6 +246,33 @@ _HANDLERS = {
 }
 
 
+def write_user_files(user_dir, device, duration_s):
+    """`harness._write_user_files` through `csv.writer` and `json`, row by
+    row from the records of a `ScalarDevice`."""
+    os.makedirs(user_dir, exist_ok=True)
+    with open(os.path.join(user_dir, "quarters.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["quarter_start_s", "energy_Wh", "flag"])
+        for q in range(0, duration_s - duration_s % QUARTER_S, QUARTER_S):
+            record = device.quarters.get(q)
+            if record is None:
+                writer.writerow([q, "", "missing"])
+            else:
+                writer.writerow([q, record.energy_wh, "ok"])
+    if device.event_log:
+        with open(os.path.join(user_dir, "events.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["t_s", "event", "duration_s"])
+            for event in device.event_log:
+                duration = "" if event.duration_s is None else event.duration_s
+                writer.writerow([event.t, event.kind.name.lower(), duration])
+    if device.notifications:
+        encoder = json.JSONEncoder(sort_keys=True)
+        with open(os.path.join(user_dir, "notifications.jsonl"), "w", newline="") as fh:
+            for n in device.notifications:
+                fh.write(encoder.encode({"t": n.t, "kind": n.kind, "message": n.message}) + "\n")
+
+
 def _reference_user(spec, config, window, keep_actual, user_dir):
     """`harness._run_user`, one tick and one frame at a time."""
     link = Channel(config.channel, derive(config.seed, "channel", spec.pod_id))
@@ -249,7 +299,7 @@ def _reference_user(spec, config, window, keep_actual, user_dir):
 
     _, _, actual = per_tick_loop(spec, config, send)
     if user_dir is not None:
-        harness._write_user_files(user_dir, device, config.duration_s)
+        write_user_files(user_dir, device, config.duration_s)
     baseline = harness._build_profile(spec, config) if keep_actual else None
     return harness.UserResult(spec.pod_id, ledger, baseline, actual if keep_actual else None)
 
@@ -268,3 +318,29 @@ def run_reference(config, out_dir=None):
     """`harness.run(config, out_dir)`, each user run by the slow model."""
     with _reference_users():
         return harness.run(config, out_dir=out_dir)
+
+
+def least_excess_walk(apps, starts_per_app, costs_per_app, limit_w, n_slots):
+    """`automation._least_excess_schedule` as a walk over every start
+    combination: the least (excess, cost, starts), each summed in the
+    scheduler's order, and the slots over the limit under it."""
+    best = None
+    for picked in itertools.product(*starts_per_app):
+        load = [0.0] * n_slots
+        for app, s in zip(apps, picked):
+            for k, p in enumerate(app.profile_w):
+                load[s + k] += p
+        excess = sum(max(0.0, l - limit_w) for l in load) * QUARTER_S / 3600.0
+        cost = sum(costs_per_app[j][s] for j, s in enumerate(picked))
+        key = (excess, cost, tuple(picked))
+        if best is None or key < best[0]:
+            best = key, tuple(i for i, l in enumerate(load) if l > limit_w)
+    (_, cost, starts), slots = best
+    return ScheduleResult(
+        {app.id: s for app, s in zip(apps, starts)},
+        cost,
+        feasible=False,
+        optimal=False,
+        method="exhaustive",
+        offending_slots=slots,
+    )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chain2sim import automation
 from chain2sim.automation import (
     EXHAUSTIVE_CAP,
     Appliance,
@@ -17,7 +18,10 @@ from chain2sim.automation import (
     DrIssuer,
     MevuCluster,
     Site,
+    ScheduleResult,
     SiteLoad,
+    _least_excess_schedule,
+    _start_cost,
     dr_site_step,
     feasible_starts,
     load_dr_commands,
@@ -26,6 +30,7 @@ from chain2sim.automation import (
     peak_shave_step,
     settlement_to_csv,
 )
+from reference import least_excess_walk
 
 # -- battery -------------------------------------------------------------------
 
@@ -254,6 +259,72 @@ def test_limited_schedule_is_the_least_excess_then_cheapest():
         assert result.method == "exhaustive"
         outcomes[result.feasible] += 1
     assert outcomes[True] > 0
+
+
+@st.composite
+def _limited_instances(draw):
+    """Appliances, prices and a grid limit, the appliances in id order with
+    their feasible starts and the cost of each: powers whole watts, binary
+    fractions or any float, limits down to below zero, so that the
+    least-excess walk takes both of its excess bounds."""
+    n_slots = draw(st.integers(1, 10))
+    power = draw(
+        st.sampled_from(
+            [
+                st.integers(0, 3000).map(float),
+                st.integers(0, 12000).map(lambda q: q / 4),
+                st.floats(0, 3000),
+            ]
+        )
+    )
+    apps = []
+    for i in range(draw(st.integers(1, 3))):
+        dur = draw(st.integers(1, min(3, n_slots)))
+        first = draw(st.integers(0, n_slots - dur))
+        end = draw(st.integers(first + dur, n_slots))
+        profile = tuple(draw(st.lists(power, min_size=dur, max_size=dur)))
+        apps.append(Appliance(f"app{i}", profile, first * 900, end * 900))
+    price = st.sampled_from([0.1, 0.13, 0.2]) | st.floats(-1, 1)
+    prices = draw(st.lists(price, min_size=n_slots, max_size=n_slots))
+    limit = draw(st.integers(-500, 4000).map(float) | st.floats(-500, 4000))
+    starts = [feasible_starts(app, n_slots) for app in apps]
+    costs = [{s: _start_cost(app, s, prices) for s in ss} for app, ss in zip(apps, starts)]
+    return apps, starts, costs, limit, n_slots
+
+
+@settings(max_examples=300, deadline=None)
+@given(_limited_instances())
+def test_pruned_least_excess_walk_equals_the_full_walk(instance):
+    """The least-excess walk skips only prefixes that cannot win, so it
+    finds what walking every start combination finds, to the last bit."""
+    assert _least_excess_schedule(*instance) == least_excess_walk(*instance)
+
+
+def test_infeasible_limit_walk_skips_what_cannot_win(monkeypatch):
+    """Three 2 kW one-slot runs under a 1 kW limit, each free over 48 slots
+    priced from dear to cheap: the walk over all 110,592 combinations puts
+    them in the three cheapest slots, and the pruned walk finds the same
+    from under a thousand placements."""
+    apps = [Appliance(f"a{i}", (2000.0,), 0, 48 * 900) for i in range(3)]
+    prices = [0.3 - 0.005 * k for k in range(48)]
+    placements = Counter()
+    excess_sum = automation._excess_sum
+
+    def counted(*args):
+        placements["all"] += 1
+        return excess_sum(*args)
+
+    monkeypatch.setattr(automation, "_excess_sum", counted)
+    result = load_shift_schedule(apps, prices, grid_limit_w=1000.0)
+    assert result == ScheduleResult(
+        {"a0": 45, "a1": 46, "a2": 47},
+        0.10499999999999997,
+        feasible=False,
+        optimal=False,
+        method="exhaustive",
+        offending_slots=(45, 46, 47),
+    )
+    assert placements["all"] < 1000
 
 
 def test_appliance_with_no_window_raises():

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chain2sim.channel import (
@@ -13,6 +13,7 @@ from chain2sim.channel import (
     Channel,
     ChannelConfig,
     GilbertElliottLoss,
+    _uniforms,
 )
 from chain2sim.frames import ROW_WIDTH, TIMESTAMP, TYPE, FrameType
 
@@ -115,11 +116,33 @@ _LOSSES = st.none() | st.builds(BernoulliLoss, st.floats(0, 1)) | st.builds(
 )
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 5])
+def test_arrivals_draws_replay_random_bit_for_bit(seed):
+    """A block's loss draws are the values of `random()`, bit for bit, and
+    leave the generator where as many calls would leave it."""
+    block, one = random.Random(seed), random.Random(seed)
+    for n in (1, 2, 311, 624, 100_003):
+        assert _uniforms(block, n).tolist() == [one.random() for _ in range(n)]
+        assert block.getstate() == one.getstate()
+
+
+def _long_block(seed, n, t):
+    """`n` rows sent from time `t` on, as a campaign link sends them: a few
+    frames to a send time, send times a tick or a quarter apart."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((n, ROW_WIDTH), dtype=np.int64)
+    rows[:, TYPE] = rng.integers(1, len(FrameType) + 1, n)
+    gaps = rng.choice([0, 0, 60, 60, 900, 1], n)
+    rows[:, TIMESTAMP] = t + np.cumsum(gaps)
+    return rows
+
+
 @st.composite
 def _blocks(draw):
     """A link and blocks of frame rows in send order: each block a run of
     send times, several frames to a time, at rates and spacings where a
-    tick's frames may or may not serialize before the next send time."""
+    tick's frames may or may not serialize before the next send time; or
+    a block of thousands of rows, as a campaign link sends."""
     config = ChannelConfig(
         rate_bps=draw(st.sampled_from([4800.0, 300.0, 10.0])),
         proc_delay_s=draw(st.sampled_from([0.05, 0.0, 30.0])),
@@ -127,6 +150,11 @@ def _blocks(draw):
     )
     blocks, t = [], 0
     for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            rows = _long_block(draw(st.integers(0, 2**32)), draw(st.integers(1000, 5000)), t)
+            blocks.append(rows)
+            t = int(rows[-1, TIMESTAMP])
+            continue
         rows = []
         for _ in range(draw(st.integers(0, 12))):
             t += draw(st.sampled_from([0, 1, 60, 900]))
@@ -136,12 +164,17 @@ def _blocks(draw):
     return config, draw(st.integers(0, 2**32)), blocks
 
 
+_CAMPAIGN_LINK = _long_block(1, 4200, 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_blocks())
+@example((ChannelConfig(loss=BernoulliLoss(0.01)), 7, [_CAMPAIGN_LINK]))
+@example((ChannelConfig(loss=GilbertElliottLoss(0.02, 0.18)), 7, [_CAMPAIGN_LINK]))
 def test_arrivals_equal_transmitting_each_row(case):
     """A block on the link gives, bit for bit, the arrival times of sending
     its rows one by one (NaN for a lost frame), and leaves the link in the
-    same state: the same busy time and the same loss draws to come."""
+    same state: the same busy time, loss state and generator state."""
     config, seed, blocks = case
     one, block = Channel(config, seed), Channel(config, seed)
     for rows in blocks:
@@ -149,4 +182,6 @@ def test_arrivals_equal_transmitting_each_row(case):
         got = block.arrivals(rows).tolist()
         assert [None if math.isnan(t) else t for t in got] == want
     assert block._busy_until == one._busy_until
+    assert block._bad == one._bad
+    assert block._rng.getstate() == one._rng.getstate()
     assert block.transmit(FrameType.T1, 10**6) == one.transmit(FrameType.T1, 10**6)

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chain2sim import harness
 from chain2sim.device import Device, DeviceConfig, TariffSchedule, TariffWindow
 from chain2sim.frames import (
+    QUARTER_S,
     CompactFrame,
     CrossingDirection,
     EnergyDirection,
@@ -18,7 +20,7 @@ from chain2sim.frames import (
     T4Payload,
     frame_rows,
 )
-from reference import ScalarDevice
+from reference import ScalarDevice, write_user_files
 
 POD = "IT001E00000001"
 
@@ -98,6 +100,68 @@ def test_ingesting_blocks_equals_taking_one_frame_at_a_time(link):
             one.on_frame(frame)
         block.ingest(frame_rows(frames))
     assert _state(block) == _state(one)
+    series = [one.quarters.get(k * QUARTER_S) for k in range(48)]
+    assert block.quarter_energy_wh(48).tolist() == [-1 if r is None else r.energy_wh for r in series]
+
+
+def t4(seq, ts, event, duration_s=None):
+    return CompactFrame(FrameType.T4, POD, seq, ts, T4Payload(event, duration_s))
+
+
+@pytest.mark.parametrize(
+    "config, frames, line",
+    [
+        (
+            DeviceConfig(3000.0, alarm_limit_w=2000.5),
+            [t2(1, 60, 2500)],
+            "power 2500 W above set limit 2000 W",
+        ),
+        (DeviceConfig(3000.0), [t3(1, 60, ExceedanceCause.RESTORED, -5)], "back to -5 W"),
+        (
+            DeviceConfig(3000.0),
+            [t2(1, 60, 4000)],
+            "supply cut in 771 s unless load drops below 3300 W",
+        ),
+        (
+            DeviceConfig(3000.0),
+            [
+                t4(1, 60, SupplyEventKind.INTERRUPTION_START),
+                t4(2, 3660, SupplyEventKind.INTERRUPTION_END, 3600),
+            ],
+            "supply restored after 3600 s",
+        ),
+        (DeviceConfig(2999.5), [t1(1, 900, 1125)], "discarded quarter energy 1125 Wh (Pn 3000 W)"),
+        (
+            DeviceConfig(3000.0, alarm_limit_w=2000.0),
+            [t3(1, 60, ExceedanceCause.POWER_EXCEEDED, 3400)],
+            "drawing 3400 W over contract",
+        ),
+    ],
+    ids=[
+        "fractional_limit",
+        "negative_t3",
+        "switchoff_eta",
+        "interruption_end",
+        "fractional_pn",
+        "three_notes",
+    ],
+)
+def test_written_notes_equal_the_reference_writer(tmp_path, config, frames, line):
+    """The run's writer formats each message from the note's columns; the
+    files it writes equal what `csv` and `json` write from the records of
+    the per-frame device."""
+    device, scalar = Device(config), ScalarDevice(config)
+    device.ingest(frame_rows(frames))
+    for frame in frames:
+        scalar.on_frame(frame)
+    block, reference = tmp_path / "block", tmp_path / "scalar"
+    harness._write_user_files(block, device, 3600)
+    write_user_files(reference, scalar, 3600)
+    written = sorted(p.name for p in block.iterdir())
+    assert sorted(p.name for p in reference.iterdir()) == written
+    for name in written:
+        assert (block / name).read_bytes() == (reference / name).read_bytes()
+    assert f'"message": "{line}"' in (block / "notifications.jsonl").read_text()
 
 
 def test_a_block_with_a_fallen_seq_is_refused_whole():
