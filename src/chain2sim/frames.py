@@ -39,7 +39,8 @@ are not hashable.
 
 A run carries its frames as rows instead: one row of integers per frame,
 laid out by the column indices below (`frame_row`; `frame_rows` makes a
-block of them).  Every payload has at most three fields, so a row holds
+block of them, and `frame_from_row` turns a row back into its record).
+Every payload has at most three fields, so a row holds
 
     TYPE, SEQ, TIMESTAMP   the header (the pod is the link's own)
     KEY                    quarter, band, cause or event
@@ -245,6 +246,22 @@ def frame_row(frame: CompactFrame) -> list[int]:
     for name, column in _ROW_COLUMNS[frame.frame_type].items():
         row[column] = int(getattr(payload, name) or 0)
     return row
+
+
+def frame_from_row(row, pod_id: str) -> CompactFrame:
+    """The frame record of a row (see `frame_row`) sent by the pod `pod_id`:
+    enum fields as their members, the others as plain ints, and a T4
+    duration None except on an interruption end."""
+    row = [int(v) for v in row]
+    frame_type = FrameType(row[TYPE])
+    payload_type, fields = _LAYOUT[frame_type]
+    values = {
+        name: limit(row[column]) if isinstance(limit, type) else row[column]
+        for (name, (_, _, limit)), column in zip(fields.items(), _ROW_COLUMNS[frame_type].values())
+    }
+    if payload_type is T4Payload and values["event"] is not SupplyEventKind.INTERRUPTION_END:
+        values["duration_s"] = None
+    return CompactFrame(frame_type, pod_id, row[SEQ], row[TIMESTAMP], payload_type(**values))
 
 
 def frame_rows(frames: list[CompactFrame]):

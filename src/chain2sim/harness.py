@@ -19,7 +19,7 @@ pieces split at those injections.
 
 Frames travel as rows of integers (see `frames`), one block per link, each
 stage taking the whole block in one numpy pass: the meter emits the rows
-(a supply event's frames become rows where they are injected),
+(a supply event's where it is injected),
 `Channel.arrivals` gives each one's arrival time, the gate is a mask on
 those times, and `Device.ingest` takes the rows the gate passes.  The
 device sees the same frames in the same order as a receiver that waits for
@@ -31,9 +31,10 @@ after a delay the portal draws from `ScenarioConfig.activation_delay_h`,
 whole frames and never damages a bit, so a wire image would decode back to
 the same values; `validate_config` checks up front that every frame fits
 its wire fields, and the codec in `frames` stays the tested wire format.
-The scalar path (`Meter.step`, `encode_frame` and `decode_frame`,
-`Channel.transmit`, and the per-frame device `tests/reference.py:ScalarDevice`)
-is the reference the tests hold this run to, frame by frame.
+The scalar path (the per-tick meter `tests/reference.py:ScalarMeter`,
+`encode_frame` and `decode_frame`, `Channel.transmit`, and the per-frame
+device `tests/reference.py:ScalarDevice`) is the reference the tests hold
+this run to, tick by tick and frame by frame.
 
 Statistics follow one frame end to end, on one ledger per link: an int
 array of frames per (day, frame type, disposition), which counts every
@@ -1033,7 +1034,7 @@ def _run_user(
     for a, b in zip(cuts, cuts[1:]):
         t = a * tick
         while events and events[0][0] == t:
-            blocks.append(frames.frame_rows(meter.apply_supply_event(t, events.popleft()[1])))
+            blocks.append(meter.apply_supply_event(t, events.popleft()[1]))
         if a in arms:
             meter.arm_emergency_limit(*arms[a])
         blocks.extend(meter.emit_rows(power[a:b], t))

@@ -1,7 +1,8 @@
 """Smart-meter state machine: samples household power, emits compact frames.
 
-The meter is driven by `step(power_w, t)` once per tick.  Each call covers
-the half-open interval [t, t + tick_s) and may emit:
+The meter is driven by `emit_rows(power, t0)` over a power series, one
+sample per tick.  Each tick t covers the half-open interval [t, t + tick_s)
+and may emit:
 
     T2  when the power crosses one or more k*Pn/10 band thresholds,
     T3  on exceeding the contractual power Pn (and on return below it),
@@ -26,18 +27,15 @@ reference: while armed, the countdown uses
 
     remaining = SWITCHOFF_TAU_S * limit_w / (power - limit_w)
 
-with no tolerance factor on the limit itself.  `switchoff_remaining` is
-this law, for either reference: `step` calls it, and the device's cut
-warning calls it too.
+with no tolerance factor on the limit itself.  `switchoff_remaining` is the
+law against Pn, which the device's cut warning calls.
 
 All frames share one gapless sequence counter starting at 1, so a receiver
 can detect channel losses as sequence gaps regardless of frame type.
 
-`emit_rows(power, t0)` drives the meter over a whole power series and
-gives, as blocks of frame rows (see `frames`), exactly what `step` gives
-when called for every tick: the same frames in the same order, the same
-exceptions and the same final state.  It computes in numpy the rows of each
-stretch where the breaker and the emergency limit stay as they are:
+`emit_rows` gives the frames as blocks of frame rows (see `frames`), one
+block per stretch of ticks where the breaker and the emergency limit stay
+as they are, computed in numpy:
 
     T2  one row per band passed: `np.repeat` over the band changes, the
         first against the band the meter holds;
@@ -45,22 +43,27 @@ stretch where the breaker and the emergency limit stay as they are:
         first tick whose cumulative energy reaches energy_threshold_wh;
     T1  a row per quarter close, from a per-quarter `np.cumsum`.
 
-Within a tick the order is T2, T3 (power, then energy), T1; values round
-half to even with `np.rint`, as `round` does; seqs continue the count.  The
-stretch reads the state it starts from: with the breaker open the meter
-samples 0 W, so only quarter closes emit, and only a negative sample is
-rejected; with a limit armed the reference is the limit.  `step` itself
-takes the ticks that end a stretch:
+Within a tick the order is T4, T2, T3 (power, then energy), T1; values
+round half to even with `np.rint`, as `round` does; seqs continue the
+count.  A stretch ends before the tick where the breaker or the limit
+changes, and the next one starts with that change:
 
-    the tick that reaches the cut deadline the tick before it left;
-    the tick where an emergency limit expires;
-    a sample `step` rejects (it raises there).
+    the tick that reaches the cut deadline the tick before it left opens
+    the breaker, with a T4 interruption start as its first row;
+    the tick at or past the end of an emergency limit clears the limit
+    first, which also drops the deadline, so a cut cannot fall due there.
+
+An open breaker samples 0 W, so only quarter closes emit; an armed limit is
+the overrun reference.  A sample is rejected, with `ValueError` and before
+its tick changes any state, unless 0 <= 10 * sample < inf, whatever the
+breaker state.
 
 The quarter and total energy advance by `np.cumsum`, which adds in sequence
-and so matches `step`'s `+=` bit for bit.  The cut deadline is computed on
-the ticks above the reference only, in `step`'s operation order: a running
-minimum over each run of them, the run at the first tick starting from the
-armed deadline.
+and so matches a per-tick `+=` bit for bit.  The cut deadline is computed
+on the ticks above the reference only, in the per-tick operation order: a
+running minimum over each run of them, the run at the first tick starting
+from the armed deadline.  `tests/reference.py:ScalarMeter` applies these
+rules one tick at a time, and `emit_rows` must match it.
 """
 
 from __future__ import annotations
@@ -88,35 +91,27 @@ from chain2sim.frames import (
     ExceedanceCause,
     FrameType,
     SupplyEventKind,
-    T1Payload,
-    T2Payload,
-    T3Payload,
-    T4Payload,
-    frame_rows,
+    frame_from_row,
 )
 
 QUARTERS_PER_DAY = DAY_S // QUARTER_S
 OVERRUN_FACTOR = 1.1  # tolerated fraction of pn_w before the cut countdown arms
 SWITCHOFF_TAU_S = 180.0  # time constant of the cut countdown (s)
 
-# Enum members used per tick, bound once: looking a member up on its enum
-# class is a slow attribute access on CPython 3.11.
 _T1, _T2, _T3, _T4 = FrameType
 _UP, _DOWN = CrossingDirection
 _POWER_EXCEEDED, _ENERGY_THRESHOLD_EXCEEDED, _RESTORED = ExceedanceCause
 _INTERRUPTION_START = SupplyEventKind.INTERRUPTION_START
 
 
-def switchoff_remaining(
-    power_w: float, pn_w: float, *, overrun_factor: float = OVERRUN_FACTOR
-) -> float | None:
+def switchoff_remaining(power_w: float, pn_w: float) -> float | None:
     """Seconds until the breaker would open at a steady `power_w`.
 
     Returns None when the power is at or below the tolerated reference
-    `overrun_factor * pn_w` (no countdown).  The remaining time is inversely
+    `OVERRUN_FACTOR * pn_w` (no countdown).  The remaining time is inversely
     proportional to the excess over that reference.
     """
-    reference = overrun_factor * pn_w
+    reference = OVERRUN_FACTOR * pn_w
     if power_w <= reference:
         return None
     return SWITCHOFF_TAU_S * pn_w / (power_w - reference)
@@ -157,10 +152,11 @@ class MeterConfig:
 class Meter:
     """One metering point.
 
-    Drive it with `step(power_w, t)` at a fixed cadence; inject network-side
-    supply events with `apply_supply_event`; apply a distributor emergency
-    power limit with `arm_emergency_limit`.  Emitted frames are returned to
-    the caller, never sent anywhere by the meter itself.
+    Drive it with `emit_rows(power, t0)` over consecutive pieces of a power
+    series; inject network-side supply events with `apply_supply_event`;
+    apply a distributor emergency power limit with `arm_emergency_limit`.
+    Emitted frames are returned to the caller as rows, never sent anywhere
+    by the meter itself.
     """
 
     def __init__(self, pod_id: str, config: MeterConfig) -> None:
@@ -178,12 +174,6 @@ class Meter:
         self._interruption_started_at: int | None = None
         self._em_limit_w: float | None = None
         self._em_until: float | None = None
-
-    # -- frame helpers ---------------------------------------------------
-
-    def _emit(self, frame_type: FrameType, t: int, payload) -> CompactFrame:
-        self._seq += 1
-        return CompactFrame(frame_type, self.pod_id, self._seq, t, payload)
 
     @property
     def last_seq(self) -> int:
@@ -221,198 +211,110 @@ class Meter:
 
     # -- supply events -----------------------------------------------------
 
-    def apply_supply_event(self, t: int, kind: SupplyEventKind) -> list[CompactFrame]:
-        """Inject a network-side supply event; returns the frames it causes.
+    def apply_supply_event(self, t: int, kind: SupplyEventKind) -> np.ndarray:
+        """Inject a network-side supply event; returns the rows of the frames
+        it causes.
 
         Interruption start/end toggle `supply_on` and are idempotent: a
         start while already off (or an end while on) emits nothing.  The
         end frame carries the outage duration.
         """
         kind = SupplyEventKind(kind)
+        duration = 0
         if kind is SupplyEventKind.INTERRUPTION_START:
             if not self.supply_on:
-                return []
+                return np.empty((0, ROW_WIDTH), dtype=np.int64)
             self.supply_on = False
             self._interruption_started_at = t
             self._cut_deadline = None
-            return [self._emit(FrameType.T4, t, T4Payload(kind))]
-        if kind is SupplyEventKind.INTERRUPTION_END:
+        elif kind is SupplyEventKind.INTERRUPTION_END:
             if self.supply_on:
-                return []
+                return np.empty((0, ROW_WIDTH), dtype=np.int64)
             started = self._interruption_started_at
             duration = 0 if started is None else max(0, t - started)
             self.supply_on = True
             self._interruption_started_at = None
-            return [self._emit(FrameType.T4, t, T4Payload(kind, duration))]
-        return [self._emit(FrameType.T4, t, T4Payload(kind))]
+        self._seq += 1
+        return np.array([[_T4, self._seq, t, kind, 0, duration]], dtype=np.int64)
 
-    # -- main sampling entry point ------------------------------------------
+    # -- sampling ----------------------------------------------------------
 
     def step(self, power_w: float, t: int) -> list[CompactFrame]:
-        """Advance one tick covering [t, t + tick_s); returns emitted frames.
-
-        `t` must be tick-aligned and strictly consecutive with the previous
-        call.  `power_w` is the mean household power over the tick.
-        """
-        cfg = self.config
-        tick = cfg.tick_s
-        pn = cfg.pn_w
-        if power_w < 0:
-            raise ValueError(f"power_w must be non-negative, got {power_w}")
-        next_t = self._next_t
-        if next_t is None:
-            if t % tick != 0:
-                raise ValueError(f"t={t} is not aligned to tick_s={tick}")
-        elif t != next_t:
-            raise ValueError(f"expected step at t={next_t}, got t={t}")
-        self._next_t = t + tick
-
-        frames: list[CompactFrame] = []
-
-        # Emergency limit expires on its own.
-        if self._em_until is not None and t >= self._em_until:
-            self.clear_emergency_limit()
-
-        # A cut armed earlier falls due: open the breaker before sampling.
-        deadline = self._cut_deadline
-        if deadline is not None and t >= deadline and self.supply_on:
-            self.supply_on = False
-            self._interruption_started_at = t
-            self._cut_deadline = None
-            frames.append(self._emit(_T4, t, T4Payload(_INTERRUPTION_START)))
-
-        p_eff = power_w if self.supply_on else 0.0
-
-        # Band crossings.  One frame per threshold passed, in crossing order.
-        # Band k holds the powers in [k*Pn/10, (k+1)*Pn/10), band 10 all at or
-        # above Pn; p_eff >= 0, so int() is the floor.
-        new_band = int((10.0 * p_eff) / pn)
-        if new_band > 10:
-            new_band = 10
-        old_band = self._band
-        if new_band != old_band:
-            power_int = round(p_eff)
-            if new_band > old_band:
-                crossed, direction = range(old_band + 1, new_band + 1), _UP
-            else:
-                crossed, direction = range(old_band, new_band, -1), _DOWN
-            for k in crossed:
-                frames.append(self._emit(_T2, t, T2Payload(k, power_int, direction)))
-            self._band = new_band
-
-        # Overrun countdown against the active reference.
-        if self._em_limit_w is None:
-            remaining = switchoff_remaining(p_eff, pn)
-        else:
-            remaining = switchoff_remaining(p_eff, self._em_limit_w, overrun_factor=1.0)
-        if remaining is None:
-            self._cut_deadline = None
-        else:
-            candidate = t + remaining
-            if self._cut_deadline is None or candidate < self._cut_deadline:
-                self._cut_deadline = candidate
-
-        # Contractual-power exceedance is edge triggered on Pn itself.
-        if p_eff > pn:
-            if not self._over_pn:
-                self._over_pn = True
-                frames.append(
-                    self._emit(_T3, t, T3Payload(_POWER_EXCEEDED, round(p_eff)))
-                )
-        elif self._over_pn:
-            self._over_pn = False
-            frames.append(self._emit(_T3, t, T3Payload(_RESTORED, round(p_eff))))
-
-        # Energy accounting.
-        ws = p_eff * tick
-        self._quarter_acc_ws += ws
-        total_ws = self._total_acc_ws + ws
-        self._total_acc_ws = total_ws
-        threshold = cfg.energy_threshold_wh
-        if (
-            threshold is not None
-            and not self._energy_alarm_sent
-            and total_ws / 3600.0 >= threshold
-        ):
-            self._energy_alarm_sent = True
-            frames.append(
-                self._emit(
-                    _T3,
-                    t,
-                    T3Payload(_ENERGY_THRESHOLD_EXCEEDED, round(total_ws / 3600.0)),
-                )
-            )
-
-        t_close = t + tick
-        if t_close % QUARTER_S == 0:
-            energy_wh = round(self._quarter_acc_ws / 3600.0)
-            self._quarter_acc_ws = 0.0
-            quarter = (t_close // QUARTER_S - 1) % QUARTERS_PER_DAY
-            frames.append(
-                self._emit(_T1, t_close, T1Payload(quarter, energy_wh, cfg.direction))
-            )
-        return frames
+        """`emit_rows` over the one tick [t, t + tick_s) at `power_w`, its
+        rows returned as frame records."""
+        blocks = list(self.emit_rows(np.array([power_w], dtype=np.float64), t))
+        return [frame_from_row(row, self.pod_id) for block in blocks for row in block.tolist()]
 
     def emit_rows(self, power: np.ndarray, t0: int) -> Iterator[np.ndarray]:
         """Advance over `power[i]` at ticks `t0 + i * tick_s`, yielding the
         frames emitted as blocks of rows (see `frames`), in send order.
 
-        The rows are those of the frames `step(power[i], t0 + i * tick_s)`
-        returns for every i, and the exceptions and the final state are
-        `step`'s too.  Inject supply events or arm an emergency limit only
-        before a call, never between yields: to inject at a later tick,
-        split the series there.  A frame value past the int64 range raises
-        OverflowError; validation keeps every value inside its wire field.
+        `t0` must be tick-aligned, and follow the last tick taken when there
+        is one.  Inject supply events or arm an emergency limit only before
+        a call, never between yields: to inject at a later tick, split the
+        series there.  A rejected sample raises `ValueError` after the
+        blocks of the ticks before it.  A frame value past the int64 range
+        raises OverflowError; validation keeps every value inside its wire
+        field.
         """
         p = np.asarray(power, dtype=np.float64)
         tick = self.config.tick_s
-        # Through the class, so a wrapper installed on Meter.step sees every call.
-        step = Meter.step
         while p.size:
             stop, rows = self._rows(p, t0)
             if len(rows):
                 yield rows
-            if stop == len(p):
-                return
-            t = t0 + stop * tick
-            rows = frame_rows(step(self, float(p[stop]), t))
-            if len(rows):
-                yield rows
-            p, t0 = p[stop + 1 :], t + tick
+            p, t0 = p[stop:], t0 + stop * tick
 
     def _rows(self, p: np.ndarray, t0: int) -> tuple[int, np.ndarray]:
-        """The frame rows of the ticks of a non-empty `p` before the first
-        tick `step` must take, and that tick's index (len(p) if none).  The
-        meter is left in the state that tick starts from.
+        """The frame rows of the first stretch of a non-empty `p` (see the
+        module docstring), and the index of the tick that ends it (len(p)
+        if none).  The meter is left in the state that tick starts from.
 
-        `step` takes the ticks where the breaker or the limit changes (the
-        cut falls due, or the emergency limit expires), a sample it rejects
-        (it raises there), and a first tick that does not follow the last
-        one stepped (it raises too).  Before that tick an open breaker
-        samples 0 W, and an armed limit is the overrun reference.
+        The stretch starts with the change its first tick makes: the limit
+        expires, or the cut falls due.  A first sample the meter rejects,
+        or a first tick that does not follow the last one taken, raises
+        before any state changes; a later rejected sample ends the stretch.
         """
         cfg = self.config
         tick = cfg.tick_s
         pn = cfg.pn_w
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Rejected: negative, NaN, inf, or one whose 10 * p overflows.
+            band = np.multiply(p, 10.0)
+            bad = np.flatnonzero(~((band >= 0.0) & (band < np.inf)))
+        m = int(bad[0]) if bad.size else len(p)
+        if m == 0:
+            raise ValueError(
+                f"power_w must be non-negative with 10 * power_w finite, got {float(p[0])}"
+            )
+        next_t = self._next_t
+        if next_t is None:
+            if t0 % tick != 0:
+                raise ValueError(f"t={t0} is not aligned to tick_s={tick}")
+        elif t0 != next_t:
+            raise ValueError(f"expected step at t={next_t}, got t={t0}")
+
+        if self._em_until is not None and t0 >= self._em_until:
+            self.clear_emergency_limit()
         limit = self._em_limit_w
         armed = self._cut_deadline
-        if (
-            (t0 % tick != 0 if self._next_t is None else t0 != self._next_t)
-            or (limit is not None and t0 >= self._em_until)
-            or (armed is not None and t0 >= armed and self.supply_on)
-        ):
-            return 0, frame_rows([])
-        with np.errstate(over="ignore", invalid="ignore"):
-            # step rejects a negative sample and, with the breaker closed, one
-            # whose band is no int: NaN, inf, or one whose 10 * p overflows.
-            band = np.multiply(p, 10.0) if self.supply_on else np.zeros(len(p))
-            bad = np.flatnonzero((p < 0.0) | ~(band < np.inf))
-            m = int(bad[0]) if bad.size else len(p)
-            x = p[:m] if self.supply_on else np.zeros(m)
+        cut = np.zeros(0, np.int64)
+        if armed is not None and t0 >= armed and self.supply_on:
+            self.supply_on = False
+            self._interruption_started_at = t0
+            self._cut_deadline = armed = None
+            cut = np.zeros(1, np.int64)
+        if self.supply_on:
+            x = p[:m]
+        else:
+            band = np.zeros(m)
+            x = np.zeros(m)
 
+        with np.errstate(over="ignore", invalid="ignore"):
             # The cut countdown, on the ticks above the reference only.  Each
-            # arms `t + remaining`, in `step`'s operation order, and a run of
-            # them keeps the running minimum, from the armed deadline at tick 0.
+            # arms `t + remaining`, in the per-tick operation order, and a run
+            # of them keeps the running minimum, from the armed deadline at
+            # tick 0.
             scale, reference = (pn, OVERRUN_FACTOR * pn) if limit is None else (limit, limit)
             over = np.flatnonzero(x > reference)
             deadline = (t0 + over * tick) + SWITCHOFF_TAU_S * scale / (x[over] - reference)
@@ -423,13 +325,11 @@ class Meter:
                 np.minimum.accumulate(deadline[a:b], out=deadline[a:b])
             # The breaker opens at the first tick that reaches the deadline
             # left by the tick before it; the limit expires at the first tick
-            # at or past its end.
+            # at or past its end.  Neither is tick 0, which took its change.
             due = np.flatnonzero(t0 + (over + 1) * tick >= deadline)
             stop = min(m, int(over[due[0]]) + 1) if due.size else m
             if limit is not None:
                 stop = bisect_left(range(t0, t0 + stop * tick, tick), self._em_until)
-            if stop == 0:
-                return 0, frame_rows([])
             x = x[:stop]
 
             # T2: one row per band passed, in crossing order.
@@ -452,7 +352,7 @@ class Meter:
             edges = _changes(over_pn, self._over_pn)
 
             # Energy.  Seed both running sums through their first element,
-            # which is the first `+=` the scalar step would make.  `total`
+            # which is the first `+=` a per-tick loop would make.  `total`
             # reuses the spent band and `quarter` is a view of `acc`: a fresh
             # full-length array costs more in page faults than its arithmetic.
             ticks_per_quarter = QUARTER_S // tick
@@ -482,6 +382,7 @@ class Meter:
             # the type, timestamp, key, direction and value of each row.
             rows = _block(
                 (
+                    (cut, _T4, t0, _INTERRUPTION_START, 0, 0),
                     (crossing, _T2, t0 + crossing * tick, np.where(up, first + 1 + k, first - k),
                      np.where(up, _UP, _DOWN), x[crossing]),
                     (edges, _T3, t0 + edges * tick,

@@ -6,7 +6,7 @@ and every frame would:
     grid power   demand response, the emergency arm and peak shaving applied
                  tick by tick (`per_tick_loop`), supply events injected at
                  their tick;
-    meter        `Meter.step` at every tick;
+    meter        `ScalarMeter.step` at every tick;
     wire         every frame through `encode_frame`, then `decode_frame`;
     channel      the scalar `Channel.transmit`, one frame at a time;
     gate         the pairing window tested on each arrival;
@@ -20,12 +20,15 @@ pairing windows, the report's fold of the ledgers and the run-wide output
 writers are the harness's own.  The output tree must then equal the one
 `harness.run` writes, byte for byte.
 
-`ScalarDevice` is the device's rules frame by frame, and `Device.ingest`
-must match it on any block of rows; `scalar_profile` and `per_tick_loop`
-are the same kind of reference for the profile generator and the grid
-power built up front, and `least_excess_walk` for the scheduler's pruned
-walk when no start combination meets a grid limit.  `profile_to_csv` writes the profile CSV format that
-`profile_from_csv` reads, for scenarios that bring their own profile.
+`ScalarMeter` is the meter's rules tick by tick, and `Meter.emit_rows`
+must match it on any series; `ScalarDevice` is the device's rules frame by
+frame, and `Device.ingest` must match it on any block of rows;
+`scalar_profile` and `per_tick_loop` are the same kind of reference for
+the profile generator and the grid power built up front, and
+`least_excess_walk` for the scheduler's pruned walk when no start
+combination meets a grid limit.  `profile_to_csv` writes the profile CSV
+format that `profile_from_csv` reads, for scenarios that bring their own
+profile.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import contextlib
 import csv
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -61,12 +65,27 @@ from chain2sim.device import (
 from chain2sim.frames import (
     DAY_S,
     QUARTER_S,
+    CompactFrame,
+    CrossingDirection,
     ExceedanceCause,
     FrameType,
+    SupplyEventKind,
+    T1Payload,
+    T2Payload,
+    T3Payload,
+    T4Payload,
     decode_frame,
     encode_frame,
+    frame_from_row,
 )
-from chain2sim.meter import OVERRUN_FACTOR, Meter, MeterConfig, switchoff_remaining
+from chain2sim.meter import (
+    OVERRUN_FACTOR,
+    QUARTERS_PER_DAY,
+    SWITCHOFF_TAU_S,
+    Meter,
+    MeterConfig,
+    switchoff_remaining,
+)
 from chain2sim.profiles import (
     _SOFT_CAP,
     OVERRUN_GAP_S,
@@ -129,7 +148,8 @@ def per_tick_loop(spec, config, send=None):
     """A user's grid power, emergency arms and metered series as a loop over
     every tick finds them: supply events, then the emergency arm on the first
     tick an emergency command is open, then `dr_site_step` (with no command
-    outside a window), then peak shaving outside windows, then `Meter.step`.
+    outside a window), then peak shaving outside windows, then
+    `ScalarMeter.step`.
     Every frame the meter emits goes to `send`, when given.  Returns the
     grid power, the arms as {tick index: (limit_w, until_s)} and what the
     grid supplied (zero while the breaker is open)."""
@@ -140,7 +160,7 @@ def per_tick_loop(spec, config, send=None):
     loads = [SiteLoad(a.id, 0.0, a.interruptible, a.controllable) for a, _ in scheduled]
     site = Site(spec.pod_id, loads, battery)
     threshold = spec.energy_threshold_wh
-    meter = Meter(spec.pod_id, MeterConfig(spec.pn_w, threshold, tick, spec.direction))
+    meter = ScalarMeter(spec.pod_id, MeterConfig(spec.pn_w, threshold, tick, spec.direction))
     send = send or (lambda frame: None)
     arms = {}
     grid, actual = [], []
@@ -148,8 +168,8 @@ def per_tick_loop(spec, config, send=None):
     for i, p_house in enumerate(profile.tolist()):
         t = i * tick
         for _, kind in (e for e in spec.supply_events if e[0] == t):
-            for frame in meter.apply_supply_event(t, kind):
-                send(frame)
+            for row in meter.apply_supply_event(t, kind).tolist():
+                send(frame_from_row(row, spec.pod_id))
         slot = t // 900
         for load, (app, start) in zip(site.loads, scheduled):
             k = slot - start
@@ -169,6 +189,131 @@ def per_tick_loop(spec, config, send=None):
         grid.append(p)
         actual.append(p if meter.supply_on else 0.0)
     return np.array(grid), arms, np.array(actual)
+
+
+class ScalarMeter(Meter):
+    """`Meter` taking one tick at a time, its frames as records: the per-tick
+    rules that `Meter.emit_rows` applies to a stretch of ticks in numpy.
+    Supply events and the emergency limit are `Meter`'s own."""
+
+    def _emit(self, frame_type, t, payload):
+        self._seq += 1
+        return CompactFrame(frame_type, self.pod_id, self._seq, t, payload)
+
+    def step(self, power_w, t):
+        """Advance one tick covering [t, t + tick_s); returns emitted frames.
+
+        `t` must be tick-aligned and strictly consecutive with the previous
+        call.  `power_w` is the mean household power over the tick.
+        """
+        cfg = self.config
+        tick = cfg.tick_s
+        pn = cfg.pn_w
+        if not 0.0 <= 10.0 * power_w < math.inf:
+            raise ValueError(
+                f"power_w must be non-negative with 10 * power_w finite, got {power_w}"
+            )
+        next_t = self._next_t
+        if next_t is None:
+            if t % tick != 0:
+                raise ValueError(f"t={t} is not aligned to tick_s={tick}")
+        elif t != next_t:
+            raise ValueError(f"expected step at t={next_t}, got t={t}")
+        self._next_t = t + tick
+
+        frames = []
+
+        # Emergency limit expires on its own.
+        if self._em_until is not None and t >= self._em_until:
+            self.clear_emergency_limit()
+
+        # A cut armed earlier falls due: open the breaker before sampling.
+        deadline = self._cut_deadline
+        if deadline is not None and t >= deadline and self.supply_on:
+            self.supply_on = False
+            self._interruption_started_at = t
+            self._cut_deadline = None
+            frames.append(
+                self._emit(FrameType.T4, t, T4Payload(SupplyEventKind.INTERRUPTION_START))
+            )
+
+        p_eff = power_w if self.supply_on else 0.0
+
+        # Band crossings.  One frame per threshold passed, in crossing order.
+        # Band k holds the powers in [k*Pn/10, (k+1)*Pn/10), band 10 all at or
+        # above Pn; p_eff >= 0, so int() is the floor.
+        new_band = int((10.0 * p_eff) / pn)
+        if new_band > 10:
+            new_band = 10
+        old_band = self._band
+        if new_band != old_band:
+            power_int = round(p_eff)
+            if new_band > old_band:
+                crossed, direction = range(old_band + 1, new_band + 1), CrossingDirection.UP
+            else:
+                crossed, direction = range(old_band, new_band, -1), CrossingDirection.DOWN
+            for k in crossed:
+                frames.append(self._emit(FrameType.T2, t, T2Payload(k, power_int, direction)))
+            self._band = new_band
+
+        # Overrun countdown against the active reference: 1.1 Pn, or the
+        # emergency limit itself.
+        limit = self._em_limit_w
+        if limit is None:
+            remaining = switchoff_remaining(p_eff, pn)
+        else:
+            remaining = None if p_eff <= limit else SWITCHOFF_TAU_S * limit / (p_eff - limit)
+        if remaining is None:
+            self._cut_deadline = None
+        else:
+            candidate = t + remaining
+            if self._cut_deadline is None or candidate < self._cut_deadline:
+                self._cut_deadline = candidate
+
+        # Contractual-power exceedance is edge triggered on Pn itself.
+        if p_eff > pn:
+            if not self._over_pn:
+                self._over_pn = True
+                frames.append(
+                    self._emit(
+                        FrameType.T3, t, T3Payload(ExceedanceCause.POWER_EXCEEDED, round(p_eff))
+                    )
+                )
+        elif self._over_pn:
+            self._over_pn = False
+            frames.append(
+                self._emit(FrameType.T3, t, T3Payload(ExceedanceCause.RESTORED, round(p_eff)))
+            )
+
+        # Energy accounting.
+        ws = p_eff * tick
+        self._quarter_acc_ws += ws
+        total_ws = self._total_acc_ws + ws
+        self._total_acc_ws = total_ws
+        threshold = cfg.energy_threshold_wh
+        if (
+            threshold is not None
+            and not self._energy_alarm_sent
+            and total_ws / 3600.0 >= threshold
+        ):
+            self._energy_alarm_sent = True
+            frames.append(
+                self._emit(
+                    FrameType.T3,
+                    t,
+                    T3Payload(ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED, round(total_ws / 3600.0)),
+                )
+            )
+
+        t_close = t + tick
+        if t_close % QUARTER_S == 0:
+            energy_wh = round(self._quarter_acc_ws / 3600.0)
+            self._quarter_acc_ws = 0.0
+            quarter = (t_close // QUARTER_S - 1) % QUARTERS_PER_DAY
+            frames.append(
+                self._emit(FrameType.T1, t_close, T1Payload(quarter, energy_wh, cfg.direction))
+            )
+        return frames
 
 
 class ScalarDevice:

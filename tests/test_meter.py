@@ -26,9 +26,11 @@ from chain2sim.frames import (
     decode_frame,
     describe_frame,
     encode_frame,
+    frame_from_row,
     frame_rows,
 )
 from chain2sim.meter import QUARTERS_PER_DAY, Meter, MeterConfig, switchoff_remaining
+from reference import ScalarMeter
 
 POD = "IT001E00000001"
 
@@ -38,12 +40,14 @@ def make_meter(pn_w=3000.0, tick_s=1, **kw) -> Meter:
 
 
 def drive(meter, powers, t0=0):
-    """Step the meter over `powers` and return all emitted frames."""
-    tick = meter.config.tick_s
-    out = []
-    for i, p in enumerate(powers):
-        out.extend(meter.step(p, t0 + i * tick))
-    return out
+    """Drive the meter over `powers` and return all emitted frames."""
+    blocks = meter.emit_rows(np.array(powers, dtype=np.float64), t0)
+    return [frame_from_row(row, meter.pod_id) for block in blocks for row in block.tolist()]
+
+
+def supply_event(meter, t, kind):
+    """Inject a supply event and return the frames it causes."""
+    return [frame_from_row(row, meter.pod_id) for row in meter.apply_supply_event(t, kind).tolist()]
 
 
 # -- band index ----------------------------------------------------------------
@@ -111,10 +115,17 @@ def test_switchoff_halves_when_margin_doubles(delta, pn):
 
 
 def test_switchoff_emergency_reference():
-    # Against an armed limit the countdown runs with no tolerance factor.
-    t = switchoff_remaining(3000.0, 2000.0, overrun_factor=1.0)
-    assert t == pytest.approx(180.0 * 2000.0 / 1000.0)
-    assert switchoff_remaining(2000.0, 2000.0, overrun_factor=1.0) is None
+    # Against an armed limit the countdown runs with no tolerance factor:
+    # 3000 W over a 2000 W limit cuts 180 * 2000 / 1000 s on, and a load
+    # at the limit never arms it.
+    meter = make_meter(pn_w=3000.0, tick_s=60)
+    meter.arm_emergency_limit(2000.0, until_s=10_000)
+    rows = np.concatenate(list(meter.emit_rows(np.full(10, 3000.0), 0)))
+    assert rows[rows[:, TYPE] == FrameType.T4, TIMESTAMP].tolist() == [360]
+    at_limit = make_meter(pn_w=3000.0, tick_s=60)
+    at_limit.arm_emergency_limit(2000.0, until_s=10_000)
+    list(at_limit.emit_rows(np.full(100, 2000.0), 0))
+    assert at_limit.supply_on and at_limit._cut_deadline is None
 
 
 # -- load curve (T1) -------------------------------------------------------------
@@ -287,18 +298,18 @@ def test_cut_emits_band_and_restore_frames_in_order():
 
 def test_supply_events_are_idempotent_and_carry_duration():
     meter = make_meter()
-    start = meter.apply_supply_event(100, SupplyEventKind.INTERRUPTION_START)
+    start = supply_event(meter, 100, SupplyEventKind.INTERRUPTION_START)
     assert len(start) == 1 and start[0].payload.duration_s is None
-    assert meter.apply_supply_event(150, SupplyEventKind.INTERRUPTION_START) == []
-    end = meter.apply_supply_event(400, SupplyEventKind.INTERRUPTION_END)
+    assert supply_event(meter, 150, SupplyEventKind.INTERRUPTION_START) == []
+    end = supply_event(meter, 400, SupplyEventKind.INTERRUPTION_END)
     assert len(end) == 1 and end[0].payload.duration_s == 300
-    assert meter.apply_supply_event(500, SupplyEventKind.INTERRUPTION_END) == []
+    assert supply_event(meter, 500, SupplyEventKind.INTERRUPTION_END) == []
     assert meter.supply_on
 
 
 def test_voltage_event_does_not_touch_supply():
     meter = make_meter()
-    frames = meter.apply_supply_event(10, SupplyEventKind.VOLTAGE_EVENT)
+    frames = supply_event(meter, 10, SupplyEventKind.VOLTAGE_EVENT)
     assert frames[0].payload.event is SupplyEventKind.VOLTAGE_EVENT
     assert meter.supply_on
 
@@ -352,7 +363,7 @@ def test_arming_rejects_nan(limit_w, until_s):
 def test_sequence_numbers_are_gapless_across_types():
     meter = make_meter(pn_w=3000.0, tick_s=300, energy_threshold_wh=100.0)
     frames = drive(meter, [0.0, 3500.0, 2000.0, 0.0, 6000.0, 6000.0] * 4)
-    frames.extend(meter.apply_supply_event(7200, SupplyEventKind.VOLTAGE_EVENT))
+    frames.extend(supply_event(meter, 7200, SupplyEventKind.VOLTAGE_EVENT))
     assert [f.seq for f in frames] == list(range(1, len(frames) + 1))
     assert meter.last_seq == len(frames)
 
@@ -390,7 +401,7 @@ def test_config_validation(kw):
         MeterConfig(**kw)
 
 
-# -- emit_rows against the per-tick loop -------------------------------------------
+# -- emit_rows against the per-tick reference ----------------------------------------
 
 TICK_DIVISORS = [d for d in range(1, 61) if QUARTER_S % d == 0]
 
@@ -402,8 +413,8 @@ def series_cases(draw):
     per_quarter = QUARTER_S // tick
     pn = draw(st.sampled_from([3000.0, 4500.0, 6000.0]))
     threshold = draw(st.none() | st.floats(0.5, 3000.0))
-    # Ticks stepped one by one before the series, so it may start mid-quarter
-    # with non-zero accumulators.
+    # Ticks taken before the series, so it may start mid-quarter with
+    # non-zero accumulators.
     warm_level = draw(st.floats(0.0, 1.5 * pn))
     warmup = [warm_level] * draw(st.integers(0, 2 * per_quarter))
     t0 = draw(st.integers(0, 3 * per_quarter)) * tick
@@ -442,25 +453,33 @@ def _drive_meter(case, use_rows, injections=None, emitted=None):
     error raised, if any, and the final state.  `injections` maps a series
     tick index to `(kind, limit)`: before that tick, the supply event `kind`
     and then an emergency `(limit_w, ticks)` armed for that many ticks, each
-    optional.  The series is split there, and each piece stepped in one
-    `emit_rows` call or tick by tick with `step`.  A list passed as
-    `emitted` receives every frame record `step` and the supply events
-    emit."""
+    optional.  The series is split there, and each piece (the warm-up too)
+    taken in one `Meter.emit_rows` call, or tick by tick by the reference
+    `ScalarMeter`.  A list passed as `emitted` receives every frame record
+    the reference and the supply events emit."""
     tick, pn, threshold, powers, warmup, t0, emergency = case
     injections = injections or {}
-    meter = make_meter(pn_w=pn, tick_s=tick, energy_threshold_wh=threshold)
-    for i, p in enumerate(warmup):
-        meter.step(p, t0 + i * tick)
-    start = t0 + len(warmup) * tick
-    if emergency is not None:
-        meter.arm_emergency_limit(emergency[0], until_s=start + emergency[1] * tick)
+    config = MeterConfig(pn_w=pn, tick_s=tick, energy_threshold_wh=threshold)
+    meter = Meter(POD, config) if use_rows else ScalarMeter(POD, config)
     rows = []
     emitted = [] if emitted is None else emitted
 
-    def take(frames):
-        emitted.extend(frames)
-        rows.extend(frame_rows(frames).tolist())
+    def take(series, t):
+        if use_rows:
+            for block in meter.emit_rows(np.array(series), t):
+                assert block.dtype == np.int64 and block.shape[1:] == (ROW_WIDTH,)
+                rows.extend(block.tolist())
+        else:
+            for i, p in enumerate(series):
+                frames = meter.step(p, t + i * tick)
+                emitted.extend(frames)
+                rows.extend(frame_rows(frames).tolist())
 
+    take(warmup, t0)
+    rows.clear()  # the warm-up's frames are not compared
+    start = t0 + len(warmup) * tick
+    if emergency is not None:
+        meter.arm_emergency_limit(emergency[0], until_s=start + emergency[1] * tick)
     error = None
     cuts = sorted({0, len(powers), *injections})
     try:
@@ -468,16 +487,12 @@ def _drive_meter(case, use_rows, injections=None, emitted=None):
             t_a = start + a * tick
             kind, limit = injections.get(a, (None, None))
             if kind is not None:
-                take(meter.apply_supply_event(t_a, kind))
+                event = meter.apply_supply_event(t_a, kind).tolist()
+                emitted.extend(frame_from_row(row, POD) for row in event)
+                rows.extend(event)
             if limit is not None:
                 meter.arm_emergency_limit(limit[0], until_s=t_a + limit[1] * tick)
-            if use_rows:
-                for block in meter.emit_rows(np.array(powers[a:b]), t_a):
-                    assert block.dtype == np.int64 and block.shape[1:] == (ROW_WIDTH,)
-                    rows.extend(block.tolist())
-            else:
-                for i, p in enumerate(powers[a:b]):
-                    take(meter.step(p, t_a + i * tick))
+            take(powers[a:b], t_a)
     except (ValueError, OverflowError) as exc:
         error = (type(exc), str(exc))
     # The channel groups frames by send time: it needs them in time order.
@@ -490,11 +505,28 @@ def _drive_meter(case, use_rows, injections=None, emitted=None):
         meter._next_t,
         meter._cut_deadline,
         meter.supply_on,
+        meter.interrupted_at,
         meter._over_pn,
         meter._energy_alarm_sent,
         meter._em_limit_w,
     )
     return rows, error, state
+
+
+# The cases below start a stretch with a change of state, or reject the
+# sample of such a tick.  A cut due on the tick a limit expires: under the
+# 2500 W limit, 4000 W arms the deadline t=300, where the limit ends; the
+# expiry drops it, and the countdown restarts against 1.1 Pn to cut at
+# t=1080.
+CUT_AT_EXPIRY = (60, 3000.0, None, [4000.0] * 20, [], 0, (2500.0, 5))
+# A cut at t=840 (deadline 818.2 s), on the tick that closes the first
+# quarter and drops the band from 10 to 0.
+CUT_AT_QUARTER_CLOSE = (60, 3000.0, None, [3960.0] * 16, [], 0, None)
+# The same cut tick with a sample the meter rejects: no cut, no frame.
+REJECTED_AT_CUT = (60, 3000.0, None, [3960.0] * 14 + [-1.0, 3960.0], [], 0, None)
+# A warm-up overrun opens the breaker at t=120; with it open, NaN and inf
+# are still rejected, as with it closed.
+NAN_WITH_BREAKER_OPEN = (60, 3000.0, None, [0.0, math.nan, math.inf, 0.0], [9000.0] * 3, 0, None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -504,10 +536,10 @@ def _drive_meter(case, use_rows, injections=None, emitted=None):
 @example((50, 3000.0, None, [0.0] * 10 + [3301.0] * 8, [], 50, None))
 # A negative sample so small that its band computes as -0.0, equal to band 0.
 @example((60, 3000.0, None, [0.0, 0.0, -5e-324, 0.0], [], 0, None))
-# A warm-up overrun opens the breaker at t=120; with it open, the tiniest
-# negative sample is still rejected, while NaN and inf are taken.
+# With the breaker open (see NAN_WITH_BREAKER_OPEN), the tiniest negative
+# sample is rejected too.
 @example((60, 3000.0, None, [0.0, -5e-324, 0.0], [9000.0] * 3, 0, None))
-@example((60, 3000.0, None, [0.0, math.nan, math.inf, 0.0], [9000.0] * 3, 0, None))
+@example(NAN_WITH_BREAKER_OPEN)
 # A warm-up that ends mid-overrun arms the deadline t=450; the series, from
 # t=180, must cut there at t=480, not at the t=660 its own samples imply.
 @example((60, 3000.0, None, [4500.0] * 10, [4500.0] * 3, 0, None))
@@ -517,6 +549,9 @@ def _drive_meter(case, use_rows, injections=None, emitted=None):
 @example((60, 3000.0, None, [3600.0] * 40, [], 0, (2500.0, 5)))
 # A finite sample whose band overflows is rejected, even with no band change.
 @example((60, 3000.0, None, [4000.0, 1e308, 0.0], [], 0, None))
+@example(CUT_AT_EXPIRY)
+@example(CUT_AT_QUARTER_CLOSE)
+@example(REJECTED_AT_CUT)
 def test_emit_rows_matches_the_per_tick_loop(case):
     assert _drive_meter(case, use_rows=True) == _drive_meter(case, use_rows=False)
 
@@ -535,6 +570,12 @@ def split_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(split_cases())
+# The stretch-start cases, each split at its cut tick so that the change
+# falls on the first tick of an `emit_rows` call.
+@example((CUT_AT_EXPIRY, {5: (None, None)}))
+@example((CUT_AT_QUARTER_CLOSE, {14: (None, None)}))
+@example((REJECTED_AT_CUT, {14: (None, None)}))
+@example((NAN_WITH_BREAKER_OPEN, {1: (None, None)}))
 def test_emit_rows_split_at_injections_matches_the_per_tick_loop(split_case):
     case, injections = split_case
     assert _drive_meter(case, True, injections) == _drive_meter(case, False, injections)
@@ -553,8 +594,8 @@ RECORD_FIELDS = {
 @settings(max_examples=200, deadline=None)
 @given(split_cases())
 def test_emitted_frames_are_their_own_wire_image(split_case):
-    """The reference run hands `step`'s records to the device after a trip
-    through the wire, and the run turns the records of a cut into rows: each
+    """The reference run hands the records of `ScalarMeter` and of the
+    supply events' rows to the device after a trip through the wire: each
     must be exactly what decoding its wire image gives, equal to it, with
     plain ints and enum members in the same fields."""
     case, injections = split_case
@@ -570,40 +611,46 @@ def test_emitted_frames_are_their_own_wire_image(split_case):
                 )
 
 
+def _count_stretches(monkeypatch):
+    """The first tick of each stretch `Meter._rows` computes, from now on."""
+    starts = []
+    rows = Meter._rows
+    monkeypatch.setattr(Meter, "_rows", lambda self, p, t0: starts.append(t0) or rows(self, p, t0))
+    return starts
+
+
 def test_emit_rows_steps_only_a_cut_and_an_expiry(monkeypatch):
-    """`emit_rows` leaves to `step` only the ticks where the breaker or the
-    limit changes: a cut, or the expiry of a limit.  An open breaker or an
-    armed limit does not make it step a quiet day at 60 s (1440 ticks)."""
-    calls = []
-    step = Meter.step
-    monkeypatch.setattr(Meter, "step", lambda self, p, t: calls.append(t) or step(self, p, t))
+    """`emit_rows` starts a new stretch only where the breaker or the limit
+    changes: a cut, or the expiry of a limit.  An open breaker or an armed
+    limit takes a quiet day at 60 s (1440 ticks) in one stretch."""
+    starts = _count_stretches(monkeypatch)
     cut = make_meter(tick_s=60)
     list(cut.emit_rows(np.full(3, 9000.0), 0))
-    assert calls == [120] and not cut.supply_on  # the third tick opens the breaker
-    calls.clear()
+    assert starts == [0, 120] and not cut.supply_on  # the third tick opens the breaker
+    starts.clear()
     day = np.full(1440, 500.0)
     list(cut.emit_rows(day, 180))
-    assert calls == []
+    assert starts == [180]
+    starts.clear()
     limited = make_meter(tick_s=60)
     limited.arm_emergency_limit(1000.0, until_s=600.0)  # expires at tick 10
     list(limited.emit_rows(day, 0))
     assert limited._em_limit_w is None
-    assert calls == [600]
+    assert starts == [0, 600]
 
 
 def test_emit_rows_steps_no_overrun_that_ends_before_its_cut(monkeypatch):
     """Ten minutes at 1.2 Pn, ten at 0.5 Pn, all day at 60 s: each overrun
-    ends 20 minutes before its 30-minute deadline, so no tick needs `step`.
-    The rows hold both edges of each of the 72 overruns, and 96 quarters."""
+    ends 20 minutes before its 30-minute deadline, so the day is one
+    stretch.  The rows hold both edges of each of the 72 overruns, and 96
+    quarters."""
     meter = make_meter(tick_s=60)
     day = np.tile(np.repeat([3600.0, 1500.0], 10), 72)
 
-    calls = []
-    step = Meter.step
-    monkeypatch.setattr(Meter, "step", lambda self, p, t: calls.append(t // 60) or step(self, p, t))
+    starts = _count_stretches(monkeypatch)
     rows = np.concatenate(list(meter.emit_rows(day, 0)))
     assert meter.supply_on
-    assert calls == []
+    assert starts == [0]
     types = rows[:, TYPE].tolist()
     assert (types.count(FrameType.T3), types.count(FrameType.T1)) == (2 * 72, 96)
     assert rows[:, SEQ].tolist() == list(range(1, len(rows) + 1))

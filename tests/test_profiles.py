@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chain2sim import profiles
-from chain2sim.frames import FrameType
+from chain2sim.frames import TYPE, FrameType
 from chain2sim.meter import Meter, MeterConfig
 from chain2sim.profiles import PRESETS, household_profile, profile_from_csv
 from reference import profile_to_csv, scalar_profile
@@ -52,9 +52,8 @@ def test_profiles_never_trip_the_breaker(preset):
             np.random.default_rng(seed), pn, 86400, tick_s=1, preset=preset
         )
         meter = Meter("IT001E00000001", MeterConfig(pn_w=pn, tick_s=1))
-        for t, p in enumerate(power):
-            frames = meter.step(float(p), t)
-            assert not any(f.frame_type is FrameType.T4 for f in frames)
+        for rows in meter.emit_rows(power, 0):
+            assert not (rows[:, TYPE] == FrameType.T4).any()
         assert meter.supply_on
 
 

@@ -22,6 +22,8 @@ ALLOWED = {
     "Device.notifications": "the notes as records, read-only, which the tests compare with "
     "tests/reference.py:ScalarDevice's; the run writes `Device.notes()`",
     "Portal.admits": "resolved by name by the benchmark's tracer (perfbench/tracer.py)",
+    "Meter.step": "a layer the benchmark's tracer wraps; goes when ROADMAP item 1 re-bases "
+    "the tracer on `Meter.emit_rows`",
     "CampaignReport.totals": "the run's totals, which the benchmark's worker reads "
     "(perfbench/worker.py): per_type[\"all\"]",
 }
