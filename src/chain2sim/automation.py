@@ -50,9 +50,9 @@ class Battery:
         efficiency: float = 1.0,
         soc_wh: float = 0.0,
     ) -> None:
-        if capacity_wh <= 0:
+        if not capacity_wh > 0:  # written so that NaN fails too
             raise ValueError(f"capacity_wh must be positive, got {capacity_wh}")
-        if p_charge_max_w < 0 or p_discharge_max_w < 0:
+        if not (p_charge_max_w >= 0 and p_discharge_max_w >= 0):
             raise ValueError("power caps must be non-negative")
         if not 0.0 < efficiency <= 1.0:
             raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
@@ -199,20 +199,23 @@ def load_shift_schedule(
     Ties on cost are broken toward the earliest start, appliance ids
     considered in sorted order.
 
-    With a `grid_limit_w`, the summed appliance power must stay at or below
-    the limit in every slot.  The search is then exhaustive (branch and
-    bound) when the combination count fits under `EXHAUSTIVE_CAP`, which
-    covers any desk-scale instance; larger instances fall back to the
+    With a `grid_limit_w`, the summed appliance power should stay at or below
+    the limit in every slot.  When the combination count fits under
+    `EXHAUSTIVE_CAP`, which covers any desk-scale instance, one exact walk
+    returns the least (excess energy over the limit, cost, starts): the
+    cheapest schedule within the limit when there is one, labeled
+    `feasible` and `optimal`, else the least excess with the slots where it
+    still violates the limit.  Larger instances fall back to the
     per-appliance pass, which keeps clear of the limit where it can, and
-    the result is labeled `optimal=False`.  If no combination satisfies the
-    limit, the result has `feasible=False` and carries the combination with
-    the least total excess energy together with the slots where it still
-    violates the limit.
+    the result is labeled `optimal=False`.
 
     Raises:
-        ValueError: an appliance admits no feasible start at all (its own
-            window is too tight for its run length), independent of the limit.
+        ValueError: `grid_limit_w` is NaN, or an appliance admits no
+            feasible start at all (its own window is too tight for its run
+            length), independent of the limit.
     """
+    if grid_limit_w is not None and math.isnan(grid_limit_w):
+        raise ValueError("grid_limit_w must not be NaN")
     n_slots = len(prices_eur_per_kwh)
     if n_slots == 0:
         raise ValueError("prices_eur_per_kwh must be non-empty")
@@ -232,67 +235,20 @@ def load_shift_schedule(
         combos *= len(starts)
     if grid_limit_w is None or combos > EXHAUSTIVE_CAP:
         return _greedy_schedule(apps, starts_per_app, costs_per_app, grid_limit_w, n_slots)
-
-    # Lower bound for pruning: cheapest remaining placement per appliance.
-    min_rest = [0.0] * (len(apps) + 1)
-    for i in range(len(apps) - 1, -1, -1):
-        min_rest[i] = min_rest[i + 1] + min(costs_per_app[i].values())
-
-    best_cost = math.inf
-    best_starts: list[int] | None = None
-    load = [0.0] * n_slots
-    chosen = [0] * len(apps)
-
-    def dfs(i: int, cost_so_far: float) -> None:
-        nonlocal best_cost, best_starts
-        # Strict >= keeps the first-found optimum, i.e. the earliest-start
-        # assignment in id order among equal-cost schedules.
-        if cost_so_far + min_rest[i] >= best_cost:
-            return
-        if i == len(apps):
-            best_cost = cost_so_far
-            best_starts = chosen.copy()
-            return
-        profile = apps[i].profile_w
-        for s in starts_per_app[i]:
-            if any(load[s + k] + p > grid_limit_w for k, p in enumerate(profile)):
-                continue
-            for k, p in enumerate(profile):
-                load[s + k] += p
-            chosen[i] = s
-            dfs(i + 1, cost_so_far + costs_per_app[i][s])
-            for k, p in enumerate(profile):
-                load[s + k] -= p
-
-    dfs(0, 0.0)
-    if best_starts is not None:
-        return ScheduleResult(
-            {app.id: s for app, s in zip(apps, best_starts)},
-            best_cost,
-            feasible=True,
-            optimal=True,
-            method="exhaustive",
-        )
-    return _least_excess_schedule(apps, starts_per_app, costs_per_app, grid_limit_w, n_slots)
+    return _limited_schedule(apps, starts_per_app, costs_per_app, grid_limit_w, n_slots)
 
 
-def _excess_sum(
-    apps: Sequence[Appliance],
-    starts: Sequence[int],
-    limit_w: float,
-    n_slots: int,
-) -> tuple[float, list[float]]:
-    """The summed power over the limit, in W x slots, of the appliances
-    placed at `starts` (the first len(starts) of `apps`), and the load."""
-    load = [0.0] * n_slots
-    for app, s in zip(apps, starts):
-        for k, p in enumerate(app.profile_w):
-            load[s + k] += p
-    return sum(max(0.0, l - limit_w) for l in load), load
+def _excess_sum(load: Mapping[int, float], limit_w: float, n_slots: int) -> float:
+    """The summed power over the limit, in W x slots, of a load by slot over
+    `n_slots`, in slot order.  A slot at or under the limit would add
+    exactly 0.0, so only the slots over it are summed: under a limit < 0,
+    every slot; else only slots with a load."""
+    over = range(n_slots) if limit_w < 0 else sorted([i for i, l in load.items() if l > limit_w])
+    return sum([load.get(i, 0.0) - limit_w for i in over], 0.0)
 
 
 def _exact_sums(values: Sequence[float], n_slots: int) -> bool:
-    """Whether every sum of the least-excess walk over these powers is exact:
+    """Whether every sum of the limited walk over these powers is exact:
     each a finite multiple of one power of two, with the walk's largest sum,
     n_slots + 1 times their total, within 53 bits of that unit."""
     if not all(map(math.isfinite, values)):
@@ -302,12 +258,15 @@ def _exact_sums(values: Sequence[float], n_slots: int) -> bool:
     return (n_slots + 1) * sum(abs(n) * (unit // d) for n, d in ratios) < 2**53
 
 
-def _least_excess_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots):
-    # No combination satisfies the limit: report the least (excess, cost,
-    # starts) so the caller can see exactly where and by how much it fails.
+def _limited_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots):
+    # The least (excess, cost, starts) over every start combination: the
+    # cheapest schedule within the limit when there is one, else the least
+    # excess, so the caller can see exactly where and by how much it fails.
     # The walk tries each appliance's starts cheapest first, and skips a
-    # prefix when no completion can beat the best key so far.  Both bounds
-    # hold in the float arithmetic of the key, as powers are >= 0:
+    # prefix when no completion can beat the best key so far; once a leaf
+    # within the limit is found, that skips every prefix with excess of its
+    # own.  Both bounds hold in the float arithmetic of the key, as powers
+    # are >= 0:
     #   excess  the prefix's own excess sum only grows as loads are added.
     #           Each appliance still to place then adds at least its own
     #           excess over max(limit, 0), counted only when every sum is
@@ -328,11 +287,11 @@ def _least_excess_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots
     ]
     cheapest = [costs[starts[0]] for starts, costs in zip(tries, costs_per_app)]
     best: tuple[float, float, tuple[int, ...]] | None = None
-    best_load: list[float] = []
+    best_load: dict[int, float] = {}
 
-    def walk(i: int, picked: list[int], cost: float) -> None:
+    def walk(i: int, picked: list[int], cost: float, load: dict[int, float]) -> None:
         nonlocal best, best_load
-        total, load = _excess_sum(apps, picked, limit_w, n_slots)
+        total = _excess_sum(load, limit_w, n_slots)
         if i == n:
             key = (total * QUARTER_S / 3600.0, cost, tuple(picked))
             if best is None or key < best:
@@ -345,21 +304,31 @@ def _least_excess_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots
             bound = ((total + rest[i]) * QUARTER_S / 3600.0, cost_bound, tuple(picked))
             if bound > (best[0], best[1], best[2][:i]):
                 return
+        profile = apps[i].profile_w
         for s in tries[i]:
+            # Each placement sums onto a copy of the prefix's load, in
+            # appliance order, so every key is exact to the last bit.
+            placed = load.copy()
+            over = False
+            for k, p in enumerate(profile):
+                placed[s + k] = l = placed.get(s + k, 0.0) + p
+                over = over or l > limit_w
+            if over and best is not None and best[0] == 0.0:
+                continue  # past a schedule within the limit, this cannot win
             picked.append(s)
-            walk(i + 1, picked, cost + costs_per_app[i][s])
+            walk(i + 1, picked, cost + costs_per_app[i][s], placed)
             picked.pop()
 
-    walk(0, [], 0.0)
+    walk(0, [], 0.0, {})
     assert best is not None
-    _, cost, starts = best
+    excess, cost, starts = best
     return ScheduleResult(
         {app.id: s for app, s in zip(apps, starts)},
         cost,
-        feasible=False,
-        optimal=False,
+        feasible=excess == 0.0,
+        optimal=excess == 0.0,
         method="exhaustive",
-        offending_slots=tuple(i for i, l in enumerate(best_load) if l > limit_w),
+        offending_slots=tuple(i for i in range(n_slots) if best_load.get(i, 0.0) > limit_w),
     )
 
 

@@ -137,7 +137,7 @@ class MeterConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.pn_w) and self.pn_w > 0):
             raise ValueError(f"pn_w must be positive and finite, got {self.pn_w}")
-        if self.energy_threshold_wh is not None and self.energy_threshold_wh <= 0:
+        if self.energy_threshold_wh is not None and not self.energy_threshold_wh > 0:
             raise ValueError(
                 f"energy_threshold_wh must be positive, got {self.energy_threshold_wh}"
             )

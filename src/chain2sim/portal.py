@@ -113,7 +113,7 @@ class Portal:
         activation_delay_h: tuple[float, float] = (1.0, 4.0),
     ) -> None:
         lo, hi = activation_delay_h
-        if lo < 0 or hi < lo:
+        if not 0 <= lo <= hi:  # NaN too
             raise ValueError(f"bad activation window [{lo}, {hi}] hours")
         self.registry = dict(registry)
         self.activation_delay_h = (lo, hi)

@@ -25,10 +25,9 @@ must match it on any series; `ScalarDevice` is the device's rules frame by
 frame, and `Device.ingest` must match it on any block of rows;
 `scalar_profile` and `per_tick_loop` are the same kind of reference for
 the profile generator and the grid power built up front, and
-`least_excess_walk` for the scheduler's pruned walk when no start
-combination meets a grid limit.  `profile_to_csv` writes the profile CSV
-format that `profile_from_csv` reads, for scenarios that bring their own
-profile.
+`least_excess_walk` for the scheduler's pruned walk under a grid limit.
+`profile_to_csv` writes the profile CSV format that `profile_from_csv`
+reads, for scenarios that bring their own profile.
 """
 
 from __future__ import annotations
@@ -466,9 +465,10 @@ def run_reference(config, out_dir=None):
 
 
 def least_excess_walk(apps, starts_per_app, costs_per_app, limit_w, n_slots):
-    """`automation._least_excess_schedule` as a walk over every start
+    """`automation._limited_schedule` as a walk over every start
     combination: the least (excess, cost, starts), each summed in the
-    scheduler's order, and the slots over the limit under it."""
+    scheduler's order, and the slots over the limit under it; feasible and
+    optimal when its excess is 0."""
     best = None
     for picked in itertools.product(*starts_per_app):
         load = [0.0] * n_slots
@@ -480,12 +480,12 @@ def least_excess_walk(apps, starts_per_app, costs_per_app, limit_w, n_slots):
         key = (excess, cost, tuple(picked))
         if best is None or key < best[0]:
             best = key, tuple(i for i, l in enumerate(load) if l > limit_w)
-    (_, cost, starts), slots = best
+    (excess, cost, starts), slots = best
     return ScheduleResult(
         {app.id: s for app, s in zip(apps, starts)},
         cost,
-        feasible=False,
-        optimal=False,
+        feasible=excess == 0.0,
+        optimal=excess == 0.0,
         method="exhaustive",
         offending_slots=slots,
     )

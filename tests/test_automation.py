@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chain2sim import automation
@@ -20,7 +20,7 @@ from chain2sim.automation import (
     Site,
     ScheduleResult,
     SiteLoad,
-    _least_excess_schedule,
+    _limited_schedule,
     _start_cost,
     dr_site_step,
     feasible_starts,
@@ -85,6 +85,21 @@ def test_battery_soc_stays_bounded(ops):
 )
 def test_battery_validation(kw):
     with pytest.raises(ValueError):
+        Battery(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"capacity_wh": math.nan, "p_charge_max_w": 1.0, "p_discharge_max_w": 1.0}, "capacity_wh"),
+        ({"capacity_wh": 1000.0, "p_charge_max_w": math.nan, "p_discharge_max_w": 500.0}, "power caps"),
+        ({"capacity_wh": 1000.0, "p_charge_max_w": 500.0, "p_discharge_max_w": math.nan}, "power caps"),
+    ],
+)
+def test_battery_refuses_nan(kw, message):
+    """A NaN cap would let `charge` take all it is offered: min(2000, nan)
+    is 2000."""
+    with pytest.raises(ValueError, match=message):
         Battery(**kw)
 
 
@@ -265,8 +280,9 @@ def test_limited_schedule_is_the_least_excess_then_cheapest():
 def _limited_instances(draw):
     """Appliances, prices and a grid limit, the appliances in id order with
     their feasible starts and the cost of each: powers whole watts, binary
-    fractions or any float, limits down to below zero, so that the
-    least-excess walk takes both of its excess bounds."""
+    fractions or any float, limits down to below zero or met exactly by a
+    sum of the powers, so that the walk takes both of its excess bounds and
+    meets loads that fit the limit to the last bit."""
     n_slots = draw(st.integers(1, 10))
     power = draw(
         st.sampled_from(
@@ -286,18 +302,66 @@ def _limited_instances(draw):
         apps.append(Appliance(f"app{i}", profile, first * 900, end * 900))
     price = st.sampled_from([0.1, 0.13, 0.2]) | st.floats(-1, 1)
     prices = draw(st.lists(price, min_size=n_slots, max_size=n_slots))
-    limit = draw(st.integers(-500, 4000).map(float) | st.floats(-500, 4000))
+    # A float sum of drawn powers: a limit that some slot's load may meet exactly.
+    powers = st.sampled_from([p for app in apps for p in app.profile_w])
+    exact_fit = st.lists(powers, min_size=1, max_size=3)
+    limit = draw(
+        st.integers(-500, 4000).map(float) | st.floats(-500, 4000) | exact_fit.map(sum)
+    )
+    return _walk_instance(apps, prices, limit)
+
+
+def _walk_instance(apps, prices, limit):
+    """The arguments `_limited_schedule` takes: the appliances in id order
+    with their feasible starts and the cost of each, the limit and n_slots."""
+    n_slots = len(prices)
     starts = [feasible_starts(app, n_slots) for app in apps]
     costs = [{s: _start_cost(app, s, prices) for s in ss} for app, ss in zip(apps, starts)]
     return apps, starts, costs, limit, n_slots
 
 
+# Slot 2 holds a0 + a1 + a2's second slot = 2000.0 + 700.7 + 450.3 = 3151.0
+# exactly; a search that takes each placement back with -= can leave a
+# residue above the limit there and miss the cheapest schedule.
+EXACT_FIT = (
+    [
+        Appliance("a0", (2000.0,), 0, 3600),
+        Appliance("a1", (700.7,), 0, 3600),
+        Appliance("a2", (120.1, 450.3), 0, 3600),
+    ],
+    [0.3, 0.2, 0.1, 0.2],
+    3151.0,
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_limited_instances())
-def test_pruned_least_excess_walk_equals_the_full_walk(instance):
-    """The least-excess walk skips only prefixes that cannot win, so it
-    finds what walking every start combination finds, to the last bit."""
-    assert _least_excess_schedule(*instance) == least_excess_walk(*instance)
+@example(_walk_instance(*EXACT_FIT))
+def test_pruned_limited_walk_equals_the_full_walk(instance):
+    """The limited walk, with or without a schedule within the limit, skips
+    only prefixes that cannot win, so it finds what walking every start
+    combination finds, to the last bit."""
+    assert _limited_schedule(*instance) == least_excess_walk(*instance)
+
+
+def test_an_exact_fit_under_the_limit_is_found():
+    result = load_shift_schedule(*EXACT_FIT)
+    assert result == ScheduleResult(
+        {"a0": 2, "a1": 2, "a2": 1},
+        0.08478000000000001,
+        feasible=True,
+        optimal=True,
+        method="exhaustive",
+    )
+
+
+@pytest.mark.parametrize("n_slots", [4, 96])
+def test_a_nan_grid_limit_is_refused(n_slots):
+    """Under the exhaustive cap and over it (95**4 start combinations), a
+    NaN limit would pass every load as within it."""
+    apps = [Appliance(f"a{i}", (2000.0, 2000.0), 0, n_slots * 900) for i in range(4)]
+    with pytest.raises(ValueError, match="grid_limit_w"):
+        load_shift_schedule(apps, [0.1] * n_slots, grid_limit_w=math.nan)
 
 
 def test_infeasible_limit_walk_skips_what_cannot_win(monkeypatch):

@@ -392,6 +392,7 @@ def test_first_step_must_be_tick_aligned():
         {"pn_w": float("inf")},
         {"pn_w": 3000.0, "tick_s": 7},
         {"pn_w": 3000.0, "energy_threshold_wh": 0.0},
+        {"pn_w": 3000.0, "energy_threshold_wh": math.nan},  # its alarm would never fire
         {"pn_w": 3000.0, "tick_s": 0},
         {"pn_w": 3000.0, "tick_s": 1.5},
     ],

@@ -146,6 +146,12 @@ def test_activation_window_is_configurable():
         Portal(REGISTRY, activation_delay_h=(2.0, 1.0))
 
 
+@pytest.mark.parametrize("window", [(math.nan, math.nan), (math.nan, 1.0), (1.0, math.nan)])
+def test_activation_window_refuses_nan(window):
+    with pytest.raises(ValueError, match="activation window"):
+        Portal(REGISTRY, activation_delay_h=window)
+
+
 def test_log_and_replay_round_trip(tmp_path):
     sink = io.StringIO()
     portal = make_portal()
