@@ -1,17 +1,17 @@
 """Lossy low-rate serial channel between one meter and its device.
 
 The link serializes frames at a fixed bit rate, adds a constant processing
-delay, and may drop frames according to a loss model.  For a frame handed
-over at `t_send` on an idle link the arrival time is
+delay, and may drop frames according to a loss model.  A frame sent at
+`t_send` finishes serializing `tx = frame_bits / rate_bps` after the frame
+before it finishes, or after `t_send` when the link is idle by then, and
+arrives `proc_delay_s` after it finishes:
 
-    t_arrive = t_send + frame_bits / rate_bps + proc_delay_s
+    finish[i] = max(t_send[i], finish[i - 1]) + tx[i]
 
-When frames queue up (several emitted at the same tick) the link stays
-busy and transmissions serialize back to back, so arrival times on one
-link are strictly increasing and order is preserved.  A dropped frame has
-no arrival time but still occupies the link for its transmission time, so
-the next frame queues behind it: loss models corruption at the receiver,
-not a suppressed send.
+So the frames of one tick serialize back to back, and arrival times on one
+link rise in send order.  A dropped frame has no arrival time but still
+occupies the link, so the next frame queues behind it: loss models
+corruption at the receiver, not a suppressed send.
 
 Two loss models:
 
@@ -21,21 +21,24 @@ Two loss models:
                         transition probabilities after every frame
 
 All randomness comes from a per-link `random.Random` seeded at
-construction, so a link replays identically for the same seed.  `transmit`
-draws from it one `random()` at a time; `arrivals` draws a block's values in
-numpy from one `getrandbits` of the same words, bit for bit what as many
-`random()` calls give, and leaves the generator where they would.
+construction, so a link replays identically for the same seed.
 
-`transmit` puts one frame on the link; `arrivals` puts a block of frame rows
-(see `frames`) on it and gives what `transmit` gives for each row in turn.
-The frames of one send time form a group that serializes back to back, so
-`arrivals` adds the serialization times one position of the groups at a
-time, in the scalar order.  It needs the link idle again by each group's
-send time, as it is whenever a tick's frames serialize within the tick;
-otherwise it sends the block through `transmit`.  The loss draws come from
-the same generator in the same order: one per frame for Bernoulli loss, two
-per frame for Gilbert-Elliott, whose state `arrivals` walks from flip to
-flip.
+`arrivals` puts a block of frame rows (see `frames`) on the link.  A row
+that finds the link idle starts a busy period.  In exact sums that is a
+row whose send time, less the serialization summed before it, reaches the
+running maximum of the same over the rows before it, seeded with the busy
+time, so `arrivals` finds every period in one step.  Each period adds its
+serialization times in row order from its start, the recurrence bit for
+bit: short periods together, a position at a time, and a long one in one
+`np.cumsum`.  A boundary that rounding put a few ulps off is repaired from
+the finish times; a repair only raises them, so the repairs end.  The loss
+draws come from the link's generator in row order, one `random()` per
+frame for Bernoulli loss and two for Gilbert-Elliott, whose state
+`arrivals` walks from flip to flip, drawn in numpy from one `getrandbits`
+of the same words: bit for bit what as many `random()` calls give.
+
+`tests/reference.py:ScalarChannel` applies these rules one frame at a
+time, and `arrivals` must match it.  `transmit` is `arrivals` of one row.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from chain2sim.frames import TIMESTAMP, TYPE, FrameType, frame_bits
+from chain2sim.frames import ROW_WIDTH, TIMESTAMP, TYPE, FrameType, frame_bits
 
-# Frame type (member or equal value) -> encoded length in bits.
-_FRAME_BITS = {t: frame_bits(t) for t in FrameType}
+# A busy period of more rows than this is summed in one `np.cumsum`.
+_LONG_PERIOD = 16
 
 
 @dataclass(frozen=True)
@@ -110,24 +113,13 @@ class Channel:
         self._loss = config.loss
         self._rng = random.Random(seed)
         self._bad = False  # Gilbert-Elliott: the link starts in the good state
-        # Frame type (member or equal value) -> serialization time.
-        self._tx_s = {t: bits / config.rate_bps for t, bits in _FRAME_BITS.items()}
+        # Frame type value -> serialization time; no frame type has value 0.
+        self._tx_s = np.array([0, *map(frame_bits, FrameType)]) / config.rate_bps
         self._proc_delay_s = config.proc_delay_s
         self._busy_until = 0.0
 
-    def _dropped(self) -> bool:
-        """The loss draw of the next frame: whether the channel drops it."""
-        loss, draw = self._loss, self._rng.random
-        if isinstance(loss, BernoulliLoss):
-            return draw() < loss.p_loss
-        bad = self._bad
-        dropped = draw() < (loss.loss_bad if bad else loss.loss_good)
-        if draw() < (loss.p_bad_to_good if bad else loss.p_good_to_bad):
-            self._bad = not bad
-        return dropped
-
     def _dropped_block(self, n: int) -> np.ndarray:
-        """`_dropped` of each of the next `n` frames, from the same draws."""
+        """Whether the loss model drops each of the next `n` frames."""
         loss = self._loss
         if isinstance(loss, BernoulliLoss):
             return _uniforms(self._rng, n) < loss.p_loss
@@ -152,48 +144,55 @@ class Channel:
         self._bad = state
         return u_loss < np.where(bad, loss.loss_bad, loss.loss_good)
 
-    def transmit(self, frame_type: FrameType, t_send: float) -> float | None:
-        """Put one frame on the link; returns its arrival time at the
-        receiver, or None when the loss model drops it."""
-        try:
-            tx_s = self._tx_s[frame_type]
-        except (KeyError, TypeError):
-            raise ValueError(f"unknown frame type {frame_type!r}") from None
-        busy = self._busy_until
-        finish = (t_send if t_send > busy else busy) + tx_s
-        self._busy_until = finish
-        if self._loss is not None and self._dropped():
-            return None
-        return finish + self._proc_delay_s
+    def transmit(self, frame_type: FrameType, t_send: int) -> float | None:
+        """`arrivals` of one frame sent at `t_send`, in whole seconds as a
+        frame timestamp: its arrival time at the receiver, or None when the
+        loss model drops it."""
+        row = np.zeros((1, ROW_WIDTH), dtype=np.int64)
+        row[0, TYPE], row[0, TIMESTAMP] = frame_type, t_send
+        t_arrive = float(self.arrivals(row)[0])
+        return None if math.isnan(t_arrive) else t_arrive
 
     def arrivals(self, rows: np.ndarray) -> np.ndarray:
         """Put a block of frame rows on the link, in row order, each sent at
         its timestamp; returns the arrival time of each, NaN where the loss
-        model drops it.  Equal to `transmit` for each row in turn."""
+        model drops it."""
         n = len(rows)
         if not n:
             return np.zeros(0)
-        types, sent = rows[:, TYPE], rows[:, TIMESTAMP]
+        types = rows[:, TYPE]
         if not (1 <= types.min() and types.max() <= len(FrameType)):
             raise ValueError(f"unknown frame type in {sorted(set(types.tolist()))}")
-        tx = np.array([0.0, *(self._tx_s[t] for t in FrameType)])[types]
-        finish = sent + tx
-        # Each row's position within its group of one send time.
-        first = np.flatnonzero(np.diff(sent, prepend=-1) != 0)
-        position = np.arange(n) - np.repeat(first, np.diff(first, append=n))
-        for k in range(1, int(position.max()) + 1):
-            at = np.flatnonzero(position == k)
-            finish[at] = finish[at - 1] + tx[at]
-        busy = np.append(self._busy_until, finish[first[1:] - 1])
-        if (busy > sent[first]).any():  # a group starts before the link is idle
-            return np.array(
-                [
-                    math.nan if (t := self.transmit(ft, ts)) is None else t
-                    for ft, ts in zip(types.tolist(), sent.tolist())
-                ]
-            )
+        # Row 0 is the frame the link took last, finishing at the busy time.
+        sent = np.append(self._busy_until, rows[:, TIMESTAMP])
+        finish = _finish(sent, np.append(0.0, self._tx_s[types]))
         self._busy_until = float(finish[-1])
-        arrive = finish + self._proc_delay_s
+        arrive = finish[1:] + self._proc_delay_s
         if self._loss is not None:
             arrive[self._dropped_block(n)] = math.nan
         return arrive
+
+
+def _finish(sent: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """The finish time of each row sent at `sent` taking `tx` on the link,
+    row 0 finding it idle (see the module docstring)."""
+    lead = sent - (np.cumsum(tx) - tx)
+    idle = np.append(True, lead[1:] >= np.maximum.accumulate(lead[:-1]))
+    while True:
+        first = np.flatnonzero(idle)
+        finish = tx.copy()
+        finish[first] += sent[first]
+        length = np.diff(first, append=len(tx))
+        long = length > _LONG_PERIOD
+        # Short periods a position at a time: `at` is the next row of each.
+        at = first[~long] + 1
+        starts = np.append(idle, True)  # one past the last row too, where each walk stops
+        while (at := at[~starts[at]]).size:
+            finish[at] += finish[at - 1]
+            at += 1
+        for a, m in zip(first[long].tolist(), length[long].tolist()):
+            np.cumsum(finish[a : a + m], out=finish[a : a + m])
+        repaired = np.append(True, sent[1:] >= finish[:-1])
+        if np.array_equal(repaired, idle):
+            return finish
+        idle = repaired

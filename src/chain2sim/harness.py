@@ -32,9 +32,9 @@ whole frames and never damages a bit, so a wire image would decode back to
 the same values; `validate_config` checks up front that every frame fits
 its wire fields, and the codec in `frames` stays the tested wire format.
 The scalar path (the per-tick meter `tests/reference.py:ScalarMeter`,
-`encode_frame` and `decode_frame`, `Channel.transmit`, and the per-frame
-device `tests/reference.py:ScalarDevice`) is the reference the tests hold
-this run to, tick by tick and frame by frame.
+`encode_frame` and `decode_frame`, and the per-frame link and device
+`tests/reference.py:ScalarChannel` and `ScalarDevice`) is the reference
+the tests hold this run to, tick by tick and frame by frame.
 
 Statistics follow one frame end to end, on one ledger per link: an int
 array of frames per (day, frame type, disposition), which counts every
@@ -465,9 +465,7 @@ def _check_profile_csv(
         return spec, None
     if len(power) * tick_s < duration_s:
         read.fail(path, f"covers {len(power) * tick_s} s, need {duration_s} s")
-    # The sum makes a -0.0 sample +0.0, as `dr_site_step` sums a site, so a
-    # user the run does not step meters what the per-tick loop meters.
-    used = power[: duration_s // tick_s] + 0.0
+    used = power[: duration_s // tick_s]
     bad = np.flatnonzero(~(used >= 0.0) | (used == np.inf))
     if bad.size:
         row = int(bad[0])
@@ -840,7 +838,9 @@ class CampaignReport:
 
 def _build_profile(spec: UserSpec, config: ScenarioConfig) -> np.ndarray:
     if spec.profile_csv is not None:
-        return spec.profile_w
+        # The sum makes a -0.0 sample +0.0, as `dr_site_step` sums a site, so
+        # a user the run does not step meters what the per-tick loop meters.
+        return spec.profile_w + 0.0
     rng = np.random.default_rng(derive(config.seed, "profile", spec.pod_id))
     return household_profile(rng, spec.pn_w, config.duration_s, config.tick_s, spec.building_class)
 

@@ -421,22 +421,22 @@ def _block(kinds, seq: int) -> np.ndarray:
     tick order: merged by tick, each kind's own order kept, and numbered
     from seq + 1.  Each field is an array over the kind's ticks or one value
     for all; values round half to even, as `round` does."""
-    ticks = [kind[0] for kind in kinds]
-    rows = np.empty((sum(map(len, ticks)), ROW_WIDTH), dtype=np.int64)
-    value = np.empty(len(rows))
-    for r, (own, *fields) in enumerate(kinds):
-        # A row follows the rows of earlier ticks, and of its own tick those
-        # of earlier kinds and the earlier ones of its own kind.
-        at = np.arange(len(own))
-        for s, other in enumerate(ticks):
-            if s != r:
-                at += np.searchsorted(other, own, side="right" if s < r else "left")
+    ticks = np.concatenate([kind[0] for kind in kinds])
+    rows = np.empty((len(ticks), ROW_WIDTH), dtype=np.int64)
+    value = np.empty(len(ticks))
+    a = 0
+    for own, *fields in kinds:
+        b = a + len(own)
         for column, field in zip((TYPE, TIMESTAMP, KEY, DIRECTION), fields):
-            rows[at, column] = field
-        value[at] = fields[-1]
+            rows[a:b, column] = field
+        value[a:b] = fields[-1]
+        a = b
     np.rint(value, out=value)
     if not (np.abs(value) < 2.0**63).all():
         raise OverflowError("a frame value past the int64 range of a frame row")
     rows[:, VALUE] = value
+    # The kinds follow their order within a tick, so a stable sort by tick
+    # keeps it, and each kind's own order, on a tie.
+    rows = rows[np.argsort(ticks, kind="stable")]
     rows[:, SEQ] = np.arange(seq + 1, seq + 1 + len(rows))
     return rows

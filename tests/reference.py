@@ -8,7 +8,7 @@ and every frame would:
                  their tick;
     meter        `ScalarMeter.step` at every tick;
     wire         every frame through `encode_frame`, then `decode_frame`;
-    channel      the scalar `Channel.transmit`, one frame at a time;
+    channel      `ScalarChannel.transmit`, one frame at a time;
     gate         the pairing window tested on each arrival;
     device       `ScalarDevice`, one frame at a time;
     user files   `write_user_files`, row by row through `csv.writer` and
@@ -21,8 +21,9 @@ writers are the harness's own.  The output tree must then equal the one
 `harness.run` writes, byte for byte.
 
 `ScalarMeter` is the meter's rules tick by tick, and `Meter.emit_rows`
-must match it on any series; `ScalarDevice` is the device's rules frame by
-frame, and `Device.ingest` must match it on any block of rows;
+must match it on any series; `ScalarChannel` and `ScalarDevice` are the
+link's and the device's rules frame by frame, and `Channel.arrivals` and
+`Device.ingest` must match them on any block of rows;
 `scalar_profile` and `per_tick_loop` are the same kind of reference for
 the profile generator and the grid power built up front, and
 `least_excess_walk` for the scheduler's pruned walk under a grid limit.
@@ -50,7 +51,7 @@ from chain2sim.automation import (
     dr_site_step,
     peak_shave_step,
 )
-from chain2sim.channel import Channel
+from chain2sim.channel import BernoulliLoss, Channel
 from chain2sim.device import (
     _MESSAGES,
     _T3_KINDS,
@@ -315,6 +316,34 @@ class ScalarMeter(Meter):
         return frames
 
 
+class ScalarChannel(Channel):
+    """`Channel` taking one frame at a time, with one `random()` per loss
+    draw: the per-frame rules that `Channel.arrivals` applies to a block of
+    rows in numpy."""
+
+    def _dropped(self):
+        """The loss draw of the next frame: whether the channel drops it."""
+        loss, draw = self._loss, self._rng.random
+        if isinstance(loss, BernoulliLoss):
+            return draw() < loss.p_loss
+        bad = self._bad
+        dropped = draw() < (loss.loss_bad if bad else loss.loss_good)
+        if draw() < (loss.p_bad_to_good if bad else loss.p_good_to_bad):
+            self._bad = not bad
+        return dropped
+
+    def transmit(self, frame_type, t_send):
+        """Put one frame on the link at `t_send`; returns its arrival time at
+        the receiver, or None when the loss model drops it."""
+        tx_s = float(self._tx_s[FrameType(frame_type)])
+        busy = self._busy_until
+        finish = (t_send if t_send > busy else busy) + tx_s
+        self._busy_until = finish
+        if self._loss is not None and self._dropped():
+            return None
+        return finish + self._proc_delay_s
+
+
 class ScalarDevice:
     """`Device` taking one frame record at a time, each frame type by its
     own handler, with its state as records: the per-frame rules that
@@ -419,7 +448,7 @@ def write_user_files(user_dir, device, duration_s):
 
 def _reference_user(spec, config, window, keep_actual, user_dir):
     """`harness._run_user`, one tick and one frame at a time."""
-    link = Channel(config.channel, derive(config.seed, "channel", spec.pod_id))
+    link = ScalarChannel(config.channel, derive(config.seed, "channel", spec.pod_id))
     device = ScalarDevice(DeviceConfig(spec.pn_w, spec.alarm_limit_w, tariff=spec.tariff))
     active_at, revoked_at = window
     days = -(-config.duration_s // DAY_S)

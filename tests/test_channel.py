@@ -15,7 +15,8 @@ from chain2sim.channel import (
     GilbertElliottLoss,
     _uniforms,
 )
-from chain2sim.frames import ROW_WIDTH, TIMESTAMP, TYPE, FrameType
+from chain2sim.frames import ROW_WIDTH, TIMESTAMP, TYPE, FrameType, frame_bits
+from reference import ScalarChannel
 
 
 def test_idle_link_arrival_time():
@@ -48,7 +49,7 @@ def test_no_loss_model_delivers_everything():
 
 
 def test_bernoulli_loss_rate_is_plausible():
-    link = Channel(ChannelConfig(loss=BernoulliLoss(0.1)), seed=42)
+    link = ScalarChannel(ChannelConfig(loss=BernoulliLoss(0.1)), seed=42)
     lost = sum(link.transmit(FrameType.T1, float(t)) is None for t in range(20_000))
     assert lost / 20_000 == pytest.approx(0.1, abs=0.01)
 
@@ -57,9 +58,9 @@ def test_gilbert_elliott_starts_good_and_matches_stationary_rate():
     # pi_bad = 0.1 / (0.1 + 0.3) = 0.25; mean loss = 0.25 * 0.5 = 0.125
     loss = GilbertElliottLoss(0.1, 0.3, loss_good=0.0, loss_bad=0.5)
     for seed in range(5):
-        link = Channel(ChannelConfig(loss=loss), seed=seed)
+        link = ScalarChannel(ChannelConfig(loss=loss), seed=seed)
         assert link.transmit(FrameType.T1, 0.0) is not None  # good state, loss 0
-    link = Channel(ChannelConfig(loss=loss), seed=7)
+    link = ScalarChannel(ChannelConfig(loss=loss), seed=7)
     lost = sum(link.transmit(FrameType.T1, float(t)) is None for t in range(40_000))
     assert lost / 40_000 == pytest.approx(0.125, abs=0.02)
 
@@ -68,7 +69,7 @@ def test_gilbert_elliott_losses_cluster():
     """Bursty losses have more loss-after-loss pairs than independent ones."""
 
     def adjacent_loss_fraction(loss_model, seed):
-        link = Channel(ChannelConfig(loss=loss_model), seed=seed)
+        link = ScalarChannel(ChannelConfig(loss=loss_model), seed=seed)
         outcomes = [link.transmit(FrameType.T1, float(t)) is not None for t in range(30_000)]
         pairs = sum(
             1 for a, b in zip(outcomes, outcomes[1:]) if not a and not b
@@ -92,7 +93,7 @@ def test_replay_is_bit_identical():
     ]
 
     def replay(seed):
-        link = Channel(config, seed)
+        link = ScalarChannel(config, seed)
         return [link.transmit(frame_type, t_send) for frame_type, t_send in transcript]
 
     first = replay(123)
@@ -164,19 +165,39 @@ def _blocks(draw):
     return config, draw(st.integers(0, 2**32)), blocks
 
 
+def _rows(*sent):
+    """A block of frame rows, one per (frame type, send time)."""
+    rows = np.zeros((len(sent), ROW_WIDTH), dtype=np.int64)
+    rows[:, [TYPE, TIMESTAMP]] = sent
+    return rows
+
+
 _CAMPAIGN_LINK = _long_block(1, 4200, 0)
+# About 8,000 rows at a rate that keeps the link busy for as long as they
+# take to send: busy periods of every length, and some of thousands of rows.
+_BUSY_LINK = _long_block(2, 8000, 0)
+_BUSY_RATE = sum(map(frame_bits, _BUSY_LINK[:, TYPE].tolist())) / int(_BUSY_LINK[-1, TIMESTAMP])
 
 
 @settings(max_examples=200, deadline=None)
 @given(_blocks())
 @example((ChannelConfig(loss=BernoulliLoss(0.01)), 7, [_CAMPAIGN_LINK]))
 @example((ChannelConfig(loss=GilbertElliottLoss(0.02, 0.18)), 7, [_CAMPAIGN_LINK]))
+@example((ChannelConfig(rate_bps=_BUSY_RATE, loss=BernoulliLoss(0.01)), 7, [_BUSY_LINK]))
+# The second block starts while the first still holds the link: three T1
+# frames of 24 s each from t = 0 take it to t = 72.
+@example((ChannelConfig(rate_bps=10.0), 0, [_rows((1, 0), (1, 0), (1, 0)), _rows((2, 60), (1, 61))]))
+# The T3 is sent at 9, when the T1 before it finishes, to the last bit:
+# 6 + 3.0.  The serialization summed from the start, 3.2 + 3.0, rounds
+# otherwise, so the period boundary is repaired from the finish times.
+@example((ChannelConfig(rate_bps=80.0), 0, [_rows((2, 2), (1, 6), (3, 9))]))
 def test_arrivals_equal_transmitting_each_row(case):
-    """A block on the link gives, bit for bit, the arrival times of sending
-    its rows one by one (NaN for a lost frame), and leaves the link in the
-    same state: the same busy time, loss state and generator state."""
+    """A block on the link gives, bit for bit, the arrival times of the
+    per-frame link `ScalarChannel` sending its rows one by one (NaN for a
+    lost frame), and leaves the link in the same state: the same busy time,
+    loss state and generator state."""
     config, seed, blocks = case
-    one, block = Channel(config, seed), Channel(config, seed)
+    one, block = ScalarChannel(config, seed), Channel(config, seed)
     for rows in blocks:
         want = [one.transmit(t, ts) for t, ts in rows[:, [TYPE, TIMESTAMP]].tolist()]
         got = block.arrivals(rows).tolist()
@@ -185,3 +206,19 @@ def test_arrivals_equal_transmitting_each_row(case):
     assert block._bad == one._bad
     assert block._rng.getstate() == one._rng.getstate()
     assert block.transmit(FrameType.T1, 10**6) == one.transmit(FrameType.T1, 10**6)
+
+
+@pytest.mark.parametrize(
+    "loss", [None, BernoulliLoss(1.0), GilbertElliottLoss(0.3, 0.6, loss_good=0.2)]
+)
+def test_transmit_is_arrivals_of_one_row(loss):
+    """`transmit` gives the arrival time that a one-row block gets, and None
+    where that row's is NaN, a lost frame."""
+    config = ChannelConfig(rate_bps=300.0, loss=loss)
+    one, block = Channel(config, 5), Channel(config, 5)
+    sent = []
+    for frame_type, t in [(1, 0), (2, 0), (4, 1), (3, 2), (1, 60), (2, 60), (1, 900)] * 3:
+        (want,) = block.arrivals(_rows((frame_type, t))).tolist()
+        sent.append(one.transmit(FrameType(frame_type), t))
+        assert sent[-1] == (None if math.isnan(want) else want)
+    assert (None in sent) == (loss is not None)

@@ -1216,6 +1216,9 @@ def _dr_scenarios(draw):
 # A negative household load, which only a Python-built profile can hold and
 # the meter refuses, inside a window: the step takes it to 0 W.
 @example(_dr_scenario(np.repeat([100.0, -250.0, 100.0], 80), commands=[DrCommand(300.0, 3600.0, 10800.0)]))
+# A -0.0 profile and a window that holds no tick: nothing is stepped, and the
+# grid takes the built profile, +0.0 as the per-tick loop's steps give it.
+@example(_dr_scenario(np.full(240, -0.0), commands=[DrCommand(300.0, 30.5, 31.5)]))
 def test_dr_window_skips_match_the_per_tick_loop(scenario):
     """The grid power and arms built up front equal those of the per-tick
     loop, bit for bit, while `dr_site_step` runs only at the first tick of
@@ -1226,7 +1229,7 @@ def test_dr_window_skips_match_the_per_tick_loop(scenario):
     with pytest.MonkeyPatch.context() as patch:
         spy = lambda *args: calls.append(args) or dr_site_step(*args)  # noqa: E731
         patch.setattr(harness, "dr_site_step", spy)
-        power, arms = harness._grid_power(spec, config, spec.profile_w, scheduled)
+        power, arms = harness._grid_power(spec, config, harness._build_profile(spec, config), scheduled)
     firsts = overs = 0
 
     def counted(site, cmd, t, dt_s):
@@ -1244,6 +1247,16 @@ def test_dr_window_skips_match_the_per_tick_loop(scenario):
     assert power.tobytes() == want_power.tobytes()
     assert arms == want_arms
     assert len(calls) <= overs + firsts
+
+
+@pytest.mark.parametrize("commands", [(), (DrCommand(300.0, 30.5, 31.5),)], ids=["none", "no tick"])
+def test_a_python_built_negative_zero_profile_meters_as_the_per_tick_loop(commands):
+    """A Python-built profile of -0.0 samples, with no window tick to step,
+    is built as +0.0: the grid power equals the per-tick loop's in bytes."""
+    spec, config = _dr_scenario(np.full(240, -0.0), commands=commands)
+    power, _ = harness._grid_power(spec, config, harness._build_profile(spec, config), [])
+    want_power, _, _ = per_tick_loop(spec, config)
+    assert power.tobytes() == want_power.tobytes() == np.zeros(240).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,8 @@ ALLOWED = {
     "Portal.admits": "resolved by name by the benchmark's tracer (perfbench/tracer.py)",
     "Meter.step": "a layer the benchmark's tracer wraps; goes when ROADMAP item 1 re-bases "
     "the tracer on `Meter.emit_rows`",
+    "Channel.transmit": "a layer the benchmark's tracer wraps; goes when ROADMAP item 1 "
+    "re-bases the tracer on `Channel.arrivals`",
     "CampaignReport.totals": "the run's totals, which the benchmark's worker reads "
     "(perfbench/worker.py): per_type[\"all\"]",
 }
