@@ -19,11 +19,22 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from chain2sim.frames import QUARTER_S
+
+
+def _sum_in_order(values: Iterable[float]) -> float:
+    """0.0 plus each value in turn.  From Python 3.12 on, builtin `sum` of
+    floats is compensated; where another implementation adds the same
+    values in order, this keeps their bits equal on every Python."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
 
 # -- Storage -------------------------------------------------------------------
 
@@ -142,8 +153,8 @@ class Appliance:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("appliance id must be non-empty")
-        if not self.profile_w or not all(p >= 0 for p in self.profile_w):  # NaN too
-            raise ValueError(f"{self.id}: profile must be non-empty, powers >= 0")
+        if not self.profile_w or not all(0 <= p < math.inf for p in self.profile_w):  # NaN too
+            raise ValueError(f"{self.id}: profile must be non-empty, powers finite and >= 0")
         if self.earliest_start_s < 0 or self.deadline_s <= self.earliest_start_s:
             raise ValueError(
                 f"{self.id}: need 0 <= earliest_start_s < deadline_s, got "
@@ -244,7 +255,7 @@ def _excess_sum(load: Mapping[int, float], limit_w: float, n_slots: int) -> floa
     exactly 0.0, so only the slots over it are summed: under a limit < 0,
     every slot; else only slots with a load."""
     over = range(n_slots) if limit_w < 0 else sorted([i for i, l in load.items() if l > limit_w])
-    return sum([load.get(i, 0.0) - limit_w for i in over], 0.0)
+    return _sum_in_order(load.get(i, 0.0) - limit_w for i in over)
 
 
 def _exact_sums(values: Sequence[float], n_slots: int) -> bool:
@@ -444,7 +455,7 @@ def dr_site_step(
         for load in site.loads:
             load.curtailed = False
         site.command = cmd if in_window else None
-    total = site.base_load_w + sum(l.power_w for l in site.loads if not l.curtailed)
+    total = site.base_load_w + _sum_in_order(l.power_w for l in site.loads if not l.curtailed)
     if not in_window:
         return DrStepResult(total, (), 0.0, False)
 
@@ -518,8 +529,10 @@ class MevuCluster:
         missing = [m for m in self.members if m not in self.baseline_w]
         if missing:
             raise ValueError(f"baseline missing for members: {missing}")
-        if self.capacity_offer_w < 0:
-            raise ValueError("capacity_offer_w must be >= 0")
+        if not 0 <= self.capacity_offer_w < math.inf:  # NaN too
+            raise ValueError(
+                f"capacity_offer_w must be finite and >= 0, got {self.capacity_offer_w}"
+            )
 
 
 @dataclass(frozen=True)
@@ -569,7 +582,7 @@ def mevu_settle(
         per_member[member] = float(
             np.maximum(base - act, 0.0).sum() * tick_s / 3600.0
         )
-    delivered = sum(per_member.values())
+    delivered = _sum_in_order(per_member.values())
     window_h = span / 3600.0
     return Settlement(
         delivered_flex_wh=delivered,

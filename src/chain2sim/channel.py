@@ -90,10 +90,10 @@ class ChannelConfig:
     loss: LossModel | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
-            raise ValueError(f"rate_bps must be positive, got {self.rate_bps}")
-        if self.proc_delay_s < 0:
-            raise ValueError(f"proc_delay_s must be >= 0, got {self.proc_delay_s}")
+        if not 0 < self.rate_bps < math.inf:  # NaN too
+            raise ValueError(f"rate_bps must be finite and positive, got {self.rate_bps}")
+        if not 0 <= self.proc_delay_s < math.inf:
+            raise ValueError(f"proc_delay_s must be finite and >= 0, got {self.proc_delay_s}")
 
 
 def _uniforms(rng: random.Random, n: int) -> np.ndarray:

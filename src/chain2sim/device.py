@@ -29,19 +29,21 @@ power-cause T3 rows, in seq order), each flag carried over from the block
 before.  The state is int columns, one block per `ingest`: (quarter start,
 energy, direction) per plausible T1, and (time, kind, value) per note, the
 notes of a block sorted by seq and, within a frame, the frame's own note
-before the alarm and the warning.  A message is formatted only when it is
-read, from the note's kind and value and the device's `pn_w`, alarm limit
-and `switchoff_remaining`.  The run's writer reads `quarter_energy_wh`,
-`event_log` and `notes`; `quarters` and `notifications` are read-only
-views of the columns as records.  The per-frame rules that a device taking
-one frame at a time applies live in `tests/reference.py:ScalarDevice`, the
-reference the tests hold `ingest` to.
+before the alarm and the warning.  The device reads its state out as
+columns only, one reader per kind: `quarter_series`, `events` and `notes`.
+A message is formatted only when it is read, from the note's kind and value
+and the device's `pn_w`, alarm limit and `switchoff_remaining`.  The
+per-frame rules that a device taking one frame at a time applies, with its
+state as records, live in `tests/reference.py:ScalarDevice`, the reference
+the tests hold `ingest` and `estimate_cost` to.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -95,12 +97,16 @@ class TariffSchedule:
         for w in ws:
             if w.end_s <= w.start_s:
                 raise ValueError(f"empty tariff window at {w.start_s}")
-            if w.price_eur_per_kwh < 0:
-                raise ValueError(f"negative price in window at {w.start_s}")
-        if feed_in_price_eur_per_kwh is not None and feed_in_price_eur_per_kwh < 0:
-            raise ValueError("feed-in price must be >= 0")
+            if not 0 <= w.price_eur_per_kwh < math.inf:  # NaN too
+                raise ValueError(
+                    f"price in window at {w.start_s} must be finite and >= 0, "
+                    f"got {w.price_eur_per_kwh}"
+                )
+        feed_in = feed_in_price_eur_per_kwh
+        if feed_in is not None and not 0 <= feed_in < math.inf:
+            raise ValueError(f"feed-in price must be finite and >= 0, got {feed_in}")
         self.windows = tuple(ws)
-        self.feed_in_price_eur_per_kwh = feed_in_price_eur_per_kwh
+        self.feed_in_price_eur_per_kwh = feed_in
 
     @classmethod
     def flat(
@@ -108,17 +114,15 @@ class TariffSchedule:
     ) -> "TariffSchedule":
         return cls([TariffWindow(0, DAY_S, price_eur_per_kwh)], feed_in_price_eur_per_kwh)
 
-    def price_at(self, t_s: float) -> float:
-        """Withdrawal price at a scenario time (wraps daily)."""
-        tod = t_s % DAY_S
-        for w in self.windows:
-            if w.start_s <= tod < w.end_s:
-                return w.price_eur_per_kwh
-        raise AssertionError("windows partition the day")  # unreachable
-
     def slot_prices(self, n_slots: int) -> list[float]:
-        """Per-quarter price vector for the scheduler, slot k priced at its start."""
-        return [self.price_at(k * QUARTER_S) for k in range(n_slots)]
+        """The withdrawal price of each of the `n_slots` quarters from t = 0,
+        a quarter priced at its start: one day's 96 prices, repeated."""
+        starts = [w.start_s for w in self.windows]
+        day = [
+            self.windows[bisect_right(starts, q) - 1].price_eur_per_kwh
+            for q in range(0, DAY_S, QUARTER_S)
+        ]
+        return [day[k % len(day)] for k in range(n_slots)]
 
 
 # -- Device --------------------------------------------------------------------
@@ -129,25 +133,6 @@ class DeviceConfig:
     pn_w: float  # contractual power, for plausibility checks and the cut warning
     alarm_limit_w: float | None = None  # user-set threshold for the power alarm
     tariff: TariffSchedule | None = None
-
-
-class Notification(NamedTuple):
-    t: int
-    kind: str
-    message: str
-
-
-@dataclass(slots=True)
-class QuarterRecord:
-    energy_wh: int
-    direction: EnergyDirection
-
-
-@dataclass(frozen=True)
-class SupplyEvent:
-    t: int
-    kind: SupplyEventKind
-    duration_s: int | None
 
 
 @dataclass(frozen=True)
@@ -188,15 +173,15 @@ _T4_KINDS = {
 }
 # A note stores its kind as the index in `_KINDS`.
 _KINDS = tuple(_MESSAGES)
-_IMPLAUSIBLE, _ALARM, _WARNING = map(
-    _KINDS.index, ("implausible_reading", "power_alarm", "switchoff_warning")
+_IMPLAUSIBLE, _ALARM, _WARNING, _RESTORED = map(
+    _KINDS.index, ("implausible_reading", "power_alarm", "switchoff_warning", "supply_restored")
 )
 # Cause or event, indexed by value -> the kind of its frame's note.
 _T3_CODES = np.array([_KINDS.index(_T3_KINDS[c]) for c in ExceedanceCause])
 _T4_CODES = np.array([_KINDS.index(_T4_KINDS[e]) for e in SupplyEventKind])
-_EVENTS = {_KINDS.index(kind): event for event, kind in _T4_KINDS.items()}
+# The kind of a supply event's note -> the event's name in events.csv.
+_EVENTS = {_KINDS.index(kind): event.name.lower() for event, kind in _T4_KINDS.items()}
 _IS_EVENT = np.array([kind in _EVENTS for kind in range(len(_KINDS))])  # indexed by kind
-_DIRECTIONS = tuple(EnergyDirection)  # indexed by value
 
 
 class Device:
@@ -288,43 +273,28 @@ class Device:
 
     # -- state -------------------------------------------------------------
 
-    @property
-    def quarters(self) -> dict[int, QuarterRecord]:
-        """The quarter series so far, {quarter start s: record}, read-only;
-        a quarter reported twice holds its last report.  Lost quarters are
-        gaps."""
-        return {
-            q: QuarterRecord(e, _DIRECTIONS[d])
-            for q, e, d in _joined(self._quarter_rows).tolist()
-        }
-
-    def quarter_energy_wh(self, n: int) -> np.ndarray:
-        """The energy of the `n` quarters from t = 0 on, -1 for a gap."""
-        q, energy = _joined(self._quarter_rows)[:, :2].T
-        k, offset = np.divmod(q, QUARTER_S)
+    def quarter_series(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The `n` quarters from t = 0 on as two columns: the energy in Wh
+        and the `EnergyDirection` value, both -1 for a gap.  A quarter
+        reported twice holds its last report."""
+        joined = _joined(self._quarter_rows)
+        k, offset = np.divmod(joined[:, 0], QUARTER_S)
         on_grid = np.flatnonzero((offset == 0) & (0 <= k) & (k < n))
         last = np.full(n, -1)  # the row of each quarter's last report
         np.maximum.at(last, k[on_grid], on_grid)
-        series = np.full(n, -1, dtype=np.int64)
+        series = np.full((n, 2), -1, dtype=np.int64)
         reported = last >= 0
-        series[reported] = energy[last[reported]]
-        return series
+        series[reported] = joined[last[reported], 1:]
+        return series[:, 0], series[:, 1]
 
-    @property
-    def event_log(self) -> list[SupplyEvent]:
-        """The supply events so far, in link order, read-only."""
+    def events(self) -> tuple[list[int], list[str], list[int | None]]:
+        """The supply events so far, in link order, as three columns: the
+        time, the event as events.csv names it, and the duration in s of an
+        interruption that ended (None for any other event)."""
         notes = _joined(self._note_rows)
-        events = []
-        for t, kind, v in notes[_IS_EVENT[notes[:, 1]]].tolist():
-            event = _EVENTS[kind]
-            duration = v if event is SupplyEventKind.INTERRUPTION_END else None
-            events.append(SupplyEvent(t, event, duration))
-        return events
-
-    @property
-    def notifications(self) -> list[Notification]:
-        """`notes` as records, read-only."""
-        return list(map(Notification, *self.notes()))
+        t, kinds, values = notes[_IS_EVENT[notes[:, 1]]].T.tolist()
+        durations = [v if kind == _RESTORED else None for kind, v in zip(kinds, values)]
+        return t, [_EVENTS[kind] for kind in kinds], durations
 
     def notes(self) -> tuple[list[int], list[str], list[str]]:
         """The notifications so far, in link order, as three columns: the
@@ -358,32 +328,30 @@ class Device:
 
         Quarters lost on the channel are excluded; the caller reads the
         coverage fraction to judge how complete the estimate is.  The window
-        must be aligned to quarter boundaries.
+        must be aligned to quarter boundaries and start at t = 0 or later.
+        Cost and income each add their quarters in time order.
         """
-        if self.config.tariff is None:
-            raise ValueError("no tariff configured")
-        if start_s % QUARTER_S or end_s % QUARTER_S or end_s <= start_s:
-            raise ValueError(
-                f"window [{start_s}, {end_s}) must be a positive span of whole quarters"
-            )
         tariff = self.config.tariff
-        cost = 0.0
-        income = 0.0
-        observed = 0
-        quarters = self.quarters
-        for q in range(start_s, end_s, QUARTER_S):
-            record = quarters.get(q)
-            if record is None:
-                continue
-            observed += 1
-            kwh = record.energy_wh / 1000.0
-            if record.direction == EnergyDirection.WITHDRAWN:
-                cost += kwh * tariff.price_at(q)
-            else:
-                feed_in = tariff.feed_in_price_eur_per_kwh or 0.0
-                income += kwh * feed_in
-        expected = (end_s - start_s) // QUARTER_S
-        return CostEstimate(cost, income, expected, observed)
+        if tariff is None:
+            raise ValueError("no tariff configured")
+        if start_s % QUARTER_S or end_s % QUARTER_S or not 0 <= start_s < end_s:
+            raise ValueError(
+                f"window [{start_s}, {end_s}) must be a positive span of whole quarters "
+                "from t = 0 on"
+            )
+        first, end = start_s // QUARTER_S, end_s // QUARTER_S
+        energy, direction = (column[first:] for column in self.quarter_series(end))
+        kwh = energy / 1000.0
+        withdrawn = direction == EnergyDirection.WITHDRAWN
+        fed_in = direction == EnergyDirection.FED_IN
+        prices = np.array(tariff.slot_prices(end)[first:])
+        feed_in = tariff.feed_in_price_eur_per_kwh or 0.0
+        cost = income = 0.0
+        for x in (kwh[withdrawn] * prices[withdrawn]).tolist():
+            cost += x
+        for x in (kwh[fed_in] * feed_in).tolist():
+            income += x
+        return CostEstimate(cost, income, end - first, int(np.count_nonzero(energy >= 0)))
 
 
 def _notes(rows: np.ndarray, order: int, kind) -> np.ndarray:
@@ -407,4 +375,3 @@ def _rises(flags: np.ndarray, before: bool) -> np.ndarray:
     rises[1:] &= ~flags[:-1]
     rises[0] &= not before
     return rises
-

@@ -1062,19 +1062,20 @@ def _write_user_files(user_dir: str, device: Device, duration_s: int) -> None:
     what `csv.writer` writes for its row, and a notification line what
     `json` writes for {"kind", "message", "t"} with sorted keys."""
     os.makedirs(user_dir, exist_ok=True)
-    energy = device.quarter_energy_wh(duration_s // QUARTER_S).tolist()
+    energy = device.quarter_series(duration_s // QUARTER_S)[0].tolist()
     lines = ["quarter_start_s,energy_Wh,flag\n"]
     lines += [
         f"{k * QUARTER_S},{e},ok\n" if e >= 0 else f"{k * QUARTER_S},,missing\n"
         for k, e in enumerate(energy)
     ]
     _write_lines(os.path.join(user_dir, "quarters.csv"), lines)
-    events = device.event_log
-    if events:
+    times, events, durations = device.events()
+    if times:
         lines = ["t_s,event,duration_s\n"]
-        for event in events:
-            duration = "" if event.duration_s is None else event.duration_s
-            lines.append(f"{event.t},{event.kind.name.lower()},{duration}\n")
+        lines += [
+            f"{t},{event},{'' if duration is None else duration}\n"
+            for t, event, duration in zip(times, events, durations)
+        ]
         _write_lines(os.path.join(user_dir, "events.csv"), lines)
     times, kinds, messages = device.notes()
     if times:

@@ -23,7 +23,8 @@ writers are the harness's own.  The output tree must then equal the one
 `ScalarMeter` is the meter's rules tick by tick, and `Meter.emit_rows`
 must match it on any series; `ScalarChannel` and `ScalarDevice` are the
 link's and the device's rules frame by frame, and `Channel.arrivals` and
-`Device.ingest` must match them on any block of rows;
+`Device.ingest` must match them on any block of rows, `Device.estimate_cost`
+the walk over `ScalarDevice`'s quarter records;
 `scalar_profile` and `per_tick_loop` are the same kind of reference for
 the profile generator and the grid power built up front, and
 `least_excess_walk` for the scheduler's pruned walk under a grid limit.
@@ -35,10 +36,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import math
+import operator
 import os
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,21 +57,13 @@ from chain2sim.automation import (
     peak_shave_step,
 )
 from chain2sim.channel import BernoulliLoss, Channel
-from chain2sim.device import (
-    _MESSAGES,
-    _T3_KINDS,
-    _T4_KINDS,
-    Device,
-    DeviceConfig,
-    Notification,
-    QuarterRecord,
-    SupplyEvent,
-)
+from chain2sim.device import _MESSAGES, _T3_KINDS, _T4_KINDS, CostEstimate, Device, DeviceConfig
 from chain2sim.frames import (
     DAY_S,
     QUARTER_S,
     CompactFrame,
     CrossingDirection,
+    EnergyDirection,
     ExceedanceCause,
     FrameType,
     SupplyEventKind,
@@ -344,10 +341,30 @@ class ScalarChannel(Channel):
         return finish + self._proc_delay_s
 
 
+class Notification(NamedTuple):
+    t: int
+    kind: str
+    message: str
+
+
+@dataclass(slots=True)
+class QuarterRecord:
+    energy_wh: int
+    direction: EnergyDirection
+
+
+@dataclass(frozen=True)
+class SupplyEvent:
+    t: int
+    kind: SupplyEventKind
+    duration_s: int | None
+
+
 class ScalarDevice:
     """`Device` taking one frame record at a time, each frame type by its
     own handler, with its state as records: the per-frame rules that
-    `Device.ingest` applies to a block of rows in numpy."""
+    `Device.ingest` applies to a block of rows in numpy, and the walk over
+    the quarter records that `Device.estimate_cost` must match."""
 
     def __init__(self, config):
         self.config = config
@@ -408,6 +425,29 @@ class ScalarDevice:
         payload = frame.payload
         self.event_log.append(SupplyEvent(frame.timestamp, payload.event, payload.duration_s))
         self._notify(frame.timestamp, _T4_KINDS[payload.event], payload.duration_s)
+
+    def estimate_cost(self, start_s, end_s):
+        """`Device.estimate_cost`, quarter by quarter over the records, each
+        quarter priced by the tariff window its start falls in."""
+        tariff = self.config.tariff
+        cost = 0.0
+        income = 0.0
+        observed = 0
+        for q in range(start_s, end_s, QUARTER_S):
+            record = self.quarters.get(q)
+            if record is None:
+                continue
+            observed += 1
+            kwh = record.energy_wh / 1000.0
+            if record.direction == EnergyDirection.WITHDRAWN:
+                tod = q % DAY_S
+                window = next(w for w in tariff.windows if w.start_s <= tod < w.end_s)
+                cost += kwh * window.price_eur_per_kwh
+            else:
+                feed_in = tariff.feed_in_price_eur_per_kwh or 0.0
+                income += kwh * feed_in
+        expected = (end_s - start_s) // QUARTER_S
+        return CostEstimate(cost, income, expected, observed)
 
 
 # Frame type -> the handler of a processed frame of that type.
@@ -504,8 +544,8 @@ def least_excess_walk(apps, starts_per_app, costs_per_app, limit_w, n_slots):
         for app, s in zip(apps, picked):
             for k, p in enumerate(app.profile_w):
                 load[s + k] += p
-        excess = sum(max(0.0, l - limit_w) for l in load) * QUARTER_S / 3600.0
-        cost = sum(costs_per_app[j][s] for j, s in enumerate(picked))
+        excess = _in_order([max(0.0, l - limit_w) for l in load]) * QUARTER_S / 3600.0
+        cost = _in_order([costs_per_app[j][s] for j, s in enumerate(picked)])
         key = (excess, cost, tuple(picked))
         if best is None or key < best[0]:
             best = key, tuple(i for i, l in enumerate(load) if l > limit_w)
@@ -518,3 +558,10 @@ def least_excess_walk(apps, starts_per_app, costs_per_app, limit_w, n_slots):
         method="exhaustive",
         offending_slots=slots,
     )
+
+
+def _in_order(values):
+    """0.0 plus each value in turn, as the scheduler adds (from Python 3.12
+    on, builtin `sum` of floats is compensated and can differ in the last
+    bit)."""
+    return functools.reduce(operator.add, values, 0.0)

@@ -163,7 +163,10 @@ def _oracle_schedule(apps, prices, limit_w, slot_s=900):
             for k, p in enumerate(app.profile_w):
                 load[s + k] += p
             cost += sum(p * kwh_per_slot * prices[s + k] for k, p in enumerate(app.profile_w))
-        excess = sum(max(0.0, w - limit_w) for w in load) * slot_s / 3600.0
+        excess = 0.0
+        for w in load:
+            excess += max(0.0, w - limit_w)
+        excess = excess * slot_s / 3600.0
         if best is None or (excess, cost, combo) < best[0]:
             best = (excess, cost, combo), tuple(i for i, w in enumerate(load) if w > limit_w)
     return best
@@ -452,6 +455,12 @@ def test_appliance_validation():
         Appliance("a", (1.0,), 900, 900)
 
 
+@pytest.mark.parametrize("power", [math.nan, math.inf, -1.0])
+def test_appliance_refuses_a_power_out_of_range(power):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        Appliance("a", (100.0, power), 0, 2 * 900)
+
+
 # -- demand response -----------------------------------------------------------------
 
 
@@ -509,6 +518,15 @@ def test_dr_curtailing_every_load_leaves_no_negative_power():
     result = dr_site_step(site, DrCommand(300.0, 0.0, 1800.5), 0.0, 300.0)
     assert result.curtailed_ids == ("b", "a")
     assert result.p_grid_w == 0.0
+
+
+def test_dr_site_step_adds_the_loads_in_order():
+    """`harness._site_power` adds the same loads in order from 0.0 in numpy;
+    builtin `sum`, compensated from Python 3.12 on, gives
+    3336.8999999999996 here."""
+    site = Site("s", loads=[SiteLoad(f"l{i}", p) for i, p in enumerate((2636.6, 292.4, 407.9))])
+    result = dr_site_step(site, None, 0.0, 60.0)
+    assert result.p_grid_w == ((0.0 + 2636.6) + 292.4) + 407.9
 
 
 def test_dr_battery_covers_residual_excess():
@@ -625,6 +643,12 @@ def test_mevu_validation():
         MevuCluster("c", ("m1", "m2"), {"m1": [1.0]}, 0.0, 1e-4, 1e-5)
     with pytest.raises(ValueError, match="duplicate"):
         MevuCluster("c", ("m1", "m1"), {"m1": [1.0]}, 0.0, 1e-4, 1e-5)
+
+
+@pytest.mark.parametrize("offer", [math.nan, math.inf, -1.0])
+def test_mevu_cluster_refuses_a_capacity_offer_out_of_range(offer):
+    with pytest.raises(ValueError, match="capacity_offer_w must be finite and >= 0"):
+        MevuCluster("c", ("m1",), {"m1": [1.0]}, offer, 1e-4, 1e-5)
 
 
 def test_settlement_csv_layout(tmp_path):

@@ -112,6 +112,24 @@ def test_config_validation():
         ChannelConfig(proc_delay_s=-1.0)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"rate_bps": math.nan},
+        {"rate_bps": math.inf},
+        {"proc_delay_s": math.nan},
+        {"proc_delay_s": math.inf},
+    ],
+    ids=lambda kw: "=".join(map(str, *kw.items())),
+)
+def test_channel_config_refuses_nan_and_inf(kw):
+    """A NaN rate would lose every frame of a run, an infinite delay would
+    gate every one."""
+    (field,) = kw
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ChannelConfig(**kw)
+
+
 _LOSSES = st.none() | st.builds(BernoulliLoss, st.floats(0, 1)) | st.builds(
     GilbertElliottLoss, *[st.floats(0, 1)] * 4
 )

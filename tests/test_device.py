@@ -1,5 +1,7 @@
 """Device-side ingest: sequence order, plausibility, alarms, reconstruction, cost."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from chain2sim import harness
 from chain2sim.device import Device, DeviceConfig, TariffSchedule, TariffWindow
 from chain2sim.frames import (
+    DAY_S,
     QUARTER_S,
     CompactFrame,
     CrossingDirection,
@@ -78,11 +81,34 @@ def _links(draw):
     return config, [frames[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
+N_QUARTERS = 48  # past the last quarter a link of `_links` reports
+
+
 def _state(device):
+    """What a `Device` has read, through its column readers."""
     return (
-        device.quarters,
-        device.event_log,
-        device.notifications,
+        tuple(column.tolist() for column in device.quarter_series(N_QUARTERS)),
+        device.events(),
+        device.notes(),
+        device.stats,
+        device._high_water,
+        device._alarm_active,
+        device._cut_warning_active,
+    )
+
+
+def _scalar_state(device):
+    """What a `ScalarDevice` has read, its records turned into the columns
+    that `_state` reads."""
+    records = [device.quarters.get(k * QUARTER_S) for k in range(N_QUARTERS)]
+    log, notes = device.event_log, device.notifications
+    return (
+        (
+            [-1 if r is None else r.energy_wh for r in records],
+            [-1 if r is None else r.direction for r in records],
+        ),
+        ([e.t for e in log], [e.kind.name.lower() for e in log], [e.duration_s for e in log]),
+        ([n.t for n in notes], [n.kind for n in notes], [n.message for n in notes]),
         device.stats,
         device._high_water,
         device._alarm_active,
@@ -99,9 +125,7 @@ def test_ingesting_blocks_equals_taking_one_frame_at_a_time(link):
         for frame in frames:
             one.on_frame(frame)
         block.ingest(frame_rows(frames))
-    assert _state(block) == _state(one)
-    series = [one.quarters.get(k * QUARTER_S) for k in range(48)]
-    assert block.quarter_energy_wh(48).tolist() == [-1 if r is None else r.energy_wh for r in series]
+    assert _state(block) == _scalar_state(one)
 
 
 def t4(seq, ts, event, duration_s=None):
@@ -207,19 +231,19 @@ def test_seq_gap_accounting():
 def test_quarters_and_missing_slots():
     dev = make_device()
     dev.on_frame(t1(1, 900, 250))
-    dev.on_frame(t1(2, 2700, 100))
-    assert dev.quarters[0].energy_wh == 250
-    assert dev.quarters[1800].energy_wh == 100
-    assert sorted(dev.quarters) == [0, 1800]  # 900 and 2700 are gaps
+    dev.on_frame(t1(2, 2700, 100, direction=EnergyDirection.FED_IN))
+    energy, direction = dev.quarter_series(4)
+    assert energy.tolist() == [250, -1, 100, -1]  # 900 and 2700 are gaps
+    assert direction.tolist() == [EnergyDirection.WITHDRAWN, -1, EnergyDirection.FED_IN, -1]
 
 
 def test_implausible_quarter_is_quarantined():
     dev = make_device(pn_w=3000.0)  # plausibility cap: 1.5 * 3000 * 0.25 h = 1125 Wh
     dev.on_frame(t1(1, 900, 1125))
     dev.on_frame(t1(2, 1800, 1126))
-    assert dev.quarters == {0: dev.quarters[0]}
+    assert dev.quarter_series(2)[0].tolist() == [1125, -1]
     assert dev.stats["implausible_t1"] == 1
-    assert any(n.kind == "implausible_reading" for n in dev.notifications)
+    assert "implausible_reading" in dev.notes()[1]
     # The frame still counts as processed; the reading alone is dropped.
     assert dev.stats["processed"] == 2
 
@@ -233,8 +257,8 @@ def test_power_alarm_fires_once_per_excursion():
     dev.on_frame(t2(2, 20, 2800))  # still in the same excursion
     dev.on_frame(t2(3, 30, 1500))  # back under the limit
     dev.on_frame(t2(4, 40, 2100))  # new excursion
-    alarms = [n for n in dev.notifications if n.kind == "power_alarm"]
-    assert [n.t for n in alarms] == [10, 40]
+    times, kinds, _ = dev.notes()
+    assert [t for t, kind in zip(times, kinds) if kind == "power_alarm"] == [10, 40]
 
 
 def test_switchoff_warning_once_per_excursion():
@@ -243,16 +267,16 @@ def test_switchoff_warning_once_per_excursion():
     dev.on_frame(t2(2, 20, 4100))
     dev.on_frame(t2(3, 30, 3200))  # below 1.1 * Pn: excursion over
     dev.on_frame(t2(4, 40, 3400))
-    warnings = [n for n in dev.notifications if n.kind == "switchoff_warning"]
-    assert [n.t for n in warnings] == [10, 40]
-    assert "771" in warnings[0].message  # 180 * 3000 / 700
+    warnings = [(t, m) for t, kind, m in zip(*dev.notes()) if kind == "switchoff_warning"]
+    assert [t for t, _ in warnings] == [10, 40]
+    assert "771" in warnings[0][1]  # 180 * 3000 / 700
 
 
 def test_t3_updates_power_state_and_notifies():
     dev = make_device(pn_w=3000.0, alarm_limit_w=2000.0)
     dev.on_frame(t3(1, 100, ExceedanceCause.POWER_EXCEEDED, 3400))
     # 3400 W is also over the user limit and over 1.1 * Pn.
-    assert [(n.kind, n.message) for n in dev.notifications] == [
+    assert list(zip(*dev.notes()[1:])) == [
         ("contract_power_exceeded", "drawing 3400 W over contract"),
         ("power_alarm", "power 3400 W above set limit 2000 W"),
         ("switchoff_warning", "supply cut in 5400 s unless load drops below 3300 W"),
@@ -260,12 +284,12 @@ def test_t3_updates_power_state_and_notifies():
     dev.on_frame(t3(2, 200, ExceedanceCause.RESTORED, 1800))
     # 1800 W clears the power alarm, so the next excursion raises it again.
     dev.on_frame(t2(3, 250, 2500))
-    assert [(n.kind, n.message) for n in dev.notifications[3:]] == [
+    assert list(zip(*dev.notes()[1:]))[3:] == [
         ("power_restored", "back to 1800 W"),
         ("power_alarm", "power 2500 W above set limit 2000 W"),
     ]
     dev.on_frame(t3(4, 300, ExceedanceCause.ENERGY_THRESHOLD_EXCEEDED, 5000))
-    assert dev.notifications[-1].kind == "energy_threshold"
+    assert dev.notes()[1][-1] == "energy_threshold"
 
 
 # -- cost estimate ---------------------------------------------------------------------
@@ -309,13 +333,71 @@ def test_estimate_cost_requires_tariff_and_aligned_window():
         dev2.estimate_cost(900, 900)
 
 
+def test_estimate_cost_refuses_a_window_before_t0():
+    """The quarter series starts at t = 0, as the meter's first quarter does."""
+    dev = make_device(tariff=TariffSchedule.flat(0.2))
+    with pytest.raises(ValueError, match="from t = 0 on"):
+        dev.estimate_cost(-900, 900)
+
+
+@st.composite
+def _tariffs(draw):
+    """Windows cut on a quarter's start, or a second or half a quarter off
+    it, and a feed-in price or none."""
+    offset = st.sampled_from([-1, 0, 1, 450])
+    cut = st.builds(lambda k, off: k * QUARTER_S + off, st.integers(1, 95), offset)
+    cuts = sorted(draw(st.sets(cut, max_size=6)) | {0, DAY_S})
+    price = st.floats(0.0, 1.0)
+    windows = [TariffWindow(a, b, draw(price)) for a, b in zip(cuts, cuts[1:])]
+    return TariffSchedule(windows, draw(st.none() | price))
+
+
+@st.composite
+def _reported_quarters(draw):
+    """T1 frames over several days, a quarter now and then reported twice
+    or closed off the quarter grid."""
+    frames, seq, ts = [], 0, 0
+    for _ in range(draw(st.integers(0, 200))):
+        seq += 1
+        ts += draw(st.sampled_from([0, 900, 900, 900, 900, 900, 2700, 43200]))
+        off_grid = draw(st.sampled_from([0, 0, 0, 0, 0, 0, 0, 60]))
+        payload = T1Payload(0, draw(st.integers(0, 1300)), draw(st.sampled_from(EnergyDirection)))
+        frames.append(CompactFrame(FrameType.T1, POD, seq, ts + off_grid, payload))
+    return frames
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([3000.0, 4500.0]),
+    _tariffs(),
+    _reported_quarters(),
+    st.integers(0, 96),
+    st.integers(1, 4 * 96),
+)
+def test_estimate_cost_equals_the_walk_over_the_records(pn_w, tariff, frames, first, n):
+    config = DeviceConfig(pn_w, tariff=tariff)
+    device, scalar = Device(config), ScalarDevice(config)
+    device.ingest(frame_rows(frames))
+    for frame in frames:
+        scalar.on_frame(frame)
+    window = first * QUARTER_S, (first + n) * QUARTER_S
+    assert device.estimate_cost(*window) == scalar.estimate_cost(*window)
+
+
+@pytest.mark.parametrize(
+    "price, feed_in",
+    [(math.nan, None), (math.inf, None), (-0.1, None), (0.1, math.nan), (0.1, math.inf)],
+)
+def test_tariff_refuses_a_price_out_of_range(price, feed_in):
+    with pytest.raises(ValueError, match="price.* must be finite and >= 0"):
+        TariffSchedule([TariffWindow(0, 43200, 0.1), TariffWindow(43200, DAY_S, price)], feed_in)
+
+
 def test_tariff_windows_must_tile_the_day():
     with pytest.raises(ValueError, match="tile"):
         TariffSchedule([TariffWindow(0, 40000, 0.1), TariffWindow(43200, 86400, 0.2)])
     with pytest.raises(ValueError, match="start at 0"):
         TariffSchedule([TariffWindow(900, 86400, 0.1)])
-    schedule = two_rate_tariff()
-    assert schedule.price_at(0) == 0.10
-    assert schedule.price_at(43200) == 0.30
-    assert schedule.price_at(86400 + 10) == 0.10  # wraps into day two
-    assert schedule.slot_prices(96)[47:49] == [0.10, 0.30]
+    prices = two_rate_tariff().slot_prices(2 * 96 + 1)
+    assert prices[:96] == [0.10] * 48 + [0.30] * 48
+    assert prices[96:] == prices[:96] + [0.10]  # wraps into day two and three

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chain2sim.device import QuarterRecord
 from chain2sim.frames import (
     CompactFrame,
     CrcMismatchError,
@@ -260,7 +259,6 @@ def test_payloads_of_different_types_never_compare_equal():
         T3Payload(ExceedanceCause.POWER_EXCEEDED, 3500),
         T4Payload(SupplyEventKind.INTERRUPTION_START),
         CompactFrame(FrameType.T1, "IT001E00000001", 1, 900, T1Payload(0, 5)),
-        QuarterRecord(5, EnergyDirection.WITHDRAWN),
     ],
     ids=lambda record: type(record).__name__,
 )

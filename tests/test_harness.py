@@ -110,7 +110,7 @@ def test_validate_config_full_yaml(tmp_path):
     pre_active = {**raw, "pairing": {"mode": "pre_active", "activation_delay_h": [0.5, 1.0]}}
     assert validate_config(pre_active, base_dir=str(tmp_path)).activation_delay_h == (0.0, 0.0)
     assert config.users[0].profile_csv == str(tmp_path / "prof.csv")
-    assert config.users[0].tariff.price_at(0) == 0.25
+    assert config.users[0].tariff.slot_prices(2) == [0.25, 0.25]
     assert config.users[1].direction.name == "FED_IN"
     assert config.dr_commands[0].issuer.value == "emergency"
     assert config.mevu.window == (0.0, 7200.0)

@@ -19,8 +19,6 @@ ALLOWED = {
     "validate_dataset": "the catalogue invariants that acceptance criterion 11 checks",
     "Device.on_frame": "a layer the benchmark's tracer wraps (perfbench/tracer.py TARGETS); "
     "goes when ROADMAP item 1 re-bases the tracer on Device.ingest",
-    "Device.notifications": "the notes as records, read-only, which the tests compare with "
-    "tests/reference.py:ScalarDevice's; the run writes `Device.notes()`",
     "Portal.admits": "resolved by name by the benchmark's tracer (perfbench/tracer.py)",
     "Meter.step": "a layer the benchmark's tracer wraps; goes when ROADMAP item 1 re-bases "
     "the tracer on `Meter.emit_rows`",
