@@ -922,11 +922,14 @@ def _grid_power(
     ticks over the limit are stepped; the totals are summed again only when
     a step curtails another load.  Once every controllable load is curtailed,
     a site without a battery has nothing left to act with, and the rest of
-    the window takes the totals too.  Outside windows, a battery exactly full
-    with the load at or under the limit neither charges nor discharges
-    (`Battery.charge` gives 0 W), so from such a tick the walk jumps to the
-    next window or load over the limit, and the ticks it passes keep their
-    load."""
+    the window takes the totals too.  Between windows, `_shave_walk` steps
+    the battery in one walk, as `peak_shave_step` would tick by tick, with
+    the state of charge in locals; it hands that back to the battery before
+    each window.  A battery exactly full with the load at or under the limit
+    neither charges nor discharges (`Battery.charge` gives 0 W), so from
+    such a tick the walk jumps to the next window or load over the limit,
+    and the ticks it passes keep their load.  `peak_shave_step` itself only
+    checks the limit, up front."""
     tick = config.tick_s
     per_slot = QUARTER_S // tick
     table = _appliance_table(scheduled, -(-len(profile) // per_slot))
@@ -975,25 +978,72 @@ def _grid_power(
         return power, arms
     if not shave_w > 0:  # raises: an idle run might never reach its check
         peak_shave_step(0.0, shave_w, battery, tick)
-    # Tick n, past the run, ends every jump.
-    run_starts = np.zeros(n + 1, bool)
-    run_starts[[*runs, n]] = True
-    over = np.append(power > shave_w, False)
-    wake = np.flatnonzero(over | run_starts)  # where a full battery can discharge
-    over = over.tolist()
-    full_wh = battery.capacity_wh
+    # The ticks over the limit, then tick n, past the run, which ends every jump.
+    over = np.append(np.flatnonzero(power > shave_w), n)
     i = 0
-    while i < n:
-        run = runs.get(i)
-        if run is not None:
-            dr_run(i, *run)
-            i = run[0]
-        elif not over[i] and battery.soc_wh == full_wh:
-            i = int(wake[wake.searchsorted(i)])
-        else:
-            power[i] = peak_shave_step(float(power[i]), shave_w, battery, tick).p_grid_w
-            i += 1
+    for first, (end, cmd) in runs.items():
+        _shave_walk(power, over, i, first, shave_w, battery, tick)
+        dr_run(first, end, cmd)
+        i = end
+    _shave_walk(power, over, i, n, shave_w, battery, tick)
     return power, arms
+
+
+def _shave_walk(
+    power: np.ndarray, over: np.ndarray, a: int, b: int, limit_w: float, battery: Battery, tick: int
+) -> list[int]:
+    """Peak-shave `power[a:b]` in place as `peak_shave_step` does tick by
+    tick, the battery's state of charge kept in locals and the float
+    operations of `Battery.charge` and `discharge` made in their order;
+    returns the ticks stepped.  From a tick at or under the limit with the
+    battery exactly full, which charges 0 W, the walk jumps to the next tick
+    in `over`, the sorted ticks over the limit, each tick passed keeping
+    its load.  The stepped ticks are written back once, at the end."""
+    cap, eta, dt_h = battery.capacity_wh, battery._eta, tick / 3600.0
+    charge_max, discharge_max = battery.p_charge_max_w, battery.p_discharge_max_w
+    soc = battery.soc_wh
+    load = memoryview(power)  # reads a Python float, unlike indexing the array
+    stepped, grid = [], []
+    i = a
+    while i < b:
+        p = load[i]
+        # min(x, y, z) keeps x unless y < x, then the lesser of that and z;
+        # max(0.0, x) is x if x > 0.0, and min(cap, x) is x if x < cap.
+        if p > limit_w:
+            given = p - limit_w
+            if discharge_max < given:
+                given = discharge_max
+            if (held := soc * eta / dt_h) < given:
+                given = held
+            if given <= 0.0:
+                given = 0.0
+            else:
+                soc -= given / eta * dt_h
+                if not soc > 0.0:
+                    soc = 0.0
+            p -= given
+        elif soc == cap:
+            i = min(int(over[over.searchsorted(i)]), b)
+            continue
+        else:
+            taken = limit_w - p
+            if charge_max < taken:
+                taken = charge_max
+            if (room := (cap - soc) / (eta * dt_h)) < taken:
+                taken = room
+            if taken <= 0.0:
+                taken = 0.0
+            else:
+                soc += taken * eta * dt_h
+                if not soc < cap:
+                    soc = cap
+            p += taken
+        stepped.append(i)
+        grid.append(p)
+        i += 1
+    battery.soc_wh = soc
+    power[stepped] = grid
+    return stepped
 
 
 def _run_user(

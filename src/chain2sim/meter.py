@@ -45,8 +45,10 @@ as they are, computed in numpy:
 
 Within a tick the order is T4, T2, T3 (power, then energy), T1; values
 round half to even with `np.rint`, as `round` does; seqs continue the
-count.  A stretch ends before the tick where the breaker or the limit
-changes, and the next one starts with that change:
+count.  Each kind's fields are written straight to their rows in the
+block, at the positions a stable sort of the kinds' ticks gives them.  A
+stretch ends before the tick where the breaker or the limit changes, and
+the next one starts with that change:
 
     the tick that reaches the cut deadline the tick before it left opens
     the breaker, with a T4 interruption start as its first row;
@@ -59,11 +61,20 @@ its tick changes any state, unless 0 <= 10 * sample < inf, whatever the
 breaker state.
 
 The quarter and total energy advance by `np.cumsum`, which adds in sequence
-and so matches a per-tick `+=` bit for bit.  The cut deadline is computed
-on the ticks above the reference only, in the per-tick operation order: a
-running minimum over each run of them, the run at the first tick starting
-from the armed deadline.  `tests/reference.py:ScalarMeter` applies these
-rules one tick at a time, and `emit_rows` must match it.
+and so matches a per-tick `+=` bit for bit.  A stretch has one full-length
+float buffer: ten times the samples, then the band, then the energy of each
+tick, which the quarter sums overwrite in place.  The lifetime total, which
+only the energy alarm reads, is kept only while the alarm can still fire,
+summed a few thousand ticks at a time in a small buffer of its own, up to
+the tick that fires it.  The samples are checked against the bounds of
+the whole series, and a series out of them is searched for its first
+rejected sample.  The cut deadline is computed on the ticks above
+the reference only, in the per-tick operation order: a running minimum over
+each run of them, the run at the first tick starting from the armed
+deadline.  The runs of up to 16 ticks take it a position at a time, all at
+once, and each longer run takes one `np.minimum.accumulate`.
+`tests/reference.py:ScalarMeter` applies these rules one tick at a time,
+and `emit_rows` must match it.
 """
 
 from __future__ import annotations
@@ -97,6 +108,8 @@ from chain2sim.frames import (
 QUARTERS_PER_DAY = DAY_S // QUARTER_S
 OVERRUN_FACTOR = 1.1  # tolerated fraction of pn_w before the cut countdown arms
 SWITCHOFF_TAU_S = 180.0  # time constant of the cut countdown (s)
+_LONG_RUN = 16  # over-reference ticks in a row past which a run takes its own accumulate
+_TOTAL_CHUNK = 4096  # ticks of the lifetime total summed at a time
 
 _T1, _T2, _T3, _T4 = FrameType
 _UP, _DOWN = CrossingDirection
@@ -169,7 +182,7 @@ class Meter:
         self._over_pn = False
         self._cut_deadline: float | None = None
         self._quarter_acc_ws = 0.0
-        self._total_acc_ws = 0.0
+        self._total_acc_ws = 0.0  # kept only while the energy alarm can fire
         self._energy_alarm_sent = False
         self._interruption_started_at: int | None = None
         self._em_limit_w: float | None = None
@@ -280,9 +293,15 @@ class Meter:
         pn = cfg.pn_w
         with np.errstate(over="ignore", invalid="ignore"):
             # Rejected: negative, NaN, inf, or one whose 10 * p overflows.
+            # The series' least and greatest ten-fold samples hold both
+            # bounds (NaN fails them), or the first sample out of them ends
+            # the stretch.  `band` is the stretch's one float buffer: the
+            # band, then the quarter energy.
             band = np.multiply(p, 10.0)
-            bad = np.flatnonzero(~((band >= 0.0) & (band < np.inf)))
-        m = int(bad[0]) if bad.size else len(p)
+            m = (
+                len(p) if band.min() >= 0.0 and band.max() < np.inf
+                else int(np.flatnonzero(~((band >= 0.0) & (band < np.inf)))[0])
+            )
         if m == 0:
             raise ValueError(
                 f"power_w must be non-negative with 10 * power_w finite, got {float(p[0])}"
@@ -307,8 +326,8 @@ class Meter:
         if self.supply_on:
             x = p[:m]
         else:
-            band = np.zeros(m)
-            x = np.zeros(m)
+            band[:m] = 0.0
+            x = np.broadcast_to(0.0, m)  # zeros, read only, with no buffer
 
         with np.errstate(over="ignore", invalid="ignore"):
             # The cut countdown, on the ticks above the reference only.  Each
@@ -320,9 +339,7 @@ class Meter:
             deadline = (t0 + over * tick) + SWITCHOFF_TAU_S * scale / (x[over] - reference)
             if over.size and over[0] == 0 and armed is not None:
                 deadline[0] = min(deadline[0], armed)
-            runs = np.flatnonzero(np.diff(over, prepend=-2) != 1)
-            for a, b in zip(runs.tolist(), runs[1:].tolist() + [over.size]):
-                np.minimum.accumulate(deadline[a:b], out=deadline[a:b])
+            _run_minimum(deadline, over)
             # The breaker opens at the first tick that reaches the deadline
             # left by the tick before it; the limit expires at the first tick
             # at or past its end.  Neither is tick 0, which took its change.
@@ -351,32 +368,27 @@ class Meter:
             over_pn = x > pn
             edges = _changes(over_pn, self._over_pn)
 
-            # Energy.  Seed both running sums through their first element,
-            # which is the first `+=` a per-tick loop would make.  `total`
-            # reuses the spent band and `quarter` is a view of `acc`: a fresh
-            # full-length array costs more in page faults than its arithmetic.
-            ticks_per_quarter = QUARTER_S // tick
-            offset = (t0 % QUARTER_S) // tick
-            acc = np.zeros(-(-(offset + stop) // ticks_per_quarter) * ticks_per_quarter)
-            quarter = acc[offset : offset + stop]
-            np.multiply(x, tick, out=quarter)
-            head = float(quarter[0])
-            quarter[0] = self._total_acc_ws + head
-            total = np.cumsum(quarter, out=band)
-            quarter[0] = self._quarter_acc_ws + head
-            by_quarter = acc.reshape(-1, ticks_per_quarter)  # a view of acc
-            np.cumsum(by_quarter, axis=1, out=by_quarter)
-            closes = np.arange(ticks_per_quarter - 1 - offset, stop, ticks_per_quarter)
-            t_close = t0 + (closes + 1) * tick
-
-            alarm = np.zeros(0, np.int64)
+            # Energy, in the spent band: the lifetime total, only while the
+            # alarm can still fire, then each quarter summed in place.  The
+            # quarter sum is seeded through its first element, which is the
+            # first `+=` a per-tick loop makes.
+            quarter = np.multiply(x, tick, out=band)
+            alarm, alarm_wh, total_ws = np.zeros(0, np.int64), None, self._total_acc_ws
             threshold = cfg.energy_threshold_wh
             if threshold is not None and not self._energy_alarm_sent:
-                # total never falls, so the first tick to reach it bisects.
-                first_alarm = bisect_left(
-                    range(stop), True, key=lambda i: total[i] / 3600.0 >= threshold
-                )
-                alarm = np.arange(first_alarm, min(first_alarm + 1, stop))
+                first_alarm, total_ws = _lifetime_total(quarter, total_ws, threshold)
+                if first_alarm < stop:
+                    alarm, alarm_wh = np.array([first_alarm]), total_ws / 3600.0
+            quarter[0] += self._quarter_acc_ws
+            ticks_per_quarter = QUARTER_S // tick
+            closes = np.arange(ticks_per_quarter - 1 - (t0 % QUARTER_S) // tick, stop, ticks_per_quarter)
+            # The quarter the stretch starts in, the whole ones, and the one
+            # it ends in.
+            a = int(closes[0]) + 1 if closes.size else stop
+            b = a + (stop - a) // ticks_per_quarter * ticks_per_quarter
+            for piece in (quarter[:a], quarter[a:b].reshape(-1, ticks_per_quarter), quarter[b:]):
+                np.cumsum(piece, axis=-1, out=piece)
+            t_close = t0 + (closes + 1) * tick
 
             # Per kind of frame, in its order within a tick: the ticks, then
             # the type, timestamp, key, direction and value of each row.
@@ -387,8 +399,7 @@ class Meter:
                      np.where(up, _UP, _DOWN), x[crossing]),
                     (edges, _T3, t0 + edges * tick,
                      np.where(over_pn[edges], _POWER_EXCEEDED, _RESTORED), 0, x[edges]),
-                    (alarm, _T3, t0 + alarm * tick, _ENERGY_THRESHOLD_EXCEEDED, 0,
-                     total[alarm] / 3600.0),
+                    (alarm, _T3, t0 + alarm * tick, _ENERGY_THRESHOLD_EXCEEDED, 0, alarm_wh),
                     (closes, _T1, t_close, (t_close // QUARTER_S - 1) % QUARTERS_PER_DAY,
                      cfg.direction, quarter[closes] / 3600.0),
                 ),
@@ -403,7 +414,7 @@ class Meter:
         self._over_pn = bool(over_pn[last])
         self._cut_deadline = float(deadline[j]) if j < over.size and over[j] == last else None
         self._quarter_acc_ws = 0.0 if closes.size and closes[-1] == last else float(quarter[last])
-        self._total_acc_ws = float(total[last])
+        self._total_acc_ws = total_ws
         self._energy_alarm_sent |= bool(alarm.size)
         return stop, rows
 
@@ -415,6 +426,48 @@ def _changes(values: np.ndarray, before) -> np.ndarray:
     return moved if values[0] == before else np.concatenate(([0], moved))
 
 
+def _lifetime_total(energy: np.ndarray, total_ws: float, threshold_wh: float) -> tuple[int, float]:
+    """Add `energy` onto the lifetime total `total_ws` in sequence, as a
+    per-tick `+=` does, _TOTAL_CHUNK ticks at a time in one small buffer, up
+    to the first tick whose total reaches `threshold_wh`.  Returns that tick
+    (len(energy) if none) and the total there (at the last tick if none)."""
+    n = len(energy)
+    buffer = np.empty(min(n, _TOTAL_CHUNK))
+    for a in range(0, n, _TOTAL_CHUNK):
+        run = buffer[: min(n - a, _TOTAL_CHUNK)]
+        run[:] = energy[a : a + len(run)]
+        run[0] += total_ws
+        np.cumsum(run, out=run)
+        if run[-1] / 3600.0 >= threshold_wh:
+            # The total never falls, so the first tick to reach it bisects.
+            i = bisect_left(range(len(run)), True, key=lambda i: run[i] / 3600.0 >= threshold_wh)
+            return a + i, float(run[i])
+        total_ws = float(run[-1])
+    return n, total_ws
+
+
+def _run_minimum(values: np.ndarray, ticks: np.ndarray) -> None:
+    """Replace each of `values` with the least of it and those before it in
+    its run of consecutive `ticks`, in place.  The runs of up to _LONG_RUN
+    ticks go a position at a time, all at once; a longer run takes one
+    `np.minimum.accumulate` of its own."""
+    n = len(ticks)
+    starts = np.ones(n + 1, bool)  # one past the last value too, where each walk stops
+    np.not_equal(ticks[1:], ticks[:-1] + 1, out=starts[1:n])
+    first = np.flatnonzero(starts)
+    if len(first) == n + 1:
+        return  # no run of two ticks or more
+    length = np.diff(first)
+    first = first[:-1]
+    long = length > _LONG_RUN
+    at = first[~long] + 1  # the next position of each short run
+    while (at := at[~starts[at]]).size:
+        values[at] = np.minimum(values[at - 1], values[at])
+        at += 1
+    for a, n in zip(first[long].tolist(), length[long].tolist()):
+        np.minimum.accumulate(values[a : a + n], out=values[a : a + n])
+
+
 def _block(kinds, seq: int) -> np.ndarray:
     """The rows of frames given per kind as (ticks, type, timestamp, key,
     direction, value), the kinds in their order within a tick, each kind in
@@ -422,21 +475,27 @@ def _block(kinds, seq: int) -> np.ndarray:
     from seq + 1.  Each field is an array over the kind's ticks or one value
     for all; values round half to even, as `round` does."""
     ticks = np.concatenate([kind[0] for kind in kinds])
-    rows = np.empty((len(ticks), ROW_WIDTH), dtype=np.int64)
-    value = np.empty(len(ticks))
+    n = len(ticks)
+    # The kinds follow their order within a tick, so a stable sort by tick
+    # keeps it, and each kind's own order, on a tie.  Each field is written
+    # straight to its row there.
+    at = np.empty(n, np.intp)
+    at[np.argsort(ticks, kind="stable")] = np.arange(n)
+    rows = np.empty((n, ROW_WIDTH), dtype=np.int64)
+    columns = [rows[:, column] for column in (TYPE, TIMESTAMP, KEY, DIRECTION)]
+    value = np.empty(n)
     a = 0
     for own, *fields in kinds:
         b = a + len(own)
-        for column, field in zip((TYPE, TIMESTAMP, KEY, DIRECTION), fields):
-            rows[a:b, column] = field
-        value[a:b] = fields[-1]
+        if a < b:
+            to = at[a:b]
+            for column, field in zip(columns, fields):
+                column[to] = field
+            value[to] = fields[-1]
         a = b
     np.rint(value, out=value)
     if not (np.abs(value) < 2.0**63).all():
         raise OverflowError("a frame value past the int64 range of a frame row")
     rows[:, VALUE] = value
-    # The kinds follow their order within a tick, so a stable sort by tick
-    # keeps it, and each kind's own order, on a tie.
-    rows = rows[np.argsort(ticks, kind="stable")]
-    rows[:, SEQ] = np.arange(seq + 1, seq + 1 + len(rows))
+    rows[:, SEQ] = np.arange(seq + 1, seq + 1 + n)
     return rows

@@ -1108,6 +1108,19 @@ def _shaving_user(loads, capacity_wh, charge_w, discharge_w, efficiency, start):
     loads=np.repeat([1600.0, 0.0], [3, 30]), capacity_wh=60.0, charge_w=1200.0, discharge_w=600.0,
     efficiency=0.9, start=1.0, commands=(),
 )
+# A load exactly at the limit while the battery is below full: stepped, and
+# it charges 0 W.
+@example(
+    loads=np.repeat([_SHAVE_W, 400.0, _SHAVE_W], [30, 5, 30]), capacity_wh=250.0, charge_w=600.0,
+    discharge_w=600.0, efficiency=0.9, start=0.5, commands=(),
+)
+# A DR run that starts on the tick after a stepped tick: the walk hands the
+# window the state of charge that tick left.
+@example(
+    loads=np.repeat([400.0, 1600.0, 1600.0, 400.0], [10, 1, 20, 29]), capacity_wh=100.0,
+    charge_w=1200.0, discharge_w=1500.0, efficiency=0.81, start=1.0,
+    commands=(DrCommand(1000.0, 660.0, 1500.0),),
+)
 def test_idle_battery_skips_match_the_per_tick_loop(
     loads, capacity_wh, charge_w, discharge_w, efficiency, start, commands
 ):
@@ -1124,20 +1137,26 @@ def test_idle_battery_skips_match_the_per_tick_loop(
 
 def test_peak_shaving_steps_only_where_the_battery_moves(monkeypatch):
     """Over a day on which the battery idles exactly full under the limit
-    but for four ticks over it, peak shaving is stepped on just the ticks
+    but for four ticks over it, the peak-shaving walk steps just the ticks
     where the battery draws or gives power."""
     loads = np.full(1440, 400.0)
     loads[[300, 301, 302, 900]] = 1600.0
     spec, config = _shaving_user(loads, 1000.0, 1200.0, 1500.0, 0.9, 1.0)
-    battery, moved = spec.battery.build(), 0
-    for p in loads.tolist():
+    battery, moved = spec.battery.build(), []
+    for i, p in enumerate(loads.tolist()):
         result = peak_shave_step(p, _SHAVE_W, battery, 60)
-        moved += result.p_charge_w > 0 or result.p_discharge_w > 0
-    calls = []
-    spy = lambda *args: calls.append(args) or peak_shave_step(*args)  # noqa: E731
-    monkeypatch.setattr(harness, "peak_shave_step", spy)
+        if result.p_charge_w > 0 or result.p_discharge_w > 0:
+            moved.append(i)
+    stepped, walk = [], harness._shave_walk
+
+    def spy(*args):
+        ticks = walk(*args)
+        stepped.extend(ticks)
+        return ticks
+
+    monkeypatch.setattr(harness, "_shave_walk", spy)
     harness._grid_power(spec, config, loads, [])
-    assert len(calls) == moved == 10
+    assert stepped == moved and len(moved) == 10
 
 
 @pytest.mark.parametrize("limit_w", [0.0, -100.0, math.nan])

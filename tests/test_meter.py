@@ -498,10 +498,12 @@ def _drive_meter(case, use_rows, injections=None, emitted=None):
         error = (type(exc), str(exc))
     # The channel groups frames by send time: it needs them in time order.
     assert [row[TIMESTAMP] for row in rows] == sorted(row[TIMESTAMP] for row in rows)
+    # `emit_rows` keeps the lifetime total only while the alarm can fire.
+    alarm_armed = threshold is not None and not meter._energy_alarm_sent
     state = (
         meter.last_seq,
         meter._quarter_acc_ws,
-        meter._total_acc_ws,
+        meter._total_acc_ws if alarm_armed else None,
         meter._band,
         meter._next_t,
         meter._cut_deadline,
@@ -513,6 +515,10 @@ def _drive_meter(case, use_rows, injections=None, emitted=None):
     )
     return rows, error, state
 
+
+# 6000 ticks of a power that varies tick by tick, so that adding it out of
+# sequence shows in the sums.
+LONG_SERIES = [900.0 + 137.3 * (i % 5) for i in range(6000)]
 
 # The cases below start a stretch with a change of state, or reject the
 # sample of such a tick.  A cut due on the tick a limit expires: under the
@@ -553,6 +559,18 @@ NAN_WITH_BREAKER_OPEN = (60, 3000.0, None, [0.0, math.nan, math.inf, 0.0], [9000
 @example(CUT_AT_EXPIRY)
 @example(CUT_AT_QUARTER_CLOSE)
 @example(REJECTED_AT_CUT)
+# Over-reference runs of 1, 2, 16 and 17 ticks in one stretch, the last one
+# past the length that takes its own running minimum, then a cut at 9000 W.
+@example(
+    (1, 3000.0, None, [4000.0, 0.0, 4000.0, 4000.0, 0.0] + [4000.0] * 16 + [0.0] + [4000.0] * 17
+     + [0.0] + [9000.0] * 100, [], 0, None)
+)
+# A stretch that starts and ends mid-quarter, with no threshold: the quarter
+# it starts in, a whole one and the one it ends in are each summed in place.
+@example((60, 3000.0, None, [500.0] * 40, [800.0] * 3, 0, None))
+# A threshold reached at tick 4499 of a 1 s series, past the first chunk of
+# the lifetime total.
+@example((1, 3000.0, 1468.0, LONG_SERIES, [], 0, None))
 def test_emit_rows_matches_the_per_tick_loop(case):
     assert _drive_meter(case, use_rows=True) == _drive_meter(case, use_rows=False)
 
@@ -577,6 +595,12 @@ def split_cases(draw):
 @example((CUT_AT_QUARTER_CLOSE, {14: (None, None)}))
 @example((REJECTED_AT_CUT, {14: (None, None)}))
 @example((NAN_WITH_BREAKER_OPEN, {1: (None, None)}))
+# A 100 Wh threshold that 500 W reaches at its 12th tick, in the second piece
+# of the series: the lifetime total is carried across the split.
+@example(((60, 3000.0, 100.0, [500.0] * 20, [], 0, None), {6: (None, None)}))
+# A threshold that the first piece, two chunks of the lifetime total long,
+# does not reach, and the second reaches at tick 5210.
+@example(((1, 3000.0, 1700.0, LONG_SERIES, [], 0, None), {5000: (None, None)}))
 def test_emit_rows_split_at_injections_matches_the_per_tick_loop(split_case):
     case, injections = split_case
     assert _drive_meter(case, True, injections) == _drive_meter(case, False, injections)
@@ -655,3 +679,19 @@ def test_emit_rows_steps_no_overrun_that_ends_before_its_cut(monkeypatch):
     types = rows[:, TYPE].tolist()
     assert (types.count(FrameType.T3), types.count(FrameType.T1)) == (2 * 72, 96)
     assert rows[:, SEQ].tolist() == list(range(1, len(rows) + 1))
+
+
+def test_emit_rows_takes_an_overrun_short_of_its_cut_in_one_stretch(monkeypatch):
+    """A 1 s series holding a 150-tick overrun at 1.9 Pn, whose cut would
+    fall 225 s in, among shorter runs over the reference, is one stretch:
+    the running minimum of the deadlines ends none of them."""
+    meter = make_meter(tick_s=1)
+    series = np.full(1800, 1500.0)
+    for start, length in [(100, 1), (200, 2), (300, 150), (600, 16), (700, 17)]:
+        series[start : start + length] = 5700.0
+    starts = _count_stretches(monkeypatch)
+    rows = np.concatenate(list(meter.emit_rows(series, 0)))
+    assert starts == [0]
+    assert meter.supply_on and meter._next_t == 1800
+    types = rows[:, TYPE].tolist()
+    assert (types.count(FrameType.T3), types.count(FrameType.T1)) == (2 * 5, 2)
