@@ -464,8 +464,8 @@ def _run_minimum(values: np.ndarray, ticks: np.ndarray) -> None:
     while (at := at[~starts[at]]).size:
         values[at] = np.minimum(values[at - 1], values[at])
         at += 1
-    for a, n in zip(first[long].tolist(), length[long].tolist()):
-        np.minimum.accumulate(values[a : a + n], out=values[a : a + n])
+    for a, size in zip(first[long].tolist(), length[long].tolist()):
+        np.minimum.accumulate(values[a : a + size], out=values[a : a + size])
 
 
 def _block(kinds, seq: int) -> np.ndarray:
