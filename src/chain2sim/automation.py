@@ -398,12 +398,15 @@ class DrCommand:
     issuer: DrIssuer = DrIssuer.AGGREGATOR
 
     def __post_init__(self) -> None:
-        if not self.p_limit_w > 0:  # written so that NaN fails too
-            raise ValueError(f"p_limit_w must be positive, got {self.p_limit_w}")
+        if not 0 < self.p_limit_w < math.inf:  # written so that NaN fails too
+            raise ValueError(f"p_limit_w must be positive and finite, got {self.p_limit_w}")
         if not self.t_start < self.t_end:
             raise ValueError(
                 f"need t_start < t_end, got [{self.t_start}, {self.t_end}]"
             )
+        for name in ("t_start", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass

@@ -29,9 +29,9 @@ row whose send time, less the serialization summed before it, reaches the
 running maximum of the same over the rows before it, seeded with the busy
 time, so `arrivals` finds every period in one step.  Each period adds its
 serialization times in row order from its start, the recurrence bit for
-bit: short periods together, a position at a time, and a long one in one
-`np.cumsum`.  A boundary that rounding put a few ulps off is repaired from
-the finish times; a repair only raises them, so the repairs end.  The loss
+bit, in the one segmented scan `accumulate_runs` (see `meter`).  A
+boundary that rounding put a few ulps off is repaired from the finish
+times; a repair only raises them, so the repairs end.  The loss
 draws come from the link's generator in row order, one `random()` per
 frame for Bernoulli loss and two for Gilbert-Elliott, whose state
 `arrivals` walks from flip to flip, drawn in numpy from one `getrandbits`
@@ -50,9 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from chain2sim.frames import ROW_WIDTH, TIMESTAMP, TYPE, FrameType, frame_bits
-
-# A busy period of more rows than this is summed in one `np.cumsum`.
-_LONG_PERIOD = 16
+from chain2sim.meter import accumulate_runs
 
 
 @dataclass(frozen=True)
@@ -179,19 +177,9 @@ def _finish(sent: np.ndarray, tx: np.ndarray) -> np.ndarray:
     lead = sent - (np.cumsum(tx) - tx)
     idle = np.append(True, lead[1:] >= np.maximum.accumulate(lead[:-1]))
     while True:
-        first = np.flatnonzero(idle)
         finish = tx.copy()
-        finish[first] += sent[first]
-        length = np.diff(first, append=len(tx))
-        long = length > _LONG_PERIOD
-        # Short periods a position at a time: `at` is the next row of each.
-        at = first[~long] + 1
-        starts = np.append(idle, True)  # one past the last row too, where each walk stops
-        while (at := at[~starts[at]]).size:
-            finish[at] += finish[at - 1]
-            at += 1
-        for a, m in zip(first[long].tolist(), length[long].tolist()):
-            np.cumsum(finish[a : a + m], out=finish[a : a + m])
+        finish[idle] += sent[idle]
+        accumulate_runs(np.add, finish, np.append(idle, True))
         repaired = np.append(True, sent[1:] >= finish[:-1])
         if np.array_equal(repaired, idle):
             return finish

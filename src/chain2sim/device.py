@@ -63,7 +63,7 @@ from chain2sim.frames import (
     SupplyEventKind,
     frame_rows,
 )
-from chain2sim.meter import OVERRUN_FACTOR, switchoff_remaining
+from chain2sim.meter import OVERRUN_FACTOR, changes, switchoff_remaining
 
 
 # -- Tariffs -------------------------------------------------------------------
@@ -370,8 +370,7 @@ def _joined(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def _rises(flags: np.ndarray, before: bool) -> np.ndarray:
-    """Where a non-empty `flags` turns true, `before` coming before the first."""
-    rises = flags.copy()
-    rises[1:] &= ~flags[:-1]
-    rises[0] &= not before
-    return rises
+    """The indices where a non-empty `flags` turns true, `before` coming
+    before the first: the rising ones of its `changes`."""
+    moved = changes(flags, before)
+    return moved[flags[moved]]

@@ -70,11 +70,19 @@ the tick that fires it.  The samples are checked against the bounds of
 the whole series, and a series out of them is searched for its first
 rejected sample.  The cut deadline is computed on the ticks above
 the reference only, in the per-tick operation order: a running minimum over
-each run of them, the run at the first tick starting from the armed
-deadline.  The runs of up to 16 ticks take it a position at a time, all at
-once, and each longer run takes one `np.minimum.accumulate`.
+each run of consecutive ones, the run at the first tick starting from the
+armed deadline, by `accumulate_runs`.
 `tests/reference.py:ScalarMeter` applies these rules one tick at a time,
 and `emit_rows` must match it.
+
+Two scans here serve the channel and the device too.  `changes` gives the
+positions where a series differs from the value before it: the band
+changes, the edges of power > pn_w, and the device's rising alarms.
+`accumulate_runs(ufunc, values, starts)` accumulates a ufunc over each run
+of a block in place, in the order a per-position loop applies it: the
+deadline minimum here, and the channel's busy periods.  The runs of up to
+LONG_RUN values take it a position at a time, all at once, and each longer
+run takes one `ufunc.accumulate` of its own.
 """
 
 from __future__ import annotations
@@ -108,7 +116,7 @@ from chain2sim.frames import (
 QUARTERS_PER_DAY = DAY_S // QUARTER_S
 OVERRUN_FACTOR = 1.1  # tolerated fraction of pn_w before the cut countdown arms
 SWITCHOFF_TAU_S = 180.0  # time constant of the cut countdown (s)
-_LONG_RUN = 16  # over-reference ticks in a row past which a run takes its own accumulate
+LONG_RUN = 16  # values in a run past which `accumulate_runs` takes it in one accumulate
 _TOTAL_CHUNK = 4096  # ticks of the lifetime total summed at a time
 
 _T1, _T2, _T3, _T4 = FrameType
@@ -339,7 +347,9 @@ class Meter:
             deadline = (t0 + over * tick) + SWITCHOFF_TAU_S * scale / (x[over] - reference)
             if over.size and over[0] == 0 and armed is not None:
                 deadline[0] = min(deadline[0], armed)
-            _run_minimum(deadline, over)
+            starts = np.ones(over.size + 1, bool)
+            np.not_equal(over[1:], over[:-1] + 1, out=starts[1:-1])
+            accumulate_runs(np.minimum, deadline, starts)
             # The breaker opens at the first tick that reaches the deadline
             # left by the tick before it; the limit expires at the first tick
             # at or past its end.  Neither is tick 0, which took its change.
@@ -354,7 +364,7 @@ class Meter:
             np.divide(band, pn, out=band)
             np.floor(band, out=band)
             np.minimum(band, 10.0, out=band)
-            moved = _changes(band, self._band)
+            moved = changes(band, self._band)
             new, old = band[moved], band[moved - 1]
             if moved.size and moved[0] == 0:
                 old[0] = self._band
@@ -366,7 +376,7 @@ class Meter:
 
             # T3: the edges of power > Pn.
             over_pn = x > pn
-            edges = _changes(over_pn, self._over_pn)
+            edges = changes(over_pn, self._over_pn)
 
             # Energy, in the spent band: the lifetime total, only while the
             # alarm can still fire, then each quarter summed in place.  The
@@ -419,7 +429,7 @@ class Meter:
         return stop, rows
 
 
-def _changes(values: np.ndarray, before) -> np.ndarray:
+def changes(values: np.ndarray, before) -> np.ndarray:
     """The indices where a non-empty `values` differs from the value before
     it, `before` coming before the first."""
     moved = np.flatnonzero(values[1:] != values[:-1]) + 1
@@ -446,26 +456,23 @@ def _lifetime_total(energy: np.ndarray, total_ws: float, threshold_wh: float) ->
     return n, total_ws
 
 
-def _run_minimum(values: np.ndarray, ticks: np.ndarray) -> None:
-    """Replace each of `values` with the least of it and those before it in
-    its run of consecutive `ticks`, in place.  The runs of up to _LONG_RUN
-    ticks go a position at a time, all at once; a longer run takes one
-    `np.minimum.accumulate` of its own."""
-    n = len(ticks)
-    starts = np.ones(n + 1, bool)  # one past the last value too, where each walk stops
-    np.not_equal(ticks[1:], ticks[:-1] + 1, out=starts[1:n])
+def accumulate_runs(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray) -> None:
+    """Accumulate `ufunc` over each run of `values` in place, in order:
+    `values[i] = ufunc(values[i - 1], values[i])` at each value but the
+    first of its run.  `starts` marks the first value of each run, and holds
+    one more True past the last value (see the module docstring)."""
     first = np.flatnonzero(starts)
-    if len(first) == n + 1:
-        return  # no run of two ticks or more
+    if len(first) == len(starts):
+        return  # no run of two values or more
     length = np.diff(first)
     first = first[:-1]
-    long = length > _LONG_RUN
+    long = length > LONG_RUN
     at = first[~long] + 1  # the next position of each short run
     while (at := at[~starts[at]]).size:
-        values[at] = np.minimum(values[at - 1], values[at])
+        values[at] = ufunc(values[at - 1], values[at])
         at += 1
     for a, size in zip(first[long].tolist(), length[long].tolist()):
-        np.minimum.accumulate(values[a : a + size], out=values[a : a + size])
+        ufunc.accumulate(values[a : a + size], out=values[a : a + size])
 
 
 def _block(kinds, seq: int) -> np.ndarray:

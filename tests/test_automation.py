@@ -587,6 +587,12 @@ def test_dr_command_validation():
         DrCommand(math.nan, 0.0, 10.0)
     with pytest.raises(ValueError, match="t_start"):
         DrCommand(100.0, 0.0, math.nan)
+    with pytest.raises(ValueError, match="p_limit_w must be positive and finite"):
+        DrCommand(math.inf, 0.0, 10.0)
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        DrCommand(100.0, 0.0, t_end=math.inf)
+    with pytest.raises(ValueError, match="t_start must be finite"):
+        DrCommand(100.0, -math.inf, 10.0)
 
 
 # -- flexibility settlement -------------------------------------------------------------

@@ -500,6 +500,25 @@ def test_load_config_reads_yaml(tmp_path):
     assert len(config.users) == 1
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("3600,1e400,2000,emergency", "t_end must be finite, got inf"),
+        ("3600,7200,1e400,emergency", "p_limit_w must be positive and finite, got inf"),
+    ],
+)
+def test_a_dr_feed_value_past_the_float_range_fails_validation(tmp_path, row, reason):
+    """`1e400` in a feed reads as inf, which `DrCommand` refuses, as the
+    inline `dr_commands` reader refuses it, before the run starts."""
+    feed = tmp_path / "dr.csv"
+    feed.write_text(f"t_start,t_end,p_limit_W,issuer\n{row}\n")
+    path = tmp_path / "scenario.yaml"
+    path.write_text(f"days: 1\ndr_feed: dr.csv\nusers:\n  - {{pod_id: {POD1}, pn_w: 3000}}\n")
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(str(path))
+    assert exc_info.value.errors == [f"dr_feed: {feed}: row 0: {reason}"]
+
+
 def test_harness_import_skips_yaml():
     """Only `load_config` reads YAML, so a stock campaign starts without yaml."""
     src = Path(harness.__file__).resolve().parents[1]

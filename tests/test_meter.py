@@ -29,7 +29,14 @@ from chain2sim.frames import (
     frame_from_row,
     frame_rows,
 )
-from chain2sim.meter import QUARTERS_PER_DAY, Meter, MeterConfig, switchoff_remaining
+from chain2sim.meter import (
+    LONG_RUN,
+    QUARTERS_PER_DAY,
+    Meter,
+    MeterConfig,
+    accumulate_runs,
+    switchoff_remaining,
+)
 from reference import ScalarMeter
 
 POD = "IT001E00000001"
@@ -695,3 +702,38 @@ def test_emit_rows_takes_an_overrun_short_of_its_cut_in_one_stretch(monkeypatch)
     assert meter.supply_on and meter._next_t == 1800
     types = rows[:, TYPE].tolist()
     assert (types.count(FrameType.T3), types.count(FrameType.T1)) == (2 * 5, 2)
+
+
+# -- the segmented scan ----------------------------------------------------------
+
+
+@st.composite
+def run_blocks(draw):
+    """Run lengths on both sides of LONG_RUN, and a value for each position,
+    drawn often from a few values so that runs hold ties."""
+    lengths = draw(
+        st.lists(st.sampled_from([1, 2, LONG_RUN, LONG_RUN + 1]) | st.integers(1, 40),
+                 min_size=1, max_size=8)
+    )
+    value = st.sampled_from([-2.5, 0.0, 0.1, 1.0]) | st.floats(-1e6, 1e6)
+    return lengths, draw(st.lists(value, min_size=sum(lengths), max_size=sum(lengths)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_blocks(), st.sampled_from([np.minimum, np.add]))
+@example(([1], [3.0]), np.add)  # one value
+@example(([1, 1, 1], [2.0, 2.0, 1.0]), np.minimum)  # no run of two
+@example(([1, 2, LONG_RUN, LONG_RUN + 1], [float(i % 3) for i in range(36)]), np.minimum)
+@example(([1, 2, LONG_RUN, LONG_RUN + 1], [0.1 * (i % 7) for i in range(36)]), np.add)
+def test_accumulate_runs_matches_a_per_position_loop(block, ufunc):
+    """`accumulate_runs` applies `ufunc` as a loop over the positions does,
+    each value but the first of its run taking the one before it first."""
+    lengths, drawn = block
+    starts = np.zeros(len(drawn) + 1, bool)
+    starts[np.cumsum([0, *lengths])] = True
+    values = np.array(drawn)
+    expected = values.copy()
+    for i in np.flatnonzero(~starts[:-1]).tolist():
+        expected[i] = ufunc(expected[i - 1], expected[i])
+    accumulate_runs(ufunc, values, starts)
+    assert values.tolist() == expected.tolist()
