@@ -211,22 +211,24 @@ def load_shift_schedule(
     considered in sorted order.
 
     With a `grid_limit_w`, the summed appliance power should stay at or below
-    the limit in every slot.  When the combination count fits under
-    `EXHAUSTIVE_CAP`, which covers any desk-scale instance, one exact walk
-    returns the least (excess energy over the limit, cost, starts): the
-    cheapest schedule within the limit when there is one, labeled
-    `feasible` and `optimal`, else the least excess with the slots where it
-    still violates the limit.  Larger instances fall back to the
-    per-appliance pass, which keeps clear of the limit where it can, and
-    the result is labeled `optimal=False`.
+    the limit in every slot.  Loads are judged exactly: the sum of the given
+    powers in a slot, whatever their order, against the limit as given.
+    When the combination count fits under `EXHAUSTIVE_CAP`, which covers any
+    desk-scale instance, one exact walk returns the least (excess energy
+    over the limit, cost, starts): the cheapest schedule within the limit
+    when there is one, labeled `feasible` and `optimal`, else the least
+    excess with the slots where it still violates the limit.  Larger
+    instances fall back to the per-appliance pass, which keeps clear of the
+    limit where it can, and the result is labeled `optimal=False`.
 
     Raises:
-        ValueError: `grid_limit_w` is NaN, or an appliance admits no
-            feasible start at all (its own window is too tight for its run
-            length), independent of the limit.
+        ValueError: `grid_limit_w` is NaN or infinite (None means no
+            limit), or an appliance admits no feasible start at all (its
+            own window is too tight for its run length), independent of the
+            limit.
     """
-    if grid_limit_w is not None and math.isnan(grid_limit_w):
-        raise ValueError("grid_limit_w must not be NaN")
+    if grid_limit_w is not None and not math.isfinite(grid_limit_w):
+        raise ValueError(f"grid_limit_w must be finite or None, got {grid_limit_w}")
     n_slots = len(prices_eur_per_kwh)
     if n_slots == 0:
         raise ValueError("prices_eur_per_kwh must be non-empty")
@@ -249,62 +251,62 @@ def load_shift_schedule(
     return _limited_schedule(apps, starts_per_app, costs_per_app, grid_limit_w, n_slots)
 
 
-def _excess_sum(load: Mapping[int, float], limit_w: float, n_slots: int) -> float:
-    """The summed power over the limit, in W x slots, of a load by slot over
-    `n_slots`, in slot order.  A slot at or under the limit would add
-    exactly 0.0, so only the slots over it are summed: under a limit < 0,
-    every slot; else only slots with a load."""
-    over = range(n_slots) if limit_w < 0 else sorted([i for i, l in load.items() if l > limit_w])
-    return _sum_in_order(load.get(i, 0.0) - limit_w for i in over)
+def _whole_units(limit_w: float, apps: Sequence[Appliance]) -> tuple[int, list[tuple[int, ...]]]:
+    """`limit_w` and each appliance's powers as integers over one unit,
+    1 / the largest denominator of them as floats (a power of two), so that
+    loads sum and compare exactly."""
+    powers = [p for app in apps for p in app.profile_w]
+    per_unit = max(float(v).as_integer_ratio()[1] for v in (limit_w, *powers))
+
+    def whole(v: float) -> int:
+        n, d = float(v).as_integer_ratio()
+        return n * (per_unit // d)
+
+    return whole(limit_w), [tuple(map(whole, app.profile_w)) for app in apps]
 
 
-def _exact_sums(values: Sequence[float], n_slots: int) -> bool:
-    """Whether every sum of the limited walk over these powers is exact:
-    each a finite multiple of one power of two, with the walk's largest sum,
-    n_slots + 1 times their total, within 53 bits of that unit."""
-    if not all(map(math.isfinite, values)):
-        return False
-    ratios = [float(v).as_integer_ratio() for v in values]
-    unit = max(d for _, d in ratios)  # 1 / the unit, a power of two
-    return (n_slots + 1) * sum(abs(n) * (unit // d) for n, d in ratios) < 2**53
+def _excess_sum(load: Mapping[int, int], limit: int, n_slots: int) -> int:
+    """The summed load over the limit, in units x slots, of a load by slot
+    over `n_slots`: a slot with no load adds its excess, max(0, -limit), too."""
+    over = sum(l - limit for l in load.values() if l > limit)
+    return over + (n_slots - len(load)) * max(0, -limit)
 
 
 def _limited_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots):
     # The least (excess, cost, starts) over every start combination: the
     # cheapest schedule within the limit when there is one, else the least
     # excess, so the caller can see exactly where and by how much it fails.
-    # The walk tries each appliance's starts cheapest first, and skips a
-    # prefix when no completion can beat the best key so far; once a leaf
-    # within the limit is found, that skips every prefix with excess of its
-    # own.  Both bounds hold in the float arithmetic of the key, as powers
-    # are >= 0:
-    #   excess  the prefix's own excess sum only grows as loads are added.
-    #           Each appliance still to place then adds at least its own
-    #           excess over max(limit, 0), counted only when every sum is
-    #           exact: otherwise a sum could round below the bound;
+    # Loads and excess are exact integers (`_whole_units`).  The walk tries
+    # each appliance's starts cheapest first, and skips a prefix when no
+    # completion can beat the best key so far; once a leaf within the limit
+    # is found, that skips every prefix with excess of its own.  The bounds:
+    #   excess  the prefix's own excess sum only grows as loads are added,
+    #           and each appliance still to place adds at least its own
+    #           excess over max(limit, 0), as powers are >= 0;
     #   cost    the prefix's cost, summed on with each later appliance's
-    #           cheapest start;
+    #           cheapest start, a bound in floats too, as float addition
+    #           is monotone;
     # and a tie on both goes to the least starts, so a prefix past the best
     # one's loses it.
+    limit, profiles = _whole_units(limit_w, apps)
     n = len(apps)
-    rest = [0.0] * (n + 1)  # the excess sum that apps i.. add at least
-    if _exact_sums([limit_w, *(p for app in apps for p in app.profile_w)], n_slots):
-        floor = max(limit_w, 0.0)
-        for i in range(n - 1, -1, -1):
-            rest[i] = rest[i + 1] + sum(max(0.0, p - floor) for p in apps[i].profile_w)
+    floor = max(limit, 0)
+    rest = [0] * (n + 1)  # the excess sum that apps i.. add at least
+    for i in range(n - 1, -1, -1):
+        rest[i] = rest[i + 1] + sum(max(0, p - floor) for p in profiles[i])
     tries = [
         sorted(starts, key=lambda s: (costs[s], s))
         for starts, costs in zip(starts_per_app, costs_per_app)
     ]
     cheapest = [costs[starts[0]] for starts, costs in zip(tries, costs_per_app)]
-    best: tuple[float, float, tuple[int, ...]] | None = None
-    best_load: dict[int, float] = {}
+    best: tuple[int, float, tuple[int, ...]] | None = None
+    best_load: dict[int, int] = {}
 
-    def walk(i: int, picked: list[int], cost: float, load: dict[int, float]) -> None:
+    def walk(i: int, picked: list[int], cost: float, load: dict[int, int]) -> None:
         nonlocal best, best_load
-        total = _excess_sum(load, limit_w, n_slots)
+        total = _excess_sum(load, limit, n_slots)
         if i == n:
-            key = (total * QUARTER_S / 3600.0, cost, tuple(picked))
+            key = (total, cost, tuple(picked))
             if best is None or key < best:
                 best, best_load = key, load
             return
@@ -312,19 +314,16 @@ def _limited_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots):
             cost_bound = cost
             for c in cheapest[i:]:
                 cost_bound += c
-            bound = ((total + rest[i]) * QUARTER_S / 3600.0, cost_bound, tuple(picked))
+            bound = (total + rest[i], cost_bound, tuple(picked))
             if bound > (best[0], best[1], best[2][:i]):
                 return
-        profile = apps[i].profile_w
         for s in tries[i]:
-            # Each placement sums onto a copy of the prefix's load, in
-            # appliance order, so every key is exact to the last bit.
             placed = load.copy()
             over = False
-            for k, p in enumerate(profile):
-                placed[s + k] = l = placed.get(s + k, 0.0) + p
-                over = over or l > limit_w
-            if over and best is not None and best[0] == 0.0:
+            for k, p in enumerate(profiles[i]):
+                placed[s + k] = l = placed.get(s + k, 0) + p
+                over = over or l > limit
+            if over and best is not None and best[0] == 0:
                 continue  # past a schedule within the limit, this cannot win
             picked.append(s)
             walk(i + 1, picked, cost + costs_per_app[i][s], placed)
@@ -336,49 +335,38 @@ def _limited_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots):
     return ScheduleResult(
         {app.id: s for app, s in zip(apps, starts)},
         cost,
-        feasible=excess == 0.0,
-        optimal=excess == 0.0,
+        feasible=excess == 0,
+        optimal=excess == 0,
         method="exhaustive",
-        offending_slots=tuple(i for i in range(n_slots) if best_load.get(i, 0.0) > limit_w),
+        offending_slots=tuple(i for i in range(n_slots) if best_load.get(i, 0) > limit),
     )
 
 
 def _greedy_schedule(apps, starts_per_app, costs_per_app, limit_w, n_slots):
     # Each appliance in id order takes the start with the least excess over
     # the limit, then the least cost, then the earliest: with no limit, each
-    # one's cheapest start, which is the optimum.
-    load = [0.0] * n_slots
-    placed: dict[str, int] = {}
-    total = 0.0
-    offending: set[int] = set()
-    feasible = True
-    for app, starts, costs in zip(apps, starts_per_app, costs_per_app):
-        best_start = None
-        best_key = None
-        for s in starts:
-            peaks = 0.0
-            if limit_w is not None:
-                for k, p in enumerate(app.profile_w):
-                    peaks += max(0.0, load[s + k] + p - limit_w)
-            key = (peaks, costs[s], s)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_start = s
-        assert best_start is not None and best_key is not None
-        placed[app.id] = best_start
-        total += costs[best_start]
-        for k, p in enumerate(app.profile_w):
-            load[best_start + k] += p
-            if limit_w is not None and load[best_start + k] > limit_w:
-                offending.add(best_start + k)
-                feasible = False
+    # one's cheapest start, which is the optimum.  Under a limit, loads are
+    # exact integers (`_whole_units`); with none, the runs add no load, so
+    # every slot stays within the limit of 0.
+    limit, profiles = (0, [()] * len(apps)) if limit_w is None else _whole_units(limit_w, apps)
+    load = [0] * n_slots
+    picked = []
+    for profile, starts, costs in zip(profiles, starts_per_app, costs_per_app):
+
+        def key(s: int) -> tuple[int, float]:
+            return sum(max(0, load[s + k] + p - limit) for k, p in enumerate(profile)), costs[s]
+
+        # min keeps the first of a tie, the earliest start
+        picked.append(min(starts, key=costs.__getitem__ if limit_w is None else key))
+        for k, p in enumerate(profile):
+            load[picked[-1] + k] += p
     return ScheduleResult(
-        placed,
-        total,
-        feasible=feasible,
+        {app.id: s for app, s in zip(apps, picked)},
+        _sum_in_order(costs[s] for costs, s in zip(costs_per_app, picked)),
+        feasible=max(load) <= limit,
         optimal=limit_w is None,
         method="greedy",
-        offending_slots=tuple(sorted(offending)),
+        offending_slots=tuple(i for i, l in enumerate(load) if l > limit),
     )
 
 

@@ -49,6 +49,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot write outputs to {args.out}: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # raised before any user runs
+        print(exc, file=sys.stderr)
+        return 2
     print(report.to_table_text(), end="")
     print(f"\nreport written to {os.path.join(args.out, 'report.csv')}")
     return 0

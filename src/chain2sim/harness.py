@@ -1172,10 +1172,16 @@ def run(
     report.  `parallel` is accepted for compatibility and has no effect.
 
     Raises:
-        ValueError: before any user runs, for a user whose `profile_csv`
-            was never read, or whose samples do not cover the run (a
-            `UserSpec` built without `validate_config`).
+        ValueError: before any user runs, for an `out_dir` that already
+            holds `report.csv` or `users/` (an earlier run's files, which
+            this run would not all replace), or for a user whose
+            `profile_csv` was never read, or whose samples do not cover the
+            run (a `UserSpec` built without `validate_config`).
     """
+    if out_dir is not None:
+        kept = [n for n in ("report.csv", "users") if os.path.lexists(os.path.join(out_dir, n))]
+        if kept:
+            raise ValueError(f"{out_dir} already holds {' and '.join(kept)} of an earlier run")
     for spec in config.users:
         if spec.profile_csv is None:
             continue

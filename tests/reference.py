@@ -43,6 +43,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -535,16 +536,19 @@ def run_reference(config, out_dir=None):
 
 def least_excess_walk(apps, starts_per_app, costs_per_app, limit_w, n_slots):
     """`automation._limited_schedule` as a walk over every start
-    combination: the least (excess, cost, starts), each summed in the
-    scheduler's order, and the slots over the limit under it; feasible and
-    optimal when its excess is 0."""
+    combination: the least (excess, cost, starts), loads and excess exact
+    fractions of the given powers, costs summed in the scheduler's order,
+    and the slots over the limit under it; feasible and optimal when its
+    excess is 0."""
+    limit = Fraction(limit_w)
+    profiles = [[Fraction(p) for p in app.profile_w] for app in apps]
     best = None
     for picked in itertools.product(*starts_per_app):
-        load = [0.0] * n_slots
-        for app, s in zip(apps, picked):
-            for k, p in enumerate(app.profile_w):
+        load = [Fraction(0)] * n_slots
+        for profile, s in zip(profiles, picked):
+            for k, p in enumerate(profile):
                 load[s + k] += p
-        excess = _in_order([max(0.0, l - limit_w) for l in load]) * QUARTER_S / 3600.0
+        excess = sum(max(0, l - limit) for l in load)
         cost = _in_order([costs_per_app[j][s] for j, s in enumerate(picked)])
         key = (excess, cost, tuple(picked))
         if best is None or key < best[0]:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -143,11 +144,12 @@ def test_peak_shave_limit_must_be_positive():
 
 def _oracle_schedule(apps, prices, limit_w, slot_s=900):
     """Brute-force reference over every start combination: the least
-    (excess Wh over the limit, cost, starts in id order), each summed in the
-    scheduler's order, and the slots over the limit under it."""
+    (excess Wh over the limit, cost, starts in id order), loads and excess
+    exact fractions, costs summed in the scheduler's order, and the slots
+    over the limit under it."""
     apps = sorted(apps, key=lambda a: a.id)
     n = len(prices)
-    limit_w = math.inf if limit_w is None else limit_w
+    limit_w = math.inf if limit_w is None else Fraction(limit_w)
     kwh_per_slot = slot_s / 3600.0 / 1000.0
     per_app = []
     for app in apps:
@@ -157,16 +159,13 @@ def _oracle_schedule(apps, prices, limit_w, slot_s=900):
         per_app.append(list(range(first, last + 1)))
     best = None
     for combo in itertools.product(*per_app):
-        load = [0.0] * n
+        load = [Fraction(0)] * n
         cost = 0.0
         for app, s in zip(apps, combo):
             for k, p in enumerate(app.profile_w):
-                load[s + k] += p
+                load[s + k] += Fraction(p)
             cost += sum(p * kwh_per_slot * prices[s + k] for k, p in enumerate(app.profile_w))
-        excess = 0.0
-        for w in load:
-            excess += max(0.0, w - limit_w)
-        excess = excess * slot_s / 3600.0
+        excess = sum(max(0, w - limit_w) for w in load) * Fraction(slot_s, 3600)
         if best is None or (excess, cost, combo) < best[0]:
             best = (excess, cost, combo), tuple(i for i, w in enumerate(load) if w > limit_w)
     return best
@@ -283,9 +282,9 @@ def test_limited_schedule_is_the_least_excess_then_cheapest():
 def _limited_instances(draw):
     """Appliances, prices and a grid limit, the appliances in id order with
     their feasible starts and the cost of each: powers whole watts, binary
-    fractions or any float, limits down to below zero or met exactly by a
-    sum of the powers, so that the walk takes both of its excess bounds and
-    meets loads that fit the limit to the last bit."""
+    fractions or any float, limits down to below zero or a float sum of the
+    powers, so that the walk meets loads that fit the limit exactly and
+    loads that miss it by less than a rounding."""
     n_slots = draw(st.integers(1, 10))
     power = draw(
         st.sampled_from(
@@ -305,7 +304,8 @@ def _limited_instances(draw):
         apps.append(Appliance(f"app{i}", profile, first * 900, end * 900))
     price = st.sampled_from([0.1, 0.13, 0.2]) | st.floats(-1, 1)
     prices = draw(st.lists(price, min_size=n_slots, max_size=n_slots))
-    # A float sum of drawn powers: a limit that some slot's load may meet exactly.
+    # A float sum of drawn powers: a limit that some slot's exact load may
+    # meet, or pass by less than the rounding of that sum.
     powers = st.sampled_from([p for app in apps for p in app.profile_w])
     exact_fit = st.lists(powers, min_size=1, max_size=3)
     limit = draw(
@@ -323,9 +323,9 @@ def _walk_instance(apps, prices, limit):
     return apps, starts, costs, limit, n_slots
 
 
-# Slot 2 holds a0 + a1 + a2's second slot = 2000.0 + 700.7 + 450.3 = 3151.0
-# exactly; a search that takes each placement back with -= can leave a
-# residue above the limit there and miss the cheapest schedule.
+# Slot 2 could hold a0 + a1 + a2's second slot, 2000.0 + 700.7 + 450.3,
+# which sums to 3151.0 in floats in this order but is 5.7e-14 W over it
+# exactly, so a2 must start at slot 2, past it.
 EXACT_FIT = (
     [
         Appliance("a0", (2000.0,), 0, 3600),
@@ -336,10 +336,32 @@ EXACT_FIT = (
     3151.0,
 )
 
+# The same with binary fractions: 2000.0 + 700.5 + 450.25 is 3150.75
+# exactly, a load at the limit, which is within it.
+DYADIC_FIT = (
+    [
+        Appliance("a0", (2000.0,), 0, 3600),
+        Appliance("a1", (700.5,), 0, 3600),
+        Appliance("a2", (120.25, 450.25), 0, 3600),
+    ],
+    [0.3, 0.2, 0.1, 0.2],
+    3150.75,
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(_limited_instances())
 @example(_walk_instance(*EXACT_FIT))
+@example(_walk_instance(*DYADIC_FIT))
+# Once a schedule within the limit is known, a0 at slot 0 still meets the
+# limit exactly, and wins the tie on cost by its starts.
+@example(
+    _walk_instance(
+        [Appliance("a0", (1.0,), 0, 1800), Appliance("a1", (0.0,), 0, 900), Appliance("a2", (1.0,), 0, 1800)],
+        [0.1, 0.0],
+        1.0,
+    )
+)
 def test_pruned_limited_walk_equals_the_full_walk(instance):
     """The limited walk, with or without a schedule within the limit, skips
     only prefixes that cannot win, so it finds what walking every start
@@ -348,31 +370,67 @@ def test_pruned_limited_walk_equals_the_full_walk(instance):
 
 
 def test_an_exact_fit_under_the_limit_is_found():
-    result = load_shift_schedule(*EXACT_FIT)
+    result = load_shift_schedule(*DYADIC_FIT)
     assert result == ScheduleResult(
         {"a0": 2, "a1": 2, "a2": 1},
-        0.08478000000000001,
+        0.08478125,
         feasible=True,
         optimal=True,
         method="exhaustive",
     )
 
 
+def test_a_fit_of_the_float_sum_alone_is_over_the_limit():
+    result = load_shift_schedule(*EXACT_FIT)
+    assert result == ScheduleResult(
+        {"a0": 2, "a1": 2, "a2": 2},
+        0.093035,
+        feasible=True,
+        optimal=True,
+        method="exhaustive",
+    )
+
+
+def test_a_limited_schedule_does_not_depend_on_the_ids():
+    """Runs of 671.1, 1406.2 and 987.9 W sum to 3065.2 W in some float
+    orders, but exactly they are 2.3e-13 W over it: under every naming,
+    so in every id order, the smallest run takes the dearer slot."""
+    powers = (671.1, 1406.2, 987.9)
+    for names in itertools.permutations("abc"):
+        apps = [Appliance(n, (p,), 0, 2 * 900) for n, p in zip(names, powers)]
+        result = load_shift_schedule(apps, [0.1, 0.3], grid_limit_w=3065.2)
+        assert result.starts == {n: int(p == 671.1) for n, p in zip(names, powers)}
+        assert result.total_cost_eur == pytest.approx(0.110185, rel=1e-12)
+        assert result.feasible and result.optimal
+
+
+@pytest.mark.parametrize("limit", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("n_slots", [4, 96])
-def test_a_nan_grid_limit_is_refused(n_slots):
+def test_a_nan_grid_limit_is_refused(n_slots, limit):
     """Under the exhaustive cap and over it (95**4 start combinations), a
-    NaN limit would pass every load as within it."""
+    NaN limit would pass every load as within it, and an infinite one has
+    no exact value to judge loads on; no limit is None."""
     apps = [Appliance(f"a{i}", (2000.0, 2000.0), 0, n_slots * 900) for i in range(4)]
     with pytest.raises(ValueError, match="grid_limit_w"):
-        load_shift_schedule(apps, [0.1] * n_slots, grid_limit_w=math.nan)
+        load_shift_schedule(apps, [0.1] * n_slots, grid_limit_w=limit)
 
 
-def test_infeasible_limit_walk_skips_what_cannot_win(monkeypatch):
-    """Three 2 kW one-slot runs under a 1 kW limit, each free over 48 slots
-    priced from dear to cheap: the walk over all 110,592 combinations puts
-    them in the three cheapest slots, and the pruned walk finds the same
-    from under a thousand placements."""
-    apps = [Appliance(f"a{i}", (2000.0,), 0, 48 * 900) for i in range(3)]
+@pytest.mark.parametrize(
+    "power, limit, expected",
+    [
+        (2000.0, 1000.0, ({"a0": 45, "a1": 46, "a2": 47}, 0.10499999999999997, (45, 46, 47))),
+        (2000.1, 1000.3, ({"a0": 45, "a1": 47, "a2": 46}, 0.10500524999999995, (45, 46, 47))),
+        (2000.1, 0.0, ({"a0": 47, "a1": 47, "a2": 47}, 0.09750487499999996, (47,))),
+        (2000.1, -5.0, ({"a0": 47, "a1": 47, "a2": 47}, 0.09750487499999996, tuple(range(48)))),
+    ],
+    ids=["2000.0-under-1000.0", "2000.1-under-1000.3", "2000.1-under-0.0", "2000.1-under--5.0"],
+)
+def test_infeasible_limit_walk_skips_what_cannot_win(monkeypatch, power, limit, expected):
+    """Three one-slot runs over the limit, each free over 48 slots priced
+    from dear to cheap: the walk over all 110,592 combinations puts them in
+    the cheapest slots, and the pruned walk finds the same from under a
+    thousand placements, whether or not the powers are binary fractions."""
+    apps = [Appliance(f"a{i}", (power,), 0, 48 * 900) for i in range(3)]
     prices = [0.3 - 0.005 * k for k in range(48)]
     placements = Counter()
     excess_sum = automation._excess_sum
@@ -382,14 +440,10 @@ def test_infeasible_limit_walk_skips_what_cannot_win(monkeypatch):
         return excess_sum(*args)
 
     monkeypatch.setattr(automation, "_excess_sum", counted)
-    result = load_shift_schedule(apps, prices, grid_limit_w=1000.0)
+    result = load_shift_schedule(apps, prices, grid_limit_w=limit)
+    starts, cost, offending = expected
     assert result == ScheduleResult(
-        {"a0": 45, "a1": 46, "a2": 47},
-        0.10499999999999997,
-        feasible=False,
-        optimal=False,
-        method="exhaustive",
-        offending_slots=(45, 46, 47),
+        starts, cost, feasible=False, optimal=False, method="exhaustive", offending_slots=offending
     )
     assert placements["all"] < 1000
 

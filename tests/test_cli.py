@@ -126,6 +126,15 @@ def test_unwritable_output_directory_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_a_second_run_into_one_output_directory_exits_2(tmp_path, capsys):
+    args = ["campaign", "--users", "1", "--days", "1", "--loss", "0", "--tick", "900"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main([*args, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"{tmp_path} already holds report.csv and users of an earlier run\n"
+
+
 def test_campaign_smoke(tmp_path, capsys):
     out = tmp_path / "camp"
     code = main(

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -767,6 +768,22 @@ def test_outputs_written(tmp_path):
         "supply_restored",
         "voltage_event",
     ]
+
+
+def test_a_run_into_an_earlier_runs_directory_is_refused(tmp_path):
+    """A 2-user run into a 3-user run's directory would leave the third
+    user's series beside the new report, so it is refused before any user
+    runs, and the tree stays as the first run left it."""
+    third = UserSpec(pod_id="IT001E00000003", pn_w=6000.0)
+    first = small_config(duration_s=3600)
+    run(replace(first, users=(*first.users, third)), out_dir=str(tmp_path))
+    before = sorted(tmp_path.rglob("*")), _tree(tmp_path)
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path} already holds report.csv and users")):
+        run(first, out_dir=str(tmp_path))
+    assert (sorted(tmp_path.rglob("*")), _tree(tmp_path)) == before
+    (tmp_path / "report.csv").unlink()  # what a run that raised part-way leaves
+    with pytest.raises(ValueError, match="already holds users of"):
+        run(first, out_dir=str(tmp_path))
 
 
 def test_settlement_reuses_the_profiles_the_users_ran_on(tmp_path, monkeypatch):
