@@ -482,7 +482,7 @@ def load_dr_commands(path: str) -> list[DrCommand]:
             )
         for i, row in enumerate(reader):
             try:
-                issuer = DrIssuer(row["issuer"].strip())
+                issuer = DrIssuer(row["issuer"].strip().lower())  # as a scenario file reads it
             except ValueError:
                 raise ValueError(f"{path}: row {i}: unknown issuer {row['issuer']!r}") from None
             try:

@@ -70,7 +70,7 @@ import os
 import random
 import sys
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import IntEnum
 from json.encoder import encode_basestring_ascii
@@ -111,6 +111,8 @@ from chain2sim.seeds import derive
 
 FRAME_TYPE_NAMES = tuple(t.name for t in FrameType)  # in report order
 
+MAX_USER_TICKS = 366 * DAY_S  # a leap year at 1 s ticks: a float per tick in each user array
+
 _T1 = FrameType.T1
 
 
@@ -148,7 +150,6 @@ class UserSpec:
     pod_id: str
     pn_w: float
     building_class: str = "B"
-    profile_csv: str | None = None
     energy_threshold_wh: float | None = None
     alarm_limit_w: float | None = None
     tariff: TariffSchedule | None = None
@@ -158,8 +159,9 @@ class UserSpec:
     supply_events: tuple[tuple[int, SupplyEventKind], ...] = ()
     revoke_at_s: float | None = None
     direction: EnergyDirection = EnergyDirection.WITHDRAWN
-    # The samples of `profile_csv` over the run, read-only: validate_config
-    # reads and checks the file once and keeps them here for the run.
+    # The user's own power samples, one a tick from t = 0, for a profile not
+    # generated: validate_config reads a `profile_csv` file into them, over
+    # the run and read-only.  The run takes its first duration_s // tick_s.
     profile_w: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -414,11 +416,11 @@ def _parse_user(
         if t_ev is not None and (t_ev % tick_s != 0 or not 0 <= t_ev < duration_s):
             read.fail(e_path, f"t={t_ev} must be tick-aligned inside the run")
         events.append((t_ev, kind))
+    csv_name = read.string(user, path, "profile_csv", None)
     spec = dict(
         pod_id=pod,
         pn_w=pn,
         building_class=read.choice(user, path, "building_class", "B", options=tuple(PRESETS)),
-        profile_csv=read.string(user, path, "profile_csv", None),
         energy_threshold_wh=threshold,
         alarm_limit_w=read.number(user, path, "alarm_limit_w", None, gt=0),
         tariff=_parse_tariff(read, user, path),
@@ -434,26 +436,25 @@ def _parse_user(
     if len(read.errors) > mark:
         return None
     spec = UserSpec(appliances=tuple(appliances), supply_events=tuple(sorted(events)), **spec)
-    if spec.profile_csv is None:
+    if csv_name is None:
         peak_w, peak_path = profile_peak_w(pn, spec.building_class), f"{path}.pn_w"
     else:
-        spec, peak_w = _check_profile_csv(read, spec, path, base_dir, tick_s, duration_s)
         peak_path = f"{path}.profile_csv"
+        csv_path = os.path.join(base_dir, csv_name)  # an absolute path stays as it is
+        spec, peak_w = _check_profile_csv(read, spec, csv_path, peak_path, tick_s, duration_s)
     if peak_w is not None:
         _check_wire_limits(read, spec, peak_w, tick_s, peak_path, f"{path}.energy_threshold_wh")
     return spec
 
 
 def _check_profile_csv(
-    read: _Reader, spec: UserSpec, path: str, base_dir: str, tick_s: int, duration_s: int
+    read: _Reader, spec: UserSpec, csv_path: str, path: str, tick_s: int, duration_s: int
 ) -> tuple[UserSpec, float | None]:
-    """Resolve a user's profile CSV against `base_dir` and check that it
+    """Read a user's profile CSV, reported at `path`, and check that it
     matches the scenario tick, covers the run, and holds no sample the
     meter would reject within the run (rows past the run are never read).
-    Returns the spec, with the samples over the run when the CSV passes,
-    and then also their peak."""
-    csv_path = os.path.join(base_dir, spec.profile_csv)  # an absolute path stays as it is
-    spec, path = replace(spec, profile_csv=csv_path), f"{path}.profile_csv"
+    Returns the spec, with the samples over the run as its `profile_w` when
+    the CSV passes, and then also their peak."""
     mark = len(read.errors)
     try:
         power, csv_tick = profile_from_csv(csv_path)
@@ -518,13 +519,17 @@ def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
     tick_s = 60 if not tick_s or QUARTER_S % tick_s else tick_s  # go on checking with 60 s
     # `days: N` stands for `duration_s: N * 86400` and is reported as it.
     days = read.number(raw.get("days"), "duration_s", default=None, integer=True)
+    if raw.get("days") is not None and raw.get("duration_s") is not None:
+        read.fail("duration_s", "give duration_s or days, not both")
     duration_s = read.number(
         raw.get("duration_s", days and days * DAY_S),
         "duration_s",
         default=_REQUIRED if raw.get("days") is None else None,
         integer=True,
         ge=1,
-        le=frames.TIMESTAMP_MAX,  # frame headers stamp run times in seconds
+        # Frame headers stamp run times in seconds, and a user's run holds
+        # at most MAX_USER_TICKS ticks.
+        le=min(frames.TIMESTAMP_MAX, MAX_USER_TICKS * tick_s),
     )
     if duration_s and duration_s % tick_s:
         read.fail("duration_s", f"must be a multiple of tick_s, got {duration_s}")
@@ -837,10 +842,12 @@ class CampaignReport:
 
 
 def _build_profile(spec: UserSpec, config: ScenarioConfig) -> np.ndarray:
-    if spec.profile_csv is not None:
+    """The household power at each tick of the run: the user's own samples
+    over the run, or a profile drawn from the user's seed."""
+    if spec.profile_w is not None:
         # The sum makes a -0.0 sample +0.0, as `dr_site_step` sums a site, so
         # a user the run does not step meters what the per-tick loop meters.
-        return spec.profile_w + 0.0
+        return spec.profile_w[: config.duration_s // config.tick_s] + 0.0
     rng = np.random.default_rng(derive(config.seed, "profile", spec.pod_id))
     return household_profile(rng, spec.pn_w, config.duration_s, config.tick_s, spec.building_class)
 
@@ -887,39 +894,35 @@ def _dr_runs(
 ) -> tuple[dict[int, tuple[int, DrCommand]], dict[int, tuple[float, float]]]:
     """The runs of the `n` ticks that one command holds, as {first tick:
     (end tick, command)}, the command listed first holding an overlap; and
-    the emergency limits to arm, as {tick index: (limit_w, until_s)}."""
+    the emergency limits to arm, as {tick index: (limit_w, until_s)}: each
+    run an emergency command holds arms its limit at its first tick."""
     ticks = range(0, n * tick, tick)
     holder = np.full(n, -1)  # the index of the command open at each tick
-    arms = {}
     for k in reversed(range(len(commands))):
-        cmd = commands[k]
-        first, end = bisect_left(ticks, cmd.t_start), bisect_left(ticks, cmd.t_end)
-        holder[first:end] = k
-        if cmd.issuer is DrIssuer.EMERGENCY and first < end:
-            arms[first] = (cmd.p_limit_w, cmd.t_end)
+        holder[bisect_left(ticks, commands[k].t_start) : bisect_left(ticks, commands[k].t_end)] = k
     bounds = [0, *(np.flatnonzero(np.diff(holder)) + 1).tolist(), n]
     runs = {a: (b, commands[holder[a]]) for a, b in zip(bounds, bounds[1:]) if holder[a] >= 0}
+    arms = {a: (c.p_limit_w, c.t_end) for a, (_, c) in runs.items() if c.issuer is DrIssuer.EMERGENCY}
     return runs, arms
 
 
 def _grid_power(
     spec: UserSpec, config: ScenarioConfig, profile: np.ndarray, scheduled
 ) -> tuple[np.ndarray, dict[int, tuple[float, float]]]:
-    """The power the grid supplies at each tick, and the emergency limits to
-    arm, as {tick index: (limit_w, until_s)}: an emergency window arms its
-    limit once, at its first tick.  Outside a DR window the grid takes
-    household plus appliance power, peak-shaved for a user with a limit and
-    a battery; inside one, what `dr_site_step` leaves (the battery then
-    belongs to the DR policy: recharging could breach the limit).  The
-    battery state flows through both in tick order.  Nothing here reads the
-    meter back.
+    """The power the grid supplies at each tick of the run, and the
+    emergency limits to arm, as {tick index: (limit_w, until_s)}, from
+    `_dr_runs`.  Outside a DR window the grid takes household plus
+    appliance power, peak-shaved for a user with a limit and a battery;
+    inside one, what `dr_site_step` leaves (the battery then belongs to the
+    DR policy: recharging could breach the limit).  The battery state flows
+    through both in tick order.  Nothing here reads the meter back.
 
-    Only the ticks where a policy can act are stepped.  Each command's run
-    of window ticks steps its first tick, which restores what an earlier
-    window curtailed.  After it, a tick whose household plus uncurtailed
-    load is at or under the limit curtails nothing and discharges nothing:
-    it takes that total, `_site_power` of the uncurtailed loads, and only the
-    ticks over the limit are stepped; the totals are summed again only when
+    Only the ticks where a policy can act are stepped.  Each DR run steps
+    its first tick, which restores what an earlier run curtailed.  After
+    it, a tick whose household plus uncurtailed load is at or under the
+    limit curtails nothing and discharges nothing: it takes that total,
+    `_site_power` of the uncurtailed loads, and only the ticks over the
+    limit are stepped; the totals are summed again only when
     a step curtails another load.  Once every controllable load is curtailed,
     a site without a battery has nothing left to act with, and the rest of
     the window takes the totals too.  Between windows, `_shave_walk` steps
@@ -931,19 +934,17 @@ def _grid_power(
     and the ticks it passes keep their load.  `peak_shave_step` itself only
     checks the limit, up front."""
     tick = config.tick_s
+    n = config.duration_s // tick
     per_slot = QUARTER_S // tick
-    table = _appliance_table(scheduled, -(-len(profile) // per_slot))
+    table = _appliance_table(scheduled, -(-n // per_slot))
     battery = spec.battery.build() if spec.battery else None
     loads = [SiteLoad(app.id, 0.0, app.interruptible, app.controllable) for app, _ in scheduled]
     site = Site(spec.pod_id, loads, battery)  # demand-response state, shared battery
     shave_w = spec.peak_shave_limit_w if battery is not None else None
-    n = len(profile)
     runs, arms = _dr_runs(config.dr_commands, n, tick) if config.dr_commands else ({}, {})
     if not (scheduled or runs) and shave_w is None:
         return profile, arms  # nothing to add or step: the profile itself, no copy
     power = _site_power(profile, table, per_slot, loads, 0, n)  # the profile stays the baseline
-    if not runs and shave_w is None:
-        return power, arms
 
     def dr_tick(i: int, cmd: DrCommand) -> DrStepResult:
         t = i * tick
@@ -972,20 +973,19 @@ def _grid_power(
                     i = k + 1
                     break
 
-    if shave_w is None:
-        for first, (end, cmd) in runs.items():
-            dr_run(first, end, cmd)
-        return power, arms
-    if not shave_w > 0:  # raises: an idle run might never reach its check
-        peak_shave_step(0.0, shave_w, battery, tick)
-    # The ticks over the limit, then tick n, past the run, which ends every jump.
-    over = np.append(np.flatnonzero(power > shave_w), n)
+    if shave_w is not None:
+        if not shave_w > 0:  # raises: an idle run might never reach its check
+            peak_shave_step(0.0, shave_w, battery, tick)
+        # The ticks over the limit, then tick n, past the run, which ends every jump.
+        over = np.append(np.flatnonzero(power > shave_w), n)
     i = 0
     for first, (end, cmd) in runs.items():
-        _shave_walk(power, over, i, first, shave_w, battery, tick)
+        if shave_w is not None:
+            _shave_walk(power, over, i, first, shave_w, battery, tick)
         dr_run(first, end, cmd)
         i = end
-    _shave_walk(power, over, i, n, shave_w, battery, tick)
+    if shave_w is not None:
+        _shave_walk(power, over, i, n, shave_w, battery, tick)
     return power, arms
 
 
@@ -1070,7 +1070,13 @@ def _run_user(
     scheduled = _schedule_appliances(spec, config)
     power, arms = _grid_power(spec, config, profile, scheduled)
     del profile
-    events = deque(spec.supply_events)
+    # The supply events by tick index, in listed order; one off the tick grid
+    # or outside the run never falls on a tick.
+    events: dict[int, list[SupplyEventKind]] = {}
+    for t, kind in spec.supply_events:
+        i, off = divmod(t, tick)
+        if off == 0 and 0 <= i < n:
+            events.setdefault(int(i), []).append(kind)
 
     # What the grid supplied: zero at a tick with the breaker open, the grid
     # power otherwise.
@@ -1080,11 +1086,11 @@ def _run_user(
     # event and at an emergency limit armed.  The meter itself finds the tick
     # where a limit expires.
     blocks = []
-    cuts = sorted({0, n, *arms, *(t // tick for t, _ in events if 0 <= t < config.duration_s)})
+    cuts = sorted({0, n, *arms, *events})
     for a, b in zip(cuts, cuts[1:]):
         t = a * tick
-        while events and events[0][0] == t:
-            blocks.append(meter.apply_supply_event(t, events.popleft()[1]))
+        for kind in events.get(a, ()):
+            blocks.append(meter.apply_supply_event(t, kind))
         if a in arms:
             meter.arm_emergency_limit(*arms[a])
         blocks.extend(meter.emit_rows(power[a:b], t))
@@ -1175,26 +1181,17 @@ def run(
         ValueError: before any user runs, for an `out_dir` that already
             holds `report.csv` or `users/` (an earlier run's files, which
             this run would not all replace), or for a user whose
-            `profile_csv` was never read, or whose samples do not cover the
-            run (a `UserSpec` built without `validate_config`).
+            `profile_w` does not cover the run (a `UserSpec` built without
+            `validate_config`).
     """
     if out_dir is not None:
         kept = [n for n in ("report.csv", "users") if os.path.lexists(os.path.join(out_dir, n))]
         if kept:
             raise ValueError(f"{out_dir} already holds {' and '.join(kept)} of an earlier run")
     for spec in config.users:
-        if spec.profile_csv is None:
-            continue
-        if spec.profile_w is None:
-            raise ValueError(
-                f"{spec.pod_id}: profile_csv {spec.profile_csv!r} was never read; "
-                "build the config with validate_config or load_config"
-            )
-        if len(spec.profile_w) < config.duration_s // config.tick_s:
-            raise ValueError(
-                f"{spec.pod_id}: profile_csv {spec.profile_csv!r} covers "
-                f"{len(spec.profile_w) * config.tick_s} s, need {config.duration_s} s"
-            )
+        if spec.profile_w is not None and len(spec.profile_w) < config.duration_s // config.tick_s:
+            covers = len(spec.profile_w) * config.tick_s
+            raise ValueError(f"{spec.pod_id}: profile_w covers {covers} s, need {config.duration_s} s")
     windows = _pairing_windows(config)
     mevu_members = set(config.mevu.members) if config.mevu else set()
     results = [

@@ -598,11 +598,12 @@ def test_load_dr_commands_csv(tmp_path):
         "t_start,t_end,p_limit_W,issuer\n"
         "3600,7200,2500,aggregator\n"
         "80000,81000,1000,emergency\n"
+        "90000,91000,1000,Emergency\n"  # any case, as a scenario file's issuer
     )
     commands = load_dr_commands(path)
-    assert len(commands) == 2
+    assert len(commands) == 3
     assert commands[0].p_limit_w == 2500.0
-    assert commands[1].issuer is DrIssuer.EMERGENCY
+    assert commands[1].issuer is commands[2].issuer is DrIssuer.EMERGENCY
 
     bad = tmp_path / "bad.csv"
     bad.write_text("t_start,t_end,p_limit_W,issuer\n0,10,100,nobody\n")

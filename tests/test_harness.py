@@ -110,7 +110,8 @@ def test_validate_config_full_yaml(tmp_path):
     # A pre-active pod pairs at once, whatever window the file gives.
     pre_active = {**raw, "pairing": {"mode": "pre_active", "activation_delay_h": [0.5, 1.0]}}
     assert validate_config(pre_active, base_dir=str(tmp_path)).activation_delay_h == (0.0, 0.0)
-    assert config.users[0].profile_csv == str(tmp_path / "prof.csv")
+    rows = (tmp_path / "prof.csv").read_text().splitlines()[1:]
+    assert config.users[0].profile_w.tolist() == [float(row.split(",")[1]) for row in rows]
     assert config.users[0].tariff.slot_prices(2) == [0.25, 0.25]
     assert config.users[1].direction.name == "FED_IN"
     assert config.dr_commands[0].issuer.value == "emergency"
@@ -185,8 +186,8 @@ def test_profile_csv_mismatches_are_config_errors(tmp_path):
     path = tmp_path / "bad_tail.csv"
     rows = [f"{k * 60},{'nan' if k == 120 else 500.0}" for k in range(121)]
     path.write_text("t_s,power_W\n" + "\n".join(rows) + "\n")
-    raw.update(users=[{"pod_id": POD1, "pn_w": 3000, "profile_csv": path.name}])
-    assert validate_config(raw, base_dir=str(tmp_path)).users[0].profile_csv == str(path)
+    raw.update(users=[{"pod_id": POD1, "pn_w": 3000, "profile_csv": str(path)}])  # an absolute path
+    assert validate_config(raw, base_dir="elsewhere").users[0].profile_w.tolist() == [500.0] * 120
 
 
 def test_profile_csv_error_names_the_listed_users_own_index(tmp_path):
@@ -274,6 +275,8 @@ def _appliances(*appliances, duration_s=86400):
         ({"mevu": {"members": []}}, "mevu.members"),  # an empty list selects no one
         (_user(revoke_at_s=-5), "users[0].revoke_at_s"),  # before the pairing at 0
         (_user(peak_shave_limit_w=2000), "users[0].peak_shave_limit_w"),  # no battery
+        ({"days": 2}, "duration_s"),  # given with duration_s
+        ({"duration_s": 2**32 - 1, "tick_s": 1}, "duration_s"),  # 4.29 G ticks a user
     ],
 )
 def test_malformed_fields_are_config_errors(overrides, field):
@@ -281,6 +284,18 @@ def test_malformed_fields_are_config_errors(overrides, field):
     with pytest.raises(ConfigError) as exc_info:
         validate_config(raw)
     assert [e.split(":")[0] for e in exc_info.value.errors] == [field]
+
+
+@pytest.mark.parametrize("tick_s", [1, 60])
+def test_the_ticks_of_a_users_run_are_bounded(tick_s):
+    """A run of MAX_USER_TICKS ticks, a leap year at 1 s ticks, validates
+    (it is not run here); one tick more is refused at duration_s."""
+    at_bound = 366 * 86400 * tick_s
+    assert validate_config({**_BASE, "tick_s": tick_s, "duration_s": at_bound}).duration_s == at_bound
+    with pytest.raises(ConfigError) as exc_info:
+        validate_config({**_BASE, "tick_s": tick_s, "duration_s": at_bound + tick_s})
+    reason = f"must be >= 1 and <= {at_bound}, got {at_bound + tick_s}"
+    assert exc_info.value.errors == [f"duration_s: {reason}"]
 
 
 def test_a_missing_dr_field_is_reported_at_its_own_path():
@@ -1117,7 +1132,7 @@ def _shaving_user(loads, capacity_wh, charge_w, discharge_w, efficiency, start):
     with a battery `start` (a fraction of its capacity) full, and its run."""
     battery = BatterySpec(capacity_wh, charge_w, discharge_w, efficiency, capacity_wh * start)
     spec = UserSpec(
-        POD1, 6000.0, profile_csv="loads.csv", profile_w=loads, battery=battery,
+        POD1, 6000.0, profile_w=loads, battery=battery,
         peak_shave_limit_w=_SHAVE_W,
     )
     return spec, ScenarioConfig(duration_s=len(loads) * 60, tick_s=60, seed=1, users=(spec,))
@@ -1201,7 +1216,7 @@ def test_a_shave_limit_that_is_not_positive_raises(limit_w):
     when the battery, full with no load over the limit, never moves."""
     battery = BatterySpec(1000.0, 1000.0, 1000.0, soc_wh=1000.0)
     spec = UserSpec(
-        POD1, 3000.0, profile_csv="zeros.csv", profile_w=np.zeros(60), battery=battery,
+        POD1, 3000.0, profile_w=np.zeros(60), battery=battery,
         peak_shave_limit_w=limit_w,
     )
     with pytest.raises(ValueError, match="limit_w must be positive"):
@@ -1217,7 +1232,7 @@ _FOUR_HOURS = 4 * 3600
 def _dr_scenario(loads, apps=(), commands=(), **shave):
     """A Python-built user with `loads` as its 60 s profile over four hours,
     its appliances and DR `commands`, and its run."""
-    spec = UserSpec(POD1, 6000.0, profile_csv="loads.csv", profile_w=loads, appliances=tuple(apps), **shave)
+    spec = UserSpec(POD1, 6000.0, profile_w=loads, appliances=tuple(apps), **shave)
     return spec, ScenarioConfig(_FOUR_HOURS, 60, 1, (spec,), dr_commands=tuple(commands))
 
 
@@ -1314,24 +1329,12 @@ def test_a_python_built_negative_zero_profile_meters_as_the_per_tick_loop(comman
     assert power.tobytes() == want_power.tobytes() == np.zeros(240).tobytes()
 
 
-@pytest.mark.parametrize(
-    "profile_w, message",
-    [
-        (None, "profile_csv 'p.csv' was never read"),
-        (np.zeros(10), "profile_csv 'p.csv' covers 600 s, need 3600 s"),
-    ],
-    ids=["unread", "short"],
-)
-def test_run_refuses_a_profile_csv_that_was_never_read(tmp_path, profile_w, message):
-    """A Python-built user with `profile_csv` but no samples, or too few to
-    cover the run, is refused before the first user runs, naming the pod
-    and the field."""
+def test_run_refuses_profile_samples_short_of_the_run(tmp_path):
+    """A Python-built user with too few samples to cover the run is refused
+    before the first user runs, naming the pod and the field."""
     late = Appliance("late", (500.0,), earliest_start_s=1800, deadline_s=3600)  # slot 2
-    users = (
-        UserSpec(POD1, 3000.0),
-        UserSpec(POD2, 3000.0, profile_csv="p.csv", profile_w=profile_w, appliances=(late,)),
-    )
-    with pytest.raises(ValueError, match=f"{POD2}: {message}"):
+    users = (UserSpec(POD1, 3000.0), UserSpec(POD2, 3000.0, profile_w=np.zeros(10), appliances=(late,)))
+    with pytest.raises(ValueError, match=f"{POD2}: profile_w covers 600 s, need 3600 s"):
         run(ScenarioConfig(duration_s=3600, tick_s=60, seed=1, users=users), out_dir=str(tmp_path))
     assert not any(tmp_path.iterdir())
 
@@ -1472,6 +1475,108 @@ def test_run_writes_what_the_reference_writes(tmp_path_factory, scenario):
     except ConfigError:
         assume(False)
     config = replace(config, dr_commands=commands)
+    run(config, out_dir=str(tmp / "run"))
+    run_reference(config, out_dir=str(tmp / "reference"))
+    got, want = _tree(tmp / "run"), _tree(tmp / "reference")
+    assert sorted(got) == sorted(want)
+    assert [str(path) for path in want if got[path] != want[path]] == []
+
+
+_TWO_HOURS = 2 * 3600
+_START, _END, _VOLTAGE = SupplyEventKind
+
+
+def _hand_built(users, duration_s, commands=(), settle=False, seed=1):
+    """A Python-built scenario at 60 s ticks over a lossy link, its users
+    settled as a flexibility cluster when `settle`."""
+    pods = tuple(sorted(spec.pod_id for spec in users))
+    mevu = MevuSpec(pods, 500.0, 0.0002, 0.0001, (0, duration_s)) if settle else None
+    channel = ChannelConfig(loss=BernoulliLoss(0.05))
+    commands = tuple(commands)
+    return ScenarioConfig(duration_s, 60, seed, tuple(users), channel, dr_commands=commands, mevu=mevu)
+
+
+@st.composite
+def _hand_built_scenarios(draw):
+    """Scenarios no scenario file gives: 1-2 users over at most two hours,
+    each with its own samples running past the end of the run, supply events
+    unsorted, off the tick grid or outside the run, and DR commands that
+    overlap, listed in any order, emergency ones among them."""
+    n = draw(st.sampled_from([15, 60, 120]) | st.integers(1, 120))
+    duration = n * 60
+    users = []
+    for pod in (POD1, POD2)[: draw(st.integers(1, 2))]:
+        loads = np.resize(draw(_load_stretches()), n + draw(st.integers(0, n)))
+        off_grid = st.sampled_from([-60, 90, duration, duration + 60])
+        when = st.integers(0, n - 1).map(lambda i: i * 60) | off_grid
+        events = tuple(draw(st.lists(st.tuples(when, st.sampled_from(SupplyEventKind)), max_size=4)))
+        pn_w = draw(st.sampled_from([3000.0, 4500.0]))
+        spec = UserSpec(pod, pn_w, profile_w=loads, supply_events=events)
+        if draw(st.booleans()):
+            battery = BatterySpec(250.0, 1200.0, 1500.0, 0.9, draw(st.sampled_from([0.0, 125.0, 250.0])))
+            spec = replace(spec, battery=battery, peak_shave_limit_w=_SHAVE_W)
+        if duration >= 3600 and draw(st.booleans()):  # one or two 2-slot runs, the first interruptible
+            apps = (Appliance(f"app{j}", (1000.0, 400.0), 0, duration, j == 0) for j in range(2))
+            spec = replace(spec, appliances=tuple(apps)[: draw(st.integers(1, 2))])
+        if draw(st.booleans()):
+            threshold_wh = draw(st.sampled_from([100.0, 1000.0]))
+            spec = replace(spec, energy_threshold_wh=threshold_wh, alarm_limit_w=2000.0)
+        users.append(spec)
+    commands = []
+    for _ in range(draw(st.integers(0, 4))):
+        t = draw(st.sampled_from([0.0, 30.5, 1200.0, 2400.0]) | st.floats(0, duration + 1800))
+        length = draw(st.sampled_from([60.0, 90.0, 1200.0, 3600.0]) | st.floats(1, _TWO_HOURS))
+        commands.append(DrCommand(draw(_DR_LIMITS), t, t + length, draw(st.sampled_from(DrIssuer))))
+    return _hand_built(users, duration, commands, draw(st.booleans()), draw(st.integers(0, 2**32)))
+
+
+def _overlap_case(aggregator, emergency):
+    """An aggregator command listed before an overlapping emergency one,
+    over a load that rises over the emergency limit at tick 38 and stays
+    there."""
+    load = np.repeat([500.0, 1500.0], [38, 82])
+    commands = (DrCommand(2400.0, *aggregator), DrCommand(1000.0, *emergency, DrIssuer.EMERGENCY))
+    return _hand_built([UserSpec(POD1, 3000.0, profile_w=load)], _TWO_HOURS, commands)
+
+
+def _events_case(*events):
+    """A user with the given supply events: unsorted, or one off the tick
+    grid first."""
+    load = np.full(120, 800.0)
+    return _hand_built([UserSpec(POD1, 3000.0, profile_w=load, supply_events=events)], _TWO_HOURS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hand_built_scenarios())
+# The emergency command holds ticks 0-19 and 40-99 around the aggregator's
+# run, and arms at the first tick of each.
+@example(_overlap_case((1200.0, 2400.0), (0.0, 6000.0)))
+# The emergency command holds ticks from 50, where the aggregator's ends.
+@example(_overlap_case((0.0, 3000.0), (1200.0, 6000.0)))
+@example(_events_case((3600, _END), (1800, _START)))
+@example(_events_case((90, _VOLTAGE), (1800, _START)))
+# Two days of samples on a one-day run, with an emergency window the day
+# after it: the run stops at its own end.
+@example(
+    _hand_built(
+        [UserSpec(POD1, 3000.0, profile_w=np.full(2 * 1440, 1200.0))],
+        86400,
+        [DrCommand(1000.0, 90_000.0, 93_600.0, DrIssuer.EMERGENCY)],
+        settle=True,
+    )
+)
+def test_hand_built_configs_run_as_the_reference_runs(tmp_path_factory, config):
+    """A `ScenarioConfig` built in Python, not read from a scenario file,
+    arms what the per-tick loop arms and gives its output tree byte for
+    byte: a user's profile is its samples over the run, supply events fall
+    on their tick in listed order (none off the grid or outside the run),
+    and each run of ticks an emergency command holds arms its limit."""
+    for spec in config.users:
+        profile = harness._build_profile(spec, config)
+        scheduled = harness._schedule_appliances(spec, config)
+        _, arms = harness._grid_power(spec, config, profile, scheduled)
+        assert arms == per_tick_loop(spec, config)[1]
+    tmp = tmp_path_factory.mktemp("hand_built")
     run(config, out_dir=str(tmp / "run"))
     run_reference(config, out_dir=str(tmp / "reference"))
     got, want = _tree(tmp / "run"), _tree(tmp / "reference")
