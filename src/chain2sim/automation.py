@@ -5,7 +5,7 @@ Four independent pieces, composable per scenario:
     Battery + peak_shave_step   storage dispatch that caps grid draw
     load_shift_schedule         appliance start-time optimization
     DrCommand + dr_site_step    externally commanded power limitation
-    MevuCluster + mevu_settle   aggregated flexibility settlement
+    MevuCluster + mevu_settle   a flexibility offer, settled on given series
 
 Everything here is a pure per-tick policy over explicit state; nothing
 touches a meter, frames or channels.  The harness feeds policy outputs
@@ -470,35 +470,13 @@ def dr_site_step(
     return DrStepResult(max(total - discharge, 0.0), curtailed, discharge, True)
 
 
-def load_dr_commands(path: str) -> list[DrCommand]:
-    """Read a `t_start,t_end,p_limit_W,issuer` command feed."""
-    commands: list[DrCommand] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row reads as empty fields
-        required = {"t_start", "t_end", "p_limit_W", "issuer"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(
-                f"{path}: header must contain {sorted(required)}, got {reader.fieldnames}"
-            )
-        for i, row in enumerate(reader):
-            try:
-                issuer = DrIssuer(row["issuer"].strip().lower())  # as a scenario file reads it
-            except ValueError:
-                raise ValueError(f"{path}: row {i}: unknown issuer {row['issuer']!r}") from None
-            try:
-                limit_w, t_start, t_end = (float(row[k]) for k in ("p_limit_W", "t_start", "t_end"))
-                commands.append(DrCommand(limit_w, t_start, t_end, issuer))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {i}: {exc}") from None
-    return commands
-
-
 # -- Aggregated flexibility -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MevuCluster:
-    """Aggregation of sites offering flexibility against a declared baseline.
+    """A flexibility offer: sites that lower their draw below a baseline over
+    one settlement `window`, in scenario seconds, against a capacity offer.
 
     Prices are deliberately in base units so the settlement formula is
     literal: energy price in EUR per Wh, capacity price in EUR per W per
@@ -507,23 +485,23 @@ class MevuCluster:
 
     cluster_id: str
     members: tuple[str, ...]
-    baseline_w: Mapping[str, Sequence[float]]
     capacity_offer_w: float
     energy_price_eur_per_wh: float
     capacity_price_eur_per_w_h: float
+    window: tuple[float, float]
 
     def __post_init__(self) -> None:
         if not self.members:
-            raise ValueError("cluster must have at least one member")
+            raise ValueError("members must not be empty")
         if len(set(self.members)) != len(self.members):
-            raise ValueError("duplicate member ids")
-        missing = [m for m in self.members if m not in self.baseline_w]
-        if missing:
-            raise ValueError(f"baseline missing for members: {missing}")
+            raise ValueError(f"members must differ, got {list(self.members)}")
         if not 0 <= self.capacity_offer_w < math.inf:  # NaN too
-            raise ValueError(
-                f"capacity_offer_w must be finite and >= 0, got {self.capacity_offer_w}"
-            )
+            raise ValueError(f"capacity_offer_w must be finite and >= 0, got {self.capacity_offer_w}")
+        if not self.window[0] < self.window[1]:  # NaN too
+            raise ValueError(f"window must start before it ends, got {self.window}")
+        for name in ("energy_price_eur_per_wh", "capacity_price_eur_per_w_h"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -540,30 +518,30 @@ class Settlement:
 
 def mevu_settle(
     cluster: MevuCluster,
+    baseline_w: Mapping[str, Sequence[float]],
     actual_w: Mapping[str, Sequence[float]],
-    window: tuple[float, float],
     tick_s: float,
 ) -> Settlement:
-    """Settle one window: flexibility delivered below baseline, plus capacity.
+    """Settle the cluster's window: flexibility delivered below baseline,
+    plus capacity.  `baseline_w` and `actual_w` hold each member's power at
+    each tick of the window.
 
     delivered_flex_Wh = sum over members and ticks of
     max(baseline - actual, 0) * tick / 3600.  Remuneration is
     capacity_price * capacity_offer * window_hours plus
     energy_price * delivered_flex.  Only member sites contribute, whatever
-    else `actual_w` carries.
+    else the series carry.
     """
-    t_start, t_end = window
-    if t_end <= t_start:
-        raise ValueError(f"empty window [{t_start}, {t_end}]")
+    t_start, t_end = cluster.window
     span = t_end - t_start
     expected_len = int(round(span / tick_s))
     if abs(expected_len * tick_s - span) > 1e-9:
         raise ValueError(f"window span {span} s is not a multiple of tick_s={tick_s}")
     per_member: dict[str, float] = {}
     for member in cluster.members:
-        if member not in actual_w:
-            raise ValueError(f"actual series missing for member {member!r}")
-        base = np.asarray(cluster.baseline_w[member], dtype=np.float64)
+        if member not in baseline_w or member not in actual_w:
+            raise ValueError(f"series missing for member {member!r}")
+        base = np.asarray(baseline_w[member], dtype=np.float64)
         act = np.asarray(actual_w[member], dtype=np.float64)
         if len(base) != expected_len or len(act) != expected_len:
             raise ValueError(

@@ -74,7 +74,7 @@ from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import IntEnum
 from json.encoder import encode_basestring_ascii
-from typing import Any, Sequence
+from typing import Any, Container, Sequence
 
 import numpy as np
 
@@ -89,7 +89,6 @@ from chain2sim.automation import (
     SiteLoad,
     dr_site_step,
     feasible_starts,
-    load_dr_commands,
     load_shift_schedule,
     mevu_settle,
     peak_shave_step,
@@ -166,15 +165,6 @@ class UserSpec:
 
 
 @dataclass(frozen=True)
-class MevuSpec:
-    members: tuple[str, ...]
-    capacity_offer_w: float
-    energy_price_eur_per_wh: float
-    capacity_price_eur_per_w_h: float
-    window: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     duration_s: int
     tick_s: int
@@ -183,7 +173,7 @@ class ScenarioConfig:
     channel: ChannelConfig = ChannelConfig()
     activation_delay_h: tuple[float, float] = (0.0, 0.0)  # hours; (0, 0) pairs pre-active
     dr_commands: tuple[DrCommand, ...] = ()
-    mevu: MevuSpec | None = None
+    mevu: MevuCluster | None = None
 
 
 # -- Config parsing / validation ---------------------------------------------------
@@ -281,11 +271,12 @@ class _Reader:
 
     @_reader
     def choice(self, value, path, options):
-        """The option keyed by the value, case-insensitively: a value of the
-        mapping `options`, or one of a list of names or enum members."""
+        """The option keyed by the value, case-insensitively and with the
+        blanks around it ignored: a value of the mapping `options`, or one of
+        a list of names or enum members."""
         if not isinstance(options, dict):
             options = {getattr(o, "name", o).lower(): o for o in options}
-        name = value.lower() if isinstance(value, str) else value
+        name = value.strip().lower() if isinstance(value, str) else value
         if type(name) in (str, bool) and name in options:
             return options[name]
         return self.fail(path, f"expected one of {sorted(map(str, options))}, got {_show(value)}")
@@ -435,7 +426,7 @@ def _parse_user(
         read.fail(f"{path}.peak_shave_limit_w", "needs a battery to shave with")
     if len(read.errors) > mark:
         return None
-    spec = UserSpec(appliances=tuple(appliances), supply_events=tuple(sorted(events)), **spec)
+    spec = UserSpec(appliances=tuple(appliances), supply_events=tuple(events), **spec)
     if csv_name is None:
         peak_w, peak_path = profile_peak_w(pn, spec.building_class), f"{path}.pn_w"
     else:
@@ -586,16 +577,14 @@ def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
     for pod in (pod for pod, n in seen_pods.items() if n > 1):
         read.fail("users", f"duplicate pod_id {pod}")
 
+    # The feed's rows first, in file order, each read as a `dr_commands` entry.
+    feed_name = read.string(raw, "", "dr_feed", None)
+    entries = [] if not feed_name else _dr_feed_rows(read, os.path.join(base_dir, feed_name))
+    entries += [
+        (f"dr_commands[{i}]", c) for i, c in enumerate(read.items(raw, "", "dr_commands", ()) or ())
+    ]
     dr: list[tuple[str, DrCommand | None]] = []  # (path, command)
-    feed_path = read.string(raw, "", "dr_feed", None)
-    if feed_path:
-        try:
-            feed = load_dr_commands(os.path.join(base_dir, feed_path))
-            dr.extend((f"dr_feed[{i}]", command) for i, command in enumerate(feed))
-        except (OSError, ValueError) as exc:
-            read.fail("dr_feed", exc)
-    for i, c in enumerate(read.items(raw, "", "dr_commands", ()) or ()):
-        path = f"dr_commands[{i}]"
+    for path, c in entries:
         if read.mapping(c, path) is None:
             continue
         limits = read.floats(c, path, DrCommand)
@@ -625,15 +614,13 @@ def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
             for key in ("capacity_offer_w", "energy_price_eur_per_wh", "capacity_price_eur_per_w_h")
         }
         window = read.numbers(m, "mevu", "window", (0, duration_s), size=2, integer=True)
-        if unknown := [p for p in members if p not in seen_pods]:
-            read.fail("mevu.members", f"unknown pods {unknown}")
-        if window is not None and (
-            not 0 <= window[0] < window[1] <= duration_s or window[0] % tick_s or window[1] % tick_s
-        ):
-            read.fail("mevu.window", f"must be tick-aligned inside [0, {duration_s}], got {window}")
-        if None not in prices.values():  # the cluster owns the member and capacity rules
-            read.build("mevu", MevuCluster, "cluster-0", members, dict.fromkeys(members), **prices)
-        mevu = MevuSpec(members=members, window=window, **prices)
+        # An unread window is already reported: check the rest over the whole run.
+        window = window or (0, duration_s)
+        read.errors += _mevu_errors(members, window, seen_pods, duration_s, tick_s)
+        if None not in prices.values():  # the cluster's own rules
+            mevu = read.build(
+                "mevu", MevuCluster, "cluster-0", members=members, window=window, **prices
+            )
 
     if read.errors:
         raise ConfigError(read.errors)
@@ -647,6 +634,41 @@ def validate_config(raw: Any, base_dir: str = ".") -> ScenarioConfig:
         dr_commands=tuple(command for _, command in dr),
         mevu=mevu,
     )
+
+
+def _dr_feed_rows(read: _Reader, path: str) -> list[tuple[str, dict[str, str]]]:
+    """The rows of a `t_start,t_end,p_limit_W,issuer` feed as (path,
+    `dr_commands` entry) pairs; a short row reads as empty fields."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh, restval="")
+            columns = ("t_start", "t_end", "p_limit_W", "issuer")
+            if not set(columns).issubset(reader.fieldnames or ()):
+                reason = f"header must contain {sorted(columns)}, got {reader.fieldnames}"
+                read.fail("dr_feed", f"{path}: {reason}")
+                return []
+            rows = list(reader)
+    # ValueError: say, bytes that are not text; csv.Error: say, a field too long.
+    except (OSError, ValueError, csv.Error) as exc:
+        read.fail("dr_feed", exc)
+        return []
+    return [(f"dr_feed[{i}]", {k.lower(): row[k] for k in columns}) for i, row in enumerate(rows)]
+
+
+def _mevu_errors(
+    members: Sequence[str], window: Sequence[float], pods: Container[str], duration_s: int, tick_s: int
+) -> list[str]:
+    """Why a cluster of `members` over `window` cannot settle on a run of
+    the users `pods`: a member that is not a user, or a
+    window off the tick grid or outside the run.  An empty window is the
+    cluster's own rule."""
+    errors = []
+    if unknown := [p for p in members if p not in pods]:
+        errors.append(f"mevu.members: unknown pods {unknown}")
+    t0, t1 = window
+    if not (0 <= t0 and t1 <= duration_s) or t0 % tick_s or t1 % tick_s:
+        errors.append(f"mevu.window: must be tick-aligned inside [0, {duration_s}], got {window}")
+    return errors
 
 
 def _fleet_users(
@@ -1181,7 +1203,9 @@ def run(
         ValueError: before any user runs, for an `out_dir` that already
             holds `report.csv` or `users/` (an earlier run's files, which
             this run would not all replace), or for a user whose
-            `profile_w` does not cover the run (a `UserSpec` built without
+            `profile_w` does not cover the run, or for a `mevu` cluster
+            with a member that is not a user or a window off the tick grid
+            or outside the run (a `UserSpec` or `MevuCluster` built without
             `validate_config`).
     """
     if out_dir is not None:
@@ -1192,6 +1216,11 @@ def run(
         if spec.profile_w is not None and len(spec.profile_w) < config.duration_s // config.tick_s:
             covers = len(spec.profile_w) * config.tick_s
             raise ValueError(f"{spec.pod_id}: profile_w covers {covers} s, need {config.duration_s} s")
+    if config.mevu is not None:
+        members, window = config.mevu.members, config.mevu.window
+        pods = {spec.pod_id for spec in config.users}
+        if errors := _mevu_errors(members, window, pods, config.duration_s, config.tick_s):
+            raise ValueError("; ".join(errors))
     windows = _pairing_windows(config)
     mevu_members = set(config.mevu.members) if config.mevu else set()
     results = [
@@ -1250,21 +1279,11 @@ def _write_outputs(
 def _write_settlement(
     out_dir: str, config: ScenarioConfig, results: list[UserResult]
 ) -> None:
-    assert config.mevu is not None
-    spec = config.mevu
-    tick = config.tick_s
-    i0 = int(spec.window[0]) // tick
-    i1 = int(spec.window[1]) // tick
+    cluster = config.mevu
+    assert cluster is not None
+    i0, i1 = (int(t) // config.tick_s for t in cluster.window)
     by_pod = {r.pod_id: r for r in results}  # members keep both series
-    baselines = {pod: by_pod[pod].profile_w[i0:i1] for pod in spec.members}
-    actuals = {pod: by_pod[pod].actual_w[i0:i1] for pod in spec.members}
-    cluster = MevuCluster(
-        cluster_id="cluster-0",
-        members=spec.members,
-        baseline_w=baselines,
-        capacity_offer_w=spec.capacity_offer_w,
-        energy_price_eur_per_wh=spec.energy_price_eur_per_wh,
-        capacity_price_eur_per_w_h=spec.capacity_price_eur_per_w_h,
-    )
-    settlement = mevu_settle(cluster, actuals, spec.window, tick)
+    baselines = {pod: by_pod[pod].profile_w[i0:i1] for pod in cluster.members}
+    actuals = {pod: by_pod[pod].actual_w[i0:i1] for pod in cluster.members}
+    settlement = mevu_settle(cluster, baselines, actuals, config.tick_s)
     settlement_to_csv(os.path.join(out_dir, "settlement.csv"), cluster, settlement)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,6 @@ from chain2sim.automation import (
     _start_cost,
     dr_site_step,
     feasible_starts,
-    load_dr_commands,
     load_shift_schedule,
     mevu_settle,
     peak_shave_step,
@@ -592,47 +592,6 @@ def test_dr_battery_covers_residual_excess():
     assert result.p_grid_w == 1000.0
 
 
-def test_load_dr_commands_csv(tmp_path):
-    path = tmp_path / "cmds.csv"
-    path.write_text(
-        "t_start,t_end,p_limit_W,issuer\n"
-        "3600,7200,2500,aggregator\n"
-        "80000,81000,1000,emergency\n"
-        "90000,91000,1000,Emergency\n"  # any case, as a scenario file's issuer
-    )
-    commands = load_dr_commands(path)
-    assert len(commands) == 3
-    assert commands[0].p_limit_w == 2500.0
-    assert commands[1].issuer is commands[2].issuer is DrIssuer.EMERGENCY
-
-    bad = tmp_path / "bad.csv"
-    bad.write_text("t_start,t_end,p_limit_W,issuer\n0,10,100,nobody\n")
-    with pytest.raises(ValueError, match="unknown issuer"):
-        load_dr_commands(bad)
-    headerless = tmp_path / "headerless.csv"
-    headerless.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="header"):
-        load_dr_commands(headerless)
-    short = tmp_path / "short.csv"
-    short.write_text("t_start,t_end,p_limit_W,issuer\n3600,7200\n")
-    with pytest.raises(ValueError, match="row 0"):
-        load_dr_commands(short)
-    nan = tmp_path / "nan.csv"
-    nan.write_text("t_start,t_end,p_limit_W,issuer\nnan,7200,2500,aggregator\n")
-    with pytest.raises(ValueError, match="t_start < t_end"):
-        load_dr_commands(nan)
-    # Every per-row error names its row.
-    rows = {
-        "3600,7200,abc,aggregator": "row 1: could not convert",
-        "7200,3600,2500,aggregator": "row 1: need t_start < t_end",
-    }
-    for row, message in rows.items():
-        bad_row = tmp_path / "bad_row.csv"
-        bad_row.write_text(f"t_start,t_end,p_limit_W,issuer\n0,10,100,aggregator\n{row}\n")
-        with pytest.raises(ValueError, match=message):
-            load_dr_commands(bad_row)
-
-
 def test_dr_command_validation():
     with pytest.raises(ValueError, match="p_limit_w"):
         DrCommand(0.0, 0.0, 10.0)
@@ -657,13 +616,14 @@ def test_mevu_settlement_hand_computed():
     cluster = MevuCluster(
         cluster_id="c1",
         members=("m1", "m2"),
-        baseline_w={"m1": [1000.0, 1000.0], "m2": [500.0, 500.0]},
         capacity_offer_w=800.0,
         energy_price_eur_per_wh=0.0002,
         capacity_price_eur_per_w_h=0.0001,
+        window=(0.0, 1800.0),
     )
+    baseline = {"m1": [1000.0, 1000.0], "m2": [500.0, 500.0]}
     actual = {"m1": [400.0, 1200.0], "m2": [500.0, 100.0], "stranger": [0.0, 0.0]}
-    settlement = mevu_settle(cluster, actual, window=(0.0, 1800.0), tick_s=900.0)
+    settlement = mevu_settle(cluster, baseline, actual, tick_s=900.0)
     # m1: max(600,0) + max(-200,0) = 600 W for one quarter = 150 Wh
     # m2: 0 + 400 W for one quarter = 100 Wh
     assert settlement.per_member_flex_wh == {
@@ -682,8 +642,8 @@ def test_mevu_matches_pure_python_oracle():
     members = tuple(f"m{i}" for i in range(4))
     baseline = {m: [rng.uniform(0, 3000) for _ in range(ticks)] for m in members}
     actual = {m: [rng.uniform(0, 3000) for _ in range(ticks)] for m in members}
-    cluster = MevuCluster("c", members, baseline, 1000.0, 1e-4, 1e-5)
-    settlement = mevu_settle(cluster, actual, (0.0, ticks * 900.0), 900.0)
+    cluster = MevuCluster("c", members, 1000.0, 1e-4, 1e-5, (0.0, ticks * 900.0))
+    settlement = mevu_settle(cluster, baseline, actual, 900.0)
     for m in members:
         expected = sum(
             max(b - a, 0.0) * 900.0 / 3600.0
@@ -693,30 +653,50 @@ def test_mevu_matches_pure_python_oracle():
 
 
 def test_mevu_validation():
-    cluster = MevuCluster("c", ("m1",), {"m1": [100.0]}, 0.0, 1e-4, 1e-5)
-    with pytest.raises(ValueError, match="missing for member|actual series missing"):
-        mevu_settle(cluster, {}, (0.0, 900.0), 900.0)
+    cluster = MevuCluster("c", ("m1",), 0.0, 1e-4, 1e-5, (0.0, 900.0))
+    one = {"m1": [100.0]}
+    with pytest.raises(ValueError, match="series missing for member 'm1'"):
+        mevu_settle(cluster, one, {}, 900.0)
+    with pytest.raises(ValueError, match="series missing for member 'm1'"):
+        mevu_settle(cluster, {}, one, 900.0)
     with pytest.raises(ValueError, match="multiple of tick_s"):
-        mevu_settle(cluster, {"m1": [100.0]}, (0.0, 1000.0), 900.0)
+        mevu_settle(replace(cluster, window=(0.0, 1000.0)), one, one, 900.0)
     with pytest.raises(ValueError, match="ticks"):
-        mevu_settle(cluster, {"m1": [100.0, 200.0]}, (0.0, 900.0), 900.0)
-    with pytest.raises(ValueError, match="baseline missing"):
-        MevuCluster("c", ("m1", "m2"), {"m1": [1.0]}, 0.0, 1e-4, 1e-5)
-    with pytest.raises(ValueError, match="duplicate"):
-        MevuCluster("c", ("m1", "m1"), {"m1": [1.0]}, 0.0, 1e-4, 1e-5)
+        mevu_settle(cluster, one, {"m1": [100.0, 200.0]}, 900.0)
 
 
 @pytest.mark.parametrize("offer", [math.nan, math.inf, -1.0])
 def test_mevu_cluster_refuses_a_capacity_offer_out_of_range(offer):
     with pytest.raises(ValueError, match="capacity_offer_w must be finite and >= 0"):
-        MevuCluster("c", ("m1",), {"m1": [1.0]}, offer, 1e-4, 1e-5)
+        MevuCluster("c", ("m1",), offer, 1e-4, 1e-5, (0.0, 900.0))
+
+
+@pytest.mark.parametrize(
+    "members, window, message",
+    [
+        ((), (0.0, 900.0), "members must not be empty"),
+        (("m1", "m1"), (0.0, 900.0), "members must differ"),
+        (("m1",), (900.0, 900.0), "window must start before it ends"),
+        (("m1",), (900.0, 0.0), "window must start before it ends"),
+        (("m1",), (0.0, math.nan), "window must start before it ends"),
+    ],
+)
+def test_mevu_cluster_refuses_members_or_a_window_it_cannot_settle(members, window, message):
+    with pytest.raises(ValueError, match=message):
+        MevuCluster("c", members, 0.0, 1e-4, 1e-5, window)
+
+
+@pytest.mark.parametrize("price", [math.nan, math.inf])
+def test_mevu_cluster_refuses_a_price_that_is_not_finite(price):
+    with pytest.raises(ValueError, match="energy_price_eur_per_wh must be finite"):
+        MevuCluster("c", ("m1",), 0.0, price, 1e-5, (0.0, 900.0))
+    with pytest.raises(ValueError, match="capacity_price_eur_per_w_h must be finite"):
+        MevuCluster("c", ("m1",), 0.0, 1e-4, price, (0.0, 900.0))
 
 
 def test_settlement_csv_layout(tmp_path):
-    cluster = MevuCluster(
-        "c1", ("m1",), {"m1": [1000.0]}, 500.0, 0.0002, 0.0001
-    )
-    settlement = mevu_settle(cluster, {"m1": [250.0]}, (0.0, 900.0), 900.0)
+    cluster = MevuCluster("c1", ("m1",), 500.0, 0.0002, 0.0001, (0.0, 900.0))
+    settlement = mevu_settle(cluster, {"m1": [1000.0]}, {"m1": [250.0]}, 900.0)
     path = tmp_path / "settlement.csv"
     settlement_to_csv(path, cluster, settlement)
     lines = path.read_text().splitlines()

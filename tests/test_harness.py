@@ -17,7 +17,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from chain2sim.automation import Appliance, DrCommand, DrIssuer, dr_site_step, peak_shave_step
+from chain2sim.automation import (
+    Appliance,
+    DrCommand,
+    DrIssuer,
+    MevuCluster,
+    dr_site_step,
+    peak_shave_step,
+)
 from chain2sim.channel import BernoulliLoss, ChannelConfig
 from chain2sim import frames
 from chain2sim.frames import SEQ, SupplyEventKind, encode_frame
@@ -26,7 +33,6 @@ from chain2sim.harness import (
     BatterySpec,
     ConfigError,
     LinkOutcome,
-    MevuSpec,
     ScenarioConfig,
     TypeStats,
     UserSpec,
@@ -277,6 +283,9 @@ def _appliances(*appliances, duration_s=86400):
         (_user(peak_shave_limit_w=2000), "users[0].peak_shave_limit_w"),  # no battery
         ({"days": 2}, "duration_s"),  # given with duration_s
         ({"duration_s": 2**32 - 1, "tick_s": 1}, "duration_s"),  # 4.29 G ticks a user
+        # The cluster's own rules, at the field they name.
+        ({"mevu": {"window": [120, 60]}}, "mevu.window"),
+        ({"mevu": {"members": ["IT001E00000000", "IT001E00000000"]}}, "mevu.members"),
     ],
 )
 def test_malformed_fields_are_config_errors(overrides, field):
@@ -516,23 +525,95 @@ def test_load_config_reads_yaml(tmp_path):
     assert len(config.users) == 1
 
 
+_FEED_HEADER = "t_start,t_end,p_limit_W,issuer\n"
+_ISSUERS = "expected one of ['aggregator', 'emergency']"
+
+
+def _load_with_feed(tmp_path, feed):
+    """`load_config` of a one-day, one-user scenario whose `dr_feed` holds `feed`."""
+    (tmp_path / "dr.csv").write_text(feed)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(f"days: 1\ndr_feed: dr.csv\nusers:\n  - {{pod_id: {POD1}, pn_w: 3000}}\n")
+    return load_config(str(path))
+
+
 @pytest.mark.parametrize(
     "row, reason",
     [
-        ("3600,1e400,2000,emergency", "t_end must be finite, got inf"),
-        ("3600,7200,1e400,emergency", "p_limit_w must be positive and finite, got inf"),
+        ("3600,1e400,2000,emergency", "t_end: expected a finite number, got '1e400'"),
+        ("3600,7200,1e400,emergency", "p_limit_w: expected a finite number, got '1e400'"),
     ],
 )
 def test_a_dr_feed_value_past_the_float_range_fails_validation(tmp_path, row, reason):
-    """`1e400` in a feed reads as inf, which `DrCommand` refuses, as the
-    inline `dr_commands` reader refuses it, before the run starts."""
-    feed = tmp_path / "dr.csv"
-    feed.write_text(f"t_start,t_end,p_limit_W,issuer\n{row}\n")
-    path = tmp_path / "scenario.yaml"
-    path.write_text(f"days: 1\ndr_feed: dr.csv\nusers:\n  - {{pod_id: {POD1}, pn_w: 3000}}\n")
+    """`1e400` in a feed reads as inf, which the scenario reader refuses at
+    the row's field, as it refuses it in `dr_commands`, before the run starts."""
     with pytest.raises(ConfigError) as exc_info:
-        load_config(str(path))
-    assert exc_info.value.errors == [f"dr_feed: {feed}: row 0: {reason}"]
+        _load_with_feed(tmp_path, f"{_FEED_HEADER}{row}\n")
+    assert exc_info.value.errors == [f"dr_feed[0].{reason}"]
+
+
+def test_dr_feed_rows_are_read_as_dr_commands_entries(tmp_path):
+    """A feed row's issuer is a choice as in `dr_commands`: any case, the
+    blanks around it ignored.  Feed rows come first, in file order."""
+    feed = "3600,7200,2500,aggregator\n80000,81000,1000,emergency\n"
+    feed += "82000,83000,1000,Emergency\n84000,85000,1000, emergency\n"
+    config = _load_with_feed(tmp_path, _FEED_HEADER + feed)
+    assert [c.t_start for c in config.dr_commands] == [3600.0, 80000.0, 82000.0, 84000.0]
+    assert config.dr_commands[0] == DrCommand(2500.0, 3600.0, 7200.0, DrIssuer.AGGREGATOR)
+    assert {c.issuer for c in config.dr_commands[1:]} == {DrIssuer.EMERGENCY}
+
+
+def test_blanks_around_a_choice_are_ignored():
+    command = {"p_limit_w": 2000, "t_start": 0, "t_end": 600, "issuer": " emergency"}
+    config = validate_config({**_BASE, "dr_commands": [command]})
+    assert config.dr_commands[0].issuer is DrIssuer.EMERGENCY
+
+
+@pytest.mark.parametrize(
+    "rows, errors",
+    [
+        ("0,10,100,nobody\n", [f"dr_feed[0].issuer: {_ISSUERS}, got 'nobody'"]),
+        # A short row reads as empty fields.
+        (
+            "3600,7200\n",
+            [
+                "dr_feed[0].p_limit_w: expected a finite number, got ''",
+                f"dr_feed[0].issuer: {_ISSUERS}, got ''",
+            ],
+        ),
+        ("nan,7200,2500,aggregator\n", ["dr_feed[0].t_start: expected a finite number, got 'nan'"]),
+        # Each error names its row by its index, the header not counted.
+        (
+            "0,10,100,aggregator\n3600,7200,abc,aggregator\n",
+            ["dr_feed[1].p_limit_w: expected a finite number, got 'abc'"],
+        ),
+        (
+            "0,10,100,aggregator\n7200,3600,2500,aggregator\n",
+            ["dr_feed[1]: need t_start < t_end, got [7200.0, 3600.0]"],
+        ),
+        # Every bad field of every row, together.
+        (
+            "nan,7200,2500,aggregator\n3600,7200,2500,aggregator\n7200,3600,x,nobody\n",
+            [
+                "dr_feed[0].t_start: expected a finite number, got 'nan'",
+                "dr_feed[2].p_limit_w: expected a finite number, got 'x'",
+                f"dr_feed[2].issuer: {_ISSUERS}, got 'nobody'",
+            ],
+        ),
+    ],
+)
+def test_bad_dr_feed_rows_are_reported_at_their_fields(tmp_path, rows, errors):
+    with pytest.raises(ConfigError) as exc_info:
+        _load_with_feed(tmp_path, _FEED_HEADER + rows)
+    assert exc_info.value.errors == errors
+
+
+def test_a_dr_feed_without_its_header_fails_validation(tmp_path):
+    with pytest.raises(ConfigError) as exc_info:
+        _load_with_feed(tmp_path, "a,b\n1,2\n")
+    columns = ["issuer", "p_limit_W", "t_end", "t_start"]
+    header = f"header must contain {columns}, got ['a', 'b']"
+    assert exc_info.value.errors == [f"dr_feed: {tmp_path / 'dr.csv'}: {header}"]
 
 
 def test_harness_import_skips_yaml():
@@ -808,7 +889,8 @@ def test_settlement_reuses_the_profiles_the_users_ran_on(tmp_path, monkeypatch):
         harness, "household_profile", lambda *a, **kw: calls.append(a) or real(*a, **kw)
     )
     config = small_config(
-        mevu=MevuSpec(
+        mevu=MevuCluster(
+            cluster_id="cluster-0",
             members=(POD1, POD2),
             capacity_offer_w=500.0,
             energy_price_eur_per_wh=0.0002,
@@ -820,6 +902,25 @@ def test_settlement_reuses_the_profiles_the_users_ran_on(tmp_path, monkeypatch):
     assert len(calls) == len(config.users)
     lines = (tmp_path / "settlement.csv").read_text().splitlines()
     assert any(POD1 in line for line in lines) and any(POD2 in line for line in lines)
+
+
+@pytest.mark.parametrize(
+    "members, window, reason",
+    [
+        ((POD1, "IT001E99999999"), (0, 86400), "mevu.members: unknown pods ['IT001E99999999']"),
+        ((POD2,), (30, 3600), "mevu.window: must be tick-aligned inside [0, 86400], got (30, 3600)"),
+        ((POD2,), (0, 2 * 86400), "mevu.window: must be tick-aligned inside [0, 86400]"),
+    ],
+)
+def test_run_refuses_a_cluster_that_cannot_settle(tmp_path, members, window, reason):
+    """A cluster built in Python with a member that is not a user, or a
+    window off the tick grid or past the run, is refused before any user
+    runs, by the check `validate_config` makes."""
+    users = (UserSpec(POD1, 3000.0), UserSpec(POD2, 4500.0))
+    cluster = MevuCluster("cluster-0", members, 500.0, 0.0002, 0.0001, window)
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        run(ScenarioConfig(86400, 60, 1, users, mevu=cluster), out_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_csv_shape():
@@ -1486,11 +1587,25 @@ _TWO_HOURS = 2 * 3600
 _START, _END, _VOLTAGE = SupplyEventKind
 
 
+def test_supply_events_from_a_scenario_file_run_in_listed_order(tmp_path):
+    """An end listed before a start on one tick ends nothing, then the
+    outage starts: no 0 s outage.  The file's user writes what the same
+    user built in Python writes."""
+    listed = [[600, "interruption_end"], [600, "interruption_start"]]
+    user = {"pod_id": POD1, "pn_w": 3000, "supply_events": listed}
+    run(validate_config({"duration_s": 3600, "users": [user]}), out_dir=str(tmp_path / "file"))
+    events = tmp_path / "file" / "users" / POD1 / "events.csv"
+    assert events.read_text() == "t_s,event,duration_s\n600,interruption_start,\n"
+    spec = UserSpec(POD1, 3000.0, supply_events=((600, _END), (600, _START)))
+    run(ScenarioConfig(3600, 60, 0, (spec,)), out_dir=str(tmp_path / "python"))
+    assert _tree(tmp_path / "file") == _tree(tmp_path / "python")
+
+
 def _hand_built(users, duration_s, commands=(), settle=False, seed=1):
     """A Python-built scenario at 60 s ticks over a lossy link, its users
     settled as a flexibility cluster when `settle`."""
     pods = tuple(sorted(spec.pod_id for spec in users))
-    mevu = MevuSpec(pods, 500.0, 0.0002, 0.0001, (0, duration_s)) if settle else None
+    mevu = MevuCluster("cluster-0", pods, 500.0, 0.0002, 0.0001, (0, duration_s)) if settle else None
     channel = ChannelConfig(loss=BernoulliLoss(0.05))
     commands = tuple(commands)
     return ScenarioConfig(duration_s, 60, seed, tuple(users), channel, dr_commands=commands, mevu=mevu)
